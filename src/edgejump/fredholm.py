@@ -108,22 +108,23 @@ def _airy_kernel_eigs(t: float, m: int, T: float) -> tuple:
 def airy_fredholm_logdet(kappa_sq, t: float, cfg: NystromConfig | None = None) -> complex:
     """log det(1 - kappa^2 K_Ai restricted to [t, inf)).
 
-    The sum of log1p over the eigenvalues of the symmetrized Nystrom matrix;
-    accurate even when the determinant underflows toward zero.
+    The sum of log(1 - z) over z = kappa^2 lambda, lambda the eigenvalues of
+    the symmetrized Nystrom matrix; accurate even when the determinant
+    underflows toward zero.  The real part is ``log1p(|z|^2 - 2 Re z) / 2``,
+    which keeps full relative accuracy for tiny complex z (numpy's complex
+    log1p does not), except where |1 - z| < 1/2 and that log1p argument
+    would cancel: there it is ``log|1 - z|``.  The imaginary part is
+    ``atan2(Im(1 - z), Re(1 - z))``.
     """
     if cfg is None:
         cfg = default_nystrom(t)
     _check_tail(cfg)
-    eigs = _airy_kernel_eigs(t, cfg.m, cfg.T)
-    k2 = complex(kappa_sq)
-    out = 0j
-    for lam in eigs:
-        z = k2 * lam
-        if abs(z) < 0.5:
-            out += complex(np.log1p(-z.real) if z.imag == 0 else np.log(1 - z))
-        else:
-            out += complex(np.log(1 - z))
-    return out
+    z = complex(kappa_sq) * np.asarray(_airy_kernel_eigs(t, cfg.m, cfg.T))
+    one_minus_z = 1 - z  # a +0 imaginary part for real kappa^2
+    x = z.real * z.real + z.imag * z.imag - 2 * z.real  # |1 - z|^2 - 1
+    log_abs = np.where(x > -0.75, 0.5 * np.log1p(np.maximum(x, -0.75)),
+                       np.log(np.abs(one_minus_z)))
+    return complex(np.sum(log_abs + 1j * np.arctan2(one_minus_z.imag, one_minus_z.real)))
 
 
 def airy_fredholm_det(kappa_sq, t: float, cfg: NystromConfig | None = None) -> complex:

@@ -1,64 +1,40 @@
-"""Adaptive embedded Runge-Kutta integration with dense output.
+"""Fixed-order Taylor-series integration with dense output.
 
-Dormand-Prince 5(4): six fresh stages per step plus FSAL, quartic dense
-interpolant, PI step-size control.  The kernel is written over generic
-scalars, so the same code integrates double-precision complex systems and
-mpmath big-float systems (the latter is required for the small-amplitude
-Painleve linearization checks).
+The caller supplies the Taylor coefficients of the solution at a point,
+``taylor(t, y, K) -> [[c_0, ..., c_K] per component]`` with ``c_0 = y``.
+For a polynomial ODE they follow from Cauchy products in O(K^2) per step
+(Jorba & Zou, Exp. Math. 14, 2005).  Each step evaluates that degree-K
+polynomial, and the polynomial is also the dense output: the trajectory and
+its derivative between steps are the polynomial and its derivative.
 
-Two extras beyond a stock RK45:
+The step size comes from the decay of the last two coefficients of every
+component, measured against the largest earlier term of the same component,
+so it is unchanged when a component is multiplied by a constant and does
+not collapse where a component crosses zero.  The step follows the local
+radius of convergence, so it shrinks geometrically toward a singularity;
+when it falls below a floor, or the state overflows,
+:class:`StepUnderflow` carries the partial trajectory, which is how
+downstream code detects solution singularities.
 
-* optional *defect control*: the interpolant defect ``|P'(t) - f(t, P(t))|``
-  sampled at mid-step is kept below a caller-supplied fraction of the
-  tolerance, so the returned trajectory satisfies the ODE pointwise to the
-  requested accuracy, not just at the nodes;
-* a hard step floor.  Falling through it raises :class:`StepUnderflow`
-  carrying the partial trajectory, which is how downstream code detects
-  solution singularities.
+Steps may be complex: :func:`along_path` integrates through a chain of
+points in the complex t-plane, which is how a caller goes around a pole.
 """
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from bisect import bisect_right
-from fractions import Fraction as Fr
 
-import mpmath as mp
+__all__ = ["adaptive_rk", "along_path", "DenseTrajectory", "StepUnderflow"]
 
-from .precision import PrecisionCtx
-
-__all__ = ["adaptive_rk", "DenseTrajectory", "StepUnderflow"]
-
-# Dormand-Prince 5(4) tableau, exact rationals.
-_C = (Fr(0), Fr(1, 5), Fr(3, 10), Fr(4, 5), Fr(8, 9), Fr(1), Fr(1))
-_A = (
-    (),
-    (Fr(1, 5),),
-    (Fr(3, 40), Fr(9, 40)),
-    (Fr(44, 45), Fr(-56, 15), Fr(32, 9)),
-    (Fr(19372, 6561), Fr(-25360, 2187), Fr(64448, 6561), Fr(-212, 729)),
-    (Fr(9017, 3168), Fr(-355, 33), Fr(46732, 5247), Fr(49, 176), Fr(-5103, 18656)),
-    (Fr(35, 384), Fr(0), Fr(500, 1113), Fr(125, 192), Fr(-2187, 6784), Fr(11, 84)),
-)
-_B5 = (Fr(35, 384), Fr(0), Fr(500, 1113), Fr(125, 192), Fr(-2187, 6784), Fr(11, 84), Fr(0))
-_B4 = (Fr(5179, 57600), Fr(0), Fr(7571, 16695), Fr(393, 640), Fr(-92097, 339200),
-       Fr(187, 2100), Fr(1, 40))
-_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-
-# Quartic dense-output polynomial (Shampine):  y(t0 + th) = y0 + h sum_i k_i q_i(t),
-# q_i(t) = sum_j P[i][j] t^(j+1).
-_P = (
-    (Fr(1), Fr(-8048581381, 2820520608), Fr(8663915743, 2820520608), Fr(-12715105075, 11282082432)),
-    (Fr(0), Fr(0), Fr(0), Fr(0)),
-    (Fr(0), Fr(131558114200, 32700410799), Fr(-68118460800, 10900136933), Fr(87487479700, 32700410799)),
-    (Fr(0), Fr(-1754552775, 470086768), Fr(14199869525, 1410260304), Fr(-10690763975, 1880347072)),
-    (Fr(0), Fr(127303824393, 49829197408), Fr(-318862633887, 49829197408), Fr(701980252875, 199316789632)),
-    (Fr(0), Fr(-282668133, 205662961), Fr(2019193451, 616988883), Fr(-1453857185, 822651844)),
-    (Fr(0), Fr(40617522, 29380423), Fr(-110615467, 29380423), Fr(69997945, 29380423)),
-)
-
-_ORDER = 5
-_SAFETY = 0.9
-_ALPHA = 0.7 / _ORDER
-_BETA = 0.4 / _ORDER
+_ORDER = 24  # degree of the Taylor polynomial of every step
+_EPS = sys.float_info.epsilon
+_MAX_STEPS = 100_000
+# The rule bounds the last terms of the value; the slope of the polynomial
+# (the dense derivative) carries K/h times that.  Shrinking every step by
+# 0.8 cuts both by 0.8^K ~ 5e-3.
+_SAFETY = 0.8
 
 
 class StepUnderflow(RuntimeError):
@@ -68,40 +44,42 @@ class StepUnderflow(RuntimeError):
     """
 
     def __init__(self, t_star, trajectory):
-        super().__init__(f"step size underflow near t = {float(t_star)}")
+        super().__init__(f"step size underflow near t = {complex(t_star).real:.6g}")
         self.t_star = t_star
         self.trajectory = trajectory
 
 
-def _cast_tableau(one):
-    """Convert the rational tableau into the scalar field containing ``one``."""
-    def c(fr):
-        return (one * fr.numerator) / fr.denominator
-    A = tuple(tuple(c(a) for a in row) for row in _A)
-    C = tuple(c(x) for x in _C)
-    B5 = tuple(c(x) for x in _B5)
-    E = tuple(c(x) for x in _E)
-    P = tuple(tuple(c(x) for x in row) for row in _P)
-    return C, A, B5, E, P
+def _horner(c, s):
+    acc = 0 * s
+    for ck in reversed(c):
+        acc = acc * s + ck
+    return acc
+
+
+def _horner_derivative(c, s):
+    acc = 0 * s
+    for k in range(len(c) - 1, 0, -1):
+        acc = acc * s + k * c[k]
+    return acc
 
 
 class DenseTrajectory:
-    """Piecewise-quartic continuous extension of an RK45 run.
+    """Piecewise Taylor polynomials of one run on a line in the t-plane.
 
-    Supports evaluation of the state and of its time derivative at any time
-    inside the integration span, regardless of integration direction.
+    Evaluates the state and its t-derivative at any point of the span,
+    whichever the direction of integration.
     """
 
-    def __init__(self, ts, ys, hs, ks, P, direction, event_t=None):
-        self.ts = ts          # accepted step start times, plus final time
-        self.ys = ys          # states at self.ts
-        self.hs = hs          # signed step sizes, len(ts) - 1
-        self.ks = ks          # 7 stage derivatives per step
-        self._P = P
+    def __init__(self, ts, coeffs, direction, y_end, event_t=None):
+        self.ts = ts            # step start points, plus the final point
+        self.coeffs = coeffs    # per step: one coefficient list per component
         self.direction = direction
+        self.y_end = y_end      # state at the final point
         self.event_t = event_t
-        # ascending search key regardless of integration direction
-        self._key = ts if direction > 0 else [-x for x in ts]
+        self._key = [self._param(t) for t in ts]
+
+    def _param(self, t):
+        return ((t - self.ts[0]) / self.direction).real
 
     @property
     def t_begin(self):
@@ -113,206 +91,89 @@ class DenseTrajectory:
 
     @property
     def n_steps(self) -> int:
-        return len(self.hs)
+        return len(self.coeffs)
 
     def _locate(self, t):
-        key = t if self.direction > 0 else -t
-        slack = 1e-9 * (1.0 + abs(float(t)))
-        if not (self._key[0] - slack <= key <= self._key[-1] + slack):
-            lo, hi = sorted((float(self.ts[0]), float(self.ts[-1])))
-            raise ValueError(f"t = {float(t)} outside trajectory span [{lo}, {hi}]")
-        i = bisect_right(self._key, key) - 1
-        return min(max(i, 0), len(self.hs) - 1)
+        key = self._param(t)
+        slack = 1e-9 * (1.0 + abs(t))
+        if not self.coeffs or not (-slack <= key <= self._key[-1] + slack):
+            lo, hi = sorted((complex(self.ts[0]).real, complex(self.ts[-1]).real))
+            raise ValueError(f"t = {t} outside trajectory span [{lo}, {hi}]")
+        i = min(max(bisect_right(self._key, key) - 1, 0), len(self.coeffs) - 1)
+        return i, t - self.ts[i]
 
     def __call__(self, t):
-        i = self._locate(t)
-        t0, h, y0, k = self.ts[i], self.hs[i], self.ys[i], self.ks[i]
-        th = (t - t0) / h
-        P = self._P
-        y = list(y0)
-        for ki, Pi in zip(k, P):
-            q = ((Pi[3] * th + Pi[2]) * th + Pi[1]) * th + Pi[0]
-            q *= th * h
-            for j, kij in enumerate(ki):
-                y[j] += q * kij
-        return tuple(y)
+        i, s = self._locate(t)
+        return tuple(_horner(c, s) for c in self.coeffs[i])
 
     def derivative(self, t):
-        i = self._locate(t)
-        t0, h, k = self.ts[i], self.hs[i], self.ks[i]
-        th = (t - t0) / h
-        P = self._P
-        dy = [0 * c for c in self.ys[i]]
-        for ki, Pi in zip(k, P):
-            dq = ((4 * Pi[3] * th + 3 * Pi[2]) * th + 2 * Pi[1]) * th + Pi[0]
-            for j, kij in enumerate(ki):
-                dy[j] += dq * kij
-        return tuple(dy)
+        i, s = self._locate(t)
+        return tuple(_horner_derivative(c, s) for c in self.coeffs[i])
 
 
-def _integrate(f, y0, t0, t1, tol, atol, eps, defect_weight, event, h0, max_steps,
-               scale_groups, group_floor):
-    one = (y0[0] * 0) + 1
-    if isinstance(one, (mp.mpf, mp.mpc)):
-        one = mp.mpf(1)
-    C, A, B5, E, P = _cast_tableau(one)
-    direction = 1 if t1 > t0 else -1
-    span = abs(t1 - t0)
+def _step_size(coeffs, tol):
+    """Largest h with |c_k| h^k <= tol max_(m<k) |c_m| h^m, k = K-1, K, every component.
 
+    A component whose last two coefficients vanish sets no bound.
+    """
+    h = math.inf
+    for c in coeffs:
+        mags = [abs(x) for x in c]
+        for k in (len(c) - 2, len(c) - 1):
+            if mags[k]:
+                h = min(h, max(((tol * mags[m] / mags[k]) ** (1.0 / (k - m))
+                                for m in range(k) if mags[m]), default=0.0))
+    return h
+
+
+def _march(taylor, y0, t0, t1, tol, event):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    direction = (t1 - t0) / abs(t1 - t0) if t1 != t0 else 1
     t, y = t0, tuple(y0)
-    k1 = f(t, y)
-    h = h0 if h0 is not None else direction * min(span / 100, 0.1)
-
-    ts, ys, hs, ks = [t], [y], [], []
-    err_prev = 1.0
+    ts, coeffs = [t0], []
     event_t = None
-    steps = 0
-
-    def isbad(v):
-        try:
-            return not mp.isfinite(v) if isinstance(v, (mp.mpf, mp.mpc)) else (
-                v != v or abs(v) == float("inf"))
-        except Exception:
-            return True
-
-    while (t1 - t) * direction > 0:
-        if steps >= max_steps:
-            raise RuntimeError(f"exceeded {max_steps} steps")
-        steps += 1
-        floor = 64 * eps * max(1.0, abs(float(t)))
-        if abs(h) < floor:
-            raise StepUnderflow(t, DenseTrajectory(ts, ys, hs, ks, P, direction))
-        if (t + h - t1) * direction > 0:
-            h = t1 - t
-            if abs(h) < floor / 4:
-                break
-
-        # stages
-        k = [k1, None, None, None, None, None, None]
-        bad = False
-        for s in range(1, 7):
-            As = A[s]
-            ytmp = list(y)
-            for l in range(s):
-                a = As[l]
-                if a != 0:
-                    kl = k[l]
-                    for j in range(len(ytmp)):
-                        ytmp[j] += h * a * kl[j]
-            k[s] = f(t + C[s] * h, tuple(ytmp))
-            if any(isbad(v) for v in k[s]):
-                bad = True
-                break
-        if bad:
-            h *= 0.25
-            continue
-        ynew = list(y)
-        for s in range(7):
-            b = B5[s]
-            if b != 0:
-                ksv = k[s]
-                for j in range(len(ynew)):
-                    ynew[j] += h * b * ksv[j]
-        ynew = tuple(ynew)
-        if any(isbad(v) for v in ynew):
-            h *= 0.25
-            continue
-
-        # embedded error estimate, max norm on mixed abs/rel scale.  Each
-        # component is measured against the magnitude of its scale group so
-        # that relative accuracy survives through exponentially small tails
-        # and through component zero crossings.
-        gmax = {}
-        if scale_groups is not None:
-            for gi, grp in enumerate(scale_groups):
-                m = 0.0
-                for j in grp:
-                    m = max(m, float(abs(y[j])), float(abs(ynew[j])))
-                gmax[gi] = m
-        err = 0.0
-        for j in range(len(y)):
-            e = 0 * one
-            for s in range(7):
-                if E[s] != 0:
-                    e += E[s] * k[s][j]
-            ymag = max(float(abs(y[j])), float(abs(ynew[j])))
-            if scale_groups is not None:
-                for gi, grp in enumerate(scale_groups):
-                    if j in grp:
-                        ymag = max(ymag, group_floor * gmax[gi])
-                        break
-            sc = atol + tol * ymag + 1e-300
-            err = max(err, float(abs(h * e)) / float(sc))
-
-        derr = 0.0
-        if defect_weight is not None and err <= 1.0:
-            half = one / 2
-            ymid = list(y)
-            dymid = [0 * c for c in y]
-            for s in range(7):
-                Ps = P[s]
-                q = ((Ps[3] * half + Ps[2]) * half + Ps[1]) * half + Ps[0]
-                dq = ((4 * Ps[3] * half + 3 * Ps[2]) * half + 2 * Ps[1]) * half + Ps[0]
-                ksv = k[s]
-                qh = q * half * h
-                for j in range(len(y)):
-                    ymid[j] += qh * ksv[j]
-                    dymid[j] += dq * ksv[j]
-            fmid = f(t + h * half, tuple(ymid))
-            allowed = 0.25 * tol * float(defect_weight(ymid))
-            for j in range(len(y)):
-                derr = max(derr, float(abs(dymid[j] - fmid[j])) / allowed)
-
-        err_eff = max(err, derr)
-        if err_eff <= 1.0:
-            ts.append(t + h)
-            ys.append(ynew)
-            hs.append(h)
-            ks.append(tuple(k))
-            t = t + h
-            y = ynew
-            k1 = k[6]  # FSAL
-            fac = _SAFETY * (err_eff + 1e-16) ** (-_ALPHA) * (err_prev + 1e-16) ** _BETA
-            err_prev = err_eff
-            h = h * min(6.0, max(0.2, fac))
-            if event is not None and event(t, y):
-                event_t = t
-                break
-        else:
-            h = h * min(0.9, max(0.1, _SAFETY * err_eff ** (-1.0 / _ORDER)))
-
-    return DenseTrajectory(ts, ys, hs, ks, P, direction, event_t)
+    while abs(t1 - t) > 4 * _EPS * max(1.0, abs(t)):
+        if len(coeffs) >= _MAX_STEPS:
+            raise RuntimeError(f"exceeded {_MAX_STEPS} steps")
+        c = taylor(t, y, _ORDER)
+        h = _SAFETY * _step_size(c, tol)
+        if not h >= 64 * _EPS * max(1.0, abs(t)):
+            raise StepUnderflow(t, DenseTrajectory(ts, coeffs, direction, y))
+        last = h >= abs(t1 - t)
+        step = t1 - t if last else direction * h
+        y_new = tuple(_horner(ci, step) for ci in c)
+        if not all(cmath.isfinite(v) for v in y_new):
+            raise StepUnderflow(t, DenseTrajectory(ts, coeffs, direction, y))
+        t = t1 if last else t + step
+        ts.append(t)
+        coeffs.append(c)
+        y = y_new
+        if event is not None and event(t, y):
+            event_t = t
+            break
+    return DenseTrajectory(ts, coeffs, direction, y, event_t)
 
 
-def adaptive_rk(f, y0, t0, t1, tol, *, atol=None, ctx: PrecisionCtx | None = None,
-                defect_weight=None, event=None, h0=None, max_steps=5_000_000,
-                scale_groups=None, group_floor=0.01):
-    """Integrate ``y' = f(t, y)`` from t0 to t1 (either direction).
+def adaptive_rk(taylor, y0, t0, t1, tol, *, event=None):
+    """Integrate from real t0 to real t1 (either direction) by Taylor steps.
+
+    (The name predates the Taylor stepper and is kept for the callers and
+    tools that bind it.)
 
     Parameters
     ----------
-    f : callable(t, y_tuple) -> tuple
-        Vector field; must be smooth along the solution.
+    taylor : callable(t, y_tuple, K) -> sequence of coefficient lists
+        The Taylor coefficients ``c_0 .. c_K`` of every component of the
+        solution through ``y`` at ``t``, with ``c_0 = y``.
     y0 : sequence
-        Initial state.  Scalars may be float, complex, mpf or mpc; with
-        ``ctx`` the integration runs at that precision.
+        Initial state; float or complex scalars.
     tol : float
-        Local relative error per step.  ``atol`` defaults to ``tol``.
-    defect_weight : callable(y) -> float, optional
-        Enables mid-step defect control: the interpolant defect is kept
-        below ``0.25 * tol * defect_weight(y)`` per component, so dense
-        output satisfies the ODE pointwise at that level.
+        Local relative error per step: the last two terms of every
+        component stay below ``tol`` times its largest earlier term.
     event : callable(t, y) -> bool, optional
-        Stop after the first accepted step where it returns True; the
-        trajectory records the stop time in ``event_t``.
-    scale_groups : sequence of index tuples, optional
-        Components sharing a magnitude scale (e.g. ``[(0, 1), (2, 3)]``).
-        Each component's error is then measured relative to
-        ``max(|y_j|, group_floor * max over its group)``, which keeps the
-        control relative through decaying tails (where a naive absolute
-        floor would later be amplified by the growing mode) without
-        stalling at zero crossings of individual components.  For decaying
-        initial data combine this with ``atol=0``.
+        Stop after the first step where it returns True; the trajectory
+        records the stop point in ``event_t``.
 
     Returns
     -------
@@ -321,21 +182,19 @@ def adaptive_rk(f, y0, t0, t1, tol, *, atol=None, ctx: PrecisionCtx | None = Non
     Raises
     ------
     StepUnderflow
-        If the step size falls below ``64 eps max(1, |t|)``, which signals a
-        solution singularity near ``t_star``; the partial trajectory is
-        attached to the exception.
+        If the step size falls below ``64 eps max(1, |t|)`` or the state
+        overflows, which signals a solution singularity near
+        ``t_star``; the partial trajectory is attached to the exception.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if atol is None:
-        atol = tol
-    if ctx is not None:
-        with ctx.workprec(10):
-            y0 = tuple(mp.mpmathify(v) for v in y0)
-            t0, t1 = mp.mpf(t0), mp.mpf(t1)
-            eps = float(mp.mpf(2) ** (1 - ctx.bits))
-            return _integrate(f, y0, t0, t1, tol, atol, eps, defect_weight,
-                              event, h0, max_steps, scale_groups, group_floor)
-    eps = 2.220446049250313e-16
-    return _integrate(f, tuple(y0), t0, t1, tol, atol, eps, defect_weight,
-                      event, h0, max_steps, scale_groups, group_floor)
+    return _march(taylor, y0, float(t0), float(t1), tol, event)
+
+
+def along_path(taylor, y0, nodes, tol):
+    """Integrate through the points ``nodes`` of the complex t-plane.
+
+    Straight legs join consecutive nodes; returns the state at the last one.
+    """
+    y = tuple(y0)
+    for t0, t1 in zip(nodes, nodes[1:]):
+        y = _march(taylor, y, t0, t1, tol, None).y_end
+    return y

@@ -6,16 +6,22 @@ data ``u ~ kappa Ai(t)``, carrying the two antiderivatives needed elsewhere:
 * v(t)  = integral_t^inf u^2            (v' = -u^2),
 * F(t)  = integral_t^inf (tau - t) u^2  (F' = -v),
 
-as an augmented 4-component first-order system, so u, v and F stay mutually
-consistent to stepper tolerance.  Integration is downward only; the decaying
-direction t -> +inf is unstable and is never integrated toward +infinity.
+as an augmented 4-component system, so u, v and F stay mutually consistent
+to stepper tolerance.  The system is polynomial, so its Taylor coefficients
+come from Cauchy products and :mod:`edgejump.ode` steps it with a
+fixed-order Taylor series whose polynomial is also the dense output.
+Integration is downward only; the decaying direction t -> +inf is unstable
+and is never integrated toward +infinity.
 
-For real |kappa| > 1 the solution has real poles.  They are traversed by
-fitting the local Laurent data (location a, residue sign eps, free cubic
-coefficient) from sample points on the approach side and restarting from the
-same expansion on the far side; each crossing is recorded.  v has a simple
-pole there and is continued meromorphically; F picks up a logarithm and is
-continued in the principal-value sense (F is only used on pole-free runs).
+For real |kappa| > 1 the solution has real poles.  A run stops in front of
+one once |u| reaches 100, solves the local Laurent data (location a, residue
+sign eps, free cubic coefficient) from u and u' at the stop point, and goes
+around the pole through complex t to the mirror point (Fornberg & Weideman,
+J. Comput. Phys. 230, 2011); each crossing is recorded, and the Laurent
+expansion answers real t inside the small window the detour skips.  u, u'
+and v are meromorphic there; F picks up -log(t - a) and is continued on the
+principal-value branch -log|t - a|, the mean of the continuations above and
+below the pole (F is only used on pole-free runs).
 
 Closed-form asymptotic evaluators for the oscillatory regime t -> -inf, for
 the squared transcendent in the singular |Re beta| = 1/2 regime, and for the
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import scipy.special as sps
 
-from .ode import DenseTrajectory, StepUnderflow, adaptive_rk
+from .ode import StepUnderflow, adaptive_rk, along_path
 from .util import beta_from_kappa, kappa_from_beta
 
 __all__ = [
@@ -52,20 +58,36 @@ class PoleEncountered(RuntimeError):
 
 
 class FitFailure(RuntimeError):
-    """Laurent fit residual exceeded threshold near a suspected pole."""
+    """The Laurent data of a pole could not be solved for, or a detour missed it."""
 
 
 class TooCloseToPole(ValueError):
     """Requested evaluation point sits under a trigonometric pole guard."""
 
 
-def _pii_rhs(t, y):
-    u, up, v, _F = y
-    return (up, t * u + 2 * u * u * u, -u * u, -v)
+# A real-axis run stops in front of a pole once |u| reaches this value,
+# about 1/100 from the pole, and goes around it on a semicircle of that
+# radius made of this many chords.  The state at the end of the detour must
+# match the Laurent expansion to this relative accuracy.
+_POLE_THRESHOLD = 100.0
+_DETOUR_CHORDS = 16
+_LAURENT_MATCH = 1e-6
+_NEWTON_ITERATIONS = 30
 
 
-def _defect_weight(y):
-    return 1.0 + abs(y[0]) ** 3
+def _pii_taylor(t, y, K):
+    """Taylor coefficients of (u, u', v, F) at t: Cauchy products for u^2, u^3."""
+    u, p, v, F = ([c] for c in y)
+    u2, u3 = [], []
+    for k in range(K):
+        u2.append(sum(u[j] * u[k - j] for j in range(k + 1)))
+        u3.append(sum(u2[j] * u[k - j] for j in range(k + 1)))
+        tu = t * u[k] + (u[k - 1] if k else 0)
+        u.append(p[k] / (k + 1))
+        p.append((tu + 2 * u3[k]) / (k + 1))
+        v.append(-u2[k] / (k + 1))
+        F.append(-v[k] / (k + 1))
+    return u, p, v, F
 
 
 # ---------------------------------------------------------------------------
@@ -134,65 +156,90 @@ class PoleRecord:
     gap_hi: float = 0.0
 
 
-def _fit_pole(traj: DenseTrajectory, t_evt, side: int, fit_far: float = 0.4,
-              fit_near: float = 0.25):
-    """Fit (a, h) from two approach-side samples of u; eps from the sign of u.
+def _laurent_data(t_s, y_s, side: int) -> PoleRecord:
+    """Laurent data of the pole in front of the real stop point t_s.
 
-    ``side`` is +1 when the approach samples lie above the pole (descending
-    run) and -1 below it (ascending run).
+    Solves ``laurent_u = u`` and ``laurent_u_prime = u'`` at t_s for the
+    location a and the cubic coefficient h by Newton iteration; the residue
+    sign comes from the sign of u on the approach side (``side`` = +1 when
+    t_s lies above the pole, -1 below it).  The constants of v and F follow
+    from their values at t_s.
     """
-    u_evt = traj(t_evt)[0]
-    eps = 1 if (u_evt.real if isinstance(u_evt, complex) else u_evt) * side > 0 else -1
-    a_est = float(t_evt) - side * abs(1.0 / abs(u_evt))
-    spacing = math.pi / math.sqrt(max(1.0, -a_est))
-    xbase = min(0.1, 0.12 * spacing)
-    xs = [fit_far * xbase, fit_near * xbase]
-    t_hi = max(float(traj.t_begin), float(traj.t_end))
-    t_lo = min(float(traj.t_begin), float(traj.t_end))
-    pts = []
-    for x in xs:
-        tp = a_est + side * x
-        tp = min(max(tp, t_lo), t_hi)
-        pts.append((tp, complex(traj(tp)[0]).real))
+    u, up = complex(y_s[0]).real, complex(y_s[1]).real
+    eps = 1 if u * side > 0 else -1
+    a, h = t_s - eps / u, 0.0
 
-    a, h = a_est, 0.0
-    for _ in range(60):
-        r = [laurent_u(tp - a, a, eps, h) - u for tp, u in pts]
-        d = 1e-7
-        j00 = (laurent_u(pts[0][0] - (a + d), a + d, eps, h) - laurent_u(pts[0][0] - a, a, eps, h)) / d
-        j10 = (laurent_u(pts[1][0] - (a + d), a + d, eps, h) - laurent_u(pts[1][0] - a, a, eps, h)) / d
-        j01 = (pts[0][0] - a) ** 3
-        j11 = (pts[1][0] - a) ** 3
-        det = j00 * j11 - j01 * j10
-        if det == 0:
-            raise FitFailure("degenerate Jacobian in pole fit")
-        da = (r[0] * j11 - r[1] * j01) / det
-        dh = (j00 * r[1] - j10 * r[0]) / det
-        a, h = a - da, h - dh
-        if abs(da) < 1e-14 * (1 + abs(a)) and abs(dh) < 1e-12 * (1 + abs(h)):
+    def residual(a, h):
+        x = t_s - a
+        return (laurent_u(x, a, eps, h) - u, laurent_u_prime(x, a, eps, h) - up)
+
+    for _ in range(_NEWTON_ITERATIONS):
+        r0, r1 = residual(a, h)
+        if abs(r0) <= 1e-12 * abs(u) and abs(r1) <= 1e-12 * abs(up):
             break
-    # validate on a third point
-    x3 = 0.325 * xbase
-    t3 = min(max(a_est + side * x3, t_lo), t_hi)
-    u3 = complex(traj(t3)[0]).real
-    rel = abs(laurent_u(t3 - a, a, eps, h) - u3) / max(1.0, abs(u3))
-    if rel > 1e-4:
-        raise FitFailure(f"pole fit residual {rel:.2e} at validation point")
-    # v and F integration constants from the nearer sample
-    t1 = pts[1][0]
-    x1 = t1 - a
-    y1 = traj(t1)
-    c_v = complex(y1[2]).real - laurent_v(x1, a, eps, h, 0.0)
-    c_f = complex(y1[3]).real - laurent_F(x1, a, eps, h, c_v, 0.0)
-    x_restart = 0.25 * xbase
-    return PoleRecord(a, eps, h, c_v, c_f), x_restart
+        da, dh = 1e-7 * abs(t_s - a), 1e-3
+        ra = residual(a + da, h)
+        rh = residual(a, h + dh)
+        j00, j10 = (ra[0] - r0) / da, (ra[1] - r1) / da
+        j01, j11 = (rh[0] - r0) / dh, (rh[1] - r1) / dh
+        det = j00 * j11 - j01 * j10
+        step_a = (r0 * j11 - r1 * j01) / det
+        step_h = (j00 * r1 - j10 * r0) / det
+        a, h = a - step_a, h - step_h
+    else:
+        raise FitFailure(f"Laurent solve near t = {t_s:.6g} did not converge")
+    x = t_s - a
+    c_v = complex(y_s[2]).real - laurent_v(x, a, eps, h, 0.0)
+    c_f = complex(y_s[3]).real - laurent_F(x, a, eps, h, c_v, 0.0)
+    return PoleRecord(a, eps, h, c_v, c_f)
+
+
+def _laurent_state(rec: PoleRecord, t):
+    x = t - rec.location
+    return (laurent_u(x, rec.location, rec.sign, rec.cubic),
+            laurent_u_prime(x, rec.location, rec.sign, rec.cubic),
+            laurent_v(x, rec.location, rec.sign, rec.cubic, rec.c_v),
+            laurent_F(x, rec.location, rec.sign, rec.cubic, rec.c_v, rec.c_f))
+
+
+def _cross_pole(t_s, y_s, side: int, tol: float):
+    """Go around the pole in front of the real stop point t_s to its mirror point.
+
+    Integrates on the semicircle through the upper and on the one through the
+    lower half-plane, both of radius |t_s - a|, and returns the pole record
+    (with its Laurent window) and the mean of the two end states at 2a - t_s.
+    u, u' and v are meromorphic at the pole; F has a logarithm and picks up
+    -i (turn of arg(t - a)) on each semicircle, which is added back so that
+    F stays on the principal-value branch of :func:`laurent_F`.  Each end
+    state must agree with the Laurent prediction.  For a real solution the
+    two semicircles are mirror images, so the mean is real.
+    """
+    rec = _laurent_data(t_s, y_s, side)
+    a, r = rec.location, abs(t_s - rec.location)
+    t_e = 2 * a - t_s
+    th0 = 0.0 if side > 0 else math.pi
+    pred = _laurent_state(rec, t_e)
+    ends = []
+    for turn in (math.pi, -math.pi):
+        nodes = ([t_s] + [a + r * cmath.exp(1j * (th0 + turn * j / _DETOUR_CHORDS))
+                          for j in range(1, _DETOUR_CHORDS)] + [t_e])
+        y = list(along_path(_pii_taylor, y_s, nodes, tol))
+        y[3] += 1j * turn
+        worst = max(abs(got - want) / max(1.0, abs(want)) for got, want in zip(y, pred))
+        if worst > _LAURENT_MATCH:
+            raise FitFailure(f"state after the detour around t = {a:.6g} misses the "
+                             f"Laurent prediction by {worst:.2e}")
+        ends.append(y)
+    lo, hi = sorted((t_s, t_e))
+    rec = PoleRecord(a, rec.sign, rec.cubic, rec.c_v, rec.c_f, gap_lo=lo, gap_hi=hi)
+    return rec, t_e, tuple((p + q) / 2 for p, q in zip(*ends))
 
 
 class ASolution:
     """Dense trajectory of (u, u', v, F) for one kappa, plus traversed poles.
 
-    Evaluation falls back to the fitted Laurent expansions inside the small
-    windows around each traversed pole.
+    Evaluation falls back to the Laurent expansions inside the small windows
+    that the detours around the traversed poles skip.
     """
 
     def __init__(self, kappa, beta, tol, t_start, t_min, segments, poles):
@@ -225,11 +272,7 @@ class ASolution:
         p = self._pole_for(t)
         if p is None:
             raise ValueError(f"t = {t} not covered by this solution")
-        x = t - p.location
-        return (laurent_u(x, p.location, p.sign, p.cubic),
-                laurent_u_prime(x, p.location, p.sign, p.cubic),
-                laurent_v(x, p.location, p.sign, p.cubic, p.c_v),
-                laurent_F(x, p.location, p.sign, p.cubic, p.c_v, p.c_f))
+        return _laurent_state(p, t)
 
     def u(self, t):
         return self.state(t)[0]
@@ -300,55 +343,44 @@ def _airy_initial_state(kappa: complex, t0: float):
     return (u, up, v, F)
 
 
-def _integrate_with_poles(y0, t0, t1, tol, *, traverse, pole_threshold, max_poles=500):
-    """March toward t1, traversing real poles as they are met."""
-    direction = 1 if t1 > t0 else -1
-    side = -direction  # approach samples lie opposite to travel direction
+def _integrate_with_poles(y0, t0, t1, tol, *, traverse, max_poles=500):
+    """March toward t1, going around real poles as they are met."""
+    side = 1 if t1 < t0 else -1  # the stop point lies on the side we come from
+
+    def near_pole(t, y):  # |u| past the threshold and still growing
+        return abs(y[0]) >= _POLE_THRESHOLD and (y[0] * y[1].conjugate()).real * side < 0
+
     segments, poles = [], []
     t_cur, y_cur = t0, y0
-    event = (lambda t, y: abs(y[0]) >= pole_threshold) if traverse or pole_threshold else None
     while True:
         try:
-            traj = adaptive_rk(_pii_rhs, y_cur, t_cur, t1, tol, atol=0.0,
-                               scale_groups=((0, 1), (2, 3)),
-                               defect_weight=_defect_weight, event=event)
-            blow_t = traj.event_t
+            traj = adaptive_rk(_pii_taylor, y_cur, t_cur, t1, tol, event=near_pole)
         except StepUnderflow as exc:
-            if not traverse:
-                raise PoleEncountered(exc.t_star, exc.trajectory) from exc
-            traj = exc.trajectory
-            blow_t = exc.t_star
+            raise PoleEncountered(exc.t_star, exc.trajectory) from exc
         segments.append(traj)
-        if blow_t is None:
+        if traj.event_t is None:
             return segments, poles
         if not traverse:
-            raise PoleEncountered(blow_t, traj)
+            raise PoleEncountered(traj.event_t, traj)
         if len(poles) >= max_poles:
             raise RuntimeError("pole budget exhausted")
-        rec, x_r = _fit_pole(traj, blow_t, side)
-        gap = sorted((float(blow_t), rec.location - side * x_r))
-        rec = PoleRecord(rec.location, rec.sign, rec.cubic, rec.c_v, rec.c_f,
-                         gap_lo=gap[0], gap_hi=gap[1])
+        rec, t_cur, y_cur = _cross_pole(traj.event_t, traj.y_end, side, tol)
         poles.append(rec)
-        t_cur = rec.location - side * x_r
-        x = t_cur - rec.location
-        y_cur = (complex(laurent_u(x, rec.location, rec.sign, rec.cubic)),
-                 complex(laurent_u_prime(x, rec.location, rec.sign, rec.cubic)),
-                 complex(laurent_v(x, rec.location, rec.sign, rec.cubic, rec.c_v)),
-                 complex(laurent_F(x, rec.location, rec.sign, rec.cubic, rec.c_v, rec.c_f)))
-        if (t1 - t_cur) * direction <= 0:
+        if (t1 - t_cur) * side >= 0:
             return segments, poles
 
 
 def solve_as(kappa, t_min: float, tol: float = 1e-12, *, t_start=None,
-             traverse=None, pole_threshold: float = 100.0) -> ASolution:
+             traverse=None) -> ASolution:
     """Integrate the Airy-pinned Painleve II family down to t_min.
 
     The start point is chosen adaptively so the truncated initial data
     ``u = kappa Ai`` contributes below ``tol * 1e-4`` through the squared
-    amplitude.  Pole traversal defaults to on exactly when kappa sits on the
-    real cut |kappa| > 1 (elsewhere the solution is pole-free on the real
-    line); with traversal off, a blow-up raises :class:`PoleEncountered`.
+    amplitude.  A run stops in front of a real pole once |u| reaches
+    ``_POLE_THRESHOLD``.  Pole traversal defaults to on exactly when kappa
+    sits on the real cut |kappa| > 1 (elsewhere the solution is pole-free
+    on the real line); with traversal off, a blow-up raises
+    :class:`PoleEncountered`.
 
     kappa = +-1 (Hastings-McLeod) is out of scope.
     """
@@ -358,32 +390,28 @@ def solve_as(kappa, t_min: float, tol: float = 1e-12, *, t_start=None,
     if t_min < -60:
         raise ValueError("t_min below -60 is outside the validated window")
     beta = beta_from_kappa(kappa) if kappa != 0 else 0j
-    real_cut = kappa.imag == 0 and abs(kappa.real) > 1
     if traverse is None:
-        traverse = real_cut
+        traverse = kappa.imag == 0 and abs(kappa.real) > 1
     k2mag = abs(kappa) ** 2
     t0 = _pick_t_start(k2mag, tol) if t_start is None else float(t_start)
     y0 = _airy_initial_state(kappa, t0)
-    threshold = pole_threshold if real_cut else 0.0
-    segments, poles = _integrate_with_poles(
-        y0, t0, t_min, tol, traverse=traverse, pole_threshold=threshold)
+    segments, poles = _integrate_with_poles(y0, t0, t_min, tol, traverse=traverse)
     return ASolution(kappa, beta, tol, t0, t_min, segments, poles)
 
 
 def pole_roundtrip_error(sol: ASolution, pole: PoleRecord, offset: float = 0.3,
                          tol: float | None = None) -> float:
-    """Re-cross a traversed pole backward and compare u on the far side.
+    """Re-cross a traversed pole upward and compare u on the far side.
 
-    Starts from the dense state below the pole, integrates upward across it
-    (fresh traversal), and returns |u_roundtrip - u_original| at a + offset.
+    Starts from the dense state below the pole, integrates upward around it
+    (a fresh detour), and returns |u_roundtrip - u_original| at a + offset.
     """
     a = pole.location
     t_lo, t_hi = a - offset, a + offset
     if tol is None:
         tol = sol.tol
     y_lo = tuple(complex(v) for v in sol.state(t_lo))
-    segments, _ = _integrate_with_poles(
-        y_lo, t_lo, t_hi, tol, traverse=True, pole_threshold=100.0)
+    segments, _ = _integrate_with_poles(y_lo, t_lo, t_hi, tol, traverse=True)
     u_round = segments[-1](t_hi)[0]
     return abs(u_round - sol.u(t_hi))
 
@@ -393,8 +421,8 @@ def _scan_one(args):
     try:
         solve_as(kappa, t_min, tol, traverse=False)
         return None
-    except (PoleEncountered, StepUnderflow) as exc:
-        return (kappa, float(getattr(exc, "t_star", float("nan"))))
+    except PoleEncountered as exc:
+        return (kappa, float(exc.t_star))
 
 
 def pole_free_scan(kappas, t_min: float = -25.0, tol: float = 1e-12):

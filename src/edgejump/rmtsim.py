@@ -137,12 +137,11 @@ def gap_probability_mc(n: int, lambda0: float, trials: int, master: int,
 
 def thinning_check(n: int, s: float, lambda0: float, trials: int, master: int,
                    stream: int = 0) -> dict:
-    """Thinned largest-particle statistics three ways on the same draws.
+    """Thinned largest-particle statistics two ways on the same draws.
 
     * 'bernoulli': thin each spectrum once and count max-survivor <= lambda0;
-    * 'analytic': average of s^X (removal randomness integrated out);
-    * 'from_freq': sum_k freq(X = k) s^k, identical to 'analytic' by
-      construction (same-path identity).
+    * 'analytic': average of s^X over the draws, X the count above lambda0
+      (removal randomness integrated out).
     """
     eigs = sample_gue_eigs(n, trials, master, stream)
     X = (eigs > lambda0).sum(axis=1)
@@ -150,18 +149,12 @@ def thinning_check(n: int, s: float, lambda0: float, trials: int, master: int,
     removed = rng.random(eigs.shape) < s
     survives = (eigs > lambda0) & ~removed
     bern = float((~survives.any(axis=1)).mean())
-    powers = s ** np.arange(n + 1)
-    # exact sums of the same term multiset: grouping by count (the moment
-    # sum) and walking the draws are float-identical, a same-path identity
-    analytic = math.fsum(powers[X]) / trials
-    from_freq = math.fsum(powers[np.sort(X)]) / trials
-    var = float(np.var(powers[X], ddof=1))
+    weights = s ** X.astype(float)
     return {
         "bernoulli": bern,
         "bernoulli_stderr": math.sqrt(max(bern * (1 - bern), 1e-12) / trials),
-        "analytic": analytic,
-        "analytic_stderr": math.sqrt(var / trials),
-        "from_freq": from_freq,
+        "analytic": float(weights.mean()),
+        "analytic_stderr": float(weights.std(ddof=1)) / math.sqrt(trials),
     }
 
 
@@ -169,9 +162,10 @@ def thinning_check(n: int, s: float, lambda0: float, trials: int, master: int,
 # RSK / Plancherel sampling
 # ---------------------------------------------------------------------------
 
-def _rsk_shape_python(perm) -> list:
+def rsk_shape(perm) -> np.ndarray:
+    """Row lengths of the insertion tableau of a permutation."""
     rows: list[list[int]] = []
-    for x in perm:
+    for x in np.asarray(perm, dtype=np.int64).tolist():
         for row in rows:
             pos = bisect_left(row, x)
             if pos == len(row):
@@ -180,61 +174,7 @@ def _rsk_shape_python(perm) -> list:
             row[pos], x = x, row[pos]
         else:
             rows.append([x])
-    return [len(r) for r in rows]
-
-
-_rsk_numba = None
-
-
-def _get_rsk_numba():
-    global _rsk_numba
-    if _rsk_numba is None:
-        try:
-            from numba import njit
-
-            @njit(cache=True)
-            def kernel(perm, rows, lens):
-                nrows = 0
-                for idx in range(perm.size):
-                    x = perm[idx]
-                    r = 0
-                    while True:
-                        L = lens[r]
-                        pos = np.searchsorted(rows[r, :L], x)
-                        if pos == L:
-                            rows[r, L] = x
-                            lens[r] = L + 1
-                            if r == nrows:
-                                nrows += 1
-                            break
-                        tmp = rows[r, pos]
-                        rows[r, pos] = x
-                        x = tmp
-                        r += 1
-                return nrows
-
-            _rsk_numba = kernel
-        except Exception:
-            _rsk_numba = False
-    return _rsk_numba
-
-
-def rsk_shape(perm: np.ndarray) -> np.ndarray:
-    """Row lengths of the insertion tableau of a permutation."""
-    perm = np.asarray(perm, dtype=np.int64)
-    n = perm.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    kernel = _get_rsk_numba()
-    if kernel is False or n < 64:
-        return np.array(_rsk_shape_python(list(perm)), dtype=np.int64)
-    cap = int(3 * math.sqrt(n)) + 16
-    rows = np.empty((cap, cap), dtype=np.int64)
-    lens = np.zeros(cap, dtype=np.int64)
-    nrows = kernel(perm, rows, lens)
-    if nrows >= cap or lens[0] >= cap:
-        return np.array(_rsk_shape_python(list(perm)), dtype=np.int64)
-    return lens[:nrows].copy()
+    return np.array([len(r) for r in rows], dtype=np.int64)
 
 
 def plancherel_sample(N: int, rng: np.random.Generator) -> np.ndarray:

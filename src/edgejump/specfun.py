@@ -94,10 +94,7 @@ def gamma_complex(z, ctx: PrecisionCtx | None = None):
     if zc.real <= 0 and zc.imag == 0 and float(zc.real) == int(zc.real):
         raise PoleAtNonpositiveInteger(f"Gamma pole at z = {zc}")
     if ctx is None:
-        v = sps.gamma(complex(zc))
-        if isinstance(z, (int, float)) or (isinstance(z, complex) and z.imag == 0):
-            return v
-        return v
+        return sps.gamma(complex(zc))
     with ctx.workprec(10):
         return mp.gamma(zc)
 
@@ -208,18 +205,26 @@ def hermite_orthonormal(k: int, x):
 def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:
     """Hermite functions psi_k = H_k(x) e^(-x^2/2) for k = 0..nmax-1.
 
-    The Gaussian half-weight is folded into the start of the recurrence, so
-    values stay bounded for any x (no overflow at large |x|).  Returns an
+    The recurrence runs on mantissas with a separate power-of-two exponent
+    per point, started from ``e^(-x^2/2) = m 2^e``, so neither the Gaussian
+    factor (e^-800 at x = 40) nor the growing polynomial part leaves the
+    double range: psi_k is right wherever it is representable.  Returns an
     array of shape (nmax, len(x)).
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax, x.size))
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if nmax > 1:
-        out[1] = x * math.sqrt(2.0) * out[0]
-    for k in range(1, nmax - 1):
-        out[k + 1] = x * math.sqrt(2.0 / (k + 1)) * out[k] \
-            - math.sqrt(k / (k + 1.0)) * out[k - 1]
+    e = np.floor(-0.5 * x * x / math.log(2.0))
+    h = np.pi ** -0.25 * np.exp(-0.5 * x * x - e * math.log(2.0))
+    e = e.astype(np.int64)
+    h_prev = np.zeros_like(x)
+    for k in range(nmax):
+        out[k] = np.ldexp(h, e)
+        h, h_prev = (x * math.sqrt(2.0 / (k + 1)) * h
+                     - math.sqrt(k / (k + 1.0)) * h_prev), h
+        big = np.abs(h) > 2.0 ** 500
+        if big.any():
+            shift = np.where(big, np.frexp(h)[1], 0)
+            h, h_prev, e = np.ldexp(h, -shift), np.ldexp(h_prev, -shift), e + shift
     return out
 
 

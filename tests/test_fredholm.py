@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from edgejump.fredholm import (GramMatrix, NystromConfig, TailBoundViolated,
-                               airy_fredholm_det, airy_fredholm_logdet,
+                               _airy_kernel_eigs, airy_fredholm_det,
+                               airy_fredholm_logdet,
                                airy_kernel_diagonal, default_nystrom,
                                finite_n_det, hermite_gram)
 from edgejump.painleve import solve_as
 from edgejump.precision import PrecisionCtx
 from edgejump.quadrature import gauss_legendre
 from edgejump.rmtsim import kernel_diag_moment
+from edgejump.specfun import hermite_functions_mp
 from edgejump.util import kappa_sq_from_beta
 from edgejump.weightlab import WeightParams, build_op_system, gaussian_hankel
 
@@ -51,6 +53,17 @@ class TestAiryDeterminant:
     def test_logdet_consistent_with_det(self):
         ld = airy_fredholm_logdet(0.49, -3.0)
         assert abs(cmath.exp(ld) - airy_fredholm_det(0.49, -3.0)) < 1e-12
+
+    @pytest.mark.parametrize("k2, t", [(1e-12 * (1 + 1j), -2.0), (0.3 + 0.2j, -6.0),
+                                       (1.0, -8.0), (1.6, -3.0)])
+    def test_logdet_against_mpmath(self, k2, t):
+        # tiny complex kappa^2, a complex one, an eigenvalue within 2e-8 of
+        # 1/kappa^2, and kappa^2 > 1 where some 1 - kappa^2 lambda < 0
+        cfg = default_nystrom(t)
+        with mp.workdps(40):
+            want = sum(mp.log(1 - mp.mpc(k2) * mp.mpf(lam))
+                       for lam in _airy_kernel_eigs(t, cfg.m, cfg.T))
+            assert abs(airy_fredholm_logdet(k2, t) - want) <= 1e-14 * abs(want)
 
     def test_kernel_diagonal_value(self):
         # K(x,x) = Ai'(x)^2 - x Ai(x)^2 by l'Hopital on the kernel quotient,
@@ -94,6 +107,21 @@ class TestGram:
         n, lam = 12, 0.3
         tr = hermite_gram(n, lam).trace()
         assert tr == pytest.approx(kernel_diag_moment(n, 0, lo=lam), abs=1e-10)
+
+    def test_edge_trace_at_large_n(self):
+        # psi_k(40) starts from e^-800, below the double range: the double
+        # path must still match the closed-form diagonal recurrence
+        # G_00 = erfc/2, G_kk = G_(k-1,k-1) + psi_k psi_(k-1) / sqrt(2k)
+        n, ctx = 800, PrecisionCtx(256)
+        lam0 = math.sqrt(2 * n)
+        psi = hermite_functions_mp(n, lam0, ctx)
+        with ctx.workprec():
+            g = mp.erfc(lam0) / 2
+            want = g
+            for k in range(1, n):
+                g += psi[k] * psi[k - 1] / mp.sqrt(2 * k)
+                want += g
+        assert hermite_gram(n, lam0).trace() == pytest.approx(float(want), rel=1e-9)
 
     def test_bigfloat_route_matches_double(self):
         ctx = PrecisionCtx(256)

@@ -66,10 +66,6 @@ class TestThinning:
         # Poisson-like with mean 10
         assert sum(counts) < 30
 
-    def test_same_path_moment_identity(self):
-        res = thinning_check(12, 0.4, 2.0, 5000, master=23)
-        assert res["analytic"] == res["from_freq"]
-
     def test_against_determinant(self):
         n, s = 20, 0.5
         lam0 = math.sqrt(2.0 * n)
@@ -105,13 +101,6 @@ class TestRSK:
         for _ in range(40):
             perm = rng.permutation(200)
             assert rsk_shape(perm)[0] == lis_length(list(perm))
-
-    def test_numba_and_python_agree(self):
-        from edgejump.rmtsim import _rsk_shape_python
-        rng = stream_rng(23, 0)
-        for _ in range(5):
-            perm = rng.permutation(500)
-            assert list(rsk_shape(perm)) == _rsk_shape_python(list(perm))
 
     def test_plancherel_distribution_hook_lengths(self):
         # N = 4: exact Plancherel probabilities from the hook length formula

@@ -178,6 +178,17 @@ class TestHermite:
             want = hermite_orthonormal(k, x) * np.exp(-0.5 * x * x)
             assert np.max(np.abs(psi[k] - want)) < 1e-13
 
+    def test_far_points_do_not_underflow(self):
+        # e^(-x^2/2) underflows beyond x ~ 38.6; psi_k(x) for large k does not
+        x = np.array([40.0, -40.0, 60.0])
+        psi = hermite_functions(900, x)
+        for j, xj in enumerate(x):
+            ref = hermite_functions_mp(900, xj, CTX)
+            for k in range(900):
+                if abs(ref[k]) > 1e-290:
+                    assert psi[k][j] == pytest.approx(float(ref[k]), rel=1e-12)
+        assert abs(psi[799][0]) > 0.2
+
     def test_bigfloat_variant_matches(self):
         vals = hermite_functions_mp(6, 0.8, CTX)
         ref = hermite_functions(6, np.array([0.8]))
