@@ -8,10 +8,10 @@
 
 * ``finite_n_det``: the exact finite-n determinant det(1 - kappa^2 K_n) on
   [lambda0, inf) through the rank-n Gram matrix of orthonormal Hermite
-  functions.  Double precision by default, with the Gram matrix from
-  Gauss-Legendre quadrature; with a precision context the Gram matrix comes
-  in big floats from its closed form in the Hermite functions at lambda0
-  and erfc(lambda0), for the high-precision Hankel identity checks.
+  functions.  The Gram matrix has a closed form in the Hermite functions at
+  lambda0 and erfc(lambda0), with no quadrature; one body computes it in
+  double precision by default, or in big floats under a precision context
+  for the high-precision Hankel identity checks.
 """
 from __future__ import annotations
 
@@ -144,38 +144,43 @@ class GramMatrix:
 
     n: int
     lambda0: float
-    entries: object  # numpy array or tuple of mpf row tuples
+    entries: np.ndarray  # float64, or object dtype holding mpf
 
     def eigenvalues(self) -> np.ndarray:
         return scipy.linalg.eigh(np.asarray(self.entries, dtype=float),
                                  eigvals_only=True)
 
     def trace(self):
-        if isinstance(self.entries, np.ndarray):
-            return float(np.trace(self.entries))
-        return sum(self.entries[i][i] for i in range(self.n))
+        return np.trace(self.entries)
 
 
-def _gram_tail(n: int, lambda0: float) -> float:
-    """Upper integration limit: x^(2n) e^(-x^2) falls below exp(-55)."""
-    b = max(abs(lambda0) + 1.0, math.sqrt(2 * n + 1) + 2.0)
-    while 2 * n * math.log(b) - b * b > -55.0:
-        b += 0.5
-    return b
+def _gram_closed_form(psi: np.ndarray, g00, sqrt) -> np.ndarray:
+    """The Gram matrix from psi_0..psi_n at lambda0 and G_00.
+
+    Runs unchanged on float64 arrays and on object arrays of mpf, with
+    ``sqrt`` the matching square root.
+    """
+    n = psi.size - 1
+    r = np.array([sqrt(k / 2) for k in range(n + 1)])
+    p = psi[:n]
+    dp = r[:n] * np.roll(p, 1) - r[1:] * psi[1:]  # psi_k'; r[0] = 0 drops psi_(-1)
+    k = np.arange(n)
+    two_dk = 2 * (k[None, :] - k[:, None])
+    np.fill_diagonal(two_dk, 1)
+    G = (np.outer(p, dp) - np.outer(dp, p)) / two_dk
+    steps = np.concatenate(([g00], p[1:] * p[:-1] / (2 * r[1:n])))
+    G[k, k] = np.cumsum(steps)
+    return G
 
 
-def hermite_gram(n: int, lambda0: float, m: int | None = None,
-                 ctx: PrecisionCtx | None = None) -> GramMatrix:
+def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> GramMatrix:
     """Gram matrix of the first n orthonormal Hermite functions on [lambda0, inf).
 
-    Without ``ctx``: an m-point Gauss-Legendre rule on [lambda0, b], with b
-    chosen from the Gaussian envelope of the degree-n integrand (``m`` has a
-    default from n and b).
-
-    With ``ctx``: the closed form in big floats, from n + 1 Hermite function
-    values at lambda0 and one erfc, with no quadrature (``m`` is ignored).
-    ``psi_k'' = (x^2 - 2k - 1) psi_k`` makes ``W = psi_j psi_k' - psi_j' psi_k``
-    an antiderivative of ``2(j - k) psi_j psi_k``, and
+    Closed form, from n + 1 Hermite function values at lambda0 and one
+    erfc, with no quadrature: in double precision by default, in big floats
+    at ``ctx`` precision.  ``psi_k'' = (x^2 - 2k - 1) psi_k`` makes
+    ``W = psi_j psi_k' - psi_j' psi_k`` an antiderivative of
+    ``2(j - k) psi_j psi_k``, and
     ``psi_k' = sqrt(k/2) psi_(k-1) - sqrt((k+1)/2) psi_(k+1)``, so
 
     * ``G_jk = -W(lambda0) / (2(j - k))`` for j != k,
@@ -185,45 +190,37 @@ def hermite_gram(n: int, lambda0: float, m: int | None = None,
     if n < 1:
         raise ValueError("need n >= 1")
     if ctx is None:
-        b = _gram_tail(n, lambda0)
-        m = m or max(220, 4 * n + 60, int(12 * (b - float(lambda0))))
-        rule = gauss_legendre(m, float(lambda0), b)
-        x = rule.nodes_array()
-        w = rule.weights_array()
-        psi = hermite_functions(n, x)
-        G = (psi * w) @ psi.T
-        return GramMatrix(n=n, lambda0=float(lambda0), entries=G)
-    with ctx.workprec(10):
-        psi = hermite_functions_mp(n + 1, lambda0, ctx)
-        dpsi = [(mp.sqrt(mp.mpf(k) / 2) * psi[k - 1] if k else 0)
-                - mp.sqrt(mp.mpf(k + 1) / 2) * psi[k + 1] for k in range(n)]
-        G = [[mp.mpf(0)] * n for _ in range(n)]
-        G[0][0] = mp.erfc(mp.mpf(lambda0)) / 2
-        for k in range(1, n):
-            G[k][k] = G[k - 1][k - 1] + psi[k] * psi[k - 1] / mp.sqrt(2 * k)
-            for j in range(k):
-                G[j][k] = G[k][j] = ((psi[j] * dpsi[k] - dpsi[j] * psi[k])
-                                     / (2 * (k - j)))
-    return GramMatrix(n=n, lambda0=float(lambda0), entries=tuple(tuple(r) for r in G))
+        lam = float(lambda0)
+        psi = hermite_functions(n + 1, np.array([lam]))[:, 0]
+        G = _gram_closed_form(psi, sps.erfc(lam) / 2, math.sqrt)
+    else:
+        with ctx.workprec(10):
+            psi = np.array(hermite_functions_mp(n + 1, lambda0, ctx), dtype=object)
+            G = _gram_closed_form(psi, mp.erfc(mp.mpf(lambda0)) / 2, mp.sqrt)
+    return GramMatrix(n=n, lambda0=float(lambda0), entries=G)
 
 
-def finite_n_det(n: int, lambda0, kappa_sq, m: int | None = None,
-                 ctx: PrecisionCtx | None = None, gram: GramMatrix | None = None):
+def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
+                 gram: GramMatrix | None = None):
     """det(1 - kappa^2 K_n restricted to [lambda0, inf)) via the Hermite Gram matrix.
 
     Equals the thinned gap generating function sum_k (1-kappa^2)^k E_n(k) and
     the Hankel-determinant ratio of the jump weight.  Double precision by
     default (G is well conditioned); pass ``ctx`` to run the determinant in
-    big floats for the exact identity tests.
+    big floats for the exact identity tests.  A ``gram`` passed in must have
+    been built for this (n, lambda0).
     """
     if gram is None:
-        gram = hermite_gram(n, lambda0, m=m, ctx=ctx)
+        gram = hermite_gram(n, lambda0, ctx=ctx)
+    elif (gram.n, gram.lambda0) != (n, float(lambda0)):
+        raise ValueError(f"Gram matrix for (n, lambda0) = ({gram.n}, {gram.lambda0}) "
+                         f"passed for ({n}, {float(lambda0)})")
     if ctx is None:
         eigs = gram.eigenvalues()
         k2 = complex(kappa_sq)
         return complex(np.prod(1.0 - k2 * eigs))
     with ctx.workprec(10):
         k2 = mp.mpc(kappa_sq)
-        A = [[(1 if i == j else 0) - k2 * gram.entries[i][j] for j in range(n)]
+        A = [[(1 if i == j else 0) - k2 * gram.entries[i, j] for j in range(n)]
              for i in range(n)]
         return lu_det(A, ctx)

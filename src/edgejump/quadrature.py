@@ -1,18 +1,13 @@
-"""Gauss-Legendre rules in double and arbitrary precision.
+"""Gauss-Legendre rules in double precision.
 
-Double-precision rules come from numpy's ``leggauss``.  High-precision rules
-are generated by Newton iteration on the Legendre recurrence and cached per
-(node count, bits), then mapped affinely onto the requested interval.
+Nodes and weights come from numpy's ``leggauss`` on [-1, 1] and are mapped
+affinely onto the requested interval.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
-
-from .precision import PrecisionCtx
 
 
 @dataclass(frozen=True)
@@ -24,75 +19,21 @@ class QuadratureRule:
     a: float
     b: float
 
-    def integrate(self, f):
-        return sum(w * f(x) for x, w in zip(self.nodes, self.weights))
-
     def nodes_array(self) -> np.ndarray:
-        return np.array([float(x) for x in self.nodes])
+        return np.array(self.nodes)
 
     def weights_array(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
+        return np.array(self.weights)
 
 
-def _legendre_pair(m: int, x):
-    """(P_m(x), P_m'(x)) by the three-term recurrence."""
-    p0, p1 = mp.mpf(1), x
-    for k in range(1, m):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    if m == 0:
-        return mp.mpf(1), mp.mpf(0)
-    dp = m * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
-
-
-@lru_cache(maxsize=32)
-def _reference_rule_mp(m: int, bits: int):
-    """Nodes/weights on [-1, 1] at the given precision."""
-    with mp.workprec(bits + 20):
-        nodes = [mp.mpf(0)] * m
-        weights = [mp.mpf(0)] * m
-        tol = mp.mpf(2) ** (-bits - 8)
-        for k in range(m // 2 + m % 2):
-            x = mp.mpf(mp.cos(mp.pi * (k + 0.75) / (m + 0.5)))
-            for _ in range(100):
-                p, dp = _legendre_pair(m, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) < tol * max(1, abs(x)):
-                    break
-            p, dp = _legendre_pair(m, x)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes[k] = -x  # cos ordering is descending; store ascending
-            weights[k] = w
-            nodes[m - 1 - k] = x
-            weights[m - 1 - k] = w
-        if m % 2 == 1:
-            nodes[m // 2] = mp.mpf(0)
-            p, dp = _legendre_pair(m, mp.mpf(0))
-            weights[m // 2] = 2 / (dp * dp)
-        return tuple(nodes), tuple(weights)
-
-
-def gauss_legendre(m: int, a, b, ctx: PrecisionCtx | None = None) -> QuadratureRule:
-    """m-point Gauss-Legendre rule on [a, b], exact on degree <= 2m-1.
-
-    With ``ctx`` the nodes and weights are mpf values at ctx precision;
-    without it they are float64.
-    """
+def gauss_legendre(m: int, a, b) -> QuadratureRule:
+    """m-point Gauss-Legendre rule on [a, b], exact on degree <= 2m-1."""
     if m < 1:
         raise ValueError("need at least one node")
     if not (a < b):
         raise ValueError("need a < b")
-    if ctx is None:
-        xs, ws = np.polynomial.legendre.leggauss(m)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        return QuadratureRule(tuple(half * xs + mid), tuple(half * ws),
-                              float(a), float(b))
-    xs, ws = _reference_rule_mp(m, ctx.bits)
-    with ctx.workprec(10):
-        half = (mp.mpf(b) - mp.mpf(a)) / 2
-        mid = (mp.mpf(b) + mp.mpf(a)) / 2
-        nodes = tuple(half * x + mid for x in xs)
-        weights = tuple(half * w for w in ws)
-    return QuadratureRule(nodes, weights, float(a), float(b))
+    xs, ws = np.polynomial.legendre.leggauss(m)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    return QuadratureRule(tuple(half * xs + mid), tuple(half * ws),
+                          float(a), float(b))

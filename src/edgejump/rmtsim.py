@@ -20,14 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .quadrature import gauss_legendre
-from .specfun import hermite_functions
-
 __all__ = [
     "stream_rng", "SpectrumSample", "ThinnedSample", "sample_gue",
     "sample_gue_eigs", "thin", "counting_moments", "gap_probability_mc",
     "thinning_check", "plancherel_sample", "rsk_shape", "thinned_max_cdf",
-    "kernel_diag_moment", "pair_correlation_moment",
 ]
 
 
@@ -203,39 +199,3 @@ def thinned_max_cdf(N: int, s: float, ts, trials: int, master: int,
     return {"t": ts, "cdf": mean.tolist(),
             "stderr": (acc.std(axis=0, ddof=1) / math.sqrt(trials)).tolist()}
 
-
-# ---------------------------------------------------------------------------
-# kernel-side oracles for the MC comparisons
-# ---------------------------------------------------------------------------
-
-def kernel_diag_moment(n: int, power: int = 0, lo: float | None = None,
-                       hi: float | None = None, m: int = 400) -> float:
-    """integral x^power K_n(x, x) dx over [lo, hi] via the Hermite functions."""
-    span = math.sqrt(2 * n + 1) + 6.0
-    lo = -span if lo is None else lo
-    hi = span if hi is None else hi
-    rule = gauss_legendre(m, lo, hi)
-    x = rule.nodes_array()
-    w = rule.weights_array()
-    psi = hermite_functions(n, x)
-    diag = (psi * psi).sum(axis=0)
-    return float(np.sum(w * x ** power * diag))
-
-
-def pair_correlation_moment(n: int, lambda0: float, m: int = 240) -> float:
-    """E[X (X - 1)] for the count above lambda0, by two-fold quadrature.
-
-    Uses the determinantal two-point function
-    rho_2(x, y) = K(x,x) K(y,y) - K(x,y)^2.
-    """
-    hi = math.sqrt(2 * n + 1) + 6.0
-    if lambda0 >= hi:
-        return 0.0
-    rule = gauss_legendre(m, lambda0, hi)
-    x = rule.nodes_array()
-    w = rule.weights_array()
-    psi = hermite_functions(n, x)
-    K = psi.T @ psi
-    diag = np.diag(K)
-    rho2 = np.outer(diag, diag) - K ** 2
-    return float(w @ rho2 @ w)

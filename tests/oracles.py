@@ -10,8 +10,82 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
+from scipy.special import eval_hermite, gammaln
+
+
+def _legendre_pair(m: int, x):
+    """(P_m(x), P_m'(x)) by the three-term recurrence."""
+    p0, p1 = mp.mpf(1), x
+    for k in range(1, m):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    if m == 0:
+        return mp.mpf(1), mp.mpf(0)
+    dp = m * (x * p1 - p0) / (x * x - 1)
+    return p1, dp
+
+
+@lru_cache(maxsize=32)
+def _reference_rule_mp(m: int, bits: int):
+    """Nodes/weights on [-1, 1] at the given precision."""
+    with mp.workprec(bits + 20):
+        nodes = [mp.mpf(0)] * m
+        weights = [mp.mpf(0)] * m
+        tol = mp.mpf(2) ** (-bits - 8)
+        for k in range(m // 2 + m % 2):
+            x = mp.mpf(mp.cos(mp.pi * (k + 0.75) / (m + 0.5)))
+            for _ in range(100):
+                p, dp = _legendre_pair(m, x)
+                dx = p / dp
+                x -= dx
+                if abs(dx) < tol * max(1, abs(x)):
+                    break
+            p, dp = _legendre_pair(m, x)
+            w = 2 / ((1 - x * x) * dp * dp)
+            nodes[k] = -x  # cos ordering is descending; store ascending
+            weights[k] = w
+            nodes[m - 1 - k] = x
+            weights[m - 1 - k] = w
+        if m % 2 == 1:
+            nodes[m // 2] = mp.mpf(0)
+            p, dp = _legendre_pair(m, mp.mpf(0))
+            weights[m // 2] = 2 / (dp * dp)
+        return tuple(nodes), tuple(weights)
+
+
+def gauss_legendre_mp(m: int, a, b, bits: int):
+    """m-point Gauss-Legendre (nodes, weights) on [a, b] as mpf tuples.
+
+    The rule on [-1, 1] comes from Newton iteration on the Legendre
+    recurrence, cached per (m, bits), and is mapped affinely onto [a, b] at
+    bits + 10.
+    """
+    xs, ws = _reference_rule_mp(m, bits)
+    with mp.workprec(bits + 10):
+        half = (mp.mpf(b) - mp.mpf(a)) / 2
+        mid = (mp.mpf(b) + mp.mpf(a)) / 2
+        return tuple(half * x + mid for x in xs), tuple(half * w for w in ws)
+
+
+def hermite_gram_quadrature(n: int, lambda0: float, m: int = 200) -> np.ndarray:
+    """Gram matrix of the first n orthonormal Hermite functions on [lambda0, inf).
+
+    Double-precision brute force: numpy's m-point Gauss-Legendre rule on
+    [lambda0, b], b = 12 past the larger of lambda0 and the turning point
+    sqrt(2n + 1), where every psi_k is below e^-70; psi_k from scipy's
+    physicists' Hermite polynomials with the normalization taken in logs.
+    """
+    b = max(lambda0, math.sqrt(2 * n + 1)) + 12.0
+    xs, ws = np.polynomial.legendre.leggauss(m)
+    x = 0.5 * (b - lambda0) * xs + 0.5 * (b + lambda0)
+    w = 0.5 * (b - lambda0) * ws
+    k = np.arange(n)[:, None]
+    log_norm = -0.5 * (k * math.log(2.0) + gammaln(k + 1) + 0.5 * math.log(math.pi))
+    psi = eval_hermite(k, x) * np.exp(log_norm - 0.5 * x * x)
+    return (psi * w) @ psi.T
 
 
 def airy_maclaurin(x, prec: int = 256):
@@ -54,20 +128,15 @@ def jump_weight_integral(f, beta, lambda0, bits: int = 320, span: float = 14.0,
 
     Panel Gauss-Legendre split exactly at the jump point, with mpmath nodes.
     """
-    from edgejump.precision import PrecisionCtx
-    from edgejump.quadrature import gauss_legendre
-
-    ctx = PrecisionCtx(bits)
-    with ctx.workprec(10):
+    with mp.workprec(bits + 10):
         b = mp.mpc(beta)
         lam = mp.mpf(lambda0)
         ejp = mp.exp(mp.mpc(0, 1) * mp.pi * b)
         ejm = mp.exp(-mp.mpc(0, 1) * mp.pi * b)
         total = mp.mpc(0)
         for lo, hi, phase in ((-span, lam, ejp), (lam, span, ejm)):
-            rule = gauss_legendre(m, lo, hi, ctx)
             acc = mp.mpc(0)
-            for x, w in zip(rule.nodes, rule.weights):
+            for x, w in zip(*gauss_legendre_mp(m, lo, hi, bits)):
                 acc += w * f(x) * mp.exp(-x * x)
             total += phase * acc
         return total
@@ -112,18 +181,14 @@ def barnes_g_via_loggamma_integral(z, bits: int = 220):
     with the integral done on dyadic panels toward the integrable log
     singularity at 0.  Real z in (0, 1] only (enough for the cross-check).
     """
-    from edgejump.precision import PrecisionCtx
-    from edgejump.quadrature import gauss_legendre
-
-    ctx = PrecisionCtx(bits)
-    with ctx.workprec(10):
+    with mp.workprec(bits + 10):
         zv = mp.mpf(z)
         total = mp.mpf(0)
         hi = zv
         for _ in range(60):
             lo = hi / 2
-            rule = gauss_legendre(40, lo, hi, ctx)
-            total += sum(w * mp.loggamma(x) for x, w in zip(rule.nodes, rule.weights))
+            nodes, weights = gauss_legendre_mp(40, lo, hi, bits)
+            total += sum(w * mp.loggamma(x) for x, w in zip(nodes, weights))
             hi = lo
             if hi < mp.mpf(2) ** (-bits // 2):
                 break

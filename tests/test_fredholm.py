@@ -12,11 +12,11 @@ from edgejump.fredholm import (GramMatrix, NystromConfig, TailBoundViolated,
                                finite_n_det, hermite_gram)
 from edgejump.painleve import solve_as
 from edgejump.precision import PrecisionCtx
-from edgejump.quadrature import gauss_legendre
-from edgejump.rmtsim import kernel_diag_moment
 from edgejump.specfun import hermite_functions_mp
 from edgejump.util import kappa_sq_from_beta
 from edgejump.weightlab import WeightParams, build_op_system, gaussian_hankel
+
+from oracles import gauss_legendre_mp, hermite_gram_quadrature
 
 
 class TestAiryDeterminant:
@@ -78,8 +78,7 @@ class TestAiryDeterminant:
 
 class TestGram:
     def test_far_left_cut_gives_identity(self):
-        # full orthonormality; the bound is the double-precision roundoff
-        # floor of the ~700-node quadrature sums
+        # full orthonormality
         G = np.asarray(hermite_gram(4, -30.0).entries)
         assert np.max(np.abs(G - np.eye(4))) < 1e-13
 
@@ -103,10 +102,13 @@ class TestGram:
         assert ev.min() > -1e-12
         assert ev.max() < 1 + 1e-12
 
-    def test_trace_matches_kernel_diagonal(self):
-        n, lam = 12, 0.3
-        tr = hermite_gram(n, lam).trace()
-        assert tr == pytest.approx(kernel_diag_moment(n, 0, lo=lam), abs=1e-10)
+    @pytest.mark.parametrize("n, lam", [(12, 0.3), (20, 0.5), (30, -1.0), (8, 3.0),
+                                        (50, 10.0)])
+    def test_closed_form_matches_quadrature_oracle(self, n, lam):
+        # every entry against brute-force double quadrature with scipy's
+        # Hermite polynomials; the oracle is good to ~3e-14 here
+        G = hermite_gram(n, lam).entries
+        assert np.max(np.abs(G - hermite_gram_quadrature(n, lam))) < 1e-12
 
     def test_edge_trace_at_large_n(self):
         # psi_k(40) starts from e^-800, below the double range: the double
@@ -140,12 +142,12 @@ class TestGram:
         with ctx.workprec(10):
             lam = mp.sqrt(2 * mp.mpf(n)) if lam_spec == "edge" else mp.mpf(lam_spec)
         G = hermite_gram(n, lam, ctx=ctx).entries
-        rule = gauss_legendre(160, lam, max(lam, 0) + 16, ctx)
+        nodes, weights = gauss_legendre_mp(160, lam, max(lam, 0) + 16, ctx.bits)
         with ctx.workprec(10):
             norm = [1 / mp.sqrt(2 ** k * mp.factorial(k) * mp.sqrt(mp.pi))
                     for k in range(n)]
             Q = [[mp.mpf(0)] * n for _ in range(n)]
-            for x, w in zip(rule.nodes, rule.weights):
+            for x, w in zip(nodes, weights):
                 psi = [norm[k] * mp.hermite(k, x) * mp.exp(-x * x / 2) for k in range(n)]
                 for i in range(n):
                     for j in range(n):
@@ -167,12 +169,13 @@ class TestFiniteN:
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
     def test_airy_kernel_limit(self):
-        # n = 400 at the edge coordinate t = -2
-        n, t, kap = 400, -2.0, 0.7
-        lam0 = math.sqrt(2 * n) * (1 + t * n ** (-2.0 / 3.0) / 2)
-        fin = finite_n_det(n, lam0, kap * kap).real
+        # n = 400 and 2000 at the edge coordinate t = -2
+        t, kap = -2.0, 0.7
         lim = airy_fredholm_det(kap * kap, t).real
-        assert abs(fin - lim) < 2e-3
+        for n in (400, 2000):
+            lam0 = math.sqrt(2 * n) * (1 + t * n ** (-2.0 / 3.0) / 2)
+            fin = finite_n_det(n, lam0, kap * kap).real
+            assert abs(fin - lim) < 2e-3
 
     def test_kappa_zero(self):
         assert finite_n_det(5, 0.3, 0.0) == pytest.approx(1.0, abs=1e-14)
@@ -182,3 +185,10 @@ class TestFiniteN:
         a = finite_n_det(8, 1.0, 0.5, gram=gram)
         b = finite_n_det(8, 1.0, 0.5)
         assert a == b
+
+    def test_gram_for_other_parameters_raises(self):
+        gram = hermite_gram(8, 1.0)
+        with pytest.raises(ValueError):
+            finite_n_det(9, 1.0, 0.5, gram=gram)
+        with pytest.raises(ValueError):
+            finite_n_det(8, 1.5, 0.5, gram=gram)

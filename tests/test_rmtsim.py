@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from edgejump.fredholm import finite_n_det
+from edgejump.fredholm import finite_n_det, hermite_gram
 from edgejump.rmtsim import (counting_moments, gap_probability_mc,
-                             kernel_diag_moment, pair_correlation_moment,
                              plancherel_sample, rsk_shape, sample_gue,
                              sample_gue_eigs, stream_rng, thin,
                              thinned_max_cdf, thinning_check)
@@ -44,11 +43,12 @@ class TestSampling:
         assert abs(p - det) <= 3 * sig
 
     def test_mean_square_sum_against_kernel(self):
+        # E[sum x_i^2] = integral x^2 K_n(x, x) dx = tr(J^2) = n^2 / 2, with J
+        # the Jacobi matrix of the e^(-x^2) Hermite recurrence
         eigs = sample_gue_eigs(8, 30_000, master=17)
         s2 = (eigs ** 2).sum(axis=1)
-        pred = kernel_diag_moment(8, power=2)
+        pred = 8 ** 2 / 2
         assert abs(s2.mean() - pred) <= 3 * s2.std(ddof=1) / math.sqrt(len(s2))
-        assert pred == pytest.approx(32.0, abs=1e-8)  # n^2/2 for n = 8
 
 
 class TestThinning:
@@ -76,9 +76,12 @@ class TestThinning:
 
     def test_counting_moments_against_pair_correlation(self):
         n, lam0, trials = 30, 2.0, 40_000
+        # for the count X above lambda0: E[X] = tr G and
+        # E[X(X - 1)] = (tr G)^2 - tr(G^2), G the Hermite Gram matrix
         cm = counting_moments(n, lam0, trials, 2, master=31)
-        ex = kernel_diag_moment(n, 0, lo=lam0)
-        ex2 = pair_correlation_moment(n, lam0) + ex
+        G = hermite_gram(n, lam0).entries
+        ex = np.trace(G)
+        ex2 = ex * ex - np.sum(G * G) + ex
         assert abs(cm["mean"][0] - ex) <= 3 * cm["stderr"][0]
         assert abs(cm["mean"][1] - ex2) <= 3 * cm["stderr"][1]
 

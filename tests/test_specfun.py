@@ -11,7 +11,7 @@ from edgejump.specfun import (PoleAtNonpositiveInteger, airy_ai, airy_ai_prime,
                               hermite_functions, hermite_functions_mp,
                               hermite_orthonormal)
 
-from oracles import airy_maclaurin, barnes_g_via_loggamma_integral
+from oracles import airy_maclaurin, barnes_g_via_loggamma_integral, gauss_legendre_mp
 
 CTX = PrecisionCtx(256)
 
@@ -129,18 +129,17 @@ class TestHalfMoments:
         J = half_gauss_moments(lam, 12, CTX)
         with CTX.workprec(10):
             hi = max(lam, 0.0) + 18.0
-            rule = gauss_legendre(160, lam, hi, CTX)
+            nodes, weights = gauss_legendre_mp(160, lam, hi, CTX.bits)
             for k in range(13):
-                quad = sum(w * x ** k * mp.exp(-x * x)
-                           for x, w in zip(rule.nodes, rule.weights))
+                quad = sum(w * x ** k * mp.exp(-x * x) for x, w in zip(nodes, weights))
                 assert abs(J[k] - quad) < mp.mpf(10) ** -40
 
     def test_deep_tail_against_erfc_and_quadrature(self):
         J = half_gauss_moments(8.0, 0, CTX)
         with CTX.workprec(10):
             assert abs(J[0] - mp.sqrt(mp.pi) * mp.erfc(8) / 2) < mp.mpf(10) ** -60
-            rule = gauss_legendre(200, 8.0, 20.0, CTX)
-            quad = sum(w * mp.exp(-x * x) for x, w in zip(rule.nodes, rule.weights))
+            nodes, weights = gauss_legendre_mp(200, 8.0, 20.0, CTX.bits)
+            quad = sum(w * mp.exp(-x * x) for x, w in zip(nodes, weights))
             assert abs(J[0] - quad) < 1e-25
 
     def test_positive_for_nonnegative_cut(self):
