@@ -4,7 +4,7 @@ The recurrence coefficients, norms, polynomial values and Hankel
 determinants of the jump weight approach their Painleve II predictions as n
 grows with the cut scaled to the spectral edge.
 
-Run:  python demos/05_asymptotics_vs_finite_n.py   (about a minute)
+Run:  python demos/05_asymptotics_vs_finite_n.py   (about a second)
 """
 import math
 

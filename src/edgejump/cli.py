@@ -5,9 +5,7 @@ Subcommands
 hankel     dump an orthogonal-polynomial system (H_k, h_k, R_k, Q_k rows)
 painleve   dump a Painleve trajectory (t, u, u', v, F series plus poles)
 fredholm   dump an Airy-determinant grid over t
-verify     run one named verification (thm1.2, thm1.4, thm1.5, noncrit,
-           conj1.3, tw-identity, finite-n-identity, diff-identity,
-           qn-identity, thm1.6)
+verify     run one named verification (``edgejump verify --help`` lists them)
 mc         Monte-Carlo comparisons (gue, plancherel)
 
 Reports are written as CSV or JSON (complex values split re/im) together
@@ -30,10 +28,6 @@ from . import fredholm, painleve, verify, weightlab
 from .precision import PrecisionCtx, hankel_ctx
 from .report import Report, ReportRow, safe_complex, write_report
 from .util import beta_from_kappa, kappa_from_beta
-
-VERIFY_NAMES = ("thm1.2", "thm1.4", "thm1.5", "noncrit", "conj1.3",
-                "tw-identity", "finite-n-identity", "diff-identity",
-                "qn-identity", "thm1.6")
 
 
 class ConfigError(ValueError):
@@ -63,13 +57,6 @@ class RunConfig:
     timestamp: bool = False
     t_min: float | None = None
 
-    def resolved_beta(self) -> complex:
-        if self.beta is not None:
-            return self.beta
-        if self.kappa is not None:
-            return beta_from_kappa(self.kappa)
-        raise ConfigError("need --beta/--beta-im or --kappa/--kappa-im")
-
     def resolved_kappa(self) -> complex:
         if self.kappa is not None:
             return self.kappa
@@ -81,7 +68,10 @@ class RunConfig:
 def _parse_ns(raw: str | None) -> tuple:
     if not raw:
         return ()
-    ns = tuple(int(x) for x in str(raw).replace(" ", "").split(","))
+    try:
+        ns = tuple(int(x) for x in str(raw).replace(" ", "").split(","))
+    except ValueError:
+        raise ConfigError(f"n-list must be comma-separated integers, got {raw!r}") from None
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("n-list must be strictly increasing")
     if any(n < 1 for n in ns):
@@ -89,11 +79,32 @@ def _parse_ns(raw: str | None) -> tuple:
     return ns
 
 
+def _read_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
+    return data
+
+
+def _value(merged: dict, key: str, kind, default=None):
+    """``merged[key]`` converted by ``kind``; ``default`` when absent or null."""
+    v = merged.get(key)
+    if v is None:
+        return default
+    try:
+        return kind(v)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {v!r}") from None
+
+
 def _build_config(args) -> RunConfig:
     merged: dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            merged.update(json.load(fh))
+        merged.update(_read_config_file(args.config))
     for key in ("beta", "beta_im", "kappa", "kappa_im", "n", "t", "lambda0",
                 "bits", "tol", "nodes", "trials", "seed", "out", "format",
                 "timestamp", "t_min"):
@@ -102,27 +113,31 @@ def _build_config(args) -> RunConfig:
             merged[key] = v
     beta = kappa = None
     if merged.get("beta") is not None or merged.get("beta_im") is not None:
-        beta = complex(float(merged.get("beta") or 0.0),
-                       float(merged.get("beta_im") or 0.0))
+        beta = complex(_value(merged, "beta", float, 0.0),
+                       _value(merged, "beta_im", float, 0.0))
     if merged.get("kappa") is not None or merged.get("kappa_im") is not None:
-        kappa = complex(float(merged.get("kappa") or 0.0),
-                        float(merged.get("kappa_im") or 0.0))
+        kappa = complex(_value(merged, "kappa", float, 0.0),
+                        _value(merged, "kappa_im", float, 0.0))
     if beta is not None and kappa is not None:
         raise ConfigError("give beta or kappa, not both")
     if beta is not None and abs(beta.real) > 0.5:
         raise ConfigError("need |Re beta| <= 1/2")
+    fmt = merged.get("format", "csv")
+    if fmt not in ("csv", "json"):  # a config file bypasses the flag's choices
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     return RunConfig(
         beta=beta, kappa=kappa, ns=_parse_ns(merged.get("n")),
-        t=None if merged.get("t") is None else float(merged["t"]),
-        lambda0=None if merged.get("lambda0") is None else float(merged["lambda0"]),
-        bits=None if merged.get("bits") is None else int(merged["bits"]),
-        tol=float(merged.get("tol", 1e-12)),
-        nodes=None if merged.get("nodes") is None else int(merged["nodes"]),
-        trials=int(merged.get("trials", 100_000)),
-        seed=int(merged.get("seed", 20240)),
-        out=merged.get("out"), fmt=merged.get("format", "csv"),
+        t=_value(merged, "t", float),
+        lambda0=_value(merged, "lambda0", float),
+        # 0 bits asks for the default precision, as an unset --bits does
+        bits=_value(merged, "bits", int) or None,
+        tol=_value(merged, "tol", float, 1e-12),
+        nodes=_value(merged, "nodes", int),
+        trials=_value(merged, "trials", int, 100_000),
+        seed=_value(merged, "seed", int, 20240),
+        out=merged.get("out"), fmt=fmt,
         timestamp=bool(merged.get("timestamp", False)),
-        t_min=None if merged.get("t_min") is None else float(merged["t_min"]),
+        t_min=_value(merged, "t_min", float),
     )
 
 
@@ -214,68 +229,7 @@ def _cmd_fredholm(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(cfg: RunConfig, which: str) -> int:
-    if which == "thm1.2":
-        kwargs = {}
-        if cfg.beta is not None:
-            kwargs["beta"] = cfg.beta
-        if cfg.ns:
-            kwargs["ns"] = cfg.ns
-        if cfg.t is not None:
-            kwargs["ts"] = (cfg.t,)
-        rep = verify.check_edge_hankel(**kwargs)
-    elif which == "thm1.4":
-        kwargs = {}
-        if cfg.beta is not None:
-            kwargs["beta"] = cfg.beta
-        if cfg.ns:
-            kwargs["ns"] = cfg.ns
-        rep = verify.check_recurrence_asymptotics(**kwargs)
-    elif which == "thm1.5":
-        kwargs = {}
-        if cfg.beta is not None:
-            kwargs["beta"] = cfg.beta
-        if cfg.ns:
-            kwargs["ns"] = cfg.ns
-        if cfg.t is not None:
-            kwargs["t"] = cfg.t
-        rep = verify.check_polynomial_asymptote(**kwargs)
-    elif which == "noncrit":
-        kwargs = {}
-        if cfg.beta is not None:
-            kwargs["beta"] = cfg.beta
-        if cfg.ns:
-            kwargs["ns"] = cfg.ns
-        rep = verify.check_bulk_hankel(**kwargs)
-    elif which == "conj1.3":
-        kwargs = {}
-        if cfg.beta is not None:
-            kwargs["beta"] = cfg.beta
-        rep = verify.check_airy_tail(**kwargs)
-    elif which == "tw-identity":
-        kwargs = {"tol": cfg.tol}
-        if cfg.kappa is not None:
-            kwargs["kappas"] = (cfg.kappa.real if cfg.kappa.imag == 0 else cfg.kappa,)
-        if cfg.t_min is not None:
-            kwargs["t_lo"] = cfg.t_min
-        rep = verify.check_tw_identity(**kwargs)
-    elif which == "finite-n-identity":
-        kwargs = {}
-        if cfg.ns:
-            kwargs["ns"] = cfg.ns
-        if cfg.beta is not None:
-            kwargs["betas"] = (cfg.beta,)
-        if cfg.lambda0 is not None:
-            kwargs["lambda0s"] = (cfg.lambda0,)
-        if cfg.bits:
-            kwargs["bits"] = cfg.bits
-        rep = verify.check_finite_n_identity(**kwargs)
-    elif which in ("diff-identity", "qn-identity"):
-        rep = verify.check_exact_identities()
-    elif which == "thm1.6":
-        rep = verify.check_singular_regime()
-    else:
-        raise ConfigError(f"unknown verification {which!r}; choose from {VERIFY_NAMES}")
-    return _emit([rep], cfg)
+    return _emit([verify.CHECKS[which].run(cfg)], cfg)
 
 
 def _cmd_mc(cfg: RunConfig, which: str) -> int:
@@ -286,12 +240,10 @@ def _cmd_mc(cfg: RunConfig, which: str) -> int:
                                 trials=cfg.trials, master=cfg.seed),
             verify.check_mc_thinning(trials=cfg.trials, master=cfg.seed + 1),
         ]
-    elif which == "plancherel":
+    else:
         reps = [verify.check_mc_plancherel(
             N=cfg.ns[0] if cfg.ns else 10_000,
             trials=min(cfg.trials, 5000), master=cfg.seed)]
-    else:
-        raise ConfigError("mc subcommand is 'gue' or 'plancherel'")
     return _emit(reps, cfg)
 
 
@@ -326,7 +278,7 @@ def main(argv=None) -> int:
     for name in ("hankel", "painleve", "fredholm"):
         _add_common(sub.add_parser(name))
     vp = sub.add_parser("verify")
-    vp.add_argument("which", choices=VERIFY_NAMES)
+    vp.add_argument("which", choices=tuple(verify.CHECKS))
     _add_common(vp)
     mcp = sub.add_parser("mc")
     mcp.add_argument("which", choices=("gue", "plancherel"))
@@ -343,9 +295,7 @@ def main(argv=None) -> int:
             return _cmd_fredholm(cfg)
         if args.command == "verify":
             return _cmd_verify(cfg, args.which)
-        if args.command == "mc":
-            return _cmd_mc(cfg, args.which)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _cmd_mc(cfg, args.which)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Dense LU routines over mpmath scalars.
+"""Dense LU determinant over mpmath scalars.
 
 Determinants of moment matrices are transcendental, so exact (fraction-free)
 elimination is unavailable; complex LU with partial pivoting at high working
@@ -62,47 +62,3 @@ def _lu_det_inner(A):
                 for c in range(col + 1, n):
                     Ar[c] -= f * Ac[c]
     return det if sign == 1 else -det
-
-
-def lu_solve(M, b, ctx: PrecisionCtx | None = None):
-    """Solve ``M x = b`` by LU with partial pivoting.
-
-    Raises ZeroDivisionError on an exactly singular system.
-    """
-    n = len(b)
-    if ctx is not None:
-        with ctx.workprec(10):
-            A = [[mp.mpmathify(x) for x in row] + [mp.mpmathify(v)]
-                 for row, v in zip(M, b)]
-            return _lu_solve_inner(A, n)
-    A = [list(row) + [v] for row, v in zip(M, b)]
-    return _lu_solve_inner(A, n)
-
-
-def _lu_solve_inner(A, n):
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col]))
-        if abs(A[piv][col]) == 0:
-            raise ZeroDivisionError("singular system")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-        p = A[col][col]
-        for r in range(col + 1, n):
-            f = A[r][col] / p
-            if f != 0:
-                for c in range(col + 1, n + 1):
-                    A[r][c] -= f * A[col][c]
-    x = [None] * n
-    for r in range(n - 1, -1, -1):
-        s = A[r][n]
-        for c in range(r + 1, n):
-            s -= A[r][c] * x[c]
-        x[r] = s / A[r][r]
-    return x
-
-
-def mat_mul(A, B):
-    """Plain triple-loop product, for small test matrices."""
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m)]
-            for i in range(n)]

@@ -27,11 +27,6 @@ class PrecisionCtx:
             raise ValueError(f"need at least 64 mantissa bits, got {self.bits}")
 
     @property
-    def dps(self) -> int:
-        """Decimal digits carried by this context."""
-        return mp.libmp.prec_to_dps(self.bits)
-
-    @property
     def eps(self):
         """Unit roundoff 2^(1-bits) as an mpf."""
         with self.workprec():

@@ -99,14 +99,6 @@ def gamma_complex(z, ctx: PrecisionCtx | None = None):
         return mp.gamma(zc)
 
 
-def log_gamma(z, ctx: PrecisionCtx | None = None):
-    """Principal-branch log Gamma."""
-    if ctx is None:
-        return complex(sps.loggamma(complex(z)))
-    with ctx.workprec(10):
-        return mp.loggamma(mp.mpc(z))
-
-
 def barnes_g(z, ctx: PrecisionCtx | None = None):
     """Barnes G-function on the principal branch.
 

@@ -4,7 +4,8 @@ Every driver compares finite-size computations against their closed-form
 predictions (or two independent engines against each other), fills a
 :class:`~edgejump.report.Report` with tagged rows, and sets a PASS/FAIL
 verdict at the tolerance it was called with.  The command-line layer and the
-acceptance test suite both run exactly these functions.
+acceptance test suite both run exactly these functions; :data:`CHECKS` names
+the ones ``edgejump verify`` runs and the options each takes.
 
 Trend checks fail only when the stated bound is violated at the final tested
 scale (protecting against pre-asymptotic noise at small sizes); residual and
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
@@ -552,20 +554,55 @@ def check_mc_plancherel(N: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
     return rep
 
 
-ALL_CHECKS = {
-    "gaussian": check_gaussian_closed_form,
-    "finite-n-identity": check_finite_n_identity,
-    "tw-identity": check_tw_identity,
-    "pii": check_pii_solution,
-    "thm1.4": check_recurrence_asymptotics,
-    "thm1.5": check_polynomial_asymptote,
-    "thm1.2": check_edge_hankel,
-    "conj1.3": check_airy_tail,
-    "thm1.6": check_singular_regime,
-    "pole-freeness": check_pole_freeness,
-    "exact-identities": check_exact_identities,
-    "noncrit": check_bulk_hankel,
-    "mc-gue": check_mc_gue,
-    "mc-thinning": check_mc_thinning,
-    "mc-plancherel": check_mc_plancherel,
+# ---------------------------------------------------------------------------
+# registry of ``edgejump verify`` checks
+# ---------------------------------------------------------------------------
+
+#: Driver keywords that take a sweep; a single command-line value becomes a 1-tuple.
+_SWEEP_KEYWORDS = ("ts", "betas", "lambda0s", "kappas")
+
+
+@dataclass(frozen=True)
+class Check:
+    """One ``edgejump verify`` check: a driver of this module and its options.
+
+    ``driver`` is the driver's attribute name here, looked up when the check
+    runs, so a wrapped or replaced driver is the one called.  ``options``
+    maps a RunConfig field to the driver keyword it sets; a field that is
+    unset (None or empty) is not passed.
+    """
+
+    driver: str
+    options: dict = field(default_factory=dict)
+
+    def kwargs(self, cfg) -> dict:
+        """Driver keywords from the set fields of ``cfg``."""
+        out = {}
+        for name, keyword in self.options.items():
+            value = getattr(cfg, name)
+            if value is None or value == ():
+                continue
+            if keyword == "kappas" and value.imag == 0:
+                value = value.real  # a float, like the driver's default kappas
+            out[keyword] = (value,) if keyword in _SWEEP_KEYWORDS else value
+        return out
+
+    def run(self, cfg) -> Report:
+        return globals()[self.driver](**self.kwargs(cfg))
+
+
+CHECKS = {
+    "thm1.2": Check("check_edge_hankel", {"beta": "beta", "ns": "ns", "t": "ts"}),
+    "thm1.4": Check("check_recurrence_asymptotics", {"beta": "beta", "ns": "ns"}),
+    "thm1.5": Check("check_polynomial_asymptote", {"beta": "beta", "ns": "ns", "t": "t"}),
+    "noncrit": Check("check_bulk_hankel", {"beta": "beta", "ns": "ns"}),
+    "conj1.3": Check("check_airy_tail", {"beta": "beta"}),
+    "tw-identity": Check("check_tw_identity",
+                         {"tol": "tol", "kappa": "kappas", "t_min": "t_lo"}),
+    "finite-n-identity": Check("check_finite_n_identity",
+                               {"ns": "ns", "beta": "betas", "lambda0": "lambda0s",
+                                "bits": "bits"}),
+    "diff-identity": Check("check_exact_identities"),
+    "qn-identity": Check("check_exact_identities"),
+    "thm1.6": Check("check_singular_regime"),
 }

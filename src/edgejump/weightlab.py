@@ -3,10 +3,11 @@
 The weight is ``e^(-x^2)`` times a pure phase jump: ``e^(i pi beta)`` left of
 the cut point lambda0 and ``e^(-i pi beta)`` right of it.  This module builds,
 at controlled precision, the moment sequence, the Hankel determinants H_k, the
-norms h_k, the monic three-term recurrence coefficients R_k and Q_k, and the
-monic polynomial coefficient tables, and exposes the two exact internal
-identities (the jump identity for Q_n and the log-derivative identity for the
-Hankel determinant) as residual operations.
+norms h_k and the monic three-term recurrence coefficients R_k and Q_k, and
+exposes the two exact internal identities (the jump identity for Q_n and the
+log-derivative identity for the Hankel determinant) as residual operations.
+Polynomial values come from the recurrence; a monic coefficient row is built
+from it on demand, for cross-checks only.
 
 Recurrence data is produced by the classical moment-to-recurrence (Chebyshev)
 algorithm, one O(N^2) pass over modified moment tables.  It is algebraically
@@ -28,7 +29,7 @@ from .specfun import _full_gauss_moment, half_gauss_moments
 
 __all__ = [
     "WeightParams", "OPSystem", "SingularMinor", "moments", "build_op_system",
-    "eval_pn", "eval_pn_prime", "eval_pn_from_coeffs",
+    "eval_pn", "eval_pn_prime", "monic_coefficients", "eval_pn_from_coeffs",
     "qn_jump_identity_residual", "diff_identity_residual",
     "gaussian_hankel", "hankel_matrix",
 ]
@@ -147,12 +148,10 @@ class OPSystem:
     params: WeightParams
     N: int
     bits: int
-    moments: tuple
     H: tuple       # H_0..H_{N+1}
     h: tuple       # h_0..h_N
     R: tuple       # R_0 (unused, 0) .. R_N
     Q: tuple       # Q_0..Q_N
-    coeffs: tuple  # monic coefficient rows, k = 0..N+1
     agreed: dict | None = None
 
     @property
@@ -167,20 +166,8 @@ def _build_once(params: WeightParams, N: int, ctx: PrecisionCtx):
         H = [mp.mpf(1)]
         for k in range(N + 1):
             H.append(H[-1] * h[k])
-        rows = [(mp.mpf(1),), (-Q[0], mp.mpf(1))]
-        for k in range(1, N + 1):
-            prev, cur = rows[k - 1], rows[k]
-            nxt = [mp.mpc(0)] * (k + 2)
-            for i, c in enumerate(cur):       # x * p_k
-                nxt[i + 1] += c
-            for i, c in enumerate(cur):       # - Q_k p_k
-                nxt[i] -= Q[k] * c
-            for i, c in enumerate(prev):      # - R_k p_{k-1}
-                nxt[i] -= R[k] * c
-            rows.append(tuple(nxt))
-        return OPSystem(params=params, N=N, bits=ctx.bits, moments=mu,
-                        H=tuple(H), h=tuple(h), R=tuple(R), Q=tuple(Q),
-                        coeffs=tuple(rows))
+        return OPSystem(params=params, N=N, bits=ctx.bits,
+                        H=tuple(H), h=tuple(h), R=tuple(R), Q=tuple(Q))
 
 
 def build_op_system(params: WeightParams, N: int, ctx: PrecisionCtx | None = None,
@@ -204,9 +191,8 @@ def build_op_system(params: WeightParams, N: int, ctx: PrecisionCtx | None = Non
         "R": min(agreed_digits(a, b) for a, b in zip(lo.R[1:], hi.R[1:])) if N >= 1 else 9999,
         "Q": min(agreed_digits(a, b) for a, b in zip(lo.Q, hi.Q)),
     }
-    return OPSystem(params=hi.params, N=N, bits=ctx.bits, moments=hi.moments,
-                    H=hi.H, h=hi.h, R=hi.R, Q=hi.Q, coeffs=hi.coeffs,
-                    agreed=agreed)
+    return OPSystem(params=hi.params, N=N, bits=ctx.bits,
+                    H=hi.H, h=hi.h, R=hi.R, Q=hi.Q, agreed=agreed)
 
 
 def hankel_matrix(params: WeightParams, n: int, ctx: PrecisionCtx):
@@ -260,9 +246,31 @@ def eval_pn_prime(sys: OPSystem, k: int, x):
         return p, d
 
 
+def monic_coefficients(sys: OPSystem, k: int) -> tuple:
+    """Coefficients of monic p_k, constant term first, from the recurrence.
+
+    O(k^2) work: rows p_0..p_k are built by ``p_{j+1} = (x - Q_j) p_j -
+    R_j p_{j-1}`` and only row k is kept.
+    """
+    if k > sys.N + 1:
+        raise ValueError("degree exceeds the system order")
+    with mp.workprec(sys.bits + 10):
+        prev, cur = (), (mp.mpf(1),)
+        for j in range(k):
+            nxt = [mp.mpc(0)] * (j + 2)
+            for i, c in enumerate(cur):       # x * p_j
+                nxt[i + 1] += c
+            for i, c in enumerate(cur):       # - Q_j p_j
+                nxt[i] -= sys.Q[j] * c
+            for i, c in enumerate(prev):      # - R_j p_{j-1}
+                nxt[i] -= sys.R[j] * c
+            prev, cur = cur, tuple(nxt)
+        return cur
+
+
 def eval_pn_from_coeffs(sys: OPSystem, k: int, x):
-    """Monic p_k(x) by Horner on the coefficient table (cross-check route)."""
-    row = sys.coeffs[k]
+    """Monic p_k(x) by Horner on its coefficient row (cross-check route)."""
+    row = monic_coefficients(sys, k)
     with mp.workprec(sys.bits + 10):
         xv = mp.mpmathify(x)
         acc = mp.mpc(0)
@@ -286,17 +294,6 @@ def qn_jump_identity_residual(sys: OPSystem, n: int):
         pn = eval_pn(sys, n, lam)
         rhs = -pn * pn * mp.exp(-lam * lam) * mp.sinh(mp.mpc(0, 1) * mp.pi * b) / sys.h[n]
         return abs(sys.Q[n] - rhs)
-
-
-def _hankel_only(params: WeightParams, n: int, ctx: PrecisionCtx):
-    """H_n alone (product of norms), for finite-difference probes."""
-    mu = moments(params, 2 * n, ctx)
-    with ctx.workprec(10):
-        _, _, h = _chebyshev(mu, n - 1) if n >= 1 else (None, None, [])
-        out = mp.mpc(1)
-        for v in h[:n]:
-            out *= v
-        return out
 
 
 def diff_identity_residual(params: WeightParams, n: int, delta=None,
@@ -326,7 +323,7 @@ def diff_identity_residual(params: WeightParams, n: int, delta=None,
                   * mp.exp(-lam * lam) / sys.h[n - 1])
         p_plus = WeightParams(beta=params.beta, lambda0=lam + delta)
         p_minus = WeightParams(beta=params.beta, lambda0=lam - delta)
-        Hp = _hankel_only(p_plus, n, ctx)
-        Hm = _hankel_only(p_minus, n, ctx)
+        Hp = build_op_system(p_plus, n - 1, ctx, check=False).H[n]
+        Hm = build_op_system(p_minus, n - 1, ctx, check=False).H[n]
         fd = mp.log(Hp / Hm) / (2 * delta)
         return abs(fd - closed)

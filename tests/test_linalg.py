@@ -1,12 +1,18 @@
 import mpmath as mp
 import numpy as np
-import pytest
 
-from edgejump.linalg import lu_det, lu_solve, mat_mul
+from edgejump.linalg import lu_det
 from edgejump.precision import PrecisionCtx
 
 
 CTX = PrecisionCtx(192)
+
+
+def mat_mul(A, B):
+    """Plain triple-loop product, for small test matrices."""
+    n, k, m = len(A), len(B), len(B[0])
+    return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m)]
+            for i in range(n)]
 
 
 def _rand_mpc_matrix(rng, n, ctx):
@@ -61,18 +67,3 @@ def test_doubling_bits_self_consistency():
     hi = lu_det(M, PrecisionCtx(256))
     with mp.workprec(300):
         assert abs(lo - hi) < mp.mpf(2) ** (24 - 128) * abs(hi)
-
-
-def test_lu_solve_roundtrip():
-    rng = np.random.default_rng(17)
-    A = _rand_mpc_matrix(rng, 5, CTX)
-    with CTX.workprec():
-        x_true = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
-        b = [sum(A[i][j] * x_true[j] for j in range(5)) for i in range(5)]
-        x = lu_solve(A, b, CTX)
-        assert max(abs(u - v) for u, v in zip(x, x_true)) < mp.mpf(2) ** (40 - CTX.bits)
-
-
-def test_singular_solve_raises():
-    with pytest.raises(ZeroDivisionError):
-        lu_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
