@@ -12,8 +12,7 @@ Reports are written as CSV or JSON (complex values split re/im) together
 with a machine-readable PASS/FAIL summary; exit status is 0 when every
 criterion passed, 1 on any FAIL, 2 on invalid configuration.  Given the same
 configuration and seed, reruns are byte-identical (pass --timestamp to embed
-a generation time header).  EDGEJUMP_THREADS caps internal parallelism of
-parameter sweeps.
+a generation time header).
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fredholm, painleve, verify, weightlab
-from .precision import PrecisionCtx, hankel_ctx
+from .precision import MIN_BITS, PrecisionCtx, hankel_ctx
 from .report import Report, ReportRow, safe_complex, write_report
 from .util import beta_from_kappa, kappa_from_beta
 
@@ -122,6 +121,10 @@ def _build_config(args) -> RunConfig:
         raise ConfigError("give beta or kappa, not both")
     if beta is not None and abs(beta.real) > 0.5:
         raise ConfigError("need |Re beta| <= 1/2")
+    # 0 bits asks for the default precision, as an unset --bits does
+    bits = _value(merged, "bits", int) or None
+    if bits is not None and bits < MIN_BITS:
+        raise ConfigError(f"need bits >= {MIN_BITS} (or 0 for the default), got {bits}")
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):  # a config file bypasses the flag's choices
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -129,8 +132,7 @@ def _build_config(args) -> RunConfig:
         beta=beta, kappa=kappa, ns=_parse_ns(merged.get("n")),
         t=_value(merged, "t", float),
         lambda0=_value(merged, "lambda0", float),
-        # 0 bits asks for the default precision, as an unset --bits does
-        bits=_value(merged, "bits", int) or None,
+        bits=bits,
         tol=_value(merged, "tol", float, 1e-12),
         nodes=_value(merged, "nodes", int),
         trials=_value(merged, "trials", int, 100_000),

@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+#: log of the smallest and largest normal doubles: the range finite_n_det returns.
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_HUGE = math.log(np.finfo(float).max)
+
+
 class TailBoundViolated(ValueError):
     """Requested tolerance unreachable at the given truncation point."""
 
@@ -206,7 +211,10 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
 
     Equals the thinned gap generating function sum_k (1-kappa^2)^k E_n(k) and
     the Hankel-determinant ratio of the jump weight.  Double precision by
-    default (G is well conditioned); pass ``ctx`` to run the determinant in
+    default (G is well conditioned), as the exponential of the summed logs of
+    1 - kappa^2 lambda_k over the eigenvalues of G; it raises
+    ``FloatingPointError`` when |det| underflows or overflows double range
+    rather than return +-0 or inf.  Pass ``ctx`` to run the determinant in
     big floats for the exact identity tests.  A ``gram`` passed in must have
     been built for this (n, lambda0).
     """
@@ -216,9 +224,15 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
         raise ValueError(f"Gram matrix for (n, lambda0) = ({gram.n}, {gram.lambda0}) "
                          f"passed for ({n}, {float(lambda0)})")
     if ctx is None:
-        eigs = gram.eigenvalues()
         k2 = complex(kappa_sq)
-        return complex(np.prod(1.0 - k2 * eigs))
+        with np.errstate(divide="ignore"):  # a zero factor gives log = -inf
+            log_det = np.sum(np.log(1.0 - k2 * gram.eigenvalues()))
+        if not _LOG_TINY <= log_det.real <= _LOG_HUGE:
+            raise FloatingPointError(
+                f"det(1 - kappa^2 K_n) at (n, lambda0, kappa^2) = ({n}, {float(lambda0)}, "
+                f"{k2}): log|det| comes out as {log_det.real:.6g} in double precision, "
+                "outside double range; pass ctx to compute it in big floats")
+        return complex(np.exp(log_det))
     with ctx.workprec(10):
         k2 = mp.mpc(kappa_sq)
         A = [[(1 if i == j else 0) - k2 * gram.entries[i, j] for j in range(n)]

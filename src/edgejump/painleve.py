@@ -416,27 +416,20 @@ def pole_roundtrip_error(sol: ASolution, pole: PoleRecord, offset: float = 0.3,
     return abs(u_round - sol.u(t_hi))
 
 
-def _scan_one(args):
-    kappa, t_min, tol = args
-    try:
-        solve_as(kappa, t_min, tol, traverse=False)
-        return None
-    except PoleEncountered as exc:
-        return (kappa, float(exc.t_star))
-
-
 def pole_free_scan(kappas, t_min: float = -25.0, tol: float = 1e-12):
     """Integrate each kappa with traversal disabled; collect blow-up events.
 
     Supports the no-real-poles statement for kappa off the real cut: the
-    returned event list is expected to be empty for such a grid.  The sweep
-    runs data-parallel when EDGEJUMP_THREADS exceeds one; output order
-    follows the input grid either way.
+    returned event list, one (kappa, t*) per blow-up in grid order, is
+    expected to be empty for such a grid.
     """
-    from .util import parallel_map
-
-    results = parallel_map(_scan_one, [(complex(k), t_min, tol) for k in kappas])
-    return [r for r in results if r is not None]
+    events = []
+    for kappa in kappas:
+        try:
+            solve_as(complex(kappa), t_min, tol, traverse=False)
+        except PoleEncountered as exc:
+            events.append((complex(kappa), float(exc.t_star)))
+    return events
 
 
 # ---------------------------------------------------------------------------

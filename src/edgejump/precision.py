@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+#: Fewest mantissa bits a context may have.
+MIN_BITS = 64
+
 #: Floor used by the Hankel precision heuristic.
 MIN_HANKEL_BITS = 192
 
@@ -23,8 +26,8 @@ class PrecisionCtx:
     bits: int
 
     def __post_init__(self):
-        if self.bits < 64:
-            raise ValueError(f"need at least 64 mantissa bits, got {self.bits}")
+        if self.bits < MIN_BITS:
+            raise ValueError(f"need at least {MIN_BITS} mantissa bits, got {self.bits}")
 
     @property
     def eps(self):

@@ -1,16 +1,11 @@
-"""Parameter conversions and sweep helpers."""
+"""Parameter conversions between the jump exponent beta and kappa."""
 from __future__ import annotations
 
 import cmath
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import mpmath as mp
 
 from .precision import PrecisionCtx
-
-#: Environment variable capping internal parallelism of sweeps.
-THREADS_ENV = "EDGEJUMP_THREADS"
 
 
 def kappa_sq_from_beta(beta, ctx: PrecisionCtx | None = None):
@@ -39,24 +34,3 @@ def beta_from_kappa(kappa) -> complex:
     if z == 0:
         raise ValueError("kappa = +-1 (Hastings-McLeod) is out of scope")
     return 1j * cmath.log(z) / (2 * cmath.pi)
-
-
-def thread_budget() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(func, items):
-    """Map preserving input order, parallel when EDGEJUMP_THREADS > 1.
-
-    ``func`` must be picklable (a module-level function or partial).
-    """
-    items = list(items)
-    n = thread_budget()
-    if n <= 1 or len(items) <= 1:
-        return [func(x) for x in items]
-    with ProcessPoolExecutor(max_workers=min(n, len(items))) as ex:
-        return list(ex.map(func, items))

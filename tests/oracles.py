@@ -245,3 +245,34 @@ def plancherel_probability(shape) -> Fraction:
     """(dim shape)^2 / n! as an exact fraction."""
     d = hook_length_dimension(shape)
     return Fraction(d * d, math.factorial(sum(shape)))
+
+
+def gap_probability_from_spectra(eigs: np.ndarray, lambda0: float) -> tuple:
+    """P(no point above lambda0) and its standard error from whole spectra.
+
+    ``eigs`` holds one spectrum per row, sorted descending.
+    """
+    trials = eigs.shape[0]
+    hit = float((eigs[:, 0] <= lambda0).mean())
+    return hit, math.sqrt(max(hit * (1 - hit), 1e-12) / trials)
+
+
+def thinning_from_spectra(eigs: np.ndarray, s: float, lambda0: float,
+                          rng: np.random.Generator) -> dict:
+    """Thinned largest-point estimates from whole spectra (rows sorted descending).
+
+    Point (i, j) is removed when the (i, j) entry of one (trials, n) uniform
+    draw from ``rng`` is below s.
+    """
+    trials = eigs.shape[0]
+    X = (eigs > lambda0).sum(axis=1)
+    removed = rng.random(eigs.shape) < s
+    survives = (eigs > lambda0) & ~removed
+    bern = float((~survives.any(axis=1)).mean())
+    weights = s ** X.astype(float)
+    return {
+        "bernoulli": bern,
+        "bernoulli_stderr": math.sqrt(max(bern * (1 - bern), 1e-12) / trials),
+        "analytic": float(weights.mean()),
+        "analytic_stderr": float(weights.std(ddof=1)) / math.sqrt(trials),
+    }

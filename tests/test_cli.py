@@ -74,6 +74,7 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["hankel", "--n", "5,3", "--beta", "0"]) == 2
     assert main(["painleve"]) == 2  # neither beta nor kappa
     assert main(["hankel", "--n", "x", "--beta", "0"]) == 2
+    assert main(["hankel", "--n", "4", "--beta", "0", "--bits", "10"]) == 2
     assert main(["fredholm", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     for text in ('{"kappa": 0.3,', "[0.3]", '{"kappa": "abc"}', '{"kappa": [0.3]}',

@@ -180,6 +180,11 @@ class TestFiniteN:
     def test_kappa_zero(self):
         assert finite_n_det(5, 0.3, 0.0) == pytest.approx(1.0, abs=1e-14)
 
+    def test_underflow_raises(self):
+        # the determinant is 3.65e-1097 (2000-bit route), below double range
+        with pytest.raises(FloatingPointError):
+            finite_n_det(60, -1.0, 1.0)
+
     def test_gram_reuse(self):
         gram = hermite_gram(8, 1.0)
         a = finite_n_det(8, 1.0, 0.5, gram=gram)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from edgejump.fredholm import finite_n_det, hermite_gram
-from edgejump.rmtsim import (counting_moments, gap_probability_mc,
-                             plancherel_sample, rsk_shape, sample_gue,
-                             sample_gue_eigs, stream_rng, thin,
+from edgejump.rmtsim import (_count_above, _gue_counts, counting_moments,
+                             gap_probability_mc, plancherel_sample, rsk_shape,
+                             sample_gue, sample_gue_eigs, stream_rng, thin,
                              thinned_max_cdf, thinning_check)
 
-from oracles import hook_length_dimension, lis_length, partitions_of, plancherel_probability
+from oracles import (gap_probability_from_spectra, hook_length_dimension, lis_length,
+                     partitions_of, plancherel_probability, thinning_from_spectra)
 
 
 class TestSampling:
@@ -49,6 +50,37 @@ class TestSampling:
         s2 = (eigs ** 2).sum(axis=1)
         pred = 8 ** 2 / 2
         assert abs(s2.mean() - pred) <= 3 * s2.std(ddof=1) / math.sqrt(len(s2))
+
+
+class TestCounts:
+    @pytest.mark.parametrize("n", [1, 8, 30, 50, 80])
+    def test_inertia_count_matches_spectra(self, n):
+        eigs = sample_gue_eigs(n, 400, master=43, stream=2)
+        edge = math.sqrt(2.0 * n)
+        for lambda0 in (-3 * edge - 5, -edge, -1.0, 0.0, 0.7, edge - 1, edge, 3 * edge + 5):
+            counts = _gue_counts(n, lambda0, 400, master=43, stream=2)
+            assert np.array_equal(counts, (eigs > lambda0).sum(axis=1)), lambda0
+
+    @pytest.mark.parametrize("d, e, sigma, above", [
+        ([2.0], [], 2.0, 0),              # n = 1, eigenvalue at sigma
+        ([0.0, 0.0], [1.0], 0.0, 1),      # eigenvalues +-1
+        ([1.0, 1.0, 1.0], [1.0, 1.0], 1.0, 1),  # eigenvalues 1 - sqrt 2, 1, 1 + sqrt 2
+        ([0.0, 0.0, 0.0], [0.0, 0.0], 0.0, 0),  # zero matrix
+    ])
+    def test_zero_pivots_give_finite_exact_counts(self, d, e, sigma, above):
+        # every case hits q = 0 exactly; an eigenvalue equal to sigma is not above it
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            count = _count_above(np.array([d]), np.array([e]).reshape(1, -1), sigma)
+        assert count.tolist() == [above]
+
+    def test_estimators_equal_spectrum_oracles(self):
+        # 25,000 trials span two draw blocks of 20,000
+        n, s, lambda0, trials, master = 12, 0.5, 3.5, 25_000, 47
+        eigs = sample_gue_eigs(n, trials, master)
+        assert gap_probability_mc(n, lambda0, trials, master) == \
+            gap_probability_from_spectra(eigs, lambda0)
+        assert thinning_check(n, s, lambda0, trials, master) == \
+            thinning_from_spectra(eigs, s, lambda0, stream_rng(master, 1))
 
 
 class TestThinning:
@@ -119,6 +151,19 @@ class TestRSK:
             observed = freqs.get(shape, 0)
             chi2 += (observed - expected) ** 2 / expected
         assert chi2 < 25.0  # df = 4; generous deterministic threshold
+
+    def test_truncated_plancherel_keeps_leading_rows(self):
+        # K starts at 2: N = 1 and 2 have fewer rows than K on most draws
+        cases = [(1, 0.0), (2, 0.5), (2, -1.0), (30, 0.0), (30, 3.0), (200, 0.0),
+                 (200, 12.0), (200, 25.0), (1000, -2.0), (1000, 40.0)]
+        for k in range(20):
+            N, bound = cases[k % len(cases)]
+            shape = plancherel_sample(N, stream_rng(53, k), bound)
+            full = rsk_shape(stream_rng(53, k).permutation(N))
+            assert np.array_equal(shape, full[:len(shape)])
+            assert np.all(full[len(shape):] <= bound)
+            if bound <= 0:
+                assert len(shape) == len(full)
 
     def test_dimension_square_sum(self):
         # sum over shapes of dim^2 = N!
