@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.special as sps
 
 from .linalg import lu_det
-from .precision import PrecisionCtx
+from .precision import PrecisionCtx, agreed_digits
 from .quadrature import gauss_legendre
 from .specfun import hermite_functions, hermite_functions_mp
 
@@ -39,6 +39,14 @@ __all__ = [
 #: log of the smallest and largest normal doubles: the range finite_n_det returns.
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOG_HUGE = math.log(np.finfo(float).max)
+_EPS = np.finfo(float).eps
+
+#: Largest relative error the double path of finite_n_det accepts in a factor.
+_DOUBLE_REL_ERR = 1e-10
+#: Digits two big-float runs must share before finite_n_det trusts them, and
+#: the most bits it spends on them.
+_AGREED_DIGITS = 20
+_MAX_RESOLVE_BITS = 8192
 
 
 class TailBoundViolated(ValueError):
@@ -211,30 +219,62 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
 
     Equals the thinned gap generating function sum_k (1-kappa^2)^k E_n(k) and
     the Hankel-determinant ratio of the jump weight.  Double precision by
-    default (G is well conditioned), as the exponential of the summed logs of
-    1 - kappa^2 lambda_k over the eigenvalues of G; it raises
-    ``FloatingPointError`` when |det| underflows or overflows double range
-    rather than return +-0 or inf.  Pass ``ctx`` to run the determinant in
-    big floats for the exact identity tests.  A ``gram`` passed in must have
-    been built for this (n, lambda0).
+    default, as the exponential of the summed logs of 1 - kappa^2 lambda_k
+    over the eigenvalues of G.  ``eigh`` resolves each lambda_k only to about
+    n eps, so a factor that small cancels (kappa^2 near 1 and lambda_k near
+    1, deep in the left tail): when the worst factor's relative error could
+    exceed ``_DOUBLE_REL_ERR``, the determinant is recomputed in big floats
+    at doubling precision until two runs agree to ``_AGREED_DIGITS`` digits.
+    Either way it raises ``FloatingPointError`` when |det| underflows or
+    overflows double range rather than return +-0 or inf.  Pass ``ctx`` to
+    run the determinant in big floats at that precision for the exact
+    identity tests.  A ``gram`` passed in must have been built for this
+    (n, lambda0).
     """
     if gram is None:
         gram = hermite_gram(n, lambda0, ctx=ctx)
     elif (gram.n, gram.lambda0) != (n, float(lambda0)):
         raise ValueError(f"Gram matrix for (n, lambda0) = ({gram.n}, {gram.lambda0}) "
                          f"passed for ({n}, {float(lambda0)})")
-    if ctx is None:
-        k2 = complex(kappa_sq)
-        with np.errstate(divide="ignore"):  # a zero factor gives log = -inf
-            log_det = np.sum(np.log(1.0 - k2 * gram.eigenvalues()))
-        if not _LOG_TINY <= log_det.real <= _LOG_HUGE:
-            raise FloatingPointError(
-                f"det(1 - kappa^2 K_n) at (n, lambda0, kappa^2) = ({n}, {float(lambda0)}, "
-                f"{k2}): log|det| comes out as {log_det.real:.6g} in double precision, "
-                "outside double range; pass ctx to compute it in big floats")
-        return complex(np.exp(log_det))
+    if ctx is not None:
+        return _big_float_det(n, lambda0, kappa_sq, ctx, gram)
+    k2 = complex(kappa_sq)
+    factors = 1.0 - k2 * gram.eigenvalues()
+    with np.errstate(divide="ignore"):  # a zero factor gives log = -inf, err = inf
+        worst_err = np.max((abs(k2) * n + 1) * _EPS / np.abs(factors))
+        if worst_err <= _DOUBLE_REL_ERR:
+            log_det = np.sum(np.log(factors))
+        else:
+            log_det = complex(mp.log(_resolved_det(n, lambda0, k2)))
+    if not _LOG_TINY <= log_det.real <= _LOG_HUGE:
+        raise FloatingPointError(
+            f"det(1 - kappa^2 K_n) at (n, lambda0, kappa^2) = ({n}, {float(lambda0)}, "
+            f"{k2}): log|det| comes out as {log_det.real:.6g}, outside double "
+            "range; pass ctx to compute it in big floats")
+    return complex(np.exp(log_det))
+
+
+def _big_float_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx, gram: GramMatrix):
+    """det(I - kappa^2 G) by LU in big floats at ``ctx`` precision."""
     with ctx.workprec(10):
         k2 = mp.mpc(kappa_sq)
         A = [[(1 if i == j else 0) - k2 * gram.entries[i, j] for j in range(n)]
              for i in range(n)]
         return lu_det(A, ctx)
+
+
+def _resolved_det(n: int, lambda0, kappa_sq: complex):
+    """Big-float determinant at 128, 256, ... bits until two runs agree."""
+    bits = 128
+    lo = _big_float_det(n, lambda0, kappa_sq, PrecisionCtx(bits),
+                        hermite_gram(n, lambda0, ctx=PrecisionCtx(bits)))
+    while 2 * bits <= _MAX_RESOLVE_BITS:
+        bits *= 2
+        ctx = PrecisionCtx(bits)
+        hi = _big_float_det(n, lambda0, kappa_sq, ctx, hermite_gram(n, lambda0, ctx=ctx))
+        if agreed_digits(lo, hi) >= _AGREED_DIGITS:
+            return hi
+        lo = hi
+    raise FloatingPointError(
+        f"det(1 - kappa^2 K_n) at (n, lambda0, kappa^2) = ({n}, {float(lambda0)}, "
+        f"{kappa_sq}) not resolved at {_MAX_RESOLVE_BITS} bits")

@@ -10,6 +10,14 @@ the ones ``edgejump verify`` runs and the options each takes.
 Trend checks fail only when the stated bound is violated at the final tested
 scale (protecting against pre-asymptotic noise at small sizes); residual and
 identity checks are absolute.
+
+The finite-n side comes from two routes of :mod:`~edgejump.weightlab`.  The
+exact checks (Gaussian closed form, the finite-n Fredholm identity, the
+internal identities) and the bulk check build big-float systems from moments
+(``build_op_system``); the edge trend checks (Hankel determinant, recurrence
+coefficients, polynomial value) read the complex128 Gram-route system
+(``gram_system``) through :func:`op_system_cached`.  So the Fredholm
+identity confronts the moment route with the Gram determinant.
 """
 from __future__ import annotations
 
@@ -25,28 +33,40 @@ from .precision import PrecisionCtx, hankel_ctx
 from .report import Report, ReportRow, safe_complex
 from .util import kappa_from_beta, kappa_sq_from_beta
 
+#: Precision of the big-float values (H_n, h_n, p_n past double range) that
+#: the Gram-route checks compare with their predictions.
+_ROW_CTX = PrecisionCtx(64)
+
+#: Entries each memo table keeps; past it the oldest entry is evicted.
+CACHE_SIZE = 32
+
 _OP_CACHE: dict = {}
-
-
-def op_system_cached(beta, n: int, t: float, bits: int | None = None,
-                     check: bool = True) -> weightlab.OPSystem:
-    """Edge-form OPSystem memoized on (beta, n, t, bits, check)."""
-    ctx = PrecisionCtx(bits) if bits else hankel_ctx(n)
-    key = (complex(beta), n, float(t), ctx.bits, check)
-    if key not in _OP_CACHE:
-        params = weightlab.WeightParams.edge(beta, n, t, ctx)
-        _OP_CACHE[key] = weightlab.build_op_system(params, n, ctx, check=check)
-    return _OP_CACHE[key]
-
-
 _SOL_CACHE: dict = {}
 
 
+def _memo(cache: dict, key, make):
+    """cache[key], made by ``make()`` on a miss; the oldest entry goes past CACHE_SIZE."""
+    if key not in cache:
+        if len(cache) >= CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = make()
+    return cache[key]
+
+
+def op_system_cached(beta, n: int, t: float) -> weightlab.GramSystem:
+    """Edge-form system from the Gram route, memoized on (beta, n, t).
+
+    The cut sits at ``lambda0 = sqrt(2 n) (1 + t n^(-2/3) / 2)``.
+    """
+    def make():
+        lam0 = weightlab.WeightParams.edge(beta, n, t, _ROW_CTX).lambda0
+        return weightlab.gram_system(beta, n, lam0)
+    return _memo(_OP_CACHE, (complex(beta), n, float(t)), make)
+
+
 def solution_cached(kappa, t_min: float, tol: float = 1e-12) -> painleve.ASolution:
-    key = (complex(kappa), float(t_min), tol)
-    if key not in _SOL_CACHE:
-        _SOL_CACHE[key] = painleve.solve_as(kappa, t_min, tol)
-    return _SOL_CACHE[key]
+    return _memo(_SOL_CACHE, (complex(kappa), float(t_min), tol),
+                 lambda: painleve.solve_as(kappa, t_min, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +314,13 @@ def check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80),
         devs = []
         for n in ns:
             sys = op_system_cached(beta, n, t)
-            ctx = PrecisionCtx(sys.bits)
-            pred = asympt.edge_hankel_asymptote(n, t, beta, sol, ctx)
-            with ctx.workprec():
-                dev = float(abs(abs(sys.H[n] / pred) - 1))
+            pred = asympt.edge_hankel_asymptote(n, t, beta, sol, _ROW_CTX)
+            with _ROW_CTX.workprec():
+                H = weightlab.gaussian_hankel(n, _ROW_CTX) * mp.exp(sys.log_H_ratio)
+                dev = float(abs(abs(H / pred) - 1))
             devs.append(dev)
             rep.add(ReportRow(label="edge-hankel", n=n, t=t, beta=complex(beta),
-                              kappa=kap, finite=safe_complex(sys.H[n]), asym=safe_complex(pred),
+                              kappa=kap, finite=safe_complex(H), asym=safe_complex(pred),
                               rel_res=dev, verdict=""))
         ok = all(a > b for a, b in zip(devs, devs[1:])) and devs[-1] <= final_bound
         for row, d in zip(rep.rows[-len(ns):], devs):
@@ -358,12 +378,13 @@ def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(64, 128, 25
         gaps_R, gaps_Q = [], []
         for n in ns:
             sys = op_system_cached(beta, n, t)
-            pred = asympt.recurrence_asymptotes(n, t, sol, ctx=PrecisionCtx(sys.bits))
-            with mp.workprec(sys.bits):
-                gap_R = float(abs(sys.R[n] - mp.mpc(pred["R"])))
-                gap_Q = float(abs(sys.Q[n] - mp.mpc(pred["Q"]))) * math.sqrt(n)
-                h_rel = float(abs(sys.h[n] / mp.mpc(pred["h"]) - 1))
-                h_rel_printed = float(abs(sys.h[n] / mp.mpc(pred["h_printed"]) - 1))
+            pred = asympt.recurrence_asymptotes(n, t, sol, ctx=_ROW_CTX)
+            gap_R = float(abs(sys.R[n] - pred["R"]))
+            gap_Q = float(abs(sys.Q[n] - pred["Q"])) * math.sqrt(n)
+            with _ROW_CTX.workprec():
+                h = mp.exp(sys.log_h)
+                h_rel = float(abs(h / pred["h"] - 1))
+                h_rel_printed = float(abs(h / pred["h_printed"] - 1))
             gaps_R.append(gap_R)
             gaps_Q.append(gap_Q)
             rep.add(ReportRow(label="recurrence-R", n=n, t=t, beta=complex(beta),
@@ -402,11 +423,9 @@ def check_polynomial_asymptote(beta=0.4j, t: float = 0.5, ns=(64, 128, 256),
     errs = []
     for n in ns:
         sys = op_system_cached(beta, n, t)
-        ctx = PrecisionCtx(sys.bits)
-        pred = asympt.polynomial_value_asymptote(n, t, sol, ctx)
-        with ctx.workprec():
-            lam0 = mp.mpf(sys.params.lambda0)
-            val = weightlab.eval_pn(sys, n, lam0)
+        pred = asympt.polynomial_value_asymptote(n, t, sol, _ROW_CTX)
+        with _ROW_CTX.workprec():
+            val = mp.exp(sys.log_pn)
             rel = float(abs(val / pred - 1))
         errs.append(rel)
         rep.add(ReportRow(label="polynomial-at-cut", n=n, t=t, beta=complex(beta),

@@ -1,34 +1,52 @@
 """Finite-n orthogonal-polynomial systems for the jump-discontinuous Gaussian weight.
 
 The weight is ``e^(-x^2)`` times a pure phase jump: ``e^(i pi beta)`` left of
-the cut point lambda0 and ``e^(-i pi beta)`` right of it.  This module builds,
-at controlled precision, the moment sequence, the Hankel determinants H_k, the
-norms h_k and the monic three-term recurrence coefficients R_k and Q_k, and
-exposes the two exact internal identities (the jump identity for Q_n and the
-log-derivative identity for the Hankel determinant) as residual operations.
-Polynomial values come from the recurrence; a monic coefficient row is built
-from it on demand, for cross-checks only.
+the cut point lambda0 and ``e^(-i pi beta)`` right of it.  Two independent
+routes build its Hankel determinants H_k, norms h_k, monic three-term
+recurrence coefficients R_k and Q_k and polynomial values.
 
-Recurrence data is produced by the classical moment-to-recurrence (Chebyshev)
-algorithm, one O(N^2) pass over modified moment tables.  It is algebraically
-identical to solving the k x k moment systems minor by minor but feasible at
-N = 256 and beyond; the test suite pins it against the pivoted-LU route on
-small systems.  The map from moments to recurrence coefficients is
-exponentially ill-conditioned, which is paid for with mantissa bits (see
-``precision.hankel_ctx``), and every system is built twice (bits, 2 bits) so
-only agreeing digits are reported.
+* ``build_op_system`` (moment route, big floats): the moment sequence and
+  one O(N^2) moment-to-recurrence (Chebyshev) pass over modified moment
+  tables.  It is algebraically identical to solving the k x k moment systems
+  minor by minor, and the test suite pins it against the pivoted-LU route on
+  small systems.  The map from moments to recurrence coefficients is
+  exponentially ill-conditioned, which is paid for with mantissa bits (see
+  ``precision.hankel_ctx``), and a checked system is built twice (bits,
+  2 bits) so only agreeing digits are reported.  It serves the exact checks
+  (criteria 1, 2 and 11), the bulk check and ``edgejump hankel``, and
+  exposes the two exact internal identities (the jump identity for Q_n and
+  the log-derivative identity for the Hankel determinant) as residual
+  operations.  Polynomial values come from the recurrence; a monic
+  coefficient row is built from it on demand, for cross-checks only.
+
+* ``gram_system`` (Gram route, complex128): in the orthonormal Hermite basis
+  the weight's moment matrix is ``e^(i pi beta) (I - kappa^2 G)``, with G the
+  closed-form Gram matrix of ``fredholm.hermite_gram``, so one unpivoted
+  ``L D L^T`` of ``I - kappa^2 G`` gives every system quantity (the matrix
+  form of the modified Chebyshev algorithm; Gautschi, *Orthogonal
+  Polynomials: Computation and Approximation*, 2004, section 2.1.7).  It is
+  well conditioned, needs no extra bits, and keeps H_n, h_n and p_n in log
+  scale, so it reaches n in the thousands.  It serves the edge asymptotics
+  (criteria 5, 6 and 7).
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
+import scipy.linalg
 
+from .fredholm import hermite_gram
 from .precision import PrecisionCtx, agreed_digits, hankel_ctx
-from .specfun import _full_gauss_moment, half_gauss_moments
+from .specfun import _full_gauss_moment, half_gauss_moments, hermite_functions
+from .util import kappa_sq_from_beta
 
 __all__ = [
     "WeightParams", "OPSystem", "SingularMinor", "moments", "build_op_system",
+    "GramSystem", "gram_system", "PIVOT_FLOOR",
     "eval_pn", "eval_pn_prime", "monic_coefficients", "eval_pn_from_coeffs",
     "qn_jump_identity_residual", "diff_identity_residual",
     "gaussian_hankel", "hankel_matrix",
@@ -199,6 +217,111 @@ def hankel_matrix(params: WeightParams, n: int, ctx: PrecisionCtx):
     """The n x n moment matrix (mu_{i+j}), for determinant cross-checks."""
     mu = moments(params, max(0, 2 * n - 2), ctx)
     return [[mu[i + j] for j in range(n)] for i in range(n)]
+
+
+#: Smallest pivot magnitude, relative to the largest entry, that the
+#: unpivoted factorization accepts.  A smaller pivot has lost half the double
+#: mantissa or more to cancellation, so its leading minor is treated as
+#: vanished.
+PIVOT_FLOOR = 2.0 ** -26
+
+#: Half an ulp of 1: entries of kappa^2 G below it leave I - kappa^2 G equal
+#: to the identity in double rounding.
+_HALF_ULP = np.finfo(float).eps / 2
+
+
+def _ldlt(A: np.ndarray) -> tuple:
+    """Unpivoted ``A = L D L^T`` of a complex symmetric matrix: (L, D).
+
+    L is unit lower triangular.  Raises SingularMinor(k + 1) when pivot D_k
+    is below ``PIVOT_FLOOR`` times the largest entry of A: the leading
+    (k + 1) x (k + 1) minor vanished to double precision.
+    """
+    A = np.array(A, dtype=complex)
+    floor = PIVOT_FLOOR * np.abs(A).max(initial=0.0)
+    D = np.empty(len(A), dtype=complex)
+    for k in range(len(A)):
+        D[k] = A[k, k]
+        if not abs(D[k]) > floor:
+            raise SingularMinor(k + 1)
+        col = A[k + 1:, k] / D[k]
+        A[k + 1:, k + 1:] -= np.outer(col, A[k, k + 1:])
+        A[k + 1:, k] = col
+    L = np.tril(A, -1)
+    np.fill_diagonal(L, 1)
+    return L, D
+
+
+@dataclass(frozen=True)
+class GramSystem:
+    """The system at (beta, lambda0) for degrees 0..n, from the Gram route.
+
+    Read off ``I - kappa^2 G = L D L^T`` with G the Gram matrix of the first
+    n + 2 orthonormal Hermite functions on [lambda0, inf) and
+    ``kappa^2 = 1 - e^(-2 pi i beta)``.  The values that leave double range
+    at large n are logarithms (principal branch per factor).
+    """
+
+    beta: complex
+    n: int
+    lambda0: float
+    D: np.ndarray         # pivots D_0..D_(n+1); h_k(beta)/h_k(0) = e^(i pi beta) D_k
+    R: np.ndarray         # R_0 (unused, 0) .. R_(n+1)
+    Q: np.ndarray         # Q_0..Q_n
+    log_H_ratio: complex  # log(H_n(beta) / H_n(0))
+    log_h: complex        # log h_n
+    log_pn: complex       # log of monic p_n(lambda0)
+
+
+def gram_system(beta, n: int, lambda0) -> GramSystem:
+    """The jump-weight system for degrees 0..n by one complex128 LDL^T.
+
+    With ``gamma_k`` the leading coefficient of the orthonormal Hermite
+    polynomial, ``gamma_k^2 = 2^k / (k! sqrt(pi))``, the factorization gives
+
+    * ``H_n(beta)/H_n(0) = e^(i pi beta n) prod_{k<n} D_k`` and
+      ``h_n = e^(i pi beta) D_n / gamma_n^2``;
+    * ``R_k = (k/2) D_k / D_(k-1)``;
+    * ``Q_k = sqrt((k+1)/2) L_(k+1,k) - sqrt(k/2) L_(k,k-1)``;
+    * ``p_n(lambda0) = y_n e^(lambda0^2/2) / gamma_n`` from ``L y = psi``,
+      psi the Hermite functions at lambda0.
+
+    Leading rows whose entries of kappa^2 G all lie below half an ulp of 1
+    are rows of the identity in double rounding (low-degree Hermite functions
+    carry no mass past an edge cut): their pivots are ``1 - kappa^2 G_kk``
+    and their off-diagonal L entries are dropped, so only the trailing block
+    is factored.  There is no pivoting; a vanishing leading minor raises
+    SingularMinor (see ``PIVOT_FLOOR``).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    lam = float(lambda0)
+    k2 = kappa_sq_from_beta(beta)
+    N = n + 2
+    G = hermite_gram(N, lam).entries
+    small = abs(k2) * np.abs(G).max(axis=1) <= _HALF_ULP
+    m = N if small.all() else int(np.argmin(small))
+    try:
+        L, D_active = _ldlt(np.eye(N - m) - k2 * G[m:, m:])
+    except SingularMinor as exc:
+        raise SingularMinor(m + exc.k) from None
+    D = np.concatenate((1 - k2 * np.diag(G)[:m], D_active))
+    sub = np.zeros(n + 1, dtype=complex)  # L_(k+1,k), k = 0..n
+    sub[m:] = np.diagonal(L, -1)
+    r = np.sqrt(np.arange(N) / 2)
+    Q = r[1:] * sub - r[:-1] * np.concatenate(([0.0], sub[:-1]))
+    R = np.concatenate(([0.0], r[1:] ** 2 * D[1:] / D[:-1]))
+    y = hermite_functions(n + 1, np.array([lam]))[:, 0].astype(complex)
+    if m <= n:
+        y[m:] = scipy.linalg.solve_triangular(L[:n + 1 - m, :n + 1 - m], y[m:],
+                                              lower=True, unit_diagonal=True)
+    log_gamma = (n * math.log(2) - math.lgamma(n + 1) - math.log(math.pi) / 2) / 2
+    ipb = 1j * math.pi * complex(beta)
+    return GramSystem(
+        beta=complex(beta), n=n, lambda0=lam, D=D, R=R, Q=Q,
+        log_H_ratio=complex(ipb * n + np.sum(np.log(D[:n]))),
+        log_h=complex(ipb + np.log(D[n]) - 2 * log_gamma),
+        log_pn=cmath.log(y[n]) + lam * lam / 2 - log_gamma)
 
 
 def gaussian_hankel(n: int, ctx: PrecisionCtx):

@@ -54,13 +54,15 @@ def test_criterion_04_pii_residual_and_airy_matching():
 def test_criterion_05_recurrence_coefficient_asymptotics():
     t0 = time.time()
     rep = verify.check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0),
-                                              ns=(64, 128, 256), growth_cap=1.5)
+                                              ns=(64, 128, 256, 512, 1024),
+                                              growth_cap=1.5)
     _criterion(5, "recurrence coefficient expansions", rep, time.time() - t0, 300.0)
 
 
 def test_criterion_06_polynomial_asymptote_order():
     t0 = time.time()
-    rep = verify.check_polynomial_asymptote(beta=0.4j, t=0.5, ns=(64, 128, 256),
+    rep = verify.check_polynomial_asymptote(beta=0.4j, t=0.5,
+                                            ns=(64, 128, 256, 512, 1024),
                                             order=1.0 / 3.0, order_tol=0.15)
     _criterion(6, "polynomial value expansion order", rep, time.time() - t0, 300.0)
 

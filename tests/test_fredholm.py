@@ -185,6 +185,15 @@ class TestFiniteN:
         with pytest.raises(FloatingPointError):
             finite_n_det(60, -1.0, 1.0)
 
+    @pytest.mark.parametrize("n, lam0", [(10, -1.0), (20, -2.0)])
+    def test_left_tail_against_big_floats(self, n, lam0):
+        # kappa^2 = 1 with Gram eigenvalues near 1: the factors 1 - lambda_k
+        # cancel in double precision (1% off at n = 10, an underflow at n = 20)
+        ref = finite_n_det(n, lam0, 1.0, ctx=PrecisionCtx(600))
+        got = finite_n_det(n, lam0, 1.0)
+        with mp.workprec(600):
+            assert abs(mp.mpc(got) / ref - 1) < 1e-10
+
     def test_gram_reuse(self):
         gram = hermite_gram(8, 1.0)
         a = finite_n_det(8, 1.0, 0.5, gram=gram)

@@ -1,15 +1,20 @@
+import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from edgejump.fredholm import finite_n_det
 from edgejump.linalg import lu_det
 from edgejump.precision import PrecisionCtx, hankel_ctx
-from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev,
+from edgejump.util import kappa_sq_from_beta
+from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev, _ldlt,
                                 build_op_system, diff_identity_residual,
                                 eval_pn, eval_pn_from_coeffs, eval_pn_prime,
-                                gaussian_hankel, hankel_matrix, moments,
-                                monic_coefficients, qn_jump_identity_residual)
+                                gaussian_hankel, gram_system, hankel_matrix,
+                                moments, monic_coefficients,
+                                qn_jump_identity_residual)
 
 from oracles import gram_schmidt_monic, jump_weight_integral
 
@@ -204,6 +209,46 @@ class TestDiffIdentity:
         params = WeightParams.edge(0.2j, 12, 0.5, ctx)
         res = diff_identity_residual(params, 12, ctx=ctx)
         assert float(res) < 1e-12
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("beta", [0.4j, 0.3, 0.2 + 0.1j, -0.45 + 0.2j])
+    def test_against_moment_route(self, beta, n):
+        # logs are compared through exp(difference) - 1, so modulo 2 pi i
+        ctx = hankel_ctx(n)
+        for t in (-2.0, 0.0, 0.5, 2.0):
+            params = WeightParams.edge(beta, n, t, ctx)
+            ref = build_op_system(params, n, ctx, check=False)
+            sys = gram_system(beta, n, params.lambda0)
+            with ctx.workprec():
+                assert abs(ref.Q[n] - sys.Q[n]) < 1e-12
+                assert abs(ref.R[n] / sys.R[n] - 1) < 1e-12
+                log_pn = complex(mp.log(eval_pn(ref, n, params.lambda0)))
+                log_h = complex(mp.log(ref.h[n]))
+            assert abs(cmath.exp(log_pn - sys.log_pn) - 1) < 1e-12
+            assert abs(cmath.exp(log_h - sys.log_h) - 1) < 1e-12
+            det = finite_n_det(n, params.lambda0, kappa_sq_from_beta(beta))
+            log_det = sys.log_H_ratio - 1j * math.pi * beta * n
+            assert abs(det / cmath.exp(log_det) - 1) < 1e-12
+
+    def test_beta_zero_is_hermite(self):
+        sys = gram_system(0.0, 12, 0.7)
+        assert np.all(sys.D == 1) and np.all(sys.Q == 0)
+        assert sys.R[1:] == pytest.approx(np.arange(1, 14) / 2, rel=1e-15)
+        assert sys.log_H_ratio == 0
+
+    def test_vanishing_leading_pivot_raises(self):
+        # beta = 1/2 and lambda0 = 0: the weight is i e^(-x^2) left of the cut
+        # and -i e^(-x^2) right of it, so H_1 = mu_0 = 0
+        with pytest.raises(SingularMinor) as exc:
+            gram_system(0.5, 8, 0.0)
+        assert exc.value.k == 1
+
+    def test_vanishing_later_minor_raises(self):
+        with pytest.raises(SingularMinor) as exc:
+            _ldlt(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]]))
+        assert exc.value.k == 2
 
 
 def test_norm_product_identity_along_the_ladder():
