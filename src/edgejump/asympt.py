@@ -68,8 +68,8 @@ def recurrence_asymptotes(n: int, t: float, sol, ctx: PrecisionCtx | None = None
     expansion is returned in two variants: ``h`` uses the coefficients that
     the matrix-entry route and the finite-n data confirm,
     ``(1 - n^(-1/3) v + n^(-2/3)(v^2 - u^2)/2)``, while ``h_printed`` keeps
-    the +v first-order sign of the published display and ``h_alt`` carries
-    the (v^2 + u^2)/2 second-order variant; residual reports print all.
+    the +v first-order sign of the published display; residual reports
+    print both.
     """
     u = complex(sol.u(t))
     v = complex(sol.v(t))
@@ -83,12 +83,10 @@ def recurrence_asymptotes(n: int, t: float, sol, ctx: PrecisionCtx | None = None
                 * mp.exp(1j * mp.pi * mp.mpc(sol.beta)))
         un, vn = mp.mpc(u2), mp.mpc(v)
         third = nn ** mp.mpf("-1/3")
-        second_std = (vn * vn - un) / 2
-        second_alt = (vn * vn + un) / 2
-        h = pref * (1 - third * vn + third ** 2 * second_std)
-        h_printed = pref * (1 + third * vn + third ** 2 * second_std)
-        h_alt = pref * (1 - third * vn + third ** 2 * second_alt)
-    return {"R": R, "Q": Q, "h": h, "h_printed": h_printed, "h_alt": h_alt}
+        second = (vn * vn - un) / 2
+        h = pref * (1 - third * vn + third ** 2 * second)
+        h_printed = pref * (1 + third * vn + third ** 2 * second)
+    return {"R": R, "Q": Q, "h": h, "h_printed": h_printed}
 
 
 def polynomial_value_asymptote(n: int, t: float, sol, ctx: PrecisionCtx | None = None) -> mp.mpc:

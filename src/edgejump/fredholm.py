@@ -224,12 +224,13 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
     n eps, so a factor that small cancels (kappa^2 near 1 and lambda_k near
     1, deep in the left tail): when the worst factor's relative error could
     exceed ``_DOUBLE_REL_ERR``, the determinant is recomputed in big floats
-    at doubling precision until two runs agree to ``_AGREED_DIGITS`` digits.
-    Either way it raises ``FloatingPointError`` when |det| underflows or
-    overflows double range rather than return +-0 or inf.  Pass ``ctx`` to
-    run the determinant in big floats at that precision for the exact
-    identity tests.  A ``gram`` passed in must have been built for this
-    (n, lambda0).
+    at doubling precision until two runs agree to ``_AGREED_DIGITS`` digits,
+    unless bounds on log|det| from the double factors already place it
+    outside double range.  Either way it raises ``FloatingPointError`` when
+    |det| underflows or overflows double range rather than return +-0 or
+    inf.  Pass ``ctx`` to run the determinant in big floats at that
+    precision for the exact identity tests.  A ``gram`` passed in must have
+    been built for this (n, lambda0).
     """
     if gram is None:
         gram = hermite_gram(n, lambda0, ctx=ctx)
@@ -240,16 +241,24 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
         return _big_float_det(n, lambda0, kappa_sq, ctx, gram)
     k2 = complex(kappa_sq)
     factors = 1.0 - k2 * gram.eigenvalues()
+    err = (abs(k2) * n + 1) * _EPS  # absolute error of each factor
     with np.errstate(divide="ignore"):  # a zero factor gives log = -inf, err = inf
-        worst_err = np.max((abs(k2) * n + 1) * _EPS / np.abs(factors))
+        worst_err = np.max(err / np.abs(factors))
         if worst_err <= _DOUBLE_REL_ERR:
             log_det = np.sum(np.log(factors))
         else:
-            log_det = complex(mp.log(_resolved_det(n, lambda0, k2)))
+            # |factor| +- err brackets each true factor, so log|det| lies
+            # between these sums; outside double range nothing is resolved
+            mag = np.abs(factors)
+            log_det = np.sum(np.log(mag + err))
+            if log_det >= _LOG_TINY:
+                log_det = np.sum(np.log(np.maximum(mag - err, 0.0)))
+                if log_det <= _LOG_HUGE:
+                    log_det = complex(mp.log(_resolved_det(n, lambda0, k2)))
     if not _LOG_TINY <= log_det.real <= _LOG_HUGE:
         raise FloatingPointError(
             f"det(1 - kappa^2 K_n) at (n, lambda0, kappa^2) = ({n}, {float(lambda0)}, "
-            f"{k2}): log|det| comes out as {log_det.real:.6g}, outside double "
+            f"{k2}): log|det| lies at or past {log_det.real:.6g}, outside double "
             "range; pass ctx to compute it in big floats")
     return complex(np.exp(log_det))
 

@@ -14,7 +14,7 @@ Integration is downward only; the decaying direction t -> +inf is unstable
 and is never integrated toward +infinity.
 
 For real |kappa| > 1 the solution has real poles.  A run stops in front of
-one once |u| reaches 100, solves the local Laurent data (location a, residue
+one once |u| reaches 20, solves the local Laurent data (location a, residue
 sign eps, free cubic coefficient) from u and u' at the stop point, and goes
 around the pole through complex t to the mirror point (Fornberg & Weideman,
 J. Comput. Phys. 230, 2011); each crossing is recorded, and the Laurent
@@ -66,10 +66,13 @@ class TooCloseToPole(ValueError):
 
 
 # A real-axis run stops in front of a pole once |u| reaches this value,
-# about 1/100 from the pole, and goes around it on a semicircle of that
-# radius made of this many chords.  The state at the end of the detour must
-# match the Laurent expansion to this relative accuracy.
-_POLE_THRESHOLD = 100.0
+# about 1/20 from the pole, and goes around it on a semicircle of that
+# radius made of this many chords.  The Laurent data solved at the stop
+# point fix the free cubic coefficient only to about eps/r^4 at distance r,
+# so a stop much closer perturbs the continued solution.  The state at the
+# end of the detour must match the Laurent expansion to this relative
+# accuracy.
+_POLE_THRESHOLD = 20.0
 _DETOUR_CHORDS = 16
 _LAURENT_MATCH = 1e-6
 _NEWTON_ITERATIONS = 30

@@ -29,23 +29,9 @@ class PrecisionCtx:
         if self.bits < MIN_BITS:
             raise ValueError(f"need at least {MIN_BITS} mantissa bits, got {self.bits}")
 
-    @property
-    def eps(self):
-        """Unit roundoff 2^(1-bits) as an mpf."""
-        with self.workprec():
-            return mp.mpf(2) ** (1 - self.bits)
-
     def workprec(self, extra: int = 0):
         """Context manager setting mpmath precision to ``bits + extra``."""
         return mp.workprec(self.bits + extra)
-
-    def mpf(self, x) -> mp.mpf:
-        with self.workprec():
-            return mp.mpf(x)
-
-    def mpc(self, x) -> mp.mpc:
-        with self.workprec():
-            return mp.mpc(x)
 
     def doubled(self) -> "PrecisionCtx":
         return PrecisionCtx(2 * self.bits)

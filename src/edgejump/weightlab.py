@@ -3,7 +3,9 @@
 The weight is ``e^(-x^2)`` times a pure phase jump: ``e^(i pi beta)`` left of
 the cut point lambda0 and ``e^(-i pi beta)`` right of it.  Two independent
 routes build its Hankel determinants H_k, norms h_k, monic three-term
-recurrence coefficients R_k and Q_k and polynomial values.
+recurrence coefficients R_k and Q_k and polynomial values.  The split
+between them is one rule: the moment route serves the exact identities, the
+Gram route every asymptotic comparison.
 
 * ``build_op_system`` (moment route, big floats): the moment sequence and
   one O(N^2) moment-to-recurrence (Chebyshev) pass over modified moment
@@ -13,7 +15,7 @@ recurrence coefficients R_k and Q_k and polynomial values.
   exponentially ill-conditioned, which is paid for with mantissa bits (see
   ``precision.hankel_ctx``), and a checked system is built twice (bits,
   2 bits) so only agreeing digits are reported.  It serves the exact checks
-  (criteria 1, 2 and 11), the bulk check and ``edgejump hankel``, and
+  (criteria 1, 2 and 11), ``edgejump hankel`` and demos 01 and 03, and
   exposes the two exact internal identities (the jump identity for Q_n and
   the log-derivative identity for the Hankel determinant) as residual
   operations.  Polynomial values come from the recurrence; a monic
@@ -26,8 +28,9 @@ recurrence coefficients R_k and Q_k and polynomial values.
   form of the modified Chebyshev algorithm; Gautschi, *Orthogonal
   Polynomials: Computation and Approximation*, 2004, section 2.1.7).  It is
   well conditioned, needs no extra bits, and keeps H_n, h_n and p_n in log
-  scale, so it reaches n in the thousands.  It serves the edge asymptotics
-  (criteria 5, 6 and 7).
+  scale, so it reaches n in the thousands.  It serves every asymptotic
+  comparison: the edge expansions (criteria 5, 6 and 7), the bulk check and
+  demo 05.
 """
 from __future__ import annotations
 

@@ -54,7 +54,7 @@ def test_criterion_04_pii_residual_and_airy_matching():
 def test_criterion_05_recurrence_coefficient_asymptotics():
     t0 = time.time()
     rep = verify.check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0),
-                                              ns=(64, 128, 256, 512, 1024),
+                                              ns=(256, 512, 1024, 2048),
                                               growth_cap=1.5)
     _criterion(5, "recurrence coefficient expansions", rep, time.time() - t0, 300.0)
 
@@ -62,14 +62,15 @@ def test_criterion_05_recurrence_coefficient_asymptotics():
 def test_criterion_06_polynomial_asymptote_order():
     t0 = time.time()
     rep = verify.check_polynomial_asymptote(beta=0.4j, t=0.5,
-                                            ns=(64, 128, 256, 512, 1024),
+                                            ns=(64, 128, 256, 512, 1024, 2048),
                                             order=1.0 / 3.0, order_tol=0.15)
     _criterion(6, "polynomial value expansion order", rep, time.time() - t0, 300.0)
 
 
 def test_criterion_07_edge_hankel_trend():
     t0 = time.time()
-    rep = verify.check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80),
+    rep = verify.check_edge_hankel(beta=0.4j, ts=(0.0, 2.0),
+                                   ns=(20, 40, 80, 160, 320, 640),
                                    final_bound=0.05)
     _criterion(7, "edge Hankel expansion trend", rep, time.time() - t0, 120.0)
 

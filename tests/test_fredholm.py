@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from edgejump import fredholm
 from edgejump.fredholm import (GramMatrix, NystromConfig, TailBoundViolated,
                                _airy_kernel_eigs, airy_fredholm_det,
                                airy_fredholm_logdet,
@@ -180,8 +181,13 @@ class TestFiniteN:
     def test_kappa_zero(self):
         assert finite_n_det(5, 0.3, 0.0) == pytest.approx(1.0, abs=1e-14)
 
-    def test_underflow_raises(self):
-        # the determinant is 3.65e-1097 (2000-bit route), below double range
+    def test_underflow_raises(self, monkeypatch):
+        # the determinant is 3.65e-1097 (2000-bit route), below double range;
+        # the double factors already bound log|det| by -912.8 < log(tiny), so
+        # it raises without the big-float route
+        def fail(*args):
+            raise AssertionError("big-float route called")
+        monkeypatch.setattr(fredholm, "_resolved_det", fail)
         with pytest.raises(FloatingPointError):
             finite_n_det(60, -1.0, 1.0)
 

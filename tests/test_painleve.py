@@ -161,6 +161,15 @@ class TestPoles:
         rec = sol_cut.poles[0]
         assert pole_roundtrip_error(sol_cut, rec, offset=0.3) <= 1e-6
 
+    def test_pole_locations_converge_with_tol(self):
+        # each crossing restarts from Laurent data solved at the stop point;
+        # stopping too close to the pole (|u| = 100) let the locations of 11
+        # poles drift by 2.6e-8 between these two tolerances
+        locs = [np.array([p.location for p in solve_as(math.sqrt(2), -14.0, tol).poles])
+                for tol in (1e-12, 1e-13)]
+        assert len(locs[0]) == len(locs[1]) == 11
+        assert np.max(np.abs(locs[0] - locs[1])) <= 1e-9
+
     def test_traversal_disabled_raises(self):
         with pytest.raises(PoleEncountered):
             solve_as(1.5, -7.0, TOL, traverse=False)

@@ -14,3 +14,9 @@ def test_op_system_cached_reuses_its_system():
     a = verify.op_system_cached(0.4j, 32, 0.5)
     assert verify.op_system_cached(0.4j, 32, 0.5) is a
     assert len(verify._OP_CACHE) == 1
+
+
+def test_bulk_hankel_passes_at_defaults():
+    rep = verify.check_bulk_hankel()
+    assert rep.passed, rep.detail
+    assert [r.label for r in rep.rows] == ["bulk-hankel"] * 3 + ["bulk-hankel-edge-degradation"]

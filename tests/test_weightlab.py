@@ -232,6 +232,18 @@ class TestGramRoute:
             log_det = sys.log_H_ratio - 1j * math.pi * beta * n
             assert abs(det / cmath.exp(log_det) - 1) < 1e-12
 
+    @pytest.mark.parametrize("lam", [0.0, 0.9])
+    def test_against_moment_route_in_the_bulk(self, lam):
+        beta, n = 0.2j, 30
+        lam0 = lam * math.sqrt(2.0 * n)
+        ctx = hankel_ctx(n)
+        ref = build_op_system(WeightParams.direct(beta, lam0), n, ctx, check=False)
+        sys = gram_system(beta, n, lam0)
+        with ctx.workprec():
+            assert abs(ref.Q[n] - sys.Q[n]) < 1e-12
+            log_ratio = complex(mp.log(ref.H[n] / gaussian_hankel(n, ctx)))
+        assert abs(cmath.exp(log_ratio - sys.log_H_ratio) - 1) < 1e-12
+
     def test_beta_zero_is_hermite(self):
         sys = gram_system(0.0, 12, 0.7)
         assert np.all(sys.D == 1) and np.all(sys.Q == 0)
