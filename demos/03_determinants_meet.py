@@ -33,8 +33,8 @@ with ctx.workprec():
 print("\nTracy-Widom bridge at the edge (kappa = 0.7):")
 sol = solve_as(0.7, -6.5, 1e-12)
 print("   t     Airy-kernel det    exp(-F(t))        finite n=400")
-for t in (-6.0, -3.0, 0.0, 2.0):
-    d = airy_fredholm_det(0.49, t).real
+ts = (-6.0, -3.0, 0.0, 2.0)
+for t, d in zip(ts, airy_fredholm_det(0.49, ts).real):
     f = math.exp(-complex(sol.F(t)).real)
     lam_edge = math.sqrt(800.0) * (1 + t * 400 ** (-2.0 / 3.0) / 2)
     fin = finite_n_det(400, lam_edge, 0.49).real

@@ -28,7 +28,7 @@ print(f"  determinant    : {det:.5f}")
 
 print("\nthinned Plancherel maximum, N = 10000, 300 draws:")
 est = thinned_max_cdf(10_000, 0.5, (-2.0, 0.0, 1.0), 300, master=2026)
-for t, cdf, sig in zip(est["t"], est["cdf"], est["stderr"]):
-    det = airy_fredholm_det(0.5, t).real
+dets = airy_fredholm_det(0.5, est["t"]).real
+for t, cdf, sig, det in zip(est["t"], est["cdf"], est["stderr"], dets):
     print(f"  t = {t:+.1f}: empirical {cdf:.4f} +- {sig:.4f}   "
           f"deformed Airy det {det:.4f}")

@@ -123,6 +123,9 @@ def _build_config(args) -> RunConfig:
         raise ConfigError("need |Re beta| <= 1/2")
     # 0 bits asks for the default precision, as an unset --bits does
     bits = _value(merged, "bits", int) or None
+    nodes = _value(merged, "nodes", int) or None
+    if nodes is not None and nodes < 1:
+        raise ConfigError(f"need nodes >= 1 (or 0 for the default), got {nodes}")
     if bits is not None and bits < MIN_BITS:
         raise ConfigError(f"need bits >= {MIN_BITS} (or 0 for the default), got {bits}")
     fmt = merged.get("format", "csv")
@@ -134,7 +137,7 @@ def _build_config(args) -> RunConfig:
         lambda0=_value(merged, "lambda0", float),
         bits=bits,
         tol=_value(merged, "tol", float, 1e-12),
-        nodes=_value(merged, "nodes", int),
+        nodes=nodes,
         trials=_value(merged, "trials", int, 100_000),
         seed=_value(merged, "seed", int, 20240),
         out=merged.get("out"), fmt=fmt,
@@ -214,15 +217,15 @@ def _cmd_fredholm(cfg: RunConfig) -> int:
     k2 = kap * kap
     t_lo = cfg.t_min if cfg.t_min is not None else -8.0
     t_hi = cfg.t if cfg.t is not None else 4.0
+    ts = np.arange(t_lo, t_hi + 0.25, 0.5)
+    cfg_n = fredholm.default_nystrom(ts, cfg.tol)
+    if cfg.nodes is not None:
+        cfg_n = fredholm.NystromConfig(m=cfg.nodes, T=cfg_n.T, tol=cfg.tol)
+    logdets = fredholm.airy_fredholm_logdet(k2, ts, cfg_n)
     rep = Report("fredholm-dump", passed=True)
-    for t in np.arange(t_lo, t_hi + 0.25, 0.5):
-        cfg_n = fredholm.default_nystrom(float(t), cfg.tol)
-        if cfg.nodes:
-            cfg_n = fredholm.NystromConfig(m=cfg.nodes, T=cfg_n.T, tol=cfg.tol)
-        det = fredholm.airy_fredholm_det(k2, float(t), cfg_n)
-        logdet = fredholm.airy_fredholm_logdet(k2, float(t), cfg_n)
+    for t, logdet in zip(ts, logdets):
         rep.add(ReportRow(label="airy-determinant", t=float(t), kappa=kap,
-                          finite=det, asym=logdet))
+                          finite=complex(np.exp(logdet)), asym=complex(logdet)))
     return _emit([rep], cfg)
 
 
@@ -231,7 +234,11 @@ def _cmd_fredholm(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(cfg: RunConfig, which: str) -> int:
-    return _emit([verify.CHECKS[which].run(cfg)], cfg)
+    check = verify.CHECKS[which]
+    if cfg.ns and len(cfg.ns) < check.min_ns:
+        raise ConfigError(f"verify {which} judges a trend over n: need at least "
+                          f"{check.min_ns} values in --n, got {len(cfg.ns)}")
+    return _emit([check.run(cfg)], cfg)
 
 
 def _cmd_mc(cfg: RunConfig, which: str) -> int:
@@ -260,7 +267,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--lambda0", type=float, help="cut point (direct form)")
     p.add_argument("--bits", type=int, help="mantissa bits for exact computations")
     p.add_argument("--tol", type=float, help="ODE/Nystrom tolerance")
-    p.add_argument("--nodes", type=int, help="quadrature node count override")
+    p.add_argument("--nodes", type=int, help="Gauss nodes per unit panel")
     p.add_argument("--trials", type=int, help="Monte-Carlo trial count")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--out", type=str, help="report file path")

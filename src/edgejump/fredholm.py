@@ -1,10 +1,33 @@
 """Two determinant engines for the deformed edge statistics.
 
-* ``airy_fredholm_det``: the Airy-kernel Fredholm determinant
-  det(1 - kappa^2 K_Ai) on [t, inf), by Nystrom discretization on a
-  Gauss-Legendre rule over [t, T].  The discretized kernel matrix is real
-  symmetric, so one eigendecomposition per (t, rule) serves every kappa,
-  and log-determinants of tiny values stay accurate through log1p sums.
+* ``airy_fredholm_logdet`` / ``airy_fredholm_det``: the Airy-kernel Fredholm
+  determinant det(1 - kappa^2 K_Ai) on [t, inf), by Nystrom discretization,
+  for a whole sweep of t at once.  One composite Gauss-Legendre grid covers
+  [min t, T]: a breakpoint at every requested t and at T, and between
+  breakpoints panels of equal width at most 1 with ``m`` nodes each, so the
+  nodes above any requested t are exactly a composite rule on [t, T]
+  (Bornemann, Math. Comp. 79 (2010), "On the numerical evaluation of
+  Fredholm determinants").  With the nodes in decreasing order, the leading
+  blocks of the symmetrized Nystrom matrix A discretize [x_s, T] for every
+  node x_s, so one unpivoted ``I - kappa^2 A = L diag(1 + e) L^T``
+  (``linalg.ldlt``) per kappa gives every log-determinant at once: the
+  cumulative sum of ``log1p(e_k)`` is log det on [x_s, inf) at node s, and
+  stays accurate for tiny kappa^2.
+
+  Branch: each pivot is the ratio of consecutive leading determinants.  The
+  factors 1 - kappa^2 lambda_i of a real symmetric A lie on one segment
+  through 1, and their arguments Arg(1 - kappa^2 lambda) are monotone along
+  it and span less than pi when kappa^2 is not real.  By Cauchy interlacing
+  the eigenvalues before and after adding a node alternate, so the change
+  in sum_i Arg(1 - kappa^2 lambda_i) lies within that span: less than pi in
+  magnitude.  So the principal log of each pivot is exactly that change,
+  and the cumulative sum is the sum of principal logs of the factors.  For
+  real kappa^2 < 1 every factor and pivot is positive; for real
+  kappa^2 > 1 the number of negative factors grows by 0 or 1 per node, so
+  each negative pivot adds one negative factor, +i pi.  A pivot can vanish
+  only where a leading determinant does, which needs a real kappa^2 >= 1
+  with kappa^2 lambda_max = 1 for some block; at ``linalg.PIVOT_FLOOR``
+  that raises ``SingularMinor`` rather than return a number.
 
 * ``finite_n_det``: the exact finite-n determinant det(1 - kappa^2 K_n) on
   [lambda0, inf) through the rank-n Gram matrix of orthonormal Hermite
@@ -17,14 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 import scipy.linalg
 import scipy.special as sps
 
-from .linalg import lu_det
+from .linalg import ldlt, lu_det
 from .precision import PrecisionCtx, agreed_digits
 from .quadrature import gauss_legendre
 from .specfun import hermite_functions, hermite_functions_mp
@@ -55,15 +77,15 @@ class TailBoundViolated(ValueError):
 
 @dataclass(frozen=True)
 class NystromConfig:
-    """Node count, truncation point and target error for the Airy Nystrom grid."""
+    """Gauss nodes per unit panel, truncation point and target error of the Airy grid."""
 
     m: int
     T: float
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.m < 40:
-            raise ValueError("need at least 40 quadrature nodes")
+        if self.m < 1:
+            raise ValueError("need at least one node per panel")
 
 
 def airy_kernel_diagonal(x):
@@ -72,17 +94,12 @@ def airy_kernel_diagonal(x):
     return aip * aip - x * ai * ai
 
 
-def default_nystrom(t: float, tol: float = 1e-10) -> NystromConfig:
-    """Truncation T = max(t,0) + 14 and node count scaled to the interval.
+def default_nystrom(t, tol: float = 1e-10) -> NystromConfig:
+    """12 nodes per unit panel and truncation T = max(t, 0) + 14.
 
-    Node density grows once t drops below -12, where the kernel oscillates
-    faster and the default budget would lose accuracy.
+    ``t`` is one point or a sweep; T is taken past the largest.
     """
-    T = max(t, 0.0) + 14.0
-    m = max(160, int(12 * (T - t)))
-    if t < -12:
-        m = max(m, int(16 * (T - t)))
-    return NystromConfig(m=m, T=T, tol=tol)
+    return NystromConfig(m=12, T=max(float(np.max(t)), 0.0) + 14.0, tol=tol)
 
 
 def _check_tail(cfg: NystromConfig):
@@ -92,59 +109,84 @@ def _check_tail(cfg: NystromConfig):
             f"kernel tail {tail:.2e} at T = {cfg.T} exceeds tol/10 = {cfg.tol / 10:.2e}")
 
 
-def _airy_kernel_matrix(t: float, cfg: NystromConfig) -> np.ndarray:
-    """Symmetrized Nystrom matrix sqrt(w_i w_j) K_Ai(x_i, x_j)."""
-    rule = gauss_legendre(cfg.m, t, cfg.T)
-    x = rule.nodes_array()
-    w = rule.weights_array()
+def _airy_nystrom(ts: np.ndarray, cfg: NystromConfig) -> tuple:
+    """(A, above): the Nystrom matrix of the panel grid and the nodes above each t.
+
+    A is ``sqrt(w_i w_j) K_Ai(x_i, x_j)`` with the nodes x in decreasing
+    order, so its leading ``above[i]`` rows and columns discretize
+    [ts[i], T].  Every gap between consecutive breakpoints (the t's and T)
+    is cut into ceil(width) panels of equal width, each with ``cfg.m``
+    Gauss-Legendre nodes.
+    """
+    if ts.max() >= cfg.T:
+        raise ValueError(f"need every t below the truncation point T = {cfg.T}")
+    edges = np.unique(np.append(ts, cfg.T))[::-1]
+    panels = np.ceil(edges[:-1] - edges[1:]).astype(int)
+    cuts = [np.linspace(b, a, k + 1) for b, a, k in zip(edges, edges[1:], panels)]
+    hi = np.concatenate([c[:-1] for c in cuts])
+    lo = np.concatenate([c[1:] for c in cuts])
+    rule = gauss_legendre(cfg.m, -1.0, 1.0)
+    half = (hi - lo)[:, None] / 2
+    x = ((hi + lo)[:, None] / 2 + half * rule.nodes_array()[::-1]).ravel()
+    w = (half * rule.weights_array()[::-1]).ravel()
+    above = cfg.m * np.cumsum(panels)[np.searchsorted(-edges[1:], -ts)]
     ai, aip, _, _ = sps.airy(x)
-    num = np.outer(ai, aip) - np.outer(aip, ai)
-    dx = x[:, None] - x[None, :]
+    dx = x[:, None] - x
     near = np.abs(dx) < 1e-6 * (1.0 + np.abs(x)[:, None])
     np.fill_diagonal(near, True)
-    K = np.where(near, 0.0, num / np.where(near, 1.0, dx))
+    dx[near] = 1.0
+    K = (np.outer(ai, aip) - np.outer(aip, ai)) / dx
     # near-diagonal pairs: divided difference cancels catastrophically, use
     # the derivative form at the midpoint instead
-    idx = np.argwhere(near)
-    mid = 0.5 * (x[idx[:, 0]] + x[idx[:, 1]])
-    K[idx[:, 0], idx[:, 1]] = airy_kernel_diagonal(mid)
+    i, j = np.nonzero(near)
+    K[i, j] = airy_kernel_diagonal(0.5 * (x[i] + x[j]))
     sw = np.sqrt(w)
-    return sw[:, None] * K * sw[None, :]
+    K *= sw[:, None]
+    K *= sw
+    return K, above
 
 
-@lru_cache(maxsize=64)
-def _airy_kernel_eigs(t: float, m: int, T: float) -> tuple:
-    A = _airy_kernel_matrix(t, NystromConfig(m=m, T=T))
-    return tuple(scipy.linalg.eigh(A, eigvals_only=True))
+def _log1p(e: np.ndarray) -> np.ndarray:
+    """Principal log(1 + e), accurate for tiny complex e.
 
-
-def airy_fredholm_logdet(kappa_sq, t: float, cfg: NystromConfig | None = None) -> complex:
-    """log det(1 - kappa^2 K_Ai restricted to [t, inf)).
-
-    The sum of log(1 - z) over z = kappa^2 lambda, lambda the eigenvalues of
-    the symmetrized Nystrom matrix; accurate even when the determinant
-    underflows toward zero.  The real part is ``log1p(|z|^2 - 2 Re z) / 2``,
-    which keeps full relative accuracy for tiny complex z (numpy's complex
-    log1p does not), except where |1 - z| < 1/2 and that log1p argument
-    would cancel: there it is ``log|1 - z|``.  The imaginary part is
-    ``atan2(Im(1 - z), Re(1 - z))``.
+    The real part is ``log1p(|1 + e|^2 - 1) / 2``, which keeps full relative
+    accuracy for tiny e (numpy's complex log1p does not), except where
+    |1 + e| < 1/2 and that argument would cancel: there it is
+    ``log|1 + e|``.  A real e has imaginary part +0, so a negative 1 + e
+    gives +i pi.
     """
-    if cfg is None:
-        cfg = default_nystrom(t)
-    _check_tail(cfg)
-    z = complex(kappa_sq) * np.asarray(_airy_kernel_eigs(t, cfg.m, cfg.T))
-    one_minus_z = 1 - z  # a +0 imaginary part for real kappa^2
-    x = z.real * z.real + z.imag * z.imag - 2 * z.real  # |1 - z|^2 - 1
+    e = np.asarray(e, dtype=complex)
+    x = e.real * (2 + e.real) + e.imag * e.imag  # |1 + e|^2 - 1
     log_abs = np.where(x > -0.75, 0.5 * np.log1p(np.maximum(x, -0.75)),
-                       np.log(np.abs(one_minus_z)))
-    return complex(np.sum(log_abs + 1j * np.arctan2(one_minus_z.imag, one_minus_z.real)))
+                       np.log(np.abs(1 + e)))
+    return log_abs + 1j * np.arctan2(e.imag, 1 + e.real)
 
 
-def airy_fredholm_det(kappa_sq, t: float, cfg: NystromConfig | None = None) -> complex:
-    """det(1 - kappa^2 K_Ai restricted to [t, inf)) by Nystrom quadrature."""
-    if complex(kappa_sq) == 0:
-        return 1.0 + 0j
-    return complex(np.exp(airy_fredholm_logdet(kappa_sq, t, cfg)))
+def airy_fredholm_logdet(kappa_sq, t, cfg: NystromConfig | None = None):
+    """log det(1 - kappa^2 K_Ai restricted to [t, inf)) at one t or a sweep.
+
+    A float t gives a complex; a sequence gives an array, one entry per t,
+    all from one panel grid and one LDL^T (see the module docstring).  The
+    value is the sum of principal logs of the factors 1 - kappa^2 lambda,
+    accurate even when the determinant underflows.  Raises
+    ``linalg.SingularMinor`` when a leading determinant of the grid vanishes
+    (real kappa^2 >= 1 only).
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if cfg is None:
+        cfg = default_nystrom(ts)
+    _check_tail(cfg)
+    A, above = _airy_nystrom(ts, cfg)
+    k2 = complex(kappa_sq)
+    _, e = ldlt(-k2.real * A if k2.imag == 0 else -k2 * A)
+    logdet = np.cumsum(_log1p(e))[above - 1]
+    return complex(logdet[0]) if np.ndim(t) == 0 else logdet
+
+
+def airy_fredholm_det(kappa_sq, t, cfg: NystromConfig | None = None):
+    """det(1 - kappa^2 K_Ai restricted to [t, inf)) at one t or a sweep."""
+    logdet = airy_fredholm_logdet(kappa_sq, t, cfg)
+    return complex(np.exp(logdet)) if np.ndim(t) == 0 else np.exp(logdet)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,23 @@
-"""Dense LU determinant over mpmath scalars.
+"""Two dense factorizations: LU over mpmath scalars, unpivoted LDL^T in doubles.
 
 Determinants of moment matrices are transcendental, so exact (fraction-free)
 elimination is unavailable; complex LU with partial pivoting at high working
 precision is the robust route.  Matrices are plain lists of row lists so the
 same code runs on floats, complex, mpf and mpc entries.
+
+``ldlt`` factors a symmetric ``I + E`` in float64 or complex128 without
+pivoting, so its pivots are ratios of consecutive leading minors: the Gram
+route of ``weightlab`` and the Airy Nystrom determinant of ``fredholm`` both
+read those minors off it.
 """
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 
 from .precision import PrecisionCtx
+
+__all__ = ["lu_det", "ldlt", "SingularMinor", "PIVOT_FLOOR"]
 
 
 def _as_rows(M, ctx: PrecisionCtx | None):
@@ -62,3 +70,64 @@ def _lu_det_inner(A):
                 for c in range(col + 1, n):
                     Ar[c] -= f * Ac[c]
     return det if sign == 1 else -det
+
+
+class SingularMinor(ArithmeticError):
+    """A leading k x k minor vanished.
+
+    For the jump weight this is a Hankel minor H_k; its zeros are meaningful
+    for complex beta, not numerical noise, and no regularization is applied.
+    Callers should perturb parameters.
+    """
+
+    def __init__(self, k: int):
+        super().__init__(f"leading minor of order {k} vanished")
+        self.k = k
+
+
+#: Smallest pivot magnitude, relative to the largest entry, that the
+#: unpivoted factorization accepts.  A smaller pivot has lost half the double
+#: mantissa or more to cancellation, so its leading minor is treated as
+#: vanished.
+PIVOT_FLOOR = 2.0 ** -26
+
+#: Columns factored by scalar steps before one matrix product updates the rest.
+_BLOCK = 32
+
+
+def ldlt(E: np.ndarray) -> tuple:
+    """Unpivoted ``I + E = L diag(1 + e) L^T`` of a symmetric E: (L, e).
+
+    E is real symmetric or complex symmetric (the transpose, not the
+    conjugate transpose), and L is unit lower triangular.  The pivots come
+    back as ``e = D - 1``: the Schur complements of ``I + E`` are ``I`` plus
+    those of E, so e is accumulated directly and ``log1p(e)`` keeps its
+    relative accuracy when E is tiny.  Pivot k is the ratio of the leading
+    minors of orders k + 1 and k.
+
+    Right-looking and blocked: scalar steps inside each block of ``_BLOCK``
+    columns, then one matrix product for the trailing update.  Raises
+    SingularMinor(k + 1) when ``|1 + e_k|`` is at or below ``PIVOT_FLOOR``
+    times the largest entry of ``I + E``: the leading (k + 1) x (k + 1) minor
+    vanished to double precision.
+    """
+    A = np.array(E, dtype=complex if np.iscomplexobj(E) else float)
+    n = len(A)
+    big = np.abs(A)
+    np.fill_diagonal(big, np.abs(1 + np.diagonal(A)))
+    floor = PIVOT_FLOOR * big.max(initial=0.0)
+    for j0 in range(0, n, _BLOCK):
+        j1 = min(j0 + _BLOCK, n)
+        for k in range(j0, j1):
+            d = 1 + A[k, k]
+            if not abs(d) > floor:
+                raise SingularMinor(k + 1)
+            col = A[k + 1:, k] / d
+            A[k + 1:, k + 1:j1] -= np.outer(col, A[k, k + 1:j1])
+            A[k + 1:, k] = col
+        L21 = A[j1:, j0:j1]
+        A[j1:, j1:] -= (L21 * (1 + np.diagonal(A)[j0:j1])) @ L21.T
+    e = np.diagonal(A).copy()
+    L = np.tril(A, -1)
+    np.fill_diagonal(L, 1)
+    return L, e

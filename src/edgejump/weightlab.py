@@ -43,6 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .fredholm import hermite_gram
+from .linalg import PIVOT_FLOOR, SingularMinor, ldlt
 from .precision import PrecisionCtx, agreed_digits, hankel_ctx
 from .specfun import _full_gauss_moment, half_gauss_moments, hermite_functions
 from .util import kappa_sq_from_beta
@@ -54,18 +55,6 @@ __all__ = [
     "qn_jump_identity_residual", "diff_identity_residual",
     "gaussian_hankel", "hankel_matrix",
 ]
-
-
-class SingularMinor(ArithmeticError):
-    """A leading Hankel minor vanished at this (lambda0, beta).
-
-    Zeros of H_k are meaningful for complex beta, not numerical noise; no
-    regularization is applied.  Callers should perturb parameters.
-    """
-
-    def __init__(self, k: int):
-        super().__init__(f"Hankel minor H_{k} vanished")
-        self.k = k
 
 
 @dataclass(frozen=True)
@@ -222,37 +211,9 @@ def hankel_matrix(params: WeightParams, n: int, ctx: PrecisionCtx):
     return [[mu[i + j] for j in range(n)] for i in range(n)]
 
 
-#: Smallest pivot magnitude, relative to the largest entry, that the
-#: unpivoted factorization accepts.  A smaller pivot has lost half the double
-#: mantissa or more to cancellation, so its leading minor is treated as
-#: vanished.
-PIVOT_FLOOR = 2.0 ** -26
-
 #: Half an ulp of 1: entries of kappa^2 G below it leave I - kappa^2 G equal
 #: to the identity in double rounding.
 _HALF_ULP = np.finfo(float).eps / 2
-
-
-def _ldlt(A: np.ndarray) -> tuple:
-    """Unpivoted ``A = L D L^T`` of a complex symmetric matrix: (L, D).
-
-    L is unit lower triangular.  Raises SingularMinor(k + 1) when pivot D_k
-    is below ``PIVOT_FLOOR`` times the largest entry of A: the leading
-    (k + 1) x (k + 1) minor vanished to double precision.
-    """
-    A = np.array(A, dtype=complex)
-    floor = PIVOT_FLOOR * np.abs(A).max(initial=0.0)
-    D = np.empty(len(A), dtype=complex)
-    for k in range(len(A)):
-        D[k] = A[k, k]
-        if not abs(D[k]) > floor:
-            raise SingularMinor(k + 1)
-        col = A[k + 1:, k] / D[k]
-        A[k + 1:, k + 1:] -= np.outer(col, A[k, k + 1:])
-        A[k + 1:, k] = col
-    L = np.tril(A, -1)
-    np.fill_diagonal(L, 1)
-    return L, D
 
 
 @dataclass(frozen=True)
@@ -305,10 +266,10 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     small = abs(k2) * np.abs(G).max(axis=1) <= _HALF_ULP
     m = N if small.all() else int(np.argmin(small))
     try:
-        L, D_active = _ldlt(np.eye(N - m) - k2 * G[m:, m:])
+        L, e = ldlt(-k2 * G[m:, m:])
     except SingularMinor as exc:
         raise SingularMinor(m + exc.k) from None
-    D = np.concatenate((1 - k2 * np.diag(G)[:m], D_active))
+    D = np.concatenate((1 - k2 * np.diag(G)[:m], 1 + e))
     sub = np.zeros(n + 1, dtype=complex)  # L_(k+1,k), k = 0..n
     sub[m:] = np.diagonal(L, -1)
     r = np.sqrt(np.arange(N) / 2)

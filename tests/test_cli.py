@@ -1,3 +1,4 @@
+import cmath
 import csv
 import json
 import math
@@ -83,6 +84,30 @@ def test_invalid_config_exits_2(tmp_path):
         bad.write_text(text)
         command = "hankel" if '"n"' in text else "fredholm"
         assert main([command, "--config", str(bad)]) == 2, text
+
+
+@pytest.mark.parametrize("name", ["noncrit", "thm1.4", "thm1.5", "thm1.2"])
+def test_trend_check_with_one_rung_exits_2(name, capsys):
+    assert verify.CHECKS[name].min_ns == 2
+    assert main(["verify", name, "--n", "30"]) == 2
+    assert "need at least 2 values in --n" in capsys.readouterr().err
+
+
+def test_negative_node_count_exits_2():
+    assert main(["fredholm", "--kappa", "0.5", "--nodes", "-3"]) == 2
+
+
+def test_fredholm_dump_det_is_exp_logdet(tmp_path):
+    out = tmp_path / "f.csv"
+    assert main(["fredholm", "--kappa", "0.7", "--t-min", "-3", "--t", "1",
+                 "--tol", "1e-10", "--nodes", "16", "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert [float(r["t"]) for r in rows] == [-3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0]
+    for r in rows:
+        det = complex(float(r["finite_re"]), float(r["finite_im"]))
+        logdet = complex(float(r["asym_re"]), float(r["asym_im"]))
+        assert det == pytest.approx(cmath.exp(logdet), rel=1e-15)
+    assert float(rows[0]["finite_re"]) == pytest.approx(0.504725123071, abs=1e-11)
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -4,13 +4,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
 from edgejump import fredholm
 from edgejump.fredholm import (GramMatrix, NystromConfig, TailBoundViolated,
-                               _airy_kernel_eigs, airy_fredholm_det,
+                               _airy_nystrom, airy_fredholm_det,
                                airy_fredholm_logdet,
                                airy_kernel_diagonal, default_nystrom,
                                finite_n_det, hermite_gram)
+from edgejump.linalg import SingularMinor, lu_det
 from edgejump.painleve import solve_as
 from edgejump.precision import PrecisionCtx
 from edgejump.specfun import hermite_functions_mp
@@ -35,8 +37,7 @@ class TestAiryDeterminant:
         assert abs(det - pred) <= 1e-8
 
     def test_monotone_in_t(self):
-        vals = [airy_fredholm_det(0.36, float(t)).real
-                for t in np.linspace(-6, 4, 40)]
+        vals = airy_fredholm_det(0.36, np.linspace(-6, 4, 40)).real
         assert all(b - a > -1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 1 + 1e-12
 
@@ -55,16 +56,68 @@ class TestAiryDeterminant:
         ld = airy_fredholm_logdet(0.49, -3.0)
         assert abs(cmath.exp(ld) - airy_fredholm_det(0.49, -3.0)) < 1e-12
 
+    @staticmethod
+    def _block(t, cfg):
+        """The double Nystrom block on [t, T] that the route factors."""
+        A, above = _airy_nystrom(np.array([t]), cfg)
+        return A[:above[0], :above[0]]
+
     @pytest.mark.parametrize("k2, t", [(1e-12 * (1 + 1j), -2.0), (0.3 + 0.2j, -6.0),
-                                       (1.0, -8.0), (1.6, -3.0)])
+                                       (1.6, -3.0),
+                                       (kappa_sq_from_beta(-0.45 + 0.2j), -25.0)])
     def test_logdet_against_mpmath(self, k2, t):
-        # tiny complex kappa^2, a complex one, an eigenvalue within 2e-8 of
-        # 1/kappa^2, and kappa^2 > 1 where some 1 - kappa^2 lambda < 0
-        cfg = default_nystrom(t)
+        # the sum of principal logs of 1 - kappa^2 lambda over the eigenvalues
+        # of the same block, which shares no code with the LDL^T: tiny
+        # complex kappa^2, a complex one, kappa^2 > 1 where some factors are
+        # negative (+i pi each), and a deep-tail kappa^2 whose imaginary part
+        # winds through many multiples of 2 pi
+        lam = scipy.linalg.eigh(self._block(t, default_nystrom(t)), eigvals_only=True)
         with mp.workdps(40):
-            want = sum(mp.log(1 - mp.mpc(k2) * mp.mpf(lam))
-                       for lam in _airy_kernel_eigs(t, cfg.m, cfg.T))
-            assert abs(airy_fredholm_logdet(k2, t) - want) <= 1e-14 * abs(want)
+            want = complex(sum(mp.log(1 - mp.mpc(k2) * mp.mpf(x)) for x in lam))
+        got = airy_fredholm_logdet(k2, t)
+        assert abs(got.real - want.real) <= 1e-14 * abs(want)
+        assert abs(got.imag - want.imag) <= 1e-14 * abs(want)
+
+    def test_logdet_near_singular_against_lu(self):
+        # kappa^2 = 1 at t = -8: the smallest factor 1 - lambda is 2e-8, so
+        # the determinant has relative condition ~5e7.  The reference is a
+        # 128-bit LU of the same double matrix (4 nodes per panel, 88 nodes);
+        # a sum of logs over eigh misses it by 1.3e-8, one double ulp of
+        # backward error in the smallest factor (eps / 2e-8 = 1.1e-8)
+        cfg = NystromConfig(m=4, T=14.0)
+        A = self._block(-8.0, cfg)
+        ctx = PrecisionCtx(128)
+        with ctx.workprec():
+            ref = mp.log(lu_det([[int(i == j) - mp.mpf(float(a)) for j, a in enumerate(row)]
+                                 for i, row in enumerate(A)], ctx))
+        got = airy_fredholm_logdet(1.0, -8.0, cfg)
+        assert got.imag == 0
+        assert abs(cmath.exp(got - complex(ref)) - 1) <= 1e-8
+
+    def test_vanishing_leading_determinant_raises(self):
+        t = -3.0
+        cfg = default_nystrom(t)
+        A = self._block(t, cfg)
+        k2 = 1 / scipy.linalg.eigh(A, eigvals_only=True)[-1]
+        with pytest.raises(SingularMinor) as exc:
+            airy_fredholm_logdet(k2, [t, -5.0], cfg)
+        assert exc.value.k == len(A)
+
+    @pytest.mark.parametrize("k2", [0.49, 0.3 + 0.2j, 1.6])
+    def test_batched_equals_one_call_per_t(self, k2):
+        ts = [-7.0, -3.25, -1.0, 0.0, 2.5]
+        batched = airy_fredholm_logdet(k2, ts)
+        assert batched.shape == (len(ts),)
+        for t, got in zip(ts, batched):
+            assert abs(got - airy_fredholm_logdet(k2, t)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.15j, -0.45 + 0.2j])
+    def test_panel_nodes_doubling_deep_tail(self, beta):
+        k2 = kappa_sq_from_beta(beta)
+        ts = [-25.0, -60.0]
+        a = airy_fredholm_logdet(k2, ts)
+        b = airy_fredholm_logdet(k2, ts, NystromConfig(m=24, T=default_nystrom(ts).T))
+        assert np.abs(a - b).max() <= 1e-10
 
     def test_kernel_diagonal_value(self):
         # K(x,x) = Ai'(x)^2 - x Ai(x)^2 by l'Hopital on the kernel quotient,

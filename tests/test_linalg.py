@@ -1,7 +1,7 @@
 import mpmath as mp
 import numpy as np
 
-from edgejump.linalg import lu_det
+from edgejump.linalg import ldlt, lu_det
 from edgejump.precision import PrecisionCtx
 
 
@@ -67,3 +67,20 @@ def test_doubling_bits_self_consistency():
     hi = lu_det(M, PrecisionCtx(256))
     with mp.workprec(300):
         assert abs(lo - hi) < mp.mpf(2) ** (24 - 128) * abs(hi)
+
+
+def test_ldlt_reconstructs_across_blocks():
+    # 70 rows span three 32-column blocks; complex symmetric and real
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((70, 70)) + 1j * rng.standard_normal((70, 70))
+    for E in ((B + B.T) / 40, (B.real + B.real.T) / 40):
+        L, e = ldlt(E)
+        assert L.dtype == E.dtype and np.all(np.diag(L) == 1) and np.all(np.triu(L, 1) == 0)
+        assert np.abs((L * (1 + e)) @ L.T - (np.eye(70) + E)).max() <= 1e-13
+
+
+def test_ldlt_pivots_keep_tiny_perturbations():
+    # diagonal E: the pivots minus one are E itself, not 1 + E - 1
+    E = np.diag([1e-20, -3e-18, 2e-17 + 1e-19j])
+    _, e = ldlt(E)
+    assert np.array_equal(e, np.diag(E))

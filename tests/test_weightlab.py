@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from edgejump.fredholm import finite_n_det
-from edgejump.linalg import lu_det
+from edgejump.linalg import ldlt, lu_det
 from edgejump.precision import PrecisionCtx, hankel_ctx
 from edgejump.util import kappa_sq_from_beta
-from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev, _ldlt,
+from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev,
                                 build_op_system, diff_identity_residual,
                                 eval_pn, eval_pn_from_coeffs, eval_pn_prime,
                                 gaussian_hankel, gram_system, hankel_matrix,
@@ -258,8 +258,11 @@ class TestGramRoute:
         assert exc.value.k == 1
 
     def test_vanishing_later_minor_raises(self):
+        # I + E with E = A - I for A = [[1, 2, 0], [2, 4, 1], [0, 1, 1]]:
+        # the leading 2 x 2 minor of A is 0
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
         with pytest.raises(SingularMinor) as exc:
-            _ldlt(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]]))
+            ldlt(A - np.eye(3))
         assert exc.value.k == 2
 
 
