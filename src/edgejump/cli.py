@@ -177,7 +177,7 @@ def _cmd_hankel(cfg: RunConfig) -> int:
     else:
         params = weightlab.WeightParams.direct(beta, cfg.lambda0 or 0.0)
     sys = weightlab.build_op_system(params, N, ctx)
-    rep = Report("hankel-dump", passed=True,
+    rep = Report("hankel-dump", passed=True, compares=False,
                  detail=f"agreed digits {sys.agreed}")
     for k in range(N + 1):
         rep.add(ReportRow(label="opsystem-H", n=k, lambda0=float(params.lambda0),
@@ -196,7 +196,7 @@ def _cmd_painleve(cfg: RunConfig) -> int:
     kap = cfg.resolved_kappa()
     t_min = cfg.t_min if cfg.t_min is not None else -12.0
     sol = painleve.solve_as(kap, t_min, cfg.tol)
-    rep = Report("painleve-dump", passed=True,
+    rep = Report("painleve-dump", passed=True, compares=False,
                  detail=f"{len(sol.poles)} poles, start t = {sol.t_start}")
     for t in sol.grid(241):
         u, up, v, F = sol.state(t)
@@ -222,7 +222,7 @@ def _cmd_fredholm(cfg: RunConfig) -> int:
     if cfg.nodes is not None:
         cfg_n = fredholm.NystromConfig(m=cfg.nodes, T=cfg_n.T, tol=cfg.tol)
     logdets = fredholm.airy_fredholm_logdet(k2, ts, cfg_n)
-    rep = Report("fredholm-dump", passed=True)
+    rep = Report("fredholm-dump", passed=True, compares=False)
     for t, logdet in zip(ts, logdets):
         rep.add(ReportRow(label="airy-determinant", t=float(t), kappa=kap,
                           finite=complex(np.exp(logdet)), asym=complex(logdet)))

@@ -12,7 +12,8 @@
   node x_s, so one unpivoted ``I - kappa^2 A = L diag(1 + e) L^T``
   (``linalg.ldlt``) per kappa gives every log-determinant at once: the
   cumulative sum of ``log1p(e_k)`` is log det on [x_s, inf) at node s, and
-  stays accurate for tiny kappa^2.
+  stays accurate for tiny kappa^2.  A does not depend on kappa, so a sweep
+  of kappa builds it once and factors it once per kappa.
 
   Branch: each pivot is the ratio of consecutive leading determinants.  The
   factors 1 - kappa^2 lambda_i of a real symmetric A lie on one segment
@@ -30,11 +31,17 @@
   that raises ``SingularMinor`` rather than return a number.
 
 * ``finite_n_det``: the exact finite-n determinant det(1 - kappa^2 K_n) on
-  [lambda0, inf) through the rank-n Gram matrix of orthonormal Hermite
-  functions.  The Gram matrix has a closed form in the Hermite functions at
-  lambda0 and erfc(lambda0), with no quadrature; one body computes it in
-  double precision by default, or in big floats under a precision context
-  for the high-precision Hankel identity checks.
+  [lambda0, inf) through the rank-n Gram matrix G of orthonormal Hermite
+  functions, det(I - kappa^2 G).  The Gram matrix has a closed form in the
+  Hermite functions at lambda0 and erfc(lambda0), with no quadrature; one
+  body computes it in double precision by default, or in big floats under a
+  precision context for the high-precision Hankel identity checks.  G is
+  real, symmetric and the same for every kappa, so a sweep of kappa builds
+  once: in doubles one ``eigh`` of G, in big floats one Householder
+  reduction ``Q^T G Q = T`` to a real tridiagonal T with diagonal a and
+  off-diagonal b (Golub & Van Loan, Matrix Computations, 8.3.1).  Each
+  kappa then costs O(n): det(I - kappa^2 T) is the last term of the
+  continuant D_j = (1 - kappa^2 a_j) D_(j-1) - kappa^4 b_(j-1)^2 D_(j-2).
 """
 from __future__ import annotations
 
@@ -46,7 +53,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special as sps
 
-from .linalg import ldlt, lu_det
+from .linalg import ldlt
 from .precision import PrecisionCtx, agreed_digits
 from .quadrature import gauss_legendre
 from .specfun import hermite_functions, hermite_functions_mp
@@ -165,28 +172,36 @@ def _log1p(e: np.ndarray) -> np.ndarray:
 def airy_fredholm_logdet(kappa_sq, t, cfg: NystromConfig | None = None):
     """log det(1 - kappa^2 K_Ai restricted to [t, inf)) at one t or a sweep.
 
-    A float t gives a complex; a sequence gives an array, one entry per t,
-    all from one panel grid and one LDL^T (see the module docstring).  The
-    value is the sum of principal logs of the factors 1 - kappa^2 lambda,
-    accurate even when the determinant underflows.  Raises
-    ``linalg.SingularMinor`` when a leading determinant of the grid vanishes
-    (real kappa^2 >= 1 only).
+    ``kappa_sq`` and ``t`` are each one number or a sequence.  A number for
+    both gives a complex; a sequence gives one entry per value, kappa first:
+    an array of shape (len(kappa_sq), len(t)) when both are sequences.
+    Every entry comes from one panel grid and one LDL^T per kappa (see the
+    module docstring).  The value is the sum of principal logs of the
+    factors 1 - kappa^2 lambda, accurate even when the determinant
+    underflows.  Raises ``linalg.SingularMinor`` when a leading determinant
+    of the grid vanishes (real kappa^2 >= 1 only).
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if cfg is None:
         cfg = default_nystrom(ts)
     _check_tail(cfg)
     A, above = _airy_nystrom(ts, cfg)
-    k2 = complex(kappa_sq)
-    _, e = ldlt(-k2.real * A if k2.imag == 0 else -k2 * A)
-    logdet = np.cumsum(_log1p(e))[above - 1]
-    return complex(logdet[0]) if np.ndim(t) == 0 else logdet
+    k2s = [complex(k2) for k2 in np.atleast_1d(kappa_sq)]
+    logdet = np.empty((len(k2s), len(ts)), dtype=complex)
+    for row, k2 in zip(logdet, k2s):
+        _, e = ldlt(-k2.real * A if k2.imag == 0 else -k2 * A)
+        row[:] = np.cumsum(_log1p(e))[above - 1]
+    if np.ndim(t) == 0:
+        logdet = logdet[:, 0]
+    if np.ndim(kappa_sq) == 0:
+        logdet = logdet[0]
+    return complex(logdet) if np.ndim(logdet) == 0 else logdet
 
 
 def airy_fredholm_det(kappa_sq, t, cfg: NystromConfig | None = None):
-    """det(1 - kappa^2 K_Ai restricted to [t, inf)) at one t or a sweep."""
+    """det(1 - kappa^2 K_Ai restricted to [t, inf)), shaped as ``airy_fredholm_logdet``."""
     logdet = airy_fredholm_logdet(kappa_sq, t, cfg)
-    return complex(np.exp(logdet)) if np.ndim(t) == 0 else np.exp(logdet)
+    return complex(np.exp(logdet)) if np.ndim(logdet) == 0 else np.exp(logdet)
 
 
 @dataclass(frozen=True)
@@ -260,29 +275,43 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
     """det(1 - kappa^2 K_n restricted to [lambda0, inf)) via the Hermite Gram matrix.
 
     Equals the thinned gap generating function sum_k (1-kappa^2)^k E_n(k) and
-    the Hankel-determinant ratio of the jump weight.  Double precision by
-    default, as the exponential of the summed logs of 1 - kappa^2 lambda_k
-    over the eigenvalues of G.  ``eigh`` resolves each lambda_k only to about
-    n eps, so a factor that small cancels (kappa^2 near 1 and lambda_k near
-    1, deep in the left tail): when the worst factor's relative error could
-    exceed ``_DOUBLE_REL_ERR``, the determinant is recomputed in big floats
-    at doubling precision until two runs agree to ``_AGREED_DIGITS`` digits,
-    unless bounds on log|det| from the double factors already place it
-    outside double range.  Either way it raises ``FloatingPointError`` when
-    |det| underflows or overflows double range rather than return +-0 or
-    inf.  Pass ``ctx`` to run the determinant in big floats at that
-    precision for the exact identity tests.  A ``gram`` passed in must have
-    been built for this (n, lambda0).
+    the Hankel-determinant ratio of the jump weight.  ``kappa_sq`` is one
+    number or a sequence; a sequence gives one determinant per kappa^2 (an
+    array in double precision, a list under ``ctx``), all from one build of
+    G (see the module docstring) and each equal to its own single call.
+
+    Double precision by default, as the exponential of the summed logs of
+    1 - kappa^2 lambda_k over the eigenvalues of G.  ``eigh`` resolves each
+    lambda_k only to about n eps, so a factor that small cancels (kappa^2
+    near 1 and lambda_k near 1, deep in the left tail): when the worst
+    factor's relative error could exceed ``_DOUBLE_REL_ERR``, the
+    determinant is recomputed in big floats at doubling precision until two
+    runs agree to ``_AGREED_DIGITS`` digits, unless bounds on log|det| from
+    the double factors already place it outside double range.  Either way it
+    raises ``FloatingPointError`` when |det| underflows or overflows double
+    range rather than return +-0 or inf.  Pass ``ctx`` to run the
+    determinant in big floats at that precision for the exact identity
+    tests: one Householder reduction of G, then one continuant per kappa^2.
+    A ``gram`` passed in must have been built for this (n, lambda0).
     """
     if gram is None:
         gram = hermite_gram(n, lambda0, ctx=ctx)
     elif (gram.n, gram.lambda0) != (n, float(lambda0)):
         raise ValueError(f"Gram matrix for (n, lambda0) = ({gram.n}, {gram.lambda0}) "
                          f"passed for ({n}, {float(lambda0)})")
+    sweep = np.ndim(kappa_sq) > 0
+    k2s = list(kappa_sq) if sweep else [kappa_sq]
     if ctx is not None:
-        return _big_float_det(n, lambda0, kappa_sq, ctx, gram)
-    k2 = complex(kappa_sq)
-    factors = 1.0 - k2 * gram.eigenvalues()
+        dets = _big_float_det(gram, k2s, ctx)
+        return dets if sweep else dets[0]
+    eigs = gram.eigenvalues()
+    dets = [_double_det(n, lambda0, complex(k2), eigs) for k2 in k2s]
+    return np.array(dets) if sweep else dets[0]
+
+
+def _double_det(n: int, lambda0, k2: complex, eigs: np.ndarray) -> complex:
+    """det(I - kappa^2 G) from the eigenvalues of G, or big floats when they do not resolve it."""
+    factors = 1.0 - k2 * eigs
     err = (abs(k2) * n + 1) * _EPS  # absolute error of each factor
     with np.errstate(divide="ignore"):  # a zero factor gives log = -inf, err = inf
         worst_err = np.max(err / np.abs(factors))
@@ -305,24 +334,67 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
     return complex(np.exp(log_det))
 
 
-def _big_float_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx, gram: GramMatrix):
-    """det(I - kappa^2 G) by LU in big floats at ``ctx`` precision."""
+def _householder_tridiagonal(G) -> tuple:
+    """(a, b2): diagonal and squared off-diagonal of a tridiagonal Q^T G Q.
+
+    G is real symmetric (rows of mpf); each step reflects the column below
+    the diagonal onto its first entry (Golub & Van Loan 8.3.1), and only the
+    lower triangle of the trailing block is updated.
+    """
+    A = [list(row) for row in G]
+    n = len(A)
+    b2 = []
+    for k in range(n - 2):
+        x = [A[i][k] for i in range(k + 1, n)]
+        s = mp.fdot(x, x)
+        b2.append(s)  # the reflected column is (-sign(x_0) sqrt(s), 0, ..., 0)
+        if not any(x[1:]):
+            continue  # already reduced
+        r = mp.sqrt(s)
+        v = x
+        v[0] = x[0] + r if x[0] >= 0 else x[0] - r
+        beta = 1 / (r * abs(v[0]))  # 2 / (v . v)
+        B = [A[i][k + 1:] for i in range(k + 1, n)]
+        p = [beta * mp.fdot(row, v) for row in B]
+        w = [pi - (beta / 2) * mp.fdot(p, v) * vi for pi, vi in zip(p, v)]
+        for i, row in enumerate(B):
+            vi, wi = v[i], w[i]
+            for j in range(i + 1):
+                A[k + 1 + j][k + 1 + i] = A[k + 1 + i][k + 1 + j] = (
+                    row[j] - vi * w[j] - wi * v[j])
+    a = [A[i][i] for i in range(n)]
+    if n >= 2:
+        b2.append(A[n - 1][n - 2] ** 2)
+    return a, b2
+
+
+def _big_float_det(gram: GramMatrix, kappa_sqs, ctx: PrecisionCtx) -> list:
+    """det(I - kappa^2 G) for each kappa^2, in big floats at ``ctx`` precision.
+
+    One Householder reduction of G, then one continuant per kappa^2.
+    """
     with ctx.workprec(10):
-        k2 = mp.mpc(kappa_sq)
-        A = [[(1 if i == j else 0) - k2 * gram.entries[i, j] for j in range(n)]
-             for i in range(n)]
-        return lu_det(A, ctx)
+        a, b2 = _householder_tridiagonal(gram.entries)
+        dets = []
+        for k2 in kappa_sqs:
+            k2 = mp.mpc(k2)
+            k4 = k2 * k2
+            prev, cur = mp.mpc(1), 1 - k2 * a[0]
+            for aj, bj2 in zip(a[1:], b2):
+                prev, cur = cur, (1 - k2 * aj) * cur - k4 * bj2 * prev
+            dets.append(cur)
+        return dets
 
 
 def _resolved_det(n: int, lambda0, kappa_sq: complex):
     """Big-float determinant at 128, 256, ... bits until two runs agree."""
     bits = 128
-    lo = _big_float_det(n, lambda0, kappa_sq, PrecisionCtx(bits),
-                        hermite_gram(n, lambda0, ctx=PrecisionCtx(bits)))
+    lo = _big_float_det(hermite_gram(n, lambda0, ctx=PrecisionCtx(bits)), [kappa_sq],
+                        PrecisionCtx(bits))[0]
     while 2 * bits <= _MAX_RESOLVE_BITS:
         bits *= 2
         ctx = PrecisionCtx(bits)
-        hi = _big_float_det(n, lambda0, kappa_sq, ctx, hermite_gram(n, lambda0, ctx=ctx))
+        hi = _big_float_det(hermite_gram(n, lambda0, ctx=ctx), [kappa_sq], ctx)[0]
         if agreed_digits(lo, hi) >= _AGREED_DIGITS:
             return hi
         lo = hi

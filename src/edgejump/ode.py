@@ -111,18 +111,24 @@ class DenseTrajectory:
         return tuple(_horner_derivative(c, s) for c in self.coeffs[i])
 
 
+#: _ROOT_EXPONENTS[k][m] = 1/(k - m), the exponent of the step-size root.
+_ROOT_EXPONENTS = [[1.0 / (k - m) for m in range(k)] for k in range(_ORDER + 1)]
+
+
 def _step_size(coeffs, tol):
     """Largest h with |c_k| h^k <= tol max_(m<k) |c_m| h^m, k = K-1, K, every component.
 
-    A component whose last two coefficients vanish sets no bound.
+    A component whose last two coefficients vanish sets no bound.  A zero
+    c_m gives a zero root, which never raises the max.
     """
     h = math.inf
     for c in coeffs:
         mags = [abs(x) for x in c]
         for k in (len(c) - 2, len(c) - 1):
-            if mags[k]:
-                h = min(h, max(((tol * mags[m] / mags[k]) ** (1.0 / (k - m))
-                                for m in range(k) if mags[m]), default=0.0))
+            mk = mags[k]
+            if mk:
+                h = min(h, max(map(pow, [tol * x / mk for x in mags[:k]],
+                                   _ROOT_EXPONENTS[k]), default=0.0))
     return h
 
 

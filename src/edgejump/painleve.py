@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import mpmath as mp
 import scipy.special as sps
@@ -83,8 +84,9 @@ def _pii_taylor(t, y, K):
     u, p, v, F = ([c] for c in y)
     u2, u3 = [], []
     for k in range(K):
-        u2.append(sum(u[j] * u[k - j] for j in range(k + 1)))
-        u3.append(sum(u2[j] * u[k - j] for j in range(k + 1)))
+        # sum_j u_j u_(k-j) and sum_j (u^2)_j u_(k-j), j = 0..k: u holds u_0..u_k
+        u2.append(sum(map(mul, u, reversed(u))))
+        u3.append(sum(map(mul, u2, reversed(u))))
         tu = t * u[k] + (u[k - 1] if k else 0)
         u.append(p[k] / (k + 1))
         p.append((tu + 2 * u3[k]) / (k + 1))

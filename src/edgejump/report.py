@@ -54,11 +54,16 @@ class ReportRow:
     order_est: float | None = None
     verdict: str = ""
 
-    def finish(self) -> "ReportRow":
-        """Fill residuals from the stored values when not set explicitly."""
+    def finish(self, residuals: bool = True) -> "ReportRow":
+        """Fill residuals from the stored values when not set explicitly.
+
+        ``residuals=False`` leaves them empty: ``finite`` and ``asym`` then
+        hold two values side by side, not a value and its prediction.
+        """
         self.finite = safe_complex(self.finite)
         self.asym = safe_complex(self.asym)
-        if self.abs_res is None and self.finite is not None and self.asym is not None:
+        if (residuals and self.abs_res is None and self.finite is not None
+                and self.asym is not None):
             try:
                 self.abs_res = abs(self.finite - self.asym)
                 scale = abs(self.asym) or abs(self.finite)
@@ -95,15 +100,20 @@ class ReportRow:
 
 @dataclass
 class Report:
-    """A verdicted collection of rows for one verification run."""
+    """A verdicted collection of rows for one verification run.
+
+    A dump (``compares=False``) lists computed values without predictions,
+    so its rows get no residuals.
+    """
 
     name: str
     rows: list = field(default_factory=list)
     passed: bool = True
     detail: str = ""
+    compares: bool = True
 
     def add(self, row: ReportRow):
-        self.rows.append(row.finish())
+        self.rows.append(row.finish(self.compares))
 
     def fail(self, detail: str):
         self.passed = False

@@ -12,8 +12,9 @@ it as the inertia count of ``T - lambda0 sqrt(2) I`` (an O(n) pivot
 recurrence over a block of trials), never from an eigendecomposition; whole
 spectra come from :func:`sample_gue_eigs` on the same draws.  Likewise the
 thinned Plancherel maximum needs only the rows above its lowest threshold,
-and RSK bumps only move downward, so :func:`plancherel_sample` inserts into
-a few leading rows instead of the whole tableau.
+and each row of the RSK insertion tableau is built from the values the row
+above bumped out, so :func:`plancherel_sample` builds the leading rows one
+at a time and stops below that threshold.
 
 Randomness is counter-based (Philox) with streams derived as
 (master seed, stream index), so parallel trials are reproducible and any
@@ -215,43 +216,41 @@ def thinning_check(n: int, s: float, lambda0: float, trials: int, master: int,
 # RSK / Plancherel sampling
 # ---------------------------------------------------------------------------
 
-def rsk_shape(perm, rows: int | None = None) -> np.ndarray:
-    """Row lengths of the insertion tableau of a permutation.
+def rsk_shape(perm, bound: float = 0.0) -> np.ndarray:
+    """Row lengths of the insertion tableau of a permutation, row by row.
 
-    With ``rows``, only the first ``rows`` rows are kept and an entry bumped
-    out of the last of them is dropped.  Bumps only move downward, so the
-    kept rows are exactly those of the full tableau (Schensted 1961).
+    Row k + 1 of the insertion tableau is the insertion tableau's first row
+    for the values row k bumped out, in the order they were bumped
+    (Schensted 1961), so each row is built alone from the one above.  Stops
+    after the first row of length at most ``bound``: every row longer than
+    ``bound`` comes back (the whole shape for bound <= 0), followed by
+    exactly one that is not, unless the tableau ran out first.
     """
-    cap = len(perm) if rows is None else rows
-    tableau: list[list[int]] = []
-    for x in np.asarray(perm, dtype=np.int64).tolist():
-        for row in tableau:
+    shape = []
+    xs = np.asarray(perm, dtype=np.int64).tolist()
+    while xs:
+        row, bumped = [], []
+        for x in xs:
             pos = bisect_left(row, x)
             if pos == len(row):
                 row.append(x)
-                break
-            row[pos], x = x, row[pos]
-        else:
-            if len(tableau) < cap:
-                tableau.append([x])
-    return np.array([len(r) for r in tableau], dtype=np.int64)
+            else:
+                bumped.append(row[pos])
+                row[pos] = x
+        shape.append(len(row))
+        if len(row) <= bound:
+            break
+        xs = bumped
+    return np.array(shape, dtype=np.int64)
 
 
 def plancherel_sample(N: int, rng: np.random.Generator, bound: float = 0.0) -> np.ndarray:
     """Leading rows of a partition of N drawn from the Plancherel measure via RSK.
 
     Returns every row longer than ``bound`` (so the whole partition for
-    bound <= 0), possibly with a few shorter rows after them.  RSK of one
-    permutation keeps K = 2, 4, 8, ... rows until the last kept row is at
-    most ``bound`` or the tableau has fewer than K rows.
+    bound <= 0), possibly with one shorter row after them (``rsk_shape``).
     """
-    perm = rng.permutation(N)
-    rows = 2
-    while True:
-        shape = rsk_shape(perm, rows)
-        if len(shape) < rows or shape[-1] <= bound:
-            return shape
-        rows *= 2
+    return rsk_shape(rng.permutation(N), bound)
 
 
 def thinned_max_cdf(N: int, s: float, ts, trials: int, master: int,
@@ -261,7 +260,7 @@ def thinned_max_cdf(N: int, s: float, ts, trials: int, master: int,
     For each threshold t, estimates P(N^(-1/6) (mu_1 - 2 sqrt(N)) <= t) by
     averaging s^(number of rows above the threshold), i.e. with the removal
     randomness integrated out (lower variance than re-thinning per draw).
-    Each draw inserts only into the rows that can exceed the lowest threshold.
+    Each draw builds only the rows that can exceed the lowest threshold.
     """
     ts = list(ts)
     thresholds = [2.0 * math.sqrt(N) + t * N ** (1.0 / 6.0) for t in ts]

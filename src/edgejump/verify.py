@@ -110,15 +110,14 @@ def check_finite_n_identity(ns=(4, 10, 20), betas=(0.4j, 0.3, 0.2 + 0.1j),
         for lam_spec in lambda0s:
             with ctx.workprec():
                 lam0 = mp.sqrt(2 * mp.mpf(n)) if lam_spec == "edge" else mp.mpf(lam_spec)
-            gram = fredholm.hermite_gram(n, lam0, ctx=ctx)
-            for beta in betas:
+            rhss = fredholm.finite_n_det(n, lam0, [kappa_sq_from_beta(b, ctx) for b in betas],
+                                         ctx=ctx)
+            for beta, rhs in zip(betas, rhss):
                 params = weightlab.WeightParams.direct(beta, lam0)
                 sys = weightlab.build_op_system(params, n, ctx, check=False)
                 with ctx.workprec():
                     lhs = (mp.exp(-1j * mp.pi * n * mp.mpc(beta)) * sys.H[n]
                            / weightlab.gaussian_hankel(n, ctx))
-                    rhs = fredholm.finite_n_det(n, lam0, kappa_sq_from_beta(beta, ctx),
-                                                ctx=ctx, gram=gram)
                     err = float(abs(lhs - rhs))
                 ok = err <= tol
                 rep.add(ReportRow(label="hankel-gram-identity", n=n,
@@ -191,11 +190,11 @@ def check_tw_identity(kappas=(0.3, 0.7, 0.95), t_lo: float = -8.0, t_hi: float =
     """Nystrom determinant against exp(-F(t)) from the Painleve solution."""
     rep = Report("tracy-widom-identity")
     ts = np.arange(t_lo, t_hi + step / 2, step)
-    for kap in kappas:
+    det_rows = fredholm.airy_fredholm_det([complex(kap) ** 2 for kap in kappas], ts)
+    for kap, dets in zip(kappas, det_rows):
         sol = solution_cached(kap, t_lo - 0.5, tol)
-        dets = fredholm.airy_fredholm_det(complex(kap) ** 2, ts).tolist()
         worst = 0.0
-        for t, det in zip(ts, dets):
+        for t, det in zip(ts, dets.tolist()):
             pred = cmath.exp(-complex(sol.F(float(t))))
             gap = abs(det - pred)
             worst = max(worst, gap)

@@ -198,6 +198,25 @@ def barnes_g_via_loggamma_integral(z, bits: int = 220):
                 + zv * mp.loggamma(zv) - total)
 
 
+def pii_taylor_index_sum(t, y, K):
+    """Taylor coefficients of (u, u', v, F) for u'' = t u + 2 u^3, v' = -u^2, F' = -v.
+
+    The Cauchy products of u^2 and u^3 by their index sums, term by term in
+    the order j = 0..k.
+    """
+    u, p, v, F = ([c] for c in y)
+    u2, u3 = [], []
+    for k in range(K):
+        u2.append(sum(u[j] * u[k - j] for j in range(k + 1)))
+        u3.append(sum(u2[j] * u[k - j] for j in range(k + 1)))
+        tu = t * u[k] + (u[k - 1] if k else 0)
+        u.append(p[k] / (k + 1))
+        p.append((tu + 2 * u3[k]) / (k + 1))
+        v.append(-u2[k] / (k + 1))
+        F.append(-v[k] / (k + 1))
+    return u, p, v, F
+
+
 def lis_length(seq) -> int:
     """Longest increasing subsequence by patience sorting (tails array)."""
     tails: list = []

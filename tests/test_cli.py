@@ -110,6 +110,18 @@ def test_fredholm_dump_det_is_exp_logdet(tmp_path):
     assert float(rows[0]["finite_re"]) == pytest.approx(0.504725123071, abs=1e-11)
 
 
+def test_fredholm_dump_has_no_residuals(tmp_path):
+    # det and log det side by side are no value and prediction: with
+    # residuals filled, rel_res read 1.1e56 at t = 20
+    out = tmp_path / "f.csv"
+    assert main(["fredholm", "--kappa", "0.5", "--t-min", "19", "--t", "20",
+                 "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert len(rows) == 3
+    assert all(r["abs_res"] == "" and r["rel_res"] == "" for r in rows)
+    assert all(r["finite_re"] and r["asym_re"] for r in rows)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kappa": 0.3, "t_min": -2.0, "t": 0.0}))

@@ -265,3 +265,59 @@ class TestFiniteN:
             finite_n_det(9, 1.0, 0.5, gram=gram)
         with pytest.raises(ValueError):
             finite_n_det(8, 1.5, 0.5, gram=gram)
+
+    @pytest.mark.parametrize("n, lam0, k2", [
+        (12, 0.5, kappa_sq_from_beta(0.4j)),
+        (20, "sqrt40", kappa_sq_from_beta(0.2 + 0.1j)),
+        (16, -1.0, 1.6),  # factors 1 - kappa^2 lambda of both signs
+        (10, -1.0, 1.0),  # det ~ 1.07e-42
+    ])
+    def test_big_float_det_against_lu(self, n, lam0, k2):
+        # the Householder reduction and continuant against a pivoted LU of
+        # I - kappa^2 G, which shares no code with them
+        ctx = PrecisionCtx(256)
+        with ctx.workprec(10):
+            lam0 = mp.sqrt(40) if lam0 == "sqrt40" else mp.mpf(lam0)
+        gram = hermite_gram(n, lam0, ctx=ctx)
+        got = finite_n_det(n, lam0, k2, ctx=ctx, gram=gram)
+        with ctx.workprec(10):
+            k2 = mp.mpc(k2)
+            ref = lu_det([[int(i == j) - k2 * gram.entries[i, j] for j in range(n)]
+                          for i in range(n)], ctx)
+            assert abs(got / ref - 1) < mp.mpf(10) ** -60
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_big_float_det_smallest_sizes(self, n):
+        ctx = PrecisionCtx(256)
+        k2 = kappa_sq_from_beta(0.3 + 0.2j, ctx)
+        G = hermite_gram(n, 0.4, ctx=ctx).entries
+        got = finite_n_det(n, 0.4, k2, ctx=ctx)
+        with ctx.workprec(10):
+            if n == 1:
+                want = 1 - k2 * G[0, 0]
+            else:
+                want = (1 - k2 * G[0, 0]) * (1 - k2 * G[1, 1]) - (k2 * G[0, 1]) ** 2
+            assert abs(got - want) < mp.mpf(10) ** -70
+
+    def test_kappa_sweep_equals_one_call_per_kappa(self):
+        # kappa^2 = 1 at (10, -1) takes the big-float resolution path
+        k2s = [0.49, 0.3 + 0.2j, kappa_sq_from_beta(0.4j), 1.0]
+        sweep = finite_n_det(10, -1.0, k2s)
+        assert isinstance(sweep, np.ndarray) and sweep.shape == (4,)
+        assert sweep.tolist() == [finite_n_det(10, -1.0, k2) for k2 in k2s]
+        ctx = PrecisionCtx(256)
+        k2s = [kappa_sq_from_beta(b, ctx) for b in (0.4j, 0.3, 0.2 + 0.1j)] + [1.6]
+        sweep = finite_n_det(12, 0.5, k2s, ctx=ctx)
+        assert sweep == [finite_n_det(12, 0.5, k2, ctx=ctx) for k2 in k2s]
+
+    def test_airy_kappa_sweep_equals_one_call_per_kappa(self):
+        k2s = [0.49, 0.3 + 0.2j, 1.6]
+        ts = np.array([-4.0, -2.5, 0.0, 1.0])
+        sweep = airy_fredholm_logdet(k2s, ts)
+        assert sweep.shape == (3, 4)
+        for row, k2 in zip(sweep, k2s):
+            assert row.tolist() == airy_fredholm_logdet(k2, ts).tolist()
+        at_one_t = airy_fredholm_logdet(k2s, -2.5)
+        assert at_one_t.tolist() == [airy_fredholm_logdet(k2, -2.5) for k2 in k2s]
+        assert airy_fredholm_det(k2s, ts).tolist() == np.exp(sweep).tolist()
+

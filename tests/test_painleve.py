@@ -11,8 +11,10 @@ from edgejump.painleve import (FitFailure, PoleEncountered, TooCloseToPole,
                                p34_singular_asymptote, phase_singular,
                                pii_residual, pole_free_scan,
                                pole_roundtrip_error, solve_as,
-                               v_asymptote_minus)
+                               v_asymptote_minus, _pii_taylor)
 from edgejump.util import beta_from_kappa, kappa_from_beta
+
+from oracles import pii_taylor_index_sum
 
 TOL = 1e-12
 
@@ -243,3 +245,18 @@ def test_singular_regime_matches_ode():
         assert abs(y.real - pred) <= 0.08 * abs(pred)
         checked += 1
     assert checked > 5
+
+
+@pytest.mark.parametrize("complex_state", [False, True])
+def test_taylor_coefficients_match_index_sums(complex_state):
+    # the Cauchy products sum the same pairs in the same order as the index
+    # sums, so every coefficient agrees bit for bit
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        y = rng.normal(size=4) * 3
+        t = rng.normal() * 10
+        if complex_state:
+            y = y + 1j * rng.normal(size=4)
+            t = complex(t, rng.normal())
+        y = tuple(y.tolist())
+        assert _pii_taylor(t, y, 24) == pii_taylor_index_sum(t, y, 24)

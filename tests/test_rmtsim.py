@@ -153,7 +153,7 @@ class TestRSK:
         assert chi2 < 25.0  # df = 4; generous deterministic threshold
 
     def test_truncated_plancherel_keeps_leading_rows(self):
-        # K starts at 2: N = 1 and 2 have fewer rows than K on most draws
+        # N = 1 and 2: the tableau runs out before a row at or below the bound
         cases = [(1, 0.0), (2, 0.5), (2, -1.0), (30, 0.0), (30, 3.0), (200, 0.0),
                  (200, 12.0), (200, 25.0), (1000, -2.0), (1000, 40.0)]
         for k in range(20):
