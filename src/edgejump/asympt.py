@@ -18,14 +18,13 @@ import mpmath as mp
 
 from .fredholm import airy_fredholm_logdet
 from .precision import PrecisionCtx
-from .quadrature import gauss_legendre
-from .specfun import airy_ai, airy_ai_prime, barnes_g
+from .specfun import barnes_g
+from .util import kappa_sq_from_beta
 from .weightlab import gaussian_hankel
 
 __all__ = [
     "edge_hankel_asymptote", "bulk_hankel_asymptote", "recurrence_asymptotes",
-    "polynomial_value_asymptote", "airy_tail_residual", "moment_limit_check",
-    "fit_order",
+    "polynomial_value_asymptote", "airy_tail_residual", "fit_order",
 ]
 
 
@@ -117,31 +116,12 @@ def airy_tail_residual(t: float, beta, logdet: complex | None = None) -> float:
     if b == 0:
         return 0.0
     if logdet is None:
-        from .util import kappa_sq_from_beta
         logdet = airy_fredholm_logdet(kappa_sq_from_beta(b), t)
     mt = -t
     g = complex(mp.log(mp.barnesg(1 + mp.mpc(b))) + mp.log(mp.barnesg(1 - mp.mpc(b))))
     val = (complex(logdet) + (4.0 / 3.0) * 1j * b * mt ** 1.5
            + 1.5 * b * b * math.log(mt) - g + 3 * b * b * math.log(2.0))
     return abs(val)
-
-
-def moment_limit_check(t: float, m: int = 240) -> tuple:
-    """(quadrature, closed form) for the limiting mean count above the edge.
-
-    integral_t^inf (tau - t) Ai(tau)^2 d tau against
-    (2 t^2 Ai^2 - Ai Ai' - 2 t Ai'^2)/3.
-    """
-    hi = max(t, 0.0) + 16.0
-    rule = gauss_legendre(m, t, hi)
-    x = rule.nodes_array()
-    ai = [float(airy_ai(xi)) for xi in x]
-    quad = float(sum(w * (xi - t) * a * a
-                     for xi, w, a in zip(x, rule.weights, ai)))
-    ai_t = float(airy_ai(t))
-    aip_t = float(airy_ai_prime(t))
-    closed = (2 * t * t * ai_t * ai_t - ai_t * aip_t - 2 * t * aip_t * aip_t) / 3.0
-    return quad, closed
 
 
 def fit_order(errs, ratio: float = 2.0) -> float:

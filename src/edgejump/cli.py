@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fredholm, painleve, verify, weightlab
 from .precision import MIN_BITS, PrecisionCtx, hankel_ctx
-from .report import Report, ReportRow, safe_complex, write_report
+from .report import Report, ReportRow, write_report
 from .util import beta_from_kappa, kappa_from_beta
 
 
@@ -180,15 +180,11 @@ def _cmd_hankel(cfg: RunConfig) -> int:
     rep = Report("hankel-dump", passed=True, compares=False,
                  detail=f"agreed digits {sys.agreed}")
     for k in range(N + 1):
-        rep.add(ReportRow(label="opsystem-H", n=k, lambda0=float(params.lambda0),
-                          beta=complex(beta), finite=safe_complex(sys.H[k])))
-        rep.add(ReportRow(label="opsystem-h", n=k, lambda0=float(params.lambda0),
-                          beta=complex(beta), finite=safe_complex(sys.h[k])))
-        rep.add(ReportRow(label="opsystem-Q", n=k, lambda0=float(params.lambda0),
-                          beta=complex(beta), finite=safe_complex(sys.Q[k])))
-        if k >= 1:
-            rep.add(ReportRow(label="opsystem-R", n=k, lambda0=float(params.lambda0),
-                              beta=complex(beta), finite=safe_complex(sys.R[k])))
+        for name, vals in (("H", sys.H), ("h", sys.h), ("Q", sys.Q), ("R", sys.R)):
+            if name != "R" or k >= 1:
+                rep.add(ReportRow(label=f"opsystem-{name}", n=k,
+                                  lambda0=float(params.lambda0), beta=complex(beta),
+                                  finite=vals[k]))
     return _emit([rep], cfg)
 
 
@@ -199,13 +195,10 @@ def _cmd_painleve(cfg: RunConfig) -> int:
     rep = Report("painleve-dump", passed=True, compares=False,
                  detail=f"{len(sol.poles)} poles, start t = {sol.t_start}")
     for t in sol.grid(241):
-        u, up, v, F = sol.state(t)
-        rep.add(ReportRow(label="trajectory-u", t=float(t), kappa=kap,
-                          finite=safe_complex(u)))
-        rep.add(ReportRow(label="trajectory-v", t=float(t), kappa=kap,
-                          finite=safe_complex(v)))
-        rep.add(ReportRow(label="trajectory-F", t=float(t), kappa=kap,
-                          finite=safe_complex(F)))
+        u, _, v, F = sol.state(t)
+        rep.add(ReportRow(label="trajectory-u", t=float(t), kappa=kap, finite=u))
+        rep.add(ReportRow(label="trajectory-v", t=float(t), kappa=kap, finite=v))
+        rep.add(ReportRow(label="trajectory-F", t=float(t), kappa=kap, finite=F))
     for p in sol.poles:
         rep.add(ReportRow(label="pole", t=p.location, kappa=kap,
                           finite=complex(p.sign), asym=complex(p.cubic)))

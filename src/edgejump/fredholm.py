@@ -132,10 +132,10 @@ def _airy_nystrom(ts: np.ndarray, cfg: NystromConfig) -> tuple:
     cuts = [np.linspace(b, a, k + 1) for b, a, k in zip(edges, edges[1:], panels)]
     hi = np.concatenate([c[:-1] for c in cuts])
     lo = np.concatenate([c[1:] for c in cuts])
-    rule = gauss_legendre(cfg.m, -1.0, 1.0)
+    nodes, weights = gauss_legendre(cfg.m, -1.0, 1.0)
     half = (hi - lo)[:, None] / 2
-    x = ((hi + lo)[:, None] / 2 + half * rule.nodes_array()[::-1]).ravel()
-    w = (half * rule.weights_array()[::-1]).ravel()
+    x = ((hi + lo)[:, None] / 2 + half * nodes[::-1]).ravel()
+    w = (half * weights[::-1]).ravel()
     above = cfg.m * np.cumsum(panels)[np.searchsorted(-edges[1:], -ts)]
     ai, aip, _, _ = sps.airy(x)
     dx = x[:, None] - x
@@ -212,16 +212,11 @@ class GramMatrix:
     diagonal of the rank-n Christoffel-Darboux kernel.
     """
 
-    n: int
-    lambda0: float
     entries: np.ndarray  # float64, or object dtype holding mpf
 
     def eigenvalues(self) -> np.ndarray:
         return scipy.linalg.eigh(np.asarray(self.entries, dtype=float),
                                  eigvals_only=True)
-
-    def trace(self):
-        return np.trace(self.entries)
 
 
 def _gram_closed_form(psi: np.ndarray, g00, sqrt) -> np.ndarray:
@@ -267,11 +262,10 @@ def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> Gra
         with ctx.workprec(10):
             psi = np.array(hermite_functions_mp(n + 1, lambda0, ctx), dtype=object)
             G = _gram_closed_form(psi, mp.erfc(mp.mpf(lambda0)) / 2, mp.sqrt)
-    return GramMatrix(n=n, lambda0=float(lambda0), entries=G)
+    return GramMatrix(entries=G)
 
 
-def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
-                 gram: GramMatrix | None = None):
+def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None):
     """det(1 - kappa^2 K_n restricted to [lambda0, inf)) via the Hermite Gram matrix.
 
     Equals the thinned gap generating function sum_k (1-kappa^2)^k E_n(k) and
@@ -292,13 +286,8 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None,
     range rather than return +-0 or inf.  Pass ``ctx`` to run the
     determinant in big floats at that precision for the exact identity
     tests: one Householder reduction of G, then one continuant per kappa^2.
-    A ``gram`` passed in must have been built for this (n, lambda0).
     """
-    if gram is None:
-        gram = hermite_gram(n, lambda0, ctx=ctx)
-    elif (gram.n, gram.lambda0) != (n, float(lambda0)):
-        raise ValueError(f"Gram matrix for (n, lambda0) = ({gram.n}, {gram.lambda0}) "
-                         f"passed for ({n}, {float(lambda0)})")
+    gram = hermite_gram(n, lambda0, ctx=ctx)
     sweep = np.ndim(kappa_sq) > 0
     k2s = list(kappa_sq) if sweep else [kappa_sq]
     if ctx is not None:

@@ -23,9 +23,9 @@ and v are meromorphic there; F picks up -log(t - a) and is continued on the
 principal-value branch -log|t - a|, the mean of the continuations above and
 below the pole (F is only used on pole-free runs).
 
-Closed-form asymptotic evaluators for the oscillatory regime t -> -inf, for
-the squared transcendent in the singular |Re beta| = 1/2 regime, and for the
-antiderivative v are provided alongside.
+Closed-form asymptotic evaluators for the oscillatory regime t -> -inf and
+for the squared transcendent in the singular |Re beta| = 1/2 regime are
+provided alongside.
 """
 from __future__ import annotations
 
@@ -38,24 +38,22 @@ import mpmath as mp
 import scipy.special as sps
 
 from .ode import StepUnderflow, adaptive_rk, along_path
-from .util import beta_from_kappa, kappa_from_beta
+from .util import beta_from_kappa
 
 __all__ = [
     "ASolution", "PoleRecord", "solve_as", "PoleEncountered", "FitFailure",
-    "TooCloseToPole", "as_asymptote_minus", "v_asymptote_minus",
-    "p34_singular_asymptote", "p34_residual", "pii_residual",
-    "phase_oscillatory", "phase_singular", "pole_roundtrip_error",
-    "pole_free_scan",
+    "TooCloseToPole", "as_asymptote_minus", "p34_singular_asymptote",
+    "pii_residual", "phase_oscillatory", "phase_singular",
+    "pole_roundtrip_error", "pole_free_scan",
 ]
 
 
 class PoleEncountered(RuntimeError):
     """Blow-up on the real line with traversal disabled."""
 
-    def __init__(self, t_star, partial):
+    def __init__(self, t_star):
         super().__init__(f"Painleve II pole near t = {float(t_star):.6g}")
         self.t_star = t_star
-        self.partial = partial
 
 
 class FitFailure(RuntimeError):
@@ -77,6 +75,8 @@ _POLE_THRESHOLD = 20.0
 _DETOUR_CHORDS = 16
 _LAURENT_MATCH = 1e-6
 _NEWTON_ITERATIONS = 30
+#: Most poles one real-axis run crosses.
+_MAX_POLES = 500
 
 
 def _pii_taylor(t, y, K):
@@ -282,9 +282,6 @@ class ASolution:
     def u(self, t):
         return self.state(t)[0]
 
-    def u_prime(self, t):
-        return self.state(t)[1]
-
     def v(self, t):
         return self.state(t)[2]
 
@@ -309,25 +306,6 @@ def pii_residual(sol: ASolution, t) -> float:
     return abs(upp - t * u - 2 * u ** 3)
 
 
-def p34_residual(sol: ASolution, t) -> float:
-    """Residual of y'' = 4 y^2 + 2 t y + y'^2/(2y) for y = u^2.
-
-    Derivatives come from dense output.  Undefined where u vanishes (in
-    particular for the zero solution kappa = 0).
-    """
-    seg = sol._segment_for(t)
-    if seg is None:
-        raise ValueError("residual is only defined on integrated segments")
-    u, up = seg(t)[:2]
-    if abs(u) < 1e-8:
-        raise ValueError("Painleve XXXIV residual undefined where u = 0")
-    upp = seg.derivative(t)[1]
-    y = u * u
-    yp = 2 * u * up
-    ypp = 2 * up * up + 2 * u * upp
-    return abs(ypp - 4 * y * y - 2 * t * y - yp * yp / (2 * y))
-
-
 def _pick_t_start(kappa_sq_mag: float, tol: float) -> float:
     t = 2.0
     while t < 12.0:
@@ -348,7 +326,7 @@ def _airy_initial_state(kappa: complex, t0: float):
     return (u, up, v, F)
 
 
-def _integrate_with_poles(y0, t0, t1, tol, *, traverse, max_poles=500):
+def _integrate_with_poles(y0, t0, t1, tol, *, traverse):
     """March toward t1, going around real poles as they are met."""
     side = 1 if t1 < t0 else -1  # the stop point lies on the side we come from
 
@@ -361,13 +339,13 @@ def _integrate_with_poles(y0, t0, t1, tol, *, traverse, max_poles=500):
         try:
             traj = adaptive_rk(_pii_taylor, y_cur, t_cur, t1, tol, event=near_pole)
         except StepUnderflow as exc:
-            raise PoleEncountered(exc.t_star, exc.trajectory) from exc
+            raise PoleEncountered(exc.t_star) from exc
         segments.append(traj)
         if traj.event_t is None:
             return segments, poles
         if not traverse:
-            raise PoleEncountered(traj.event_t, traj)
-        if len(poles) >= max_poles:
+            raise PoleEncountered(traj.event_t)
+        if len(poles) >= _MAX_POLES:
             raise RuntimeError("pole budget exhausted")
         rec, t_cur, y_cur = _cross_pole(traj.event_t, traj.y_end, side, tol)
         poles.append(rec)
@@ -487,46 +465,6 @@ def as_asymptote_minus(t, beta) -> complex:
         raise ValueError("needs |Re beta| < 1/2")
     amp = cmath.sqrt(2j * b)
     return (-t) ** -0.25 * amp * cmath.sin(phase_oscillatory(t, b))
-
-
-def v_asymptote_minus(t, beta, form: str = "auto") -> complex:
-    """Closed-form large negative-t behavior of the antiderivative branch.
-
-    Evaluates the stated expansions of the relevant Riemann-Hilbert matrix
-    entry: the general-beta form, the purely-imaginary-beta cosine form, and
-    the boundary form Re beta = 1/2.  The undocumented phase symbol in the
-    general form is taken as ``(4/3)(-t)^(3/2) - 3 i beta (log(-t) + 2 log 2)``,
-    which reproduces the imaginary-beta case exactly; the overall sign
-    convention relative to v(t) from the ODE is resolved empirically (see
-    tests).
-    """
-    b = complex(beta)
-    mt = -t
-    if t >= 0:
-        raise ValueError("asymptote needs t < 0")
-    if form == "auto":
-        if abs(b.real) < 1e-12:
-            form = "imag"
-        elif abs(b.real - 0.5) < 1e-12:
-            form = "half"
-        else:
-            form = "general"
-    if form == "imag":
-        kt = b.imag
-        if abs(kt) < 1e-12:
-            return 0j
-        phase = ((4.0 / 3.0) * mt ** 1.5 + 3 * kt * math.log(mt)
-                 + 6 * kt * math.log(2.0) - 2 * float(mp.arg(mp.gamma(mp.mpc(0, kt)))))
-        return (2 * kt * math.sqrt(mt) + kt / (2 * mt) * math.cos(phase)
-                + 3 * kt * kt / (2 * mt))
-    if form == "half":
-        gamma = b.imag
-        return math.sqrt(mt) * (2 * gamma - math.tan(phase_singular(t, gamma)))
-    theta = (4.0 / 3.0) * mt ** 1.5 - 3j * b * (math.log(mt) + 2 * math.log(2.0))
-    g = lambda z: complex(mp.gamma(mp.mpc(z)))
-    osc = (g(1 - b) / g(b) * cmath.exp(1j * theta)
-           - g(1 + b) / g(-b) * cmath.exp(-1j * theta))
-    return -2j * b * cmath.sqrt(mt) - osc / (4j * mt) - 3 * b * b / (2 * mt)
 
 
 def p34_singular_asymptote(t, gamma: float) -> float:

@@ -55,8 +55,10 @@ class ReportRow:
     verdict: str = ""
 
     def finish(self, residuals: bool = True) -> "ReportRow":
-        """Fill residuals from the stored values when not set explicitly.
+        """Fill the residuals a driver left unset from ``finite`` and ``asym``.
 
+        A residual the driver set is kept.  A driver that sets ``abs_res``
+        has chosen its residual, so no ``rel_res`` is derived then.
         ``residuals=False`` leaves them empty: ``finite`` and ``asym`` then
         hold two values side by side, not a value and its prediction.
         """
@@ -66,9 +68,10 @@ class ReportRow:
                 and self.asym is not None):
             try:
                 self.abs_res = abs(self.finite - self.asym)
-                scale = abs(self.asym) or abs(self.finite)
-                self.rel_res = self.abs_res / scale if scale else math.inf
-            except (OverflowError, ValueError):
+                if self.rel_res is None:
+                    scale = abs(self.asym) or abs(self.finite)
+                    self.rel_res = self.abs_res / scale if scale else math.inf
+            except OverflowError:  # |.| of a complex past double range
                 pass
         return self
 

@@ -1,4 +1,4 @@
-"""Monte-Carlo side: GUE counts and spectra, thinning, random partitions.
+"""Monte-Carlo side: GUE counts, thinning, random partitions.
 
 Spectra are drawn from the symmetric tridiagonal beta = 2 Hermite ensemble
 (normal diagonal, chi off-diagonals with decreasing degrees of freedom) and
@@ -9,12 +9,13 @@ finite-n determinant gap probability at 3 sigma.
 
 The estimators read only X, the number of points above lambda0.  They take
 it as the inertia count of ``T - lambda0 sqrt(2) I`` (an O(n) pivot
-recurrence over a block of trials), never from an eigendecomposition; whole
-spectra come from :func:`sample_gue_eigs` on the same draws.  Likewise the
-thinned Plancherel maximum needs only the rows above its lowest threshold,
-and each row of the RSK insertion tableau is built from the values the row
-above bumped out, so :func:`plancherel_sample` builds the leading rows one
-at a time and stops below that threshold.
+recurrence over a block of trials), never from an eigendecomposition;
+:func:`sample_gue_eigs` diagonalizes the same draws, and the test suite
+reads its spectra to pin the counts.  Likewise the thinned Plancherel
+maximum needs only the rows above its lowest threshold, and each row of the
+RSK insertion tableau is built from the values the row above bumped out, so
+:func:`plancherel_sample` builds the leading rows one at a time and stops
+below that threshold.
 
 Randomness is counter-based (Philox) with streams derived as
 (master seed, stream index), so parallel trials are reproducible and any
@@ -24,15 +25,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
-    "stream_rng", "SpectrumSample", "ThinnedSample", "sample_gue",
-    "sample_gue_eigs", "thin", "counting_moments", "gap_probability_mc",
-    "thinning_check", "plancherel_sample", "rsk_shape", "thinned_max_cdf",
+    "stream_rng", "sample_gue_eigs", "gap_probability_mc", "thinning_check",
+    "plancherel_sample", "rsk_shape", "thinned_max_cdf",
 ]
 
 #: Trials drawn per block.  Part of the stream layout: spectra, counts and
@@ -48,23 +46,6 @@ def stream_rng(master: int, stream: int = 0) -> np.random.Generator:
     """Reproducible counter-based generator for (master seed, stream index)."""
     seq = np.random.SeedSequence(entropy=master, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(seq))
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Eigenvalues of one e^(-x^2)-normalized GUE draw, sorted descending."""
-
-    n: int
-    eigenvalues: np.ndarray
-    seed: tuple
-
-
-@dataclass(frozen=True)
-class ThinnedSample:
-    """Surviving points after independent removal with probability s."""
-
-    survivors: np.ndarray
-    removal_probability: float
 
 
 def _tridiag_draws(n: int, trials: int, rng: np.random.Generator):
@@ -119,8 +100,8 @@ def _gue_counts(n: int, lambda0: float, trials: int, master: int,
 def sample_gue_eigs(n: int, trials: int, master: int, stream: int = 0) -> np.ndarray:
     """(trials, n) eigenvalue array in the e^(-x^2) normalization, sorted descending.
 
-    For callers that read whole spectra; the estimators below need only the
-    counts above a threshold and never diagonalize.
+    The estimators below need only the counts above a threshold and never
+    diagonalize; the test suite reads these spectra to pin the counts.
     """
     out = np.empty((trials, n))
     batch = max(1, _DENSE_ENTRIES // (n * n))
@@ -136,41 +117,6 @@ def sample_gue_eigs(n: int, trials: int, master: int, stream: int = 0) -> np.nda
             out[done:done + db.shape[0]] = np.linalg.eigvalsh(T)[:, ::-1] / math.sqrt(2.0)
             done += db.shape[0]
     return out
-
-
-def sample_gue(n: int, rng: np.random.Generator | None = None, *,
-               master: int = 0, stream: int = 0) -> SpectrumSample:
-    """One spectrum draw; pass either a generator or (master, stream)."""
-    if rng is None:
-        rng = stream_rng(master, stream)
-    d, e = _tridiag_draws(n, 1, rng)
-    eigs = scipy.linalg.eigvalsh_tridiagonal(d[0], e[0]) if n > 1 else d[0]
-    x = np.sort(eigs)[::-1] / math.sqrt(2.0)
-    return SpectrumSample(n=n, eigenvalues=x, seed=(master, stream))
-
-
-def thin(sample, s: float, rng: np.random.Generator) -> ThinnedSample:
-    """Remove each point independently with probability s (kept with 1 - s)."""
-    pts = sample.eigenvalues if isinstance(sample, SpectrumSample) else np.asarray(sample)
-    keep = rng.random(pts.shape[0]) >= s
-    return ThinnedSample(survivors=pts[keep], removal_probability=float(s))
-
-
-def counting_moments(n: int, lambda0: float, trials: int, kmax: int,
-                     master: int, stream: int = 0) -> dict:
-    """Sample moments of the count of eigenvalues above lambda0.
-
-    Returns {'mean': [...], 'stderr': [...]} for powers 1..kmax, plus the
-    raw count frequencies.
-    """
-    X = _gue_counts(n, lambda0, trials, master, stream)
-    means, errs = [], []
-    for k in range(1, kmax + 1):
-        vals = X.astype(float) ** k
-        means.append(float(vals.mean()))
-        errs.append(float(vals.std(ddof=1) / math.sqrt(trials)))
-    freq = np.bincount(X, minlength=n + 1) / trials
-    return {"mean": means, "stderr": errs, "frequencies": freq}
 
 
 def gap_probability_mc(n: int, lambda0: float, trials: int, master: int,

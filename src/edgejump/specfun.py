@@ -1,102 +1,24 @@
 """Special functions feeding every closed-form expression in the lab.
 
-Airy Ai/Ai', the complex Gamma function, the Barnes double-Gamma function and
-the complementary error function are delegated to mpmath (double-precision
-vector paths use scipy); the half-range Gaussian moment tables and the
-orthonormal Hermite recurrences are implemented here.  Every delegated
-function is still pinned down by independent oracles in the test suite
-(Maclaurin series, defining ODE residuals, reflection/recursion identities,
-log-Gamma integral quadrature).
+The Barnes G-function is delegated to mpmath; the half-range Gaussian
+moment tables and the orthonormal Hermite function recurrences are
+implemented here.  Callers take Airy and Gamma values straight from the
+libraries (``scipy.special.airy``, ``mpmath.gamma``), with no wrapper.
+Every function here, and the library Airy and Gamma functions, are pinned
+down by independent oracles in the test suite (Maclaurin series,
+reflection/recursion identities, log-Gamma integral quadrature, big-float
+Gauss-Legendre quadrature, Hermite polynomials).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-import scipy.special as sps
 
 from .precision import PrecisionCtx
 
-__all__ = [
-    "airy_ai", "airy_ai_prime", "gamma_complex", "barnes_g",
-    "half_gauss_moments", "HalfMomentTable", "hermite_orthonormal",
-    "hermite_functions", "PrecisionExhausted", "PoleAtNonpositiveInteger",
-]
-
-
-class PrecisionExhausted(ArithmeticError):
-    """The requested argument needs more guard bits than the context allows."""
-
-
-class PoleAtNonpositiveInteger(ZeroDivisionError):
-    """Gamma evaluated at 0, -1, -2, ..."""
-
-
-# A deep-negative Airy evaluation cancels ~ |x|^(3/2) bits; cap the implied
-# internal precision at this many bits beyond the context.
-_AIRY_GUARD_CAP = 1 << 16
-
-
-def _airy_guard_bits(x: float) -> int:
-    if x >= 0:
-        return 16
-    return 16 + int(3.0 * abs(x) ** 1.5 / math.log(2))
-
-
-def airy_ai(x, ctx: PrecisionCtx | None = None):
-    """Airy function Ai(x) for real x, |x| <= 1e4.
-
-    With ``ctx`` the value is an mpf with relative error below
-    2^(32 - bits) for x >= -50; without a context it is a float64 from
-    scipy.
-    """
-    xf = float(x)
-    if abs(xf) > 1e4:
-        raise ValueError("airy_ai restricted to |x| <= 1e4")
-    if ctx is None:
-        return sps.airy(xf)[0]
-    guard = _airy_guard_bits(xf)
-    if guard > _AIRY_GUARD_CAP + ctx.bits:
-        raise PrecisionExhausted(
-            f"Ai({xf}) needs ~{guard} guard bits, beyond this context")
-    with ctx.workprec(guard):
-        v = mp.airyai(mp.mpf(x))
-    with ctx.workprec():
-        return +v
-
-
-def airy_ai_prime(x, ctx: PrecisionCtx | None = None):
-    """Derivative Ai'(x); same contract as :func:`airy_ai`."""
-    xf = float(x)
-    if abs(xf) > 1e4:
-        raise ValueError("airy_ai_prime restricted to |x| <= 1e4")
-    if ctx is None:
-        return sps.airy(xf)[1]
-    guard = _airy_guard_bits(xf)
-    if guard > _AIRY_GUARD_CAP + ctx.bits:
-        raise PrecisionExhausted(
-            f"Ai'({xf}) needs ~{guard} guard bits, beyond this context")
-    with ctx.workprec(guard):
-        v = mp.airyai(mp.mpf(x), derivative=1)
-    with ctx.workprec():
-        return +v
-
-
-def gamma_complex(z, ctx: PrecisionCtx | None = None):
-    """Gamma(z) for complex z off the nonpositive integers.
-
-    Double instantiation keeps relative error below ~1e-14; reflection and
-    argument shifts for Re z < 1/2 are handled by the backend.
-    """
-    zc = complex(z) if ctx is None else mp.mpc(z)
-    if zc.real <= 0 and zc.imag == 0 and float(zc.real) == int(zc.real):
-        raise PoleAtNonpositiveInteger(f"Gamma pole at z = {zc}")
-    if ctx is None:
-        return sps.gamma(complex(zc))
-    with ctx.workprec(10):
-        return mp.gamma(zc)
+__all__ = ["barnes_g", "half_gauss_moments", "hermite_functions", "hermite_functions_mp"]
 
 
 def barnes_g(z, ctx: PrecisionCtx | None = None):
@@ -112,37 +34,19 @@ def barnes_g(z, ctx: PrecisionCtx | None = None):
         return mp.barnesg(mp.mpc(z))
 
 
-@dataclass(frozen=True)
-class HalfMomentTable:
-    """J_k = integral_{lambda0}^inf x^k e^(-x^2) dx for k = 0..K."""
-
-    lambda0: float
-    values: tuple
-
-    def __getitem__(self, k: int):
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def half_gauss_moments(lambda0, K: int, ctx: PrecisionCtx | None = None) -> HalfMomentTable:
-    """Half-range Gaussian moments J_0..J_K at arbitrary precision.
+def half_gauss_moments(lambda0, K: int, ctx: PrecisionCtx) -> tuple:
+    """Half-range Gaussian moments J_0..J_K, integral_{lambda0}^inf x^k e^(-x^2) dx.
 
     J_0 comes from erfc, J_1 is e^(-lambda0^2)/2, and higher orders follow
     the integration-by-parts recursion
     ``J_k = ((k-1) J_{k-2} + lambda0^(k-1) e^(-lambda0^2)) / 2``,
     which is stable upward for lambda0 >= 0 (all terms positive).  Negative
     cuts are mapped to positive ones by parity against the full moments,
-    avoiding cancellation for deep-negative lambda0.
+    avoiding cancellation for deep-negative lambda0.  Returns a tuple of
+    mpf at ``ctx`` precision.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    if ctx is None:
-        ctx_eff = PrecisionCtx(64)
-        table = half_gauss_moments(lambda0, K, ctx_eff)
-        return HalfMomentTable(float(lambda0), tuple(float(v) for v in table.values))
-
     with ctx.workprec(20):
         lam = mp.mpf(lambda0)
         if lam < 0:
@@ -153,8 +57,7 @@ def half_gauss_moments(lambda0, K: int, ctx: PrecisionCtx | None = None) -> Half
         else:
             vals = _half_moments_nonneg(lam, K)
     with ctx.workprec():
-        vals = [+v for v in vals]
-    return HalfMomentTable(float(lambda0), tuple(vals))
+        return tuple(+v for v in vals)
 
 
 def _full_gauss_moment(j: int):
@@ -174,24 +77,6 @@ def _half_moments_nonneg(lam, K: int):
         lam_pow *= lam
         vals.append(((k - 1) * vals[k - 2] + lam_pow) / 2)
     return vals
-
-
-def hermite_orthonormal(k: int, x):
-    """Degree-k Hermite polynomial, orthonormal for the weight e^(-x^2).
-
-    Uses the stable recurrence on the orthonormal normalization,
-    ``H_{k+1} = x sqrt(2/(k+1)) H_k - sqrt(k/(k+1)) H_{k-1}``,
-    starting from H_0 = pi^(-1/4).  Accepts scalars or numpy arrays.
-    Beware float overflow for |x| beyond ~35 at large k; quadrature code
-    should use :func:`hermite_functions` instead.
-    """
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    h_prev = 0.0 * x if not np.isscalar(x) else 0.0
-    h = np.pi ** -0.25 + 0.0 * x if not np.isscalar(x) else np.pi ** -0.25
-    for j in range(k):
-        h, h_prev = x * math.sqrt(2.0 / (j + 1)) * h - math.sqrt(j / (j + 1.0)) * h_prev, h
-    return h
 
 
 def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:

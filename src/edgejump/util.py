@@ -16,12 +16,9 @@ def kappa_sq_from_beta(beta, ctx: PrecisionCtx | None = None):
         return 1 - mp.exp(-2j * mp.pi * mp.mpc(beta))
 
 
-def kappa_from_beta(beta, ctx: PrecisionCtx | None = None):
+def kappa_from_beta(beta) -> complex:
     """Principal square root of ``kappa_sq_from_beta``."""
-    if ctx is None:
-        return cmath.sqrt(kappa_sq_from_beta(beta))
-    with ctx.workprec(10):
-        return mp.sqrt(kappa_sq_from_beta(beta, ctx))
+    return cmath.sqrt(kappa_sq_from_beta(beta))
 
 
 def beta_from_kappa(kappa) -> complex:

@@ -18,8 +18,7 @@ Gram route every asymptotic comparison.
   (criteria 1, 2 and 11), ``edgejump hankel`` and demos 01 and 03, and
   exposes the two exact internal identities (the jump identity for Q_n and
   the log-derivative identity for the Hankel determinant) as residual
-  operations.  Polynomial values come from the recurrence; a monic
-  coefficient row is built from it on demand, for cross-checks only.
+  operations.  Polynomial values and derivatives come from the recurrence.
 
 * ``gram_system`` (Gram route, complex128): in the orthonormal Hermite basis
   the weight's moment matrix is ``e^(i pi beta) (I - kappa^2 G)``, with G the
@@ -50,8 +49,7 @@ from .util import kappa_sq_from_beta
 
 __all__ = [
     "WeightParams", "OPSystem", "SingularMinor", "moments", "build_op_system",
-    "GramSystem", "gram_system", "PIVOT_FLOOR",
-    "eval_pn", "eval_pn_prime", "monic_coefficients", "eval_pn_from_coeffs",
+    "GramSystem", "gram_system", "PIVOT_FLOOR", "eval_pn_prime",
     "qn_jump_identity_residual", "diff_identity_residual",
     "gaussian_hankel", "hankel_matrix",
 ]
@@ -68,8 +66,6 @@ class WeightParams:
 
     beta: complex
     lambda0: object  # float or mpf; pinned at construction precision
-    n: int | None = None
-    t: float | None = None
 
     def __post_init__(self):
         b = complex(self.beta) if not isinstance(self.beta, mp.mpc) else self.beta
@@ -90,7 +86,7 @@ class WeightParams:
         with ctx.workprec():
             tn = mp.mpf(t)
             lam0 = mp.sqrt(2 * mp.mpf(n)) * (1 + tn * mp.mpf(n) ** mp.mpf("-2/3") / 2)
-        return cls(beta=beta, lambda0=lam0, n=n, t=float(t))
+        return cls(beta=beta, lambda0=lam0)
 
     def jump_phases(self):
         """(e^(i pi beta), e^(-i pi beta)) at current working precision."""
@@ -163,10 +159,6 @@ class OPSystem:
     R: tuple       # R_0 (unused, 0) .. R_N
     Q: tuple       # Q_0..Q_N
     agreed: dict | None = None
-
-    @property
-    def ctx(self) -> PrecisionCtx:
-        return PrecisionCtx(self.bits)
 
 
 def _build_once(params: WeightParams, N: int, ctx: PrecisionCtx):
@@ -301,22 +293,14 @@ def gaussian_hankel(n: int, ctx: PrecisionCtx):
         return +v
 
 
-def eval_pn(sys: OPSystem, k: int, x):
-    """Monic p_k(x) by the forward three-term recurrence."""
+def eval_pn_prime(sys: OPSystem, k: int, x):
+    """(p_k(x), p_k'(x)) from the three-term recurrence and its derivative.
+
+    Monic p_k runs forward as ``p_(j+1) = (x - Q_j) p_j - R_j p_(j-1)``, and
+    p_k' by the same recurrence differentiated.
+    """
     if k > sys.N + 1:
         raise ValueError("degree exceeds the system order")
-    with mp.workprec(sys.bits + 10):
-        xv = mp.mpmathify(x)
-        p_prev, p = mp.mpf(1), xv - sys.Q[0]
-        if k == 0:
-            return p_prev
-        for j in range(1, k):
-            p, p_prev = (xv - sys.Q[j]) * p - sys.R[j] * p_prev, p
-        return p
-
-
-def eval_pn_prime(sys: OPSystem, k: int, x):
-    """(p_k(x), p_k'(x)) from the differentiated recurrence."""
     with mp.workprec(sys.bits + 10):
         xv = mp.mpmathify(x)
         p_prev, p = mp.mpf(1), xv - sys.Q[0]
@@ -333,39 +317,6 @@ def eval_pn_prime(sys: OPSystem, k: int, x):
         return p, d
 
 
-def monic_coefficients(sys: OPSystem, k: int) -> tuple:
-    """Coefficients of monic p_k, constant term first, from the recurrence.
-
-    O(k^2) work: rows p_0..p_k are built by ``p_{j+1} = (x - Q_j) p_j -
-    R_j p_{j-1}`` and only row k is kept.
-    """
-    if k > sys.N + 1:
-        raise ValueError("degree exceeds the system order")
-    with mp.workprec(sys.bits + 10):
-        prev, cur = (), (mp.mpf(1),)
-        for j in range(k):
-            nxt = [mp.mpc(0)] * (j + 2)
-            for i, c in enumerate(cur):       # x * p_j
-                nxt[i + 1] += c
-            for i, c in enumerate(cur):       # - Q_j p_j
-                nxt[i] -= sys.Q[j] * c
-            for i, c in enumerate(prev):      # - R_j p_{j-1}
-                nxt[i] -= sys.R[j] * c
-            prev, cur = cur, tuple(nxt)
-        return cur
-
-
-def eval_pn_from_coeffs(sys: OPSystem, k: int, x):
-    """Monic p_k(x) by Horner on its coefficient row (cross-check route)."""
-    row = monic_coefficients(sys, k)
-    with mp.workprec(sys.bits + 10):
-        xv = mp.mpmathify(x)
-        acc = mp.mpc(0)
-        for c in reversed(row):
-            acc = acc * xv + c
-        return acc
-
-
 def qn_jump_identity_residual(sys: OPSystem, n: int):
     """Residual of the exact jump identity for Q_n.
 
@@ -378,7 +329,7 @@ def qn_jump_identity_residual(sys: OPSystem, n: int):
     with mp.workprec(sys.bits + 10):
         lam = mp.mpf(sys.params.lambda0)
         b = mp.mpc(sys.params.beta)
-        pn = eval_pn(sys, n, lam)
+        pn, _ = eval_pn_prime(sys, n, lam)
         rhs = -pn * pn * mp.exp(-lam * lam) * mp.sinh(mp.mpc(0, 1) * mp.pi * b) / sys.h[n]
         return abs(sys.Q[n] - rhs)
 

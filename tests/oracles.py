@@ -7,6 +7,7 @@ implementations they check.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import eval_hermite, gammaln
+from scipy.special import airy, eval_hermite, gammaln
 
 
 def _legendre_pair(m: int, x):
@@ -122,6 +123,40 @@ def airy_maclaurin(x, prec: int = 256):
         return +out
 
 
+def hermite_orthonormal(k: int, x):
+    """Degree-k Hermite polynomial, orthonormal for the weight e^(-x^2).
+
+    Uses the recurrence on the orthonormal normalization,
+    ``H_{k+1} = x sqrt(2/(k+1)) H_k - sqrt(k/(k+1)) H_{k-1}``,
+    starting from H_0 = pi^(-1/4).  Accepts scalars or numpy arrays; the
+    values overflow for |x| beyond ~35 at large k.
+    """
+    if k < 0:
+        raise ValueError("degree must be >= 0")
+    h_prev = 0.0 * x if not np.isscalar(x) else 0.0
+    h = np.pi ** -0.25 + 0.0 * x if not np.isscalar(x) else np.pi ** -0.25
+    for j in range(k):
+        h, h_prev = x * math.sqrt(2.0 / (j + 1)) * h - math.sqrt(j / (j + 1.0)) * h_prev, h
+    return h
+
+
+def moment_limit_check(t: float, m: int = 240) -> tuple:
+    """(quadrature, closed form) for the limiting mean count above the edge.
+
+    integral_t^inf (tau - t) Ai(tau)^2 d tau, by numpy's m-point
+    Gauss-Legendre rule on [t, max(t, 0) + 16] with scipy's Ai, against
+    (2 t^2 Ai^2 - Ai Ai' - 2 t Ai'^2)/3.
+    """
+    hi = max(t, 0.0) + 16.0
+    xs, ws = np.polynomial.legendre.leggauss(m)
+    x = 0.5 * (hi - t) * xs + 0.5 * (hi + t)
+    ai = airy(x)[0]
+    quad = float(np.sum(0.5 * (hi - t) * ws * (x - t) * ai * ai))
+    ai_t, aip_t = airy(t)[:2]
+    closed = (2 * t * t * ai_t * ai_t - ai_t * aip_t - 2 * t * aip_t * aip_t) / 3.0
+    return quad, float(closed)
+
+
 def jump_weight_integral(f, beta, lambda0, bits: int = 320, span: float = 14.0,
                          m: int = 260):
     """integral f(x) w(x) dx for the phase-jump Gaussian weight.
@@ -173,6 +208,39 @@ def gram_schmidt_monic(beta, lambda0, degree: int, bits: int = 320):
         return polys, norms
 
 
+def monic_coefficients(sys, k: int) -> tuple:
+    """Coefficients of monic p_k, constant term first, from the recurrence of ``sys``.
+
+    O(k^2) work: rows p_0..p_k are built by ``p_{j+1} = (x - Q_j) p_j -
+    R_j p_{j-1}`` and only row k is kept.
+    """
+    if k > sys.N + 1:
+        raise ValueError("degree exceeds the system order")
+    with mp.workprec(sys.bits + 10):
+        prev, cur = (), (mp.mpf(1),)
+        for j in range(k):
+            nxt = [mp.mpc(0)] * (j + 2)
+            for i, c in enumerate(cur):       # x * p_j
+                nxt[i + 1] += c
+            for i, c in enumerate(cur):       # - Q_j p_j
+                nxt[i] -= sys.Q[j] * c
+            for i, c in enumerate(prev):      # - R_j p_{j-1}
+                nxt[i] -= sys.R[j] * c
+            prev, cur = cur, tuple(nxt)
+        return cur
+
+
+def eval_pn_from_coeffs(sys, k: int, x):
+    """Monic p_k(x) by Horner on its coefficient row."""
+    row = monic_coefficients(sys, k)
+    with mp.workprec(sys.bits + 10):
+        xv = mp.mpmathify(x)
+        acc = mp.mpc(0)
+        for c in reversed(row):
+            acc = acc * xv + c
+        return acc
+
+
 def barnes_g_via_loggamma_integral(z, bits: int = 220):
     """log G(1+z) from the classical integral of log Gamma.
 
@@ -196,6 +264,68 @@ def barnes_g_via_loggamma_integral(z, bits: int = 220):
         total += hi - hi * mp.log(hi) - mp.euler * hi ** 2 / 2
         return (zv * (1 - zv) / 2 + zv / 2 * mp.log(2 * mp.pi)
                 + zv * mp.loggamma(zv) - total)
+
+
+def p34_residual(sol, t) -> float:
+    """Residual of y'' = 4 y^2 + 2 t y + y'^2/(2y) for y = u^2 of a Painleve solution.
+
+    Derivatives come from the dense output of ``sol``.  Undefined where u
+    vanishes (in particular for the zero solution kappa = 0).
+    """
+    seg = sol._segment_for(t)
+    if seg is None:
+        raise ValueError("residual is only defined on integrated segments")
+    u, up = seg(t)[:2]
+    if abs(u) < 1e-8:
+        raise ValueError("Painleve XXXIV residual undefined where u = 0")
+    upp = seg.derivative(t)[1]
+    y = u * u
+    yp = 2 * u * up
+    ypp = 2 * up * up + 2 * u * upp
+    return abs(ypp - 4 * y * y - 2 * t * y - yp * yp / (2 * y))
+
+
+def v_asymptote_minus(t, beta, form: str = "auto") -> complex:
+    """Closed-form large negative-t behavior of the antiderivative branch.
+
+    Evaluates the stated expansions of the relevant Riemann-Hilbert matrix
+    entry: the general-beta form, the purely-imaginary-beta cosine form, and
+    the boundary form Re beta = 1/2.  The undocumented phase symbol in the
+    general form is taken as ``(4/3)(-t)^(3/2) - 3 i beta (log(-t) + 2 log 2)``,
+    which reproduces the imaginary-beta case exactly; the overall sign
+    convention relative to v(t) from the ODE is resolved empirically (see
+    tests).
+    """
+    b = complex(beta)
+    mt = -t
+    if t >= 0:
+        raise ValueError("asymptote needs t < 0")
+    if form == "auto":
+        if abs(b.real) < 1e-12:
+            form = "imag"
+        elif abs(b.real - 0.5) < 1e-12:
+            form = "half"
+        else:
+            form = "general"
+    if form == "imag":
+        kt = b.imag
+        if abs(kt) < 1e-12:
+            return 0j
+        phase = ((4.0 / 3.0) * mt ** 1.5 + 3 * kt * math.log(mt)
+                 + 6 * kt * math.log(2.0) - 2 * float(mp.arg(mp.gamma(mp.mpc(0, kt)))))
+        return (2 * kt * math.sqrt(mt) + kt / (2 * mt) * math.cos(phase)
+                + 3 * kt * kt / (2 * mt))
+    if form == "half":
+        gamma = b.imag
+        # the singular phase on the line Re beta = 1/2
+        phase = ((2.0 / 3.0) * mt ** 1.5 + 1.5 * gamma * math.log(mt)
+                 + 3.0 * gamma * math.log(2.0) - float(mp.arg(mp.gamma(mp.mpc(0.5, gamma)))))
+        return math.sqrt(mt) * (2 * gamma - math.tan(phase))
+    theta = (4.0 / 3.0) * mt ** 1.5 - 3j * b * (math.log(mt) + 2 * math.log(2.0))
+    g = lambda z: complex(mp.gamma(mp.mpc(z)))
+    osc = (g(1 - b) / g(b) * cmath.exp(1j * theta)
+           - g(1 + b) / g(-b) * cmath.exp(-1j * theta))
+    return -2j * b * cmath.sqrt(mt) - osc / (4j * mt) - 3 * b * b / (2 * mt)
 
 
 def pii_taylor_index_sum(t, y, K):

@@ -3,23 +3,27 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from edgejump.asympt import (airy_tail_residual, bulk_hankel_asymptote,
                              edge_hankel_asymptote, fit_order,
-                             moment_limit_check, polynomial_value_asymptote,
-                             recurrence_asymptotes)
-from edgejump.painleve import solve_as
+                             polynomial_value_asymptote, recurrence_asymptotes)
+from edgejump.painleve import _airy_initial_state, solve_as
 from edgejump.precision import PrecisionCtx
-from edgejump.specfun import airy_ai, airy_ai_prime
 from edgejump.weightlab import gaussian_hankel
+
+from oracles import moment_limit_check
 
 CTX = PrecisionCtx(256)
 
 
 class TestMomentLimit:
+    # the closed form is the kappa -> 0 limit of F / kappa^2 that starts the
+    # Painleve integration (``painleve._airy_initial_state``)
     def test_value_at_zero(self):
         quad, closed = moment_limit_check(0.0)
-        want = -float(airy_ai(0.0)) * float(airy_ai_prime(0.0)) / 3.0
+        ai, aip = sps.airy(0.0)[:2]
+        want = -ai * aip / 3.0
         assert closed == pytest.approx(want, rel=1e-14)
         assert quad == pytest.approx(want, abs=1e-12)
 
@@ -35,6 +39,7 @@ class TestMomentLimit:
     def test_quadrature_matches_closed_form(self, t):
         quad, closed = moment_limit_check(t)
         assert quad == pytest.approx(closed, abs=1e-10)
+        assert _airy_initial_state(1.0, t)[3] == pytest.approx(quad, abs=1e-10)
 
 
 class TestFitOrder:
@@ -71,7 +76,7 @@ class TestDegenerateLimits:
             nn = mp.mpf(n)
             hermite_form = (mp.sqrt(2 * mp.pi) * (nn * mp.e / 2) ** (nn / 2)
                             * nn ** mp.mpf("1/6") * mp.exp(t * nn ** mp.mpf("1/3"))
-                            * airy_ai(t, CTX))
+                            * mp.airyai(t))
             assert abs(pred / hermite_form - 1) < 1e-8
 
     def test_airy_tail_beta_zero_is_exact(self):

@@ -7,14 +7,12 @@ import scipy.special as sps
 
 from edgejump.painleve import (FitFailure, PoleEncountered, TooCloseToPole,
                                as_asymptote_minus, kappa_for_gamma,
-                               oscillation_envelope, p34_residual,
-                               p34_singular_asymptote, phase_singular,
-                               pii_residual, pole_free_scan,
-                               pole_roundtrip_error, solve_as,
-                               v_asymptote_minus, _pii_taylor)
+                               oscillation_envelope, p34_singular_asymptote,
+                               phase_singular, pii_residual, pole_free_scan,
+                               pole_roundtrip_error, solve_as, _pii_taylor)
 from edgejump.util import beta_from_kappa, kappa_from_beta
 
-from oracles import pii_taylor_index_sum
+from oracles import p34_residual, pii_taylor_index_sum, v_asymptote_minus
 
 TOL = 1e-12
 

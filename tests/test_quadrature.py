@@ -12,24 +12,24 @@ BITS = 256
 
 
 def test_one_point_rule_is_midpoint():
-    rule = gauss_legendre(1, -1.0, 1.0)
-    assert rule.nodes[0] == pytest.approx(0.0, abs=1e-15)
-    assert rule.weights[0] == pytest.approx(2.0, abs=1e-15)
+    nodes, weights = gauss_legendre(1, -1.0, 1.0)
+    assert nodes[0] == pytest.approx(0.0, abs=1e-15)
+    assert weights[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_two_point_rule_nodes():
     # moment conditions through degree 3 for a symmetric rule (+-x, w, w):
     # 2w = 2 and 2w x^2 = 2/3 force x = 1/sqrt(3), w = 1
-    rule = gauss_legendre(2, -1.0, 1.0)
-    assert rule.nodes[0] == pytest.approx(-1.0 / math.sqrt(3.0), abs=1e-15)
-    assert rule.nodes[1] == pytest.approx(+1.0 / math.sqrt(3.0), abs=1e-15)
-    assert rule.weights[0] == pytest.approx(1.0, abs=1e-15)
+    nodes, weights = gauss_legendre(2, -1.0, 1.0)
+    assert nodes[0] == pytest.approx(-1.0 / math.sqrt(3.0), abs=1e-15)
+    assert nodes[1] == pytest.approx(+1.0 / math.sqrt(3.0), abs=1e-15)
+    assert weights[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_exactness_bound_x4():
     # degree 4 <= 2m-1 = 5 for m = 3
-    rule = gauss_legendre(3, -1.0, 1.0)
-    val = sum(w * x ** 4 for x, w in zip(rule.nodes, rule.weights))
+    nodes, weights = gauss_legendre(3, -1.0, 1.0)
+    val = sum(w * x ** 4 for x, w in zip(nodes, weights))
     assert val == pytest.approx(2.0 / 5.0, abs=5e-16)
 
 

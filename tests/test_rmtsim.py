@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from edgejump import rmtsim
 from edgejump.fredholm import finite_n_det, hermite_gram
-from edgejump.rmtsim import (_count_above, _gue_counts, counting_moments,
-                             gap_probability_mc, plancherel_sample, rsk_shape,
-                             sample_gue, sample_gue_eigs, stream_rng, thin,
-                             thinned_max_cdf, thinning_check)
+from edgejump.rmtsim import (_count_above, _gue_counts, gap_probability_mc,
+                             plancherel_sample, rsk_shape, sample_gue_eigs,
+                             stream_rng, thinned_max_cdf, thinning_check)
 
 from oracles import (gap_probability_from_spectra, hook_length_dimension, lis_length,
                      partitions_of, plancherel_probability, thinning_from_spectra)
@@ -15,28 +15,29 @@ from oracles import (gap_probability_from_spectra, hook_length_dimension, lis_le
 
 class TestSampling:
     def test_seeded_determinism(self):
-        a = sample_gue(8, master=42, stream=3)
-        b = sample_gue(8, master=42, stream=3)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        c = sample_gue(8, master=42, stream=4)
-        assert not np.array_equal(a.eigenvalues, c.eigenvalues)
+        a = sample_gue_eigs(8, 2, master=42, stream=3)
+        b = sample_gue_eigs(8, 2, master=42, stream=3)
+        assert np.array_equal(a, b)
+        c = sample_gue_eigs(8, 2, master=42, stream=4)
+        assert not np.array_equal(a, c)
 
     def test_sorted_descending(self):
-        s = sample_gue(12, master=1)
-        assert np.all(np.diff(s.eigenvalues) <= 0)
+        eigs = sample_gue_eigs(12, 5, master=1)
+        assert np.all(np.diff(eigs, axis=1) <= 0)
 
     def test_scalar_case_density(self):
         # n = 1: density proportional to e^{-x^2}, variance 1/2
         eigs = sample_gue_eigs(1, 100_000, master=5)
         assert eigs.var() == pytest.approx(0.5, abs=0.01)
 
-    def test_batched_determinism(self):
-        # batched and single-draw paths interleave the stream differently,
-        # so each is pinned to its own reproducibility
+    def test_batched_determinism(self, monkeypatch):
+        # the eigvalsh batches split the draws, not the stream: one matrix
+        # per batch gives the same spectra
         a = sample_gue_eigs(6, 3, master=9, stream=0)
+        monkeypatch.setattr(rmtsim, "_DENSE_ENTRIES", 36)
         b = sample_gue_eigs(6, 3, master=9, stream=0)
         assert np.array_equal(a, b)
-        assert np.all(np.diff(a, axis=1) <= 0)
+        assert not np.array_equal(a, sample_gue_eigs(6, 3, master=9, stream=1))
 
     def test_gap_probability_against_determinant(self):
         p, sig = gap_probability_mc(8, 3.0, 30_000, master=11)
@@ -85,18 +86,19 @@ class TestCounts:
 
 class TestThinning:
     def test_no_removal(self):
-        s = sample_gue(20, master=3)
-        out = thin(s, 0.0, stream_rng(3, 1))
-        assert np.array_equal(out.survivors, s.eigenvalues)
+        # s = 0 removes nothing: both estimators are the gap probability
+        n, lambda0, trials, master = 20, 5.0, 2_000, 3
+        res = thinning_check(n, 0.0, lambda0, trials, master)
+        p, _ = gap_probability_mc(n, lambda0, trials, master)
+        assert res["bernoulli"] == res["analytic"] == p
 
     def test_heavy_removal_counts(self):
-        rng = stream_rng(7, 0)
-        counts = [thin(sample_gue(50, rng=stream_rng(7, k)), 0.999,
-                       stream_rng(8, k)).survivors.size
-                  for k in range(200)]
-        # Binomial(50, 0.001) per trial: the total over 200 trials is
-        # Poisson-like with mean 10
-        assert sum(counts) < 30
+        # with the cut below every point, X = n and a trial clears only when
+        # all n points are removed: probability s^n
+        n, s, trials = 50, 0.999, 4_000
+        res = thinning_check(n, s, -100.0, trials, master=7)
+        assert res["analytic"] == pytest.approx(s ** n, rel=1e-12)
+        assert abs(res["bernoulli"] - s ** n) <= 3 * res["bernoulli_stderr"]
 
     def test_against_determinant(self):
         n, s = 20, 0.5
@@ -110,12 +112,12 @@ class TestThinning:
         n, lam0, trials = 30, 2.0, 40_000
         # for the count X above lambda0: E[X] = tr G and
         # E[X(X - 1)] = (tr G)^2 - tr(G^2), G the Hermite Gram matrix
-        cm = counting_moments(n, lam0, trials, 2, master=31)
+        X = _gue_counts(n, lam0, trials, master=31, stream=0).astype(float)
         G = hermite_gram(n, lam0).entries
         ex = np.trace(G)
         ex2 = ex * ex - np.sum(G * G) + ex
-        assert abs(cm["mean"][0] - ex) <= 3 * cm["stderr"][0]
-        assert abs(cm["mean"][1] - ex2) <= 3 * cm["stderr"][1]
+        for vals, want in ((X, ex), (X * X, ex2)):
+            assert abs(vals.mean() - want) <= 3 * vals.std(ddof=1) / math.sqrt(trials)
 
 
 class TestRSK:

@@ -1,0 +1,90 @@
+"""Guards on the package surface.
+
+``src/edgejump`` holds what the checks, the command line, the demos and the
+benchmark run.  A public top-level function or class that none of them
+reaches is either dead or a test oracle, and belongs in ``tests/oracles.py``.
+The benchmark's tracer looks up every function it wraps by name, so each of
+those names must still resolve.
+"""
+import ast
+import importlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "edgejump"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _sources():
+    """Every file whose references keep a public name alive."""
+    files = sorted(PACKAGE.glob("*.py"))
+    files += sorted((ROOT / "demos").glob("*.py"))
+    files += sorted(PERFBENCH.glob("*.py"))
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    return files
+
+
+def _is_all(node) -> bool:
+    return (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+
+
+def _references(tree, skip=()) -> Counter:
+    """Names read, attributes, imported names and string constants in ``tree``.
+
+    Nodes in ``skip`` are not entered.
+    """
+    found = Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced_public_names() -> list:
+    """``module.name`` of each public top-level def or class nothing reaches.
+
+    A reference inside the definition itself (recursion) or in an
+    ``__all__`` list does not count.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in _sources()}
+    alls = {node for tree in trees.values() for node in tree.body if _is_all(node)}
+    total = sum((_references(tree, alls) for tree in trees.values()), Counter())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and total[node.name] == _references(node)[node.name]):
+                unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_every_public_name_is_reached():
+    assert unreferenced_public_names() == []
+
+
+def test_every_traced_function_resolves():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    missing = [f"{layer}.{name}" for layer, names in spans.LAYERS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"edgejump.{layer}"),
+                                       name, None))]
+    assert missing == []

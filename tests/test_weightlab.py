@@ -11,12 +11,16 @@ from edgejump.precision import PrecisionCtx, hankel_ctx
 from edgejump.util import kappa_sq_from_beta
 from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev,
                                 build_op_system, diff_identity_residual,
-                                eval_pn, eval_pn_from_coeffs, eval_pn_prime,
-                                gaussian_hankel, gram_system, hankel_matrix,
-                                moments, monic_coefficients,
-                                qn_jump_identity_residual)
+                                eval_pn_prime, gaussian_hankel, gram_system,
+                                hankel_matrix, moments, qn_jump_identity_residual)
 
-from oracles import gram_schmidt_monic, jump_weight_integral
+from oracles import (eval_pn_from_coeffs, gram_schmidt_monic, jump_weight_integral,
+                     monic_coefficients)
+
+
+def eval_pn(sys, k, x):
+    """Monic p_k(x) alone."""
+    return eval_pn_prime(sys, k, x)[0]
 
 CTX = PrecisionCtx(320)
 
