@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-hankel     dump an orthogonal-polynomial system (H_k, h_k, R_k, Q_k rows)
+hankel     dump an orthogonal-polynomial system (log H_k, log h_k, R_k, Q_k rows)
 painleve   dump a Painleve trajectory (t, u, u', v, F series plus poles)
 fredholm   dump an Airy-determinant grid over t
 verify     run one named verification (``edgejump verify --help`` lists them)
@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from . import fredholm, painleve, verify, weightlab
@@ -179,8 +180,10 @@ def _cmd_hankel(cfg: RunConfig) -> int:
     sys = weightlab.build_op_system(params, N, ctx)
     rep = Report("hankel-dump", passed=True, compares=False,
                  detail=f"agreed digits {sys.agreed}")
+    # H_k and h_k leave double range near k = 32; their logs do not
+    log_H, log_h = [mp.log(v) for v in sys.H], [mp.log(v) for v in sys.h]
     for k in range(N + 1):
-        for name, vals in (("H", sys.H), ("h", sys.h), ("Q", sys.Q), ("R", sys.R)):
+        for name, vals in (("logH", log_H), ("logh", log_h), ("Q", sys.Q), ("R", sys.R)):
             if name != "R" or k >= 1:
                 rep.add(ReportRow(label=f"opsystem-{name}", n=k,
                                   lambda0=float(params.lambda0), beta=complex(beta),

@@ -37,9 +37,9 @@
   body computes it in double precision by default, or in big floats under a
   precision context for the high-precision Hankel identity checks.  G is
   real, symmetric and the same for every kappa, so a sweep of kappa builds
-  once: in doubles one ``eigh`` of G, in big floats one Householder
-  reduction ``Q^T G Q = T`` to a real tridiagonal T with diagonal a and
-  off-diagonal b (Golub & Van Loan, Matrix Computations, 8.3.1).  Each
+  once: in doubles one ``numpy.linalg.eigvalsh`` of G, in big floats one
+  Householder reduction ``Q^T G Q = T`` to a real tridiagonal T with
+  diagonal a and off-diagonal b (Golub & Van Loan, 8.3.1).  Each
   kappa then costs O(n): det(I - kappa^2 T) is the last term of the
   continuant D_j = (1 - kappa^2 a_j) D_(j-1) - kappa^4 b_(j-1)^2 D_(j-2).
 """
@@ -50,13 +50,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-import scipy.linalg
-import scipy.special as sps
 
 from .linalg import ldlt
 from .precision import PrecisionCtx, agreed_digits
 from .quadrature import gauss_legendre
-from .specfun import hermite_functions, hermite_functions_mp
+from .specfun import airy, hermite_functions, hermite_functions_mp
 
 __all__ = [
     "NystromConfig", "GramMatrix", "TailBoundViolated",
@@ -97,7 +95,7 @@ class NystromConfig:
 
 def airy_kernel_diagonal(x):
     """K_Ai(x, x) = Ai'(x)^2 - x Ai(x)^2 (confluent limit of the kernel)."""
-    ai, aip, _, _ = sps.airy(x)
+    ai, aip = airy(x)
     return aip * aip - x * ai * ai
 
 
@@ -137,7 +135,7 @@ def _airy_nystrom(ts: np.ndarray, cfg: NystromConfig) -> tuple:
     x = ((hi + lo)[:, None] / 2 + half * nodes[::-1]).ravel()
     w = (half * weights[::-1]).ravel()
     above = cfg.m * np.cumsum(panels)[np.searchsorted(-edges[1:], -ts)]
-    ai, aip, _, _ = sps.airy(x)
+    ai, aip = airy(x)
     dx = x[:, None] - x
     near = np.abs(dx) < 1e-6 * (1.0 + np.abs(x)[:, None])
     np.fill_diagonal(near, True)
@@ -215,8 +213,7 @@ class GramMatrix:
     entries: np.ndarray  # float64, or object dtype holding mpf
 
     def eigenvalues(self) -> np.ndarray:
-        return scipy.linalg.eigh(np.asarray(self.entries, dtype=float),
-                                 eigvals_only=True)
+        return np.linalg.eigvalsh(np.asarray(self.entries, dtype=float))
 
 
 def _gram_closed_form(psi: np.ndarray, g00, sqrt) -> np.ndarray:
@@ -257,7 +254,7 @@ def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> Gra
     if ctx is None:
         lam = float(lambda0)
         psi = hermite_functions(n + 1, np.array([lam]))[:, 0]
-        G = _gram_closed_form(psi, sps.erfc(lam) / 2, math.sqrt)
+        G = _gram_closed_form(psi, math.erfc(lam) / 2, math.sqrt)
     else:
         with ctx.workprec(10):
             psi = np.array(hermite_functions_mp(n + 1, lambda0, ctx), dtype=object)
@@ -275,8 +272,8 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None):
     G (see the module docstring) and each equal to its own single call.
 
     Double precision by default, as the exponential of the summed logs of
-    1 - kappa^2 lambda_k over the eigenvalues of G.  ``eigh`` resolves each
-    lambda_k only to about n eps, so a factor that small cancels (kappa^2
+    1 - kappa^2 lambda_k over the eigenvalues of G.  ``eigvalsh`` resolves
+    each lambda_k only to about n eps, so a factor that small cancels (kappa^2
     near 1 and lambda_k near 1, deep in the left tail): when the worst
     factor's relative error could exceed ``_DOUBLE_REL_ERR``, the
     determinant is recomputed in big floats at doubling precision until two

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 from operator import mul
 
 import mpmath as mp
-import scipy.special as sps
+import numpy as np
 
 from .ode import StepUnderflow, adaptive_rk, along_path
+from .specfun import airy
 from .util import beta_from_kappa
 
 __all__ = [
@@ -307,23 +308,18 @@ def pii_residual(sol: ASolution, t) -> float:
 
 
 def _pick_t_start(kappa_sq_mag: float, tol: float) -> float:
-    t = 2.0
-    while t < 12.0:
-        ai = sps.airy(t)[0]
-        if kappa_sq_mag * ai * ai < tol * 1e-4:
-            return t
-        t += 0.25
-    return 12.0
+    ladder = np.arange(2.0, 12.0, 0.25)
+    ai = airy(ladder)[0]
+    fit = np.flatnonzero(kappa_sq_mag * ai * ai < tol * 1e-4)
+    return float(ladder[fit[0]]) if fit.size else 12.0
 
 
 def _airy_initial_state(kappa: complex, t0: float):
-    ai, aip, _, _ = sps.airy(t0)
+    ai, aip = airy(t0)
     k2 = kappa * kappa
-    u = kappa * ai
-    up = kappa * aip
     v = k2 * (aip * aip - t0 * ai * ai)
     F = k2 * (2 * t0 * t0 * ai * ai - ai * aip - 2 * t0 * aip * aip) / 3.0
-    return (u, up, v, F)
+    return (kappa * ai, kappa * aip, v, F)
 
 
 def _integrate_with_poles(y0, t0, t1, tol, *, traverse):

@@ -21,24 +21,6 @@ CSV_HEADER = ["label", "n", "t", "lambda0", "beta_re", "beta_im",
               "verdict"]
 
 
-def safe_complex(v):
-    """complex(v), saturating to +-inf when v exceeds double range."""
-    if v is None:
-        return None
-    try:
-        return complex(v)
-    except OverflowError:
-        try:
-            re = float(v.real) if hasattr(v, "real") else math.inf
-        except OverflowError:
-            re = math.copysign(math.inf, 1 if v.real > 0 else -1)
-        try:
-            im = float(v.imag) if hasattr(v, "imag") else 0.0
-        except OverflowError:
-            im = math.copysign(math.inf, 1 if v.imag > 0 else -1)
-        return complex(re, im)
-
-
 @dataclass
 class ReportRow:
     label: str
@@ -62,8 +44,8 @@ class ReportRow:
         ``residuals=False`` leaves them empty: ``finite`` and ``asym`` then
         hold two values side by side, not a value and its prediction.
         """
-        self.finite = safe_complex(self.finite)
-        self.asym = safe_complex(self.asym)
+        self.finite = None if self.finite is None else complex(self.finite)
+        self.asym = None if self.asym is None else complex(self.asym)
         if (residuals and self.abs_res is None and self.finite is not None
                 and self.asym is not None):
             try:

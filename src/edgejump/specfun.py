@@ -1,24 +1,136 @@
 """Special functions feeding every closed-form expression in the lab.
 
-The Barnes G-function is delegated to mpmath; the half-range Gaussian
-moment tables and the orthonormal Hermite function recurrences are
-implemented here.  Callers take Airy and Gamma values straight from the
-libraries (``scipy.special.airy``, ``mpmath.gamma``), with no wrapper.
-Every function here, and the library Airy and Gamma functions, are pinned
-down by independent oracles in the test suite (Maclaurin series,
-reflection/recursion identities, log-Gamma integral quadrature, big-float
-Gauss-Legendre quadrature, Hermite polynomials).
+The Barnes G-function is delegated to mpmath; the double-precision Airy
+pair, the half-range Gaussian moment tables and the orthonormal Hermite
+function recurrences are implemented here.  Callers take Gamma values
+straight from ``mpmath.gamma``, with no wrapper.  Every function here, and
+mpmath's Airy and Gamma functions, are pinned down by independent oracles
+in the test suite (Maclaurin series, reflection/recursion identities,
+log-Gamma integral quadrature, big-float Gauss-Legendre quadrature, Hermite
+polynomials, a second double-precision Airy library).
 """
 from __future__ import annotations
 
 import math
+import operator
 
 import mpmath as mp
 import numpy as np
 
 from .precision import PrecisionCtx
 
-__all__ = ["barnes_g", "half_gauss_moments", "hermite_functions", "hermite_functions_mp"]
+__all__ = ["airy", "barnes_g", "half_gauss_moments", "hermite_functions", "hermite_functions_mp"]
+
+# The Airy table: Taylor coefficients of Ai at the anchors _AIRY_TOP,
+# _AIRY_TOP - _AIRY_STEP, ..., _AIRY_BOTTOM.  The march between anchors runs
+# on integers scaled by 2^_AIRY_BITS, so its rounding stays far below double
+# precision over all ~150 steps.
+_AIRY_TOP = 10.0
+_AIRY_STEP = 0.5
+_AIRY_BOTTOM = -64.0
+_AIRY_BITS = 128
+
+
+def _airy_asymptotic(x, terms: int, exp, sqrt, pi):
+    """(Ai, Ai') from the series in zeta = 2/3 x^(3/2) (DLMF 9.7.5, 9.7.6).
+
+    Runs on floats, arrays or mpf.  At zeta >= 21 (x >= 10) the terms fall
+    to 1e-17 relative by k = 24 and to their minimum, 3e-20, at k = 43.
+    """
+    zeta = 2 * x * sqrt(x) / 3
+    term = su = sv = 1  # term = u_k (-1/zeta)^k
+    for k in range(1, terms):
+        term = -term * ((6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / ((2 * k - 1) * 216 * k * zeta)
+        su = su + term
+        sv = sv - term * (6 * k + 1) / (6 * k - 1)
+    pre = exp(-zeta) / (2 * sqrt(pi))
+    q = sqrt(sqrt(x))
+    return pre / q * su, -pre * q * sv
+
+
+def _taylor_terms(a: float, base: int) -> int:
+    # Ai's Taylor coefficients at a scale like sqrt|a|^k / k!: past these many
+    # terms they fall below 1e-21 of the local value at a step of 1/2 (base
+    # 26), or below double rounding at |h| <= 1/4 (base 12)
+    return base + 2 * math.ceil(math.sqrt(abs(a)))
+
+
+def _airy_march(top: float, y: int, yp: int, count: int) -> tuple:
+    """Taylor rows of y'' = x y at ``count`` anchors from ``top`` down, and the state below.
+
+    ``y``, ``yp`` are the values at ``top`` scaled by 2^_AIRY_BITS.  Row j
+    holds c_k at a = top - j/2, from c_(k+2) = (a c_k + c_(k-1)) / ((k+1)(k+2));
+    the step to the next anchor sums c_k (-1/2)^k exactly, rounding once.
+    Downward is the stable direction: Ai is recessive at +inf.
+    """
+    rows = []
+    for j in range(count):
+        ia = int(2 * top) - j  # 2a
+        K = _taylor_terms(ia / 2, 26)
+        c = [y, yp, ia * y // 4]
+        for k in range(1, K - 2):
+            c.append((ia * c[k] + (c[k - 1] << 1)) // (2 * (k + 1) * (k + 2)))
+        rows.append(c)
+        shifts = range(K - 1, -1, -1)
+        y = (sum(map(operator.lshift, c[::2], shifts[::2]))
+             - sum(map(operator.lshift, c[1::2], shifts[1::2]))) >> (K - 1)
+        kc = list(map(operator.mul, range(K), c))
+        yp = (sum(map(operator.lshift, kc[1::2], shifts[1::2]))
+              - sum(map(operator.lshift, kc[2::2], shifts[2::2]))) >> (K - 2)
+    return rows, (y, yp)
+
+
+def _airy_table(rows: list, width: int) -> np.ndarray:
+    """The first ``width`` Taylor coefficients of each row as floats, zero-padded."""
+    c = np.array([row[:width] + [0] * (width - len(row)) for row in rows], dtype=float)
+    return c * 2.0 ** -_AIRY_BITS
+
+
+def _build_airy_table() -> tuple:
+    with mp.workprec(_AIRY_BITS + 20):
+        ai, aip = _airy_asymptotic(mp.mpf(_AIRY_TOP), 44, mp.exp, mp.sqrt, mp.pi)
+        y, yp = (int(mp.nint(mp.ldexp(v, _AIRY_BITS))) for v in (ai, aip))
+    count = int((_AIRY_TOP - _AIRY_BOTTOM) / _AIRY_STEP) + 1
+    rows, below = _airy_march(_AIRY_TOP, y, yp, count)
+    return _airy_table(rows, _taylor_terms(_AIRY_BOTTOM, 12)), below
+
+
+_AIRY_TAYLOR, _AIRY_BELOW = _build_airy_table()
+
+
+def airy(x) -> tuple:
+    """(Ai(x), Ai'(x)) in double precision, elementwise; x a number or an array.
+
+    Past x = 10 from the asymptotic series; elsewhere a Taylor sum from the
+    nearest anchor (|h| <= 1/4) of a table built once at import: the series
+    at x = 10 in big floats, then y'' = x y marched down to x = -64 in steps
+    of 1/2 (below -64 the march goes on for the call).  The error is a few
+    eps of the envelope max(|Ai|, |x|^(-1/4)/sqrt(pi)) (for Ai',
+    max(|Ai'|, |x|^(1/4)/sqrt(pi))), and a few eps relative for x in
+    [0, 10]; past 10 the relative error grows like zeta eps, as rounding x
+    alone would cause.  Non-finite x raises ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("airy needs finite arguments")
+    flat = x.ravel()
+    big = flat > _AIRY_TOP
+    near = np.where(big, _AIRY_TOP, flat)
+    j = np.rint((_AIRY_TOP - near) / _AIRY_STEP).astype(int)
+    c = _AIRY_TAYLOR
+    if flat.size and j.max() >= len(c):  # below the table: march on for this call
+        rows, _ = _airy_march(_AIRY_BOTTOM - _AIRY_STEP, *_AIRY_BELOW, j.max() + 1 - len(c))
+        more = _airy_table(rows, _taylor_terms(_AIRY_TOP - _AIRY_STEP * j.max(), 12))
+        c = np.vstack((np.pad(c, ((0, 0), (0, more.shape[1] - c.shape[1]))), more))
+    c = c[j]
+    hp = np.vander(near - (_AIRY_TOP - _AIRY_STEP * j), c.shape[1], increasing=True)
+    ai = np.sum(c * hp, axis=1)
+    aip = (c[:, 1:] * hp[:, :-1]) @ np.arange(1.0, c.shape[1])
+    if big.any():
+        # both underflow to 0 past x ~ 105; the cap keeps x^(3/2) finite
+        ai[big], aip[big] = _airy_asymptotic(np.minimum(flat[big], 200.0), 25,
+                                             np.exp, np.sqrt, math.pi)
+    return ai.reshape(x.shape)[()], aip.reshape(x.shape)[()]
 
 
 def barnes_g(z, ctx: PrecisionCtx | None = None):

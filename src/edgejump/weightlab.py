@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-import scipy.linalg
 
 from .fredholm import hermite_gram
 from .linalg import PIVOT_FLOOR, SingularMinor, ldlt
@@ -268,9 +267,8 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     Q = r[1:] * sub - r[:-1] * np.concatenate(([0.0], sub[:-1]))
     R = np.concatenate(([0.0], r[1:] ** 2 * D[1:] / D[:-1]))
     y = hermite_functions(n + 1, np.array([lam]))[:, 0].astype(complex)
-    if m <= n:
-        y[m:] = scipy.linalg.solve_triangular(L[:n + 1 - m, :n + 1 - m], y[m:],
-                                              lower=True, unit_diagonal=True)
+    for i, row in enumerate(L[:n + 1 - m]):  # forward substitution, L unit lower
+        y[m + i] -= row[:i] @ y[m:m + i]
     log_gamma = (n * math.log(2) - math.lgamma(n + 1) - math.log(math.pi) / 2) / 2
     ipb = 1j * math.pi * complex(beta)
     return GramSystem(

@@ -28,9 +28,21 @@ def test_header_schema(tmp_path):
 def test_hankel_dump_gaussian_value(tmp_path):
     out = tmp_path / "h.csv"
     assert main(["hankel", "--n", "2", "--beta", "0", "--out", str(out)]) == 0
-    rows = [r for r in _read_rows(out) if r["label"] == "opsystem-H" and r["n"] == "2"]
+    rows = [r for r in _read_rows(out) if r["label"] == "opsystem-logH" and r["n"] == "2"]
     assert len(rows) == 1
-    assert float(rows[0]["finite_re"]) == pytest.approx(math.pi / 2, rel=1e-12)
+    assert math.exp(float(rows[0]["finite_re"])) == pytest.approx(math.pi / 2, rel=1e-12)
+
+
+def test_hankel_dump_has_no_inf(tmp_path):
+    # H_k passes double range at k = 32 here; the dump holds its log
+    out = tmp_path / "h.csv"
+    assert main(["hankel", "--n", "40", "--beta", "0", "--lambda0", "0.3",
+                 "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert {r["label"] for r in rows} == {"opsystem-logH", "opsystem-logh",
+                                          "opsystem-Q", "opsystem-R"}
+    values = [float(v) for r in rows for v in (r["finite_re"], r["finite_im"])]
+    assert len(values) == 2 * len(rows) and all(map(math.isfinite, values))
 
 
 def test_verify_finite_n_identity_documented_invocation(tmp_path):

@@ -3,15 +3,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-import scipy.special as sps
 
 from edgejump.precision import PrecisionCtx
 from edgejump.quadrature import gauss_legendre
-from edgejump.specfun import (barnes_g, half_gauss_moments, hermite_functions,
+from edgejump.specfun import (airy, barnes_g, half_gauss_moments, hermite_functions,
                               hermite_functions_mp)
 
 from oracles import (airy_maclaurin, barnes_g_via_loggamma_integral, gauss_legendre_mp,
                      hermite_orthonormal)
+from oracles import airy as scipy_airy
 
 CTX = PrecisionCtx(256)
 
@@ -58,6 +58,82 @@ class TestAiry:
             h = mp.mpf(2) ** -40
             fd = (airy_ai(1 + h, CTX) - airy_ai(1 - h, CTX)) / (2 * h)
             assert abs(fd - airy_ai(1, CTX, derivative=1)) < mp.mpf(10) ** -18
+
+
+EPS = np.finfo(float).eps
+# the anchors of the Airy table in [-60, 10] (step 1/2), the points where the
+# nearest anchor switches, the switch to the asymptotic series at 10 and
+# points past it
+AIRY_GRID = np.concatenate((np.arange(-60.0, 18.001, 0.125), [9.99, 10.0, 10.01]))
+
+
+def _airy_envelopes(x):
+    """|x|^(-1/4)/sqrt(pi) and |x|^(1/4)/sqrt(pi): the amplitudes of Ai and Ai' as x -> -inf."""
+    with np.errstate(divide="ignore"):
+        return np.abs(x) ** -0.25 / math.sqrt(math.pi), np.abs(x) ** 0.25 / math.sqrt(math.pi)
+
+
+class TestAiryDouble:
+    # specfun.airy, the double Airy pair of the Nystrom kernel and the Painleve
+    # initial data, against mpmath at 120 bits and against scipy
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with mp.workprec(120):
+            return np.array([[float(mp.airyai(x, derivative=d)) for x in AIRY_GRID]
+                             for d in (0, 1)])
+
+    def test_against_mpmath_within_envelope(self, reference):
+        ai, aip = airy(AIRY_GRID)
+        env_ai, env_aip = _airy_envelopes(AIRY_GRID)
+        assert np.max(np.abs(ai - reference[0]) / np.maximum(np.abs(reference[0]), env_ai)) \
+            <= 32 * EPS
+        assert np.max(np.abs(aip - reference[1]) / np.maximum(np.abs(reference[1]), env_aip)) \
+            <= 32 * EPS
+
+    def test_relative_accuracy_on_positive_axis(self, reference):
+        # where Ai decays, relative error is the figure that counts; past 10
+        # it is bounded by the rounding of exp(-zeta) with zeta = 2/3 x^(3/2)
+        x = AIRY_GRID
+        ai, aip = airy(x)
+        pos = x >= 0
+        zeta = 2 / 3 * x[pos] ** 1.5
+        for got, want in ((ai, reference[0]), (aip, reference[1])):
+            rel = np.abs(got[pos] - want[pos]) / np.abs(want[pos])
+            assert np.all(rel <= (8 + 2 * zeta) * EPS)
+
+    def test_against_scipy(self):
+        ai, aip = airy(AIRY_GRID)
+        sai, saip = scipy_airy(AIRY_GRID)[:2]
+        env_ai, env_aip = _airy_envelopes(AIRY_GRID)
+        assert np.max(np.abs(ai - sai) / np.maximum(np.abs(sai), env_ai)) <= 1e-12
+        assert np.max(np.abs(aip - saip) / np.maximum(np.abs(saip), env_aip)) <= 1e-12
+        pos = AIRY_GRID >= 0
+        assert np.max(np.abs(ai[pos] / sai[pos] - 1)) <= 1e-13
+        assert np.max(np.abs(aip[pos] / saip[pos] - 1)) <= 1e-13
+
+    def test_below_the_table(self):
+        # below -64 the march goes on for the call
+        x = np.array([-64.3, -100.0, -250.0, 3.0])
+        ai, aip = airy(x)
+        env_ai, env_aip = _airy_envelopes(x)
+        with mp.workprec(120):
+            for k, xk in enumerate(x):
+                assert abs(ai[k] - float(mp.airyai(xk))) <= 32 * EPS * env_ai[k]
+                assert abs(aip[k] - float(mp.airyai(xk, derivative=1))) <= 32 * EPS * env_aip[k]
+
+    def test_shapes_and_far_right(self):
+        ai, aip = airy(0.5)
+        assert np.ndim(ai) == 0 and np.ndim(aip) == 0
+        assert airy(np.zeros((2, 3)))[0].shape == (2, 3)
+        assert airy([])[0].shape == (0,)
+        assert airy(1e300) == (0.0, 0.0)
+        assert airy([0.5])[0][0] == ai
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+    def test_non_finite_raises(self, x):
+        with pytest.raises(ValueError):
+            airy(x)
 
 
 def gamma_complex(z) -> complex:
@@ -202,7 +278,7 @@ def test_airy_integral_identity():
     # d/dt [Ai'^2 - t Ai^2] = -Ai^2: quadrature of Ai^2 against the closed form
     a, b = -2.0, 3.0
     x, w = gauss_legendre(160, a, b)
-    quad = np.sum(w * sps.airy(x)[0] ** 2)
-    (ai_a, ai_b), (aip_a, aip_b) = sps.airy([a, b])[:2]
+    quad = np.sum(w * airy(x)[0] ** 2)
+    (ai_a, ai_b), (aip_a, aip_b) = airy([a, b])
     closed = (aip_a ** 2 - a * ai_a ** 2) - (aip_b ** 2 - b * ai_b ** 2)
     assert quad == pytest.approx(closed, abs=1e-13)

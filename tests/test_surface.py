@@ -8,6 +8,8 @@ those names must still resolve.
 """
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -88,3 +90,15 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"edgejump.{layer}"),
                                        name, None))]
     assert missing == []
+
+
+def test_program_runs_without_scipy():
+    # scipy serves the tests as an oracle only; importing it would cost every
+    # process most of its start-up time
+    code = ("import sys; import edgejump.verify, edgejump.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
