@@ -17,7 +17,7 @@ from edgejump.weightlab import (WeightParams, build_op_system,
 ctx = PrecisionCtx(384)
 
 print("== pure Gaussian reference (beta = 0) ==")
-sys0 = build_op_system(WeightParams.direct(0.0, 0.3), 8, ctx)
+sys0 = build_op_system(WeightParams(0.0, 0.3), 8, ctx)
 with ctx.workprec():
     for n in (1, 4, 8):
         closed = gaussian_hankel(n, ctx)
@@ -25,7 +25,7 @@ with ctx.workprec():
 print(f"  R_5 = {mp.nstr(sys0.R[5], 8)} (expect 5/2), Q_3 = {mp.nstr(sys0.Q[3], 3)} (expect 0)")
 
 print("\n== jump weight: beta = 0.4i, cut at 1.1 ==")
-params = WeightParams.direct(0.4j, 1.1)
+params = WeightParams(0.4j, 1.1)
 sys = build_op_system(params, 8, ctx)
 with ctx.workprec():
     print(f"  H_8 = {mp.nstr(sys.H[8], 12)} (positive: imaginary beta keeps the weight positive)")

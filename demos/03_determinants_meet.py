@@ -20,7 +20,7 @@ from edgejump.weightlab import WeightParams, build_op_system, gaussian_hankel
 beta, n, lam0 = 0.4j, 12, 0.5
 ctx = PrecisionCtx(448)
 
-sys = build_op_system(WeightParams.direct(beta, lam0), n, ctx, check=False)
+sys = build_op_system(WeightParams(beta, lam0), n, ctx, check=False)
 with ctx.workprec():
     ratio = mp.exp(-1j * mp.pi * n * mp.mpc(beta)) * sys.H[n] / gaussian_hankel(n, ctx)
 det = finite_n_det(n, lam0, kappa_sq_from_beta(beta, ctx), ctx=ctx)

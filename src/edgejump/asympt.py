@@ -16,10 +16,7 @@ from statistics import fmean
 
 import mpmath as mp
 
-from .fredholm import airy_fredholm_logdet
 from .precision import PrecisionCtx
-from .specfun import barnes_g
-from .util import kappa_sq_from_beta
 from .weightlab import gaussian_hankel
 
 __all__ = [
@@ -54,7 +51,7 @@ def bulk_hankel_asymptote(n: int, lam: float, beta, ctx: PrecisionCtx) -> mp.mpc
     with ctx.workprec(10):
         bb = mp.mpc(beta)
         lamm = mp.mpf(lam)
-        pref = barnes_g(1 + bb, ctx) * barnes_g(1 - bb, ctx)
+        pref = mp.barnesg(1 + bb) * mp.barnesg(1 - bb)
         pw = (1 - lamm ** 2) ** (-3 * bb ** 2 / 2) * (8 * mp.mpf(n)) ** (-bb ** 2)
         osc = mp.exp(2j * n * bb * (mp.asin(lamm) + lamm * mp.sqrt(1 - lamm ** 2)))
         return gaussian_hankel(n, ctx) * pref * pw * osc
@@ -104,19 +101,17 @@ def polynomial_value_asymptote(n: int, t: float, sol, ctx: PrecisionCtx | None =
                 * mp.mpc(u))
 
 
-def airy_tail_residual(t: float, beta, logdet: complex | None = None) -> float:
+def airy_tail_residual(t: float, beta, logdet: complex) -> float:
     """Residual of the conjectured large-gap expansion of the Airy determinant.
 
     |log det(1 - kappa^2 K_Ai) + (4/3) i beta (-t)^(3/2)
       + (3/2) beta^2 log(-t) - log(G(1+beta) G(1-beta)) + 3 beta^2 log 2|,
-    which should tend to 0 as t -> -infinity.  ``logdet`` may be supplied;
-    otherwise it is computed by the Nystrom engine at default settings.
+    with ``logdet`` = log det(1 - kappa^2 K_Ai) on [t, inf); it should tend
+    to 0 as t -> -infinity.
     """
     b = complex(beta)
     if b == 0:
         return 0.0
-    if logdet is None:
-        logdet = airy_fredholm_logdet(kappa_sq_from_beta(b), t)
     mt = -t
     g = complex(mp.log(mp.barnesg(1 + mp.mpc(b))) + mp.log(mp.barnesg(1 - mp.mpc(b))))
     val = (complex(logdet) + (4.0 / 3.0) * 1j * b * mt ** 1.5

@@ -176,7 +176,7 @@ def _cmd_hankel(cfg: RunConfig) -> int:
     if cfg.t is not None:
         params = weightlab.WeightParams.edge(beta, N, cfg.t, ctx)
     else:
-        params = weightlab.WeightParams.direct(beta, cfg.lambda0 or 0.0)
+        params = weightlab.WeightParams(beta, cfg.lambda0 or 0.0)
     sys = weightlab.build_op_system(params, N, ctx)
     rep = Report("hankel-dump", passed=True, compares=False,
                  detail=f"agreed digits {sys.agreed}")

@@ -57,7 +57,7 @@ from .quadrature import gauss_legendre
 from .specfun import airy, hermite_functions, hermite_functions_mp
 
 __all__ = [
-    "NystromConfig", "GramMatrix", "TailBoundViolated",
+    "NystromConfig", "TailBoundViolated",
     "airy_fredholm_det", "airy_fredholm_logdet", "hermite_gram", "finite_n_det",
     "airy_kernel_diagonal",
 ]
@@ -202,20 +202,6 @@ def airy_fredholm_det(kappa_sq, t, cfg: NystromConfig | None = None):
     return complex(np.exp(logdet)) if np.ndim(logdet) == 0 else np.exp(logdet)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """G_jk = integral_{lambda0}^inf H_j H_k e^(-x^2) dx, orthonormal Hermite.
-
-    Symmetric with spectrum in [0, 1]; the trace equals the integrated
-    diagonal of the rank-n Christoffel-Darboux kernel.
-    """
-
-    entries: np.ndarray  # float64, or object dtype holding mpf
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(np.asarray(self.entries, dtype=float))
-
-
 def _gram_closed_form(psi: np.ndarray, g00, sqrt) -> np.ndarray:
     """The Gram matrix from psi_0..psi_n at lambda0 and G_00.
 
@@ -235,12 +221,14 @@ def _gram_closed_form(psi: np.ndarray, g00, sqrt) -> np.ndarray:
     return G
 
 
-def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> GramMatrix:
+def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> np.ndarray:
     """Gram matrix of the first n orthonormal Hermite functions on [lambda0, inf).
 
-    Closed form, from n + 1 Hermite function values at lambda0 and one
-    erfc, with no quadrature: in double precision by default, in big floats
-    at ``ctx`` precision.  ``psi_k'' = (x^2 - 2k - 1) psi_k`` makes
+    G_jk = integral_{lambda0}^inf psi_j psi_k dx, symmetric with spectrum in
+    [0, 1]: float64, or an object array of mpf under ``ctx``.  Closed form,
+    from n + 1 Hermite function values at lambda0 and one erfc, with no
+    quadrature: in double precision by default, in big floats at ``ctx``
+    precision.  ``psi_k'' = (x^2 - 2k - 1) psi_k`` makes
     ``W = psi_j psi_k' - psi_j' psi_k`` an antiderivative of
     ``2(j - k) psi_j psi_k``, and
     ``psi_k' = sqrt(k/2) psi_(k-1) - sqrt((k+1)/2) psi_(k+1)``, so
@@ -254,12 +242,10 @@ def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> Gra
     if ctx is None:
         lam = float(lambda0)
         psi = hermite_functions(n + 1, np.array([lam]))[:, 0]
-        G = _gram_closed_form(psi, math.erfc(lam) / 2, math.sqrt)
-    else:
-        with ctx.workprec(10):
-            psi = np.array(hermite_functions_mp(n + 1, lambda0, ctx), dtype=object)
-            G = _gram_closed_form(psi, mp.erfc(mp.mpf(lambda0)) / 2, mp.sqrt)
-    return GramMatrix(entries=G)
+        return _gram_closed_form(psi, math.erfc(lam) / 2, math.sqrt)
+    with ctx.workprec(10):
+        psi = np.array(hermite_functions_mp(n + 1, lambda0, ctx), dtype=object)
+        return _gram_closed_form(psi, mp.erfc(mp.mpf(lambda0)) / 2, mp.sqrt)
 
 
 def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None):
@@ -290,7 +276,7 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None):
     if ctx is not None:
         dets = _big_float_det(gram, k2s, ctx)
         return dets if sweep else dets[0]
-    eigs = gram.eigenvalues()
+    eigs = np.linalg.eigvalsh(gram)
     dets = [_double_det(n, lambda0, complex(k2), eigs) for k2 in k2s]
     return np.array(dets) if sweep else dets[0]
 
@@ -354,13 +340,13 @@ def _householder_tridiagonal(G) -> tuple:
     return a, b2
 
 
-def _big_float_det(gram: GramMatrix, kappa_sqs, ctx: PrecisionCtx) -> list:
+def _big_float_det(gram: np.ndarray, kappa_sqs, ctx: PrecisionCtx) -> list:
     """det(I - kappa^2 G) for each kappa^2, in big floats at ``ctx`` precision.
 
     One Householder reduction of G, then one continuant per kappa^2.
     """
     with ctx.workprec(10):
-        a, b2 = _householder_tridiagonal(gram.entries)
+        a, b2 = _householder_tridiagonal(gram)
         dets = []
         for k2 in kappa_sqs:
             k2 = mp.mpc(k2)

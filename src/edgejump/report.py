@@ -1,10 +1,11 @@
-"""Tagged comparison rows and their CSV/JSON serialization.
+"""Tagged comparison rows, their verdicts and their CSV/JSON serialization.
 
 One row records a finite-size value against its asymptotic prediction plus
 residuals, an optional empirical convergence order, and a PASS/FAIL verdict.
-Complex values are always split re/im in serialized output.  Output is
-deterministic given the inputs; the optional timestamp header line can be
-suppressed for byte-identical reruns.
+A :class:`Report` sets every verdict: :meth:`Report.add` judges one row,
+:meth:`Report.judge` a gate over several.  Complex values are always split
+re/im in serialized output.  Output is deterministic given the inputs; the
+optional timestamp header line can be suppressed for byte-identical reruns.
 """
 from __future__ import annotations
 
@@ -12,13 +13,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
-CSV_HEADER = ["label", "n", "t", "lambda0", "beta_re", "beta_im",
-              "kappa_re", "kappa_im", "finite_re", "finite_im",
-              "asym_re", "asym_im", "abs_res", "rel_res", "order_est",
-              "verdict"]
+#: Complex fields, written as a ``_re`` and an ``_im`` column.
+_COMPLEX_FIELDS = ("beta", "kappa", "finite", "asym")
 
 
 @dataclass
@@ -65,22 +64,19 @@ class ReportRow:
                 k(b.real if b else None), k(b.imag if b else None))
 
     def as_record(self) -> dict:
-        def c(v):
-            return None if v is None else complex(v)
-        out = {
-            "label": self.label, "n": self.n, "t": self.t, "lambda0": self.lambda0,
-            "beta_re": c(self.beta).real if self.beta is not None else None,
-            "beta_im": c(self.beta).imag if self.beta is not None else None,
-            "kappa_re": c(self.kappa).real if self.kappa is not None else None,
-            "kappa_im": c(self.kappa).imag if self.kappa is not None else None,
-            "finite_re": c(self.finite).real if self.finite is not None else None,
-            "finite_im": c(self.finite).imag if self.finite is not None else None,
-            "asym_re": c(self.asym).real if self.asym is not None else None,
-            "asym_im": c(self.asym).imag if self.asym is not None else None,
-            "abs_res": self.abs_res, "rel_res": self.rel_res,
-            "order_est": self.order_est, "verdict": self.verdict,
-        }
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in _COMPLEX_FIELDS:
+                v = None if v is None else complex(v)
+                out[f.name + "_re"] = None if v is None else v.real
+                out[f.name + "_im"] = None if v is None else v.imag
+            else:
+                out[f.name] = v
         return out
+
+
+CSV_HEADER = list(ReportRow(label="").as_record())
 
 
 @dataclass
@@ -88,7 +84,8 @@ class Report:
     """A verdicted collection of rows for one verification run.
 
     A dump (``compares=False``) lists computed values without predictions,
-    so its rows get no residuals.
+    so its rows get no residuals.  Verdicts come from :meth:`add` and
+    :meth:`judge`; :meth:`fail` is the primitive behind them.
     """
 
     name: str
@@ -97,8 +94,21 @@ class Report:
     detail: str = ""
     compares: bool = True
 
-    def add(self, row: ReportRow):
+    def add(self, row: ReportRow, ok=None, why: str | None = None):
+        """Append ``row``; a given ``ok`` sets its verdict, and a false one with ``why`` fails."""
+        if ok is not None:
+            self.judge(ok, why, (row,))
         self.rows.append(row.finish(self.compares))
+
+    def judge(self, ok, why: str | None, rows=()):
+        """Give ``rows`` the verdict of ``ok``; a false ``ok`` fails the report with ``why``.
+
+        A ``why`` of None judges the rows only: the gate is judged elsewhere.
+        """
+        for row in rows:
+            row.verdict = "PASS" if ok else "FAIL"
+        if not ok and why is not None:
+            self.fail(why)
 
     def fail(self, detail: str):
         self.passed = False

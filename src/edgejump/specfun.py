@@ -1,10 +1,10 @@
 """Special functions feeding every closed-form expression in the lab.
 
-The Barnes G-function is delegated to mpmath; the double-precision Airy
-pair, the half-range Gaussian moment tables and the orthonormal Hermite
-function recurrences are implemented here.  Callers take Gamma values
-straight from ``mpmath.gamma``, with no wrapper.  Every function here, and
-mpmath's Airy and Gamma functions, are pinned down by independent oracles
+The double-precision Airy pair, the half-range Gaussian moment tables and
+the orthonormal Hermite function recurrences are implemented here.  Callers
+take Gamma and Barnes G values straight from ``mpmath.gamma`` and
+``mpmath.barnesg``, with no wrapper.  Every function here, and mpmath's
+Airy, Gamma and Barnes G functions, are pinned down by independent oracles
 in the test suite (Maclaurin series, reflection/recursion identities,
 log-Gamma integral quadrature, big-float Gauss-Legendre quadrature, Hermite
 polynomials, a second double-precision Airy library).
@@ -19,7 +19,7 @@ import numpy as np
 
 from .precision import PrecisionCtx
 
-__all__ = ["airy", "barnes_g", "half_gauss_moments", "hermite_functions", "hermite_functions_mp"]
+__all__ = ["airy", "half_gauss_moments", "hermite_functions", "hermite_functions_mp"]
 
 # The Airy table: Taylor coefficients of Ai at the anchors _AIRY_TOP,
 # _AIRY_TOP - _AIRY_STEP, ..., _AIRY_BOTTOM.  The march between anchors runs
@@ -131,19 +131,6 @@ def airy(x) -> tuple:
         ai[big], aip[big] = _airy_asymptotic(np.minimum(flat[big], 200.0), 25,
                                              np.exp, np.sqrt, math.pi)
     return ai.reshape(x.shape)[()], aip.reshape(x.shape)[()]
-
-
-def barnes_g(z, ctx: PrecisionCtx | None = None):
-    """Barnes G-function on the principal branch.
-
-    Satisfies G(z+1) = Gamma(z) G(z) with G(1) = 1; relative error below
-    ~1e-12 in the double instantiation.  Only arguments within a unit strip
-    of 1 occur in this project, so no branch crossings arise.
-    """
-    if ctx is None:
-        return complex(mp.barnesg(mp.mpc(z)))
-    with ctx.workprec(10):
-        return mp.barnesg(mp.mpc(z))
 
 
 def half_gauss_moments(lambda0, K: int, ctx: PrecisionCtx) -> tuple:

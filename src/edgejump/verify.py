@@ -2,10 +2,12 @@
 
 Every driver compares finite-size computations against their closed-form
 predictions (or two independent engines against each other), fills a
-:class:`~edgejump.report.Report` with tagged rows, and sets a PASS/FAIL
-verdict at the tolerance it was called with.  The command-line layer and the
-acceptance test suite both run exactly these functions; :data:`CHECKS` names
-the ones ``edgejump verify`` runs and the options each takes.
+:class:`~edgejump.report.Report` with tagged rows, and judges them at the
+tolerance it was called with, only through the report: ``Report.add``
+judges one row, and ``Report.judge`` a gate over several rows (a trend) or
+over the whole run.  The command-line layer and the acceptance test suite
+both run exactly these functions; :data:`CHECKS` names the ones
+``edgejump verify`` runs and the options each takes.
 
 Trend verdicts rest on the data alone: a trend check applies its stated
 rule (ratio cap, strict decrease, fitted order, a bound at the largest size)
@@ -86,17 +88,15 @@ def check_gaussian_closed_form(ns=tuple(range(1, 31)), bits: int = 512,
     """H_n at beta = 0 against the factorial closed form."""
     rep = Report("gaussian-closed-form")
     ctx = PrecisionCtx(bits)
-    params = weightlab.WeightParams.direct(0.0, lambda0)
+    params = weightlab.WeightParams(0.0, lambda0)
     sys = weightlab.build_op_system(params, max(ns), ctx, check=False)
     with ctx.workprec():
         for n in ns:
             closed = weightlab.gaussian_hankel(n, ctx)
             rel = float(abs(sys.H[n] - closed) / abs(closed))
             rep.add(ReportRow(label="gaussian-hankel", n=n, lambda0=lambda0,
-                              beta=0j, finite=sys.H[n], asym=closed,
-                              rel_res=rel, verdict="PASS" if rel <= tol else "FAIL"))
-            if rel > tol:
-                rep.fail(f"n={n} rel err {rel:.2e} > {tol:.0e}")
+                              beta=0j, finite=sys.H[n], asym=closed, rel_res=rel),
+                    not rel > tol, f"n={n} rel err {rel:.2e} > {tol:.0e}")
     return rep
 
 
@@ -113,21 +113,18 @@ def check_finite_n_identity(ns=(4, 10, 20), betas=(0.4j, 0.3, 0.2 + 0.1j),
             rhss = fredholm.finite_n_det(n, lam0, [kappa_sq_from_beta(b, ctx) for b in betas],
                                          ctx=ctx)
             for beta, rhs in zip(betas, rhss):
-                params = weightlab.WeightParams.direct(beta, lam0)
+                params = weightlab.WeightParams(beta, lam0)
                 sys = weightlab.build_op_system(params, n, ctx, check=False)
                 with ctx.workprec():
                     lhs = (mp.exp(-1j * mp.pi * n * mp.mpc(beta)) * sys.H[n]
                            / weightlab.gaussian_hankel(n, ctx))
                     err = float(abs(lhs - rhs))
-                ok = err <= tol
                 rep.add(ReportRow(label="hankel-gram-identity", n=n,
                                   lambda0=float(lam0), beta=complex(beta),
                                   kappa=kappa_from_beta(beta),
-                                  finite=complex(lhs), asym=complex(rhs),
-                                  abs_res=err, verdict="PASS" if ok else "FAIL"))
-                if not ok:
-                    rep.fail(f"n={n} lambda0={float(lam0):.3f} beta={beta}: "
-                             f"|diff| = {err:.2e} > {tol:.0e}")
+                                  finite=complex(lhs), asym=complex(rhs), abs_res=err),
+                        err <= tol, f"n={n} lambda0={float(lam0):.3f} beta={beta}: "
+                                    f"|diff| = {err:.2e} > {tol:.0e}")
     return rep
 
 
@@ -136,8 +133,8 @@ def check_exact_identities(bits: int = 512) -> Report:
     rep = Report("exact-identities")
     # jump identity for Q_n at the documented parameter points
     cases = [
-        (weightlab.WeightParams.direct(0.0, 0.7), 4, PrecisionCtx(256)),
-        (weightlab.WeightParams.direct(0.4j, 1.1), 8, PrecisionCtx(bits)),
+        (weightlab.WeightParams(0.0, 0.7), 4, PrecisionCtx(256)),
+        (weightlab.WeightParams(0.4j, 1.1), 8, PrecisionCtx(bits)),
     ]
     ctx20 = hankel_ctx(20)
     cases.append((weightlab.WeightParams.edge(0.3, 20, 0.0, ctx20), 20, ctx20))
@@ -147,35 +144,27 @@ def check_exact_identities(bits: int = 512) -> Report:
         with ctx.workprec():
             scale = max(float(abs(sys.Q[n])), 1e-30)
         bound = 2.0 ** (32 - ctx.bits) * scale if scale > 1e-30 else 2.0 ** (32 - ctx.bits)
-        ok = res <= bound
         rep.add(ReportRow(label="qn-jump-identity", n=n, lambda0=float(params.lambda0),
-                          beta=complex(params.beta), abs_res=res,
-                          verdict="PASS" if ok else "FAIL"))
-        if not ok:
-            rep.fail(f"qn identity n={n}: {res:.2e} > {bound:.2e}")
+                          beta=complex(params.beta), abs_res=res),
+                res <= bound, f"qn identity n={n}: {res:.2e} > {bound:.2e}")
     # differential identity
     for params, n, delta, bound, ctx in (
-            (weightlab.WeightParams.direct(0.5j, 0.9), 6, 1e-6, 1e-9, PrecisionCtx(320)),
-            (weightlab.WeightParams.direct(0.3j, 0.4), 1, None, 1e-20, PrecisionCtx(320))):
+            (weightlab.WeightParams(0.5j, 0.9), 6, 1e-6, 1e-9, PrecisionCtx(320)),
+            (weightlab.WeightParams(0.3j, 0.4), 1, None, 1e-20, PrecisionCtx(320))):
         res = float(weightlab.diff_identity_residual(params, n, delta=delta, ctx=ctx))
-        ok = res <= bound
         rep.add(ReportRow(label="diff-identity", n=n, lambda0=float(params.lambda0),
-                          beta=complex(params.beta), abs_res=res,
-                          verdict="PASS" if ok else "FAIL"))
-        if not ok:
-            rep.fail(f"diff identity n={n}: {res:.2e} > {bound:.0e}")
+                          beta=complex(params.beta), abs_res=res),
+                res <= bound, f"diff identity n={n}: {res:.2e} > {bound:.0e}")
     # norm product vs pivoted determinant route
     ctx = PrecisionCtx(384)
-    params = weightlab.WeightParams.direct(0.2 + 0.1j, 0.6)
+    params = weightlab.WeightParams(0.2 + 0.1j, 0.6)
     sys = weightlab.build_op_system(params, 10, ctx, check=False)
     with ctx.workprec():
         det = lu_det(weightlab.hankel_matrix(params, 10, ctx), ctx)
         rel = float(abs(sys.H[10] - det) / abs(det))
-    ok = rel <= 1e-80
     rep.add(ReportRow(label="norm-product-vs-lu", n=10, lambda0=0.6,
-                      beta=0.2 + 0.1j, rel_res=rel, verdict="PASS" if ok else "FAIL"))
-    if not ok:
-        rep.fail(f"norm product vs LU: rel {rel:.2e}")
+                      beta=0.2 + 0.1j, rel_res=rel),
+            rel <= 1e-80, f"norm product vs LU: rel {rel:.2e}")
     return rep
 
 
@@ -198,10 +187,8 @@ def check_tw_identity(kappas=(0.3, 0.7, 0.95), t_lo: float = -8.0, t_hi: float =
             gap = abs(det - pred)
             worst = max(worst, gap)
             rep.add(ReportRow(label="tw-identity", t=float(t), kappa=kap,
-                              finite=det, asym=pred, abs_res=gap,
-                              verdict="PASS" if gap <= bound else "FAIL"))
-        if worst > bound:
-            rep.fail(f"kappa={kap}: max gap {worst:.2e} > {bound:.0e}")
+                              finite=det, asym=pred, abs_res=gap), gap <= bound)
+        rep.judge(not worst > bound, f"kappa={kap}: max gap {worst:.2e} > {bound:.0e}")
     return rep
 
 
@@ -213,22 +200,16 @@ def check_pii_solution(tol: float = 1e-12) -> Report:
     for t in sol.grid(200):
         r = painleve.pii_residual(sol, t) / (1 + abs(sol.u(t)) ** 3)
         worst = max(worst, r)
-    ok = worst <= tol
-    rep.add(ReportRow(label="pii-residual", kappa=0.5, abs_res=worst,
-                      verdict="PASS" if ok else "FAIL"))
-    if not ok:
-        rep.fail(f"residual {worst:.2e} > tol {tol:.0e}")
+    rep.add(ReportRow(label="pii-residual", kappa=0.5, abs_res=worst),
+            worst <= tol, f"residual {worst:.2e} > tol {tol:.0e}")
 
     kap = 1e-6
     lin = painleve.solve_as(kap, -10.5, 1e-13, t_start=5.0)
     ts = np.arange(-10, 5.01, 0.25)
     worst_l = max(abs(complex(lin.u(float(t))) / kap - ai) / abs(ai)
                   for t, ai in zip(ts, specfun.airy(ts)[0]))
-    ok = worst_l <= 1e-10
-    rep.add(ReportRow(label="airy-linearization", kappa=kap, abs_res=worst_l,
-                      verdict="PASS" if ok else "FAIL"))
-    if not ok:
-        rep.fail(f"linearization err {worst_l:.2e} > 1e-10")
+    rep.add(ReportRow(label="airy-linearization", kappa=kap, abs_res=worst_l),
+            worst_l <= 1e-10, f"linearization err {worst_l:.2e} > 1e-10")
     return rep
 
 
@@ -242,18 +223,13 @@ def check_pole_freeness(radii=(0.3, 0.7, 0.95, 1.3),
     events = painleve.pole_free_scan(kappas, t_min=t_min, tol=tol)
     for kap in kappas:
         hit = [e for e in events if e[0] == kap]
-        rep.add(ReportRow(label="pole-free-scan", kappa=kap,
-                          abs_res=float(len(hit)),
-                          verdict="PASS" if not hit else "FAIL"))
-    if events:
-        rep.fail(f"{len(events)} unexpected blow-ups: {events}")
+        rep.add(ReportRow(label="pole-free-scan", kappa=kap, abs_res=float(len(hit))),
+                not hit)
+    rep.judge(not events, f"{len(events)} unexpected blow-ups: {events}")
     control = painleve.solve_as(control_kappa, -12.0, tol)
-    ok = len(control.poles) >= 1
     rep.add(ReportRow(label="pole-control-run", kappa=control_kappa,
-                      abs_res=float(len(control.poles)),
-                      verdict="PASS" if ok else "FAIL"))
-    if not ok:
-        rep.fail(f"kappa={control_kappa}: no pole found on [-12, start]")
+                      abs_res=float(len(control.poles))),
+            len(control.poles) >= 1, f"kappa={control_kappa}: no pole found on [-12, start]")
     return rep
 
 
@@ -271,8 +247,8 @@ def check_singular_regime(gamma: float = 0.0, center: float = -12.0,
         if a <= center <= b or pair is None:
             if pair is None or abs((a + b) / 2 - center) < abs(sum(pair) / 2 - center):
                 pair = (a, b)
+    rep.judge(pair is not None, "no pole pair found")
     if pair is None:
-        rep.fail("no pole pair found")
         return rep
     a_lo, a_hi = pair
     margin = 0.06 * (a_hi - a_lo)
@@ -288,17 +264,14 @@ def check_singular_regime(gamma: float = 0.0, center: float = -12.0,
         worst = max(worst, rel)
         npts += 1
         rep.add(ReportRow(label="singular-asymptote", t=float(t), kappa=kap,
-                          finite=y_ode, asym=y_pred, rel_res=rel,
-                          verdict="PASS" if rel <= rel_bound else "FAIL"))
-    if npts == 0 or worst > rel_bound:
-        rep.fail(f"singular comparison worst {worst:.3f} over {npts} points")
+                          finite=y_ode, asym=y_pred, rel_res=rel), rel <= rel_bound)
+    rep.judge(not (npts == 0 or worst > rel_bound),
+              f"singular comparison worst {worst:.3f} over {npts} points")
     mid_pole = min(sol.poles, key=lambda p: abs(p.location - center))
     rt = painleve.pole_roundtrip_error(sol, mid_pole, offset=0.3)
-    ok = rt <= roundtrip_bound
     rep.add(ReportRow(label="pole-roundtrip", t=mid_pole.location, kappa=kap,
-                      abs_res=float(rt), verdict="PASS" if ok else "FAIL"))
-    if not ok:
-        rep.fail(f"roundtrip error {rt:.2e} > {roundtrip_bound:.0e}")
+                      abs_res=float(rt)),
+            rt <= roundtrip_bound, f"roundtrip error {rt:.2e} > {roundtrip_bound:.0e}")
     return rep
 
 
@@ -331,11 +304,8 @@ def check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80),
             devs.append(dev)
             rep.add(ReportRow(label="edge-hankel", n=n, t=t, beta=complex(beta),
                               kappa=kap, finite=ratio, asym=1.0, rel_res=dev))
-        ok = all(a > b for a, b in zip(devs, devs[1:])) and devs[-1] <= final_bound
-        for row, d in zip(rep.rows[-len(ns):], devs):
-            row.verdict = "PASS" if ok else "FAIL"
-        if not ok:
-            rep.fail(f"t={t}: deviations {['%.3g' % d for d in devs]}")
+        rep.judge(all(a > b for a, b in zip(devs, devs[1:])) and devs[-1] <= final_bound,
+                  f"t={t}: deviations {['%.3g' % d for d in devs]}", rep.rows[-len(ns):])
     return rep
 
 
@@ -352,6 +322,7 @@ def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(256, 512, 1
     rep = Report("recurrence-asymptotics")
     kap = kappa_from_beta(beta)
     sol = solution_cached(kap, min(ts) - 1.0, tol)
+    whys = []
     for t in ts:
         gaps_R, gaps_Q = [], []
         for n in ns:
@@ -378,18 +349,17 @@ def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(256, 512, 1
         for name, gaps in (("R", gaps_R), ("scaled Q", gaps_Q)):
             ratios = [b / a if a > 0 else math.inf for a, b in zip(gaps, gaps[1:])]
             if max(ratios) > growth_cap:
-                rep.fail(f"t={t}: {name} gap ratios {['%.3g' % r for r in ratios]} "
-                         f"exceed {growth_cap}")
+                whys.append(f"t={t}: {name} gap ratios {['%.3g' % r for r in ratios]} "
+                            f"exceed {growth_cap}")
         order = asympt.fit_order(gaps_R)
         for row in rep.rows[-4 * len(ns):]:
             if row.label == "recurrence-R":
                 row.order_est = order
         if abs(order - _R_GAP_ORDER) > _R_GAP_ORDER_TOL:
-            rep.fail(f"t={t}: R gap order {order:.3f} outside "
-                     f"{_R_GAP_ORDER:.3f} +- {_R_GAP_ORDER_TOL}")
-    for row in rep.rows:
-        if row.label.startswith("recurrence"):
-            row.verdict = "PASS" if rep.passed else "FAIL"
+            whys.append(f"t={t}: R gap order {order:.3f} outside "
+                        f"{_R_GAP_ORDER:.3f} +- {_R_GAP_ORDER_TOL}")
+    rep.judge(not whys, "; ".join(whys),
+              [row for row in rep.rows if row.label.startswith("recurrence")])
     return rep
 
 
@@ -411,12 +381,10 @@ def check_polynomial_asymptote(beta=0.4j, t: float = 0.5, ns=(64, 128, 256),
         rep.add(ReportRow(label="polynomial-at-cut", n=n, t=t, beta=complex(beta),
                           kappa=kap, finite=ratio, asym=1.0, rel_res=rel))
     est = asympt.fit_order(errs)
-    ok = abs(est - order) <= order_tol
-    for row in rep.rows[-len(ns):]:
+    for row in rep.rows:
         row.order_est = est
-        row.verdict = "PASS" if ok else "FAIL"
-    if not ok:
-        rep.fail(f"fitted order {est:.3f} outside {order:.3f} +- {order_tol}")
+    rep.judge(abs(est - order) <= order_tol,
+              f"fitted order {est:.3f} outside {order:.3f} +- {order_tol}", rep.rows)
     return rep
 
 
@@ -445,18 +413,13 @@ def check_bulk_hankel(beta=0.2j, lam: float = 0.0, ns=(30, 60, 120),
         rep.add(ReportRow(label="bulk-hankel", n=n, lambda0=lam0, beta=complex(beta),
                           finite=ratio, asym=1.0, rel_res=dev))
     n_last = ns[-1]
-    ok = (all(a > b for a, b in zip(devs, devs[1:]))
-          and devs[-1] <= 5.0 * math.log(n_last) / n_last)
-    for row in rep.rows:
-        row.verdict = "PASS" if ok else "FAIL"
-    if not ok:
-        rep.fail(f"deviations {['%.3g' % d for d in devs]}")
+    rep.judge(all(a > b for a, b in zip(devs, devs[1:]))
+              and devs[-1] <= 5.0 * math.log(n_last) / n_last,
+              f"deviations {['%.3g' % d for d in devs]}", rep.rows)
     lam0, _, dev_edge = deviation(ns[1], degrade_lambda)
     rep.add(ReportRow(label="bulk-hankel-edge-degradation", n=ns[1], lambda0=lam0,
-                      beta=complex(beta), rel_res=dev_edge,
-                      verdict="PASS" if dev_edge > devs[1] else "FAIL"))
-    if dev_edge <= devs[1]:
-        rep.fail("no visible degradation toward the edge")
+                      beta=complex(beta), rel_res=dev_edge),
+            not dev_edge <= devs[1], "no visible degradation toward the edge")
     return rep
 
 
@@ -484,11 +447,8 @@ def check_airy_tail(beta=0.15j, ts=(-10.0, -25.0), bound: float = 0.05) -> Repor
                               beta=complex(beta), kappa=kappa_from_beta(beta),
                               abs_res=r))
     ok = env[-1] < env[0] and env[-1] <= bound
-    for row in rep.rows:
-        row.verdict = "PASS" if ok else "FAIL"
-    if not ok:
-        rep.fail(f"residual envelopes {['%.3g' % r for r in env]}")
-    else:
+    rep.judge(ok, f"residual envelopes {['%.3g' % r for r in env]}", rep.rows)
+    if ok:
         rep.note(f"envelopes {['%.3g' % r for r in env]} (bound {bound})")
     return rep
 
@@ -504,12 +464,9 @@ def check_mc_gue(n: int = 8, lambda0: float = 3.0, trials: int = 100_000,
     p, sig = rmtsim.gap_probability_mc(n, lambda0, trials, master)
     det = fredholm.finite_n_det(n, lambda0, 1.0).real
     z = abs(p - det) / sig
-    ok = z <= 3.0
     rep.add(ReportRow(label="gue-gap-probability", n=n, lambda0=lambda0,
-                      finite=p, asym=det, abs_res=abs(p - det),
-                      rel_res=z, verdict="PASS" if ok else "FAIL"))
-    if not ok:
-        rep.fail(f"gap probability off by {z:.2f} sigma")
+                      finite=p, asym=det, abs_res=abs(p - det), rel_res=z),
+            z <= 3.0, f"gap probability off by {z:.2f} sigma")
     return rep
 
 
@@ -526,12 +483,9 @@ def check_mc_thinning(n: int = 50, s: float = 0.5, trials: int = 200_000,
     det = fredholm.finite_n_det(n, lam0, 1.0 - s).real
     for label, key in (("thinned-max", "bernoulli"), ("thinned-max-analytic", "analytic")):
         z = abs(res[key] - det) / res[key + "_stderr"]
-        ok = z <= 3.0
         rep.add(ReportRow(label=label, n=n, lambda0=lam0, finite=res[key], asym=det,
-                          abs_res=abs(res[key] - det), rel_res=z,
-                          verdict="PASS" if ok else "FAIL"))
-        if not ok:
-            rep.fail(f"{key} estimate off by {z:.2f} sigma")
+                          abs_res=abs(res[key] - det), rel_res=z),
+                z <= 3.0, f"{key} estimate off by {z:.2f} sigma")
     return rep
 
 
@@ -545,12 +499,9 @@ def check_mc_plancherel(N: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
     for t, cdf, sig, det in zip(est["t"], est["cdf"], est["stderr"], dets):
         band = 3.0 * sig + finite_band
         gap = abs(cdf - det)
-        ok = gap <= band
         rep.add(ReportRow(label="plancherel-thinned-cdf", n=N, t=float(t),
-                          finite=cdf, asym=det, abs_res=gap, rel_res=gap / band,
-                          verdict="PASS" if ok else "FAIL"))
-        if not ok:
-            rep.fail(f"t={t}: |cdf - det| = {gap:.4f} > band {band:.4f}")
+                          finite=cdf, asym=det, abs_res=gap, rel_res=gap / band),
+                gap <= band, f"t={t}: |cdf - det| = {gap:.4f} > band {band:.4f}")
     return rep
 
 

@@ -58,7 +58,7 @@ __all__ = [
 class WeightParams:
     """Jump parameters: exponent beta (|Re beta| <= 1/2) and cut point lambda0.
 
-    Either construct directly from (beta, lambda0) or in edge form from
+    Construct directly from (beta, lambda0) or in edge form from
     (beta, n, t), which places the cut at
     ``lambda0 = sqrt(2 n) (1 + t n^(-2/3) / 2)`` near the spectral edge.
     """
@@ -73,10 +73,6 @@ class WeightParams:
         # The weight is 2-periodic in beta, so any real part is accepted;
         # |Re beta| <= 1/2 is the canonical band and the asymptotic
         # evaluators enforce their own narrower domains.
-
-    @classmethod
-    def direct(cls, beta, lambda0) -> "WeightParams":
-        return cls(beta=beta, lambda0=lambda0)
 
     @classmethod
     def edge(cls, beta, n: int, t, ctx: PrecisionCtx) -> "WeightParams":
@@ -253,7 +249,7 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     lam = float(lambda0)
     k2 = kappa_sq_from_beta(beta)
     N = n + 2
-    G = hermite_gram(N, lam).entries
+    G = hermite_gram(N, lam)
     small = abs(k2) * np.abs(G).max(axis=1) <= _HALF_ULP
     m = N if small.all() else int(np.argmin(small))
     try:

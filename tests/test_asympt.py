@@ -80,7 +80,8 @@ class TestDegenerateLimits:
             assert abs(pred / hermite_form - 1) < 1e-8
 
     def test_airy_tail_beta_zero_is_exact(self):
-        assert airy_tail_residual(-9.0, 0.0) == 0.0
+        # beta = 0 is kappa = 0, where the Airy determinant is 1
+        assert airy_tail_residual(-9.0, 0.0, logdet=0j) == 0.0
 
 
 def test_bulk_asymptote_domain_guards():

@@ -113,7 +113,7 @@ class TestThinning:
         # for the count X above lambda0: E[X] = tr G and
         # E[X(X - 1)] = (tr G)^2 - tr(G^2), G the Hermite Gram matrix
         X = _gue_counts(n, lam0, trials, master=31, stream=0).astype(float)
-        G = hermite_gram(n, lam0).entries
+        G = hermite_gram(n, lam0)
         ex = np.trace(G)
         ex2 = ex * ex - np.sum(G * G) + ex
         for vals, want in ((X, ex), (X * X, ex2)):

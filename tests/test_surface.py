@@ -102,3 +102,14 @@ def test_program_runs_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_drivers_judge_only_through_the_report():
+    # verdicts are set by Report.add and Report.judge alone; a hand-written
+    # "PASS"/"FAIL" or a direct Report.fail call in a driver bypasses them
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if (isinstance(node, ast.Constant) and node.value in ("PASS", "FAIL"))
+             or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "fail")]
+    assert found == []

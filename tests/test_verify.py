@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from edgejump import verify
 from edgejump.report import ReportRow
 
@@ -47,3 +49,52 @@ def test_rows_past_double_range_stay_finite():
                       if k.split("_")[0] in ("finite", "asym", "abs", "rel") and v is not None]
             assert all(math.isfinite(v) for v in values), rec
             assert rec["rel_res"] is not None
+
+
+def _gaussian_why(rep):
+    return "; ".join(f"n={r.n} rel err {r.rel_res:.2e} > -1e+00" for r in rep.rows)
+
+
+def _tw_why(rep):
+    return f"kappa=0.3: max gap {max(r.abs_res for r in rep.rows):.2e} > 0e+00"
+
+
+def _edge_why(rep):
+    return "; ".join(f"t={t}: deviations {['%.3g' % r.rel_res for r in rep.rows if r.t == t]}"
+                     for t in (0.0, 2.0))
+
+
+def _singular_why(rep):
+    rels = [r.rel_res for r in rep.rows if r.label == "singular-asymptote"]
+    rt = rep.rows[-1].abs_res
+    return (f"singular comparison worst {max(rels):.3f} over {len(rels)} points; "
+            f"roundtrip error {rt:.2e} > 0e+00")
+
+
+#: (driver, keywords with a bound it cannot meet, expected detail, rows judged FAIL)
+_FORCED_FAILURES = [
+    ("check_gaussian_closed_form", dict(ns=(1, 2, 3), tol=-1.0), _gaussian_why,
+     lambda r: True),
+    ("check_tw_identity", dict(kappas=(0.3,), bound=0.0), _tw_why,
+     lambda r: r.abs_res > 0.0),
+    ("check_edge_hankel", dict(final_bound=0.0), _edge_why, lambda r: True),
+    ("check_bulk_hankel", dict(degrade_lambda=0.0),
+     lambda rep: "no visible degradation toward the edge",
+     lambda r: r.label == "bulk-hankel-edge-degradation"),
+    ("check_singular_regime", dict(rel_bound=0.0, roundtrip_bound=0.0), _singular_why,
+     lambda r: True),
+]
+
+
+@pytest.mark.parametrize("driver, kwargs, why, judged", _FORCED_FAILURES,
+                         ids=[case[0] for case in _FORCED_FAILURES])
+def test_a_bound_that_cannot_be_met_fails(driver, kwargs, why, judged):
+    # each gate shape: a per-row bound, a per-row bound under a worst-case
+    # gate, a trend over a ladder, a trend plus its own last row, and
+    # per-point rows plus a round trip
+    rep = getattr(verify, driver)(**kwargs)
+    assert not rep.passed
+    assert rep.detail == why(rep)
+    verdicts = [r.verdict for r in rep.rows]
+    assert verdicts == ["FAIL" if judged(r) else "PASS" for r in rep.rows]
+    assert "FAIL" in verdicts

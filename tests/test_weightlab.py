@@ -27,7 +27,7 @@ CTX = PrecisionCtx(320)
 
 class TestMoments:
     def test_beta_zero_reduces_to_full_gaussian(self):
-        params = WeightParams.direct(0.0, 0.7)
+        params = WeightParams(0.0, 0.7)
         mu = moments(params, 8, CTX)
         with CTX.workprec():
             for j, m in enumerate(mu):
@@ -38,7 +38,7 @@ class TestMoments:
         # resolving the e^{-lambda0^2} = e^{-900} correction needs ~1300
         # mantissa bits at lambda0 = 30
         ctx = PrecisionCtx(1600)
-        params = WeightParams.direct(0.23j, 30.0)
+        params = WeightParams(0.23j, 30.0)
         mu = moments(params, 6, ctx)
         with ctx.workprec():
             phase = mp.exp(mp.mpc(0, 1) * mp.pi * mp.mpc(0.23j))
@@ -47,7 +47,7 @@ class TestMoments:
                 assert abs(m - want) < mp.exp(mp.mpf(-850))  # e^{-lambda0^2} scale
 
     def test_against_quadrature_oracle(self):
-        params = WeightParams.direct(0.3j, 0.7)
+        params = WeightParams(0.3j, 0.7)
         mu = moments(params, 0, CTX)
         oracle = jump_weight_integral(lambda x: 1, 0.3j, 0.7, bits=CTX.bits)
         with CTX.workprec():
@@ -57,14 +57,14 @@ class TestMoments:
 class TestBuild:
     def test_gaussian_closed_form_small(self):
         ctx = PrecisionCtx(512)
-        sys = build_op_system(WeightParams.direct(0.0, 0.3), 12, ctx, check=False)
+        sys = build_op_system(WeightParams(0.0, 0.3), 12, ctx, check=False)
         with ctx.workprec():
             for n in range(1, 13):
                 closed = gaussian_hankel(n, ctx)
                 assert abs(sys.H[n] - closed) / closed < mp.mpf(10) ** -100
 
     def test_hermite_recurrence_coefficients(self):
-        sys = build_op_system(WeightParams.direct(0.0, -0.4), 12, CTX, check=False)
+        sys = build_op_system(WeightParams(0.0, -0.4), 12, CTX, check=False)
         with CTX.workprec():
             for k in range(13):
                 assert abs(sys.Q[k]) < mp.mpf(10) ** -80
@@ -73,7 +73,7 @@ class TestBuild:
 
     def test_against_gram_schmidt_oracle(self):
         beta, lam0 = 0.4j, 0.7
-        sys = build_op_system(WeightParams.direct(beta, lam0), 4, CTX, check=False)
+        sys = build_op_system(WeightParams(beta, lam0), 4, CTX, check=False)
         polys, norms = gram_schmidt_monic(beta, lam0, 4, bits=320)
         with CTX.workprec():
             for k in range(5):
@@ -82,21 +82,21 @@ class TestBuild:
                     assert abs(c_sys - c_gs) < 1e-18
 
     def test_periodicity_in_beta(self):
-        a = build_op_system(WeightParams.direct(0.3j, 0.5), 6, CTX, check=False)
-        b = build_op_system(WeightParams.direct(2 + 0.3j, 0.5), 6, CTX, check=False)
+        a = build_op_system(WeightParams(0.3j, 0.5), 6, CTX, check=False)
+        b = build_op_system(WeightParams(2 + 0.3j, 0.5), 6, CTX, check=False)
         with CTX.workprec():
             for x, y in zip(a.H, b.H):
                 assert abs(x - y) <= mp.mpf(2) ** (40 - CTX.bits) * abs(x)
 
     def test_norm_product_equals_pivoted_determinant(self):
-        params = WeightParams.direct(0.2 + 0.1j, 0.6)
+        params = WeightParams(0.2 + 0.1j, 0.6)
         sys = build_op_system(params, 8, CTX, check=False)
         with CTX.workprec():
             det = lu_det(hankel_matrix(params, 8, CTX), CTX)
             assert abs(sys.H[8] - det) < mp.mpf(2) ** (60 - CTX.bits) * abs(det)
 
     def test_positivity_for_imaginary_beta(self):
-        sys = build_op_system(WeightParams.direct(0.35j, 0.9), 10, CTX, check=False)
+        sys = build_op_system(WeightParams(0.35j, 0.9), 10, CTX, check=False)
         with CTX.workprec():
             for k in range(1, 11):
                 assert sys.H[k].imag == 0
@@ -106,8 +106,8 @@ class TestBuild:
 
     def test_conjugation_symmetry(self):
         beta = 0.2 + 0.1j
-        a = build_op_system(WeightParams.direct(beta, 0.4), 6, CTX, check=False)
-        b = build_op_system(WeightParams.direct(-beta.conjugate(), 0.4), 6, CTX,
+        a = build_op_system(WeightParams(beta, 0.4), 6, CTX, check=False)
+        b = build_op_system(WeightParams(-beta.conjugate(), 0.4), 6, CTX,
                             check=False)
         with CTX.workprec():
             for x, y in zip(a.H, b.H):
@@ -116,7 +116,7 @@ class TestBuild:
                 assert abs(x - mp.conj(y)) <= mp.mpf(2) ** (40 - CTX.bits) * (1 + abs(x))
 
     def test_agreement_digits_attached(self):
-        sys = build_op_system(WeightParams.direct(0.4j, 1.1), 6, PrecisionCtx(256))
+        sys = build_op_system(WeightParams(0.4j, 1.1), 6, PrecisionCtx(256))
         assert sys.agreed is not None
         assert min(sys.agreed.values()) > 40
 
@@ -137,17 +137,17 @@ class TestBuild:
 
 class TestEval:
     def test_degree_zero_is_one(self):
-        sys = build_op_system(WeightParams.direct(0.17j, 0.2), 3, CTX, check=False)
+        sys = build_op_system(WeightParams(0.17j, 0.2), 3, CTX, check=False)
         assert eval_pn(sys, 0, 1.234) == 1
 
     def test_monic_hermite_degree_two(self):
-        sys = build_op_system(WeightParams.direct(0.0, 0.3), 4, CTX, check=False)
+        sys = build_op_system(WeightParams(0.0, 0.3), 4, CTX, check=False)
         with CTX.workprec():
             for x in (mp.mpf("-1.7"), mp.mpf("0.25"), mp.mpf(2)):
                 assert abs(eval_pn(sys, 2, x) - (x * x - mp.mpf(1) / 2)) < mp.mpf(10) ** -80
 
     def test_recurrence_vs_coefficient_table(self):
-        sys = build_op_system(WeightParams.direct(0.4j, 1.1), 8, CTX, check=False)
+        sys = build_op_system(WeightParams(0.4j, 1.1), 8, CTX, check=False)
         with CTX.workprec():
             for k in (1, 4, 8):
                 x = mp.mpf("0.37")
@@ -156,7 +156,7 @@ class TestEval:
                 assert abs(a - b) <= mp.mpf(2) ** (40 - CTX.bits) * (1 + abs(a))
 
     def test_derivative_route(self):
-        sys = build_op_system(WeightParams.direct(0.4j, 1.1), 6, CTX, check=False)
+        sys = build_op_system(WeightParams(0.4j, 1.1), 6, CTX, check=False)
         with CTX.workprec():
             x = mp.mpf("0.81")
             h = mp.mpf(2) ** -60
@@ -167,18 +167,18 @@ class TestEval:
 
 class TestJumpIdentity:
     def test_beta_zero_vanishes(self):
-        sys = build_op_system(WeightParams.direct(0.0, 0.7), 5, CTX, check=False)
+        sys = build_op_system(WeightParams(0.0, 0.7), 5, CTX, check=False)
         assert qn_jump_identity_residual(sys, 5) == 0
 
     def test_n1_symbolic(self):
         # for n = 1 the identity reduces to explicit moment algebra:
         # Q_1 h_1 = -p_1(lambda0)^2 e^{-lambda0^2} sinh(i pi beta)
         beta, lam0 = 0.25j, 0.9
-        sys = build_op_system(WeightParams.direct(beta, lam0), 1, CTX, check=False)
+        sys = build_op_system(WeightParams(beta, lam0), 1, CTX, check=False)
         assert float(qn_jump_identity_residual(sys, 1)) < 1e-80
 
     def test_interior_cut(self):
-        sys = build_op_system(WeightParams.direct(0.4j, 1.1), 8, PrecisionCtx(512),
+        sys = build_op_system(WeightParams(0.4j, 1.1), 8, PrecisionCtx(512),
                               check=False)
         res = qn_jump_identity_residual(sys, 8)
         with mp.workprec(512):
@@ -195,17 +195,17 @@ class TestJumpIdentity:
 
 class TestDiffIdentity:
     def test_beta_zero_both_sides_vanish(self):
-        res = diff_identity_residual(WeightParams.direct(0.0, 0.5), 3, ctx=CTX)
+        res = diff_identity_residual(WeightParams(0.0, 0.5), 3, ctx=CTX)
         assert float(res) < 1e-60
 
     def test_documented_point(self):
-        res = diff_identity_residual(WeightParams.direct(0.5j, 0.9), 6,
+        res = diff_identity_residual(WeightParams(0.5j, 0.9), 6,
                                      delta=1e-6, ctx=PrecisionCtx(320))
         assert float(res) <= 1e-9
 
     def test_n1_closed_form(self):
         # both sides computable from mu_0 alone; residual is pure truncation
-        res = diff_identity_residual(WeightParams.direct(0.3j, 0.4), 1, ctx=CTX)
+        res = diff_identity_residual(WeightParams(0.3j, 0.4), 1, ctx=CTX)
         assert float(res) < 1e-20
 
     def test_edge_form(self):
@@ -241,7 +241,7 @@ class TestGramRoute:
         beta, n = 0.2j, 30
         lam0 = lam * math.sqrt(2.0 * n)
         ctx = hankel_ctx(n)
-        ref = build_op_system(WeightParams.direct(beta, lam0), n, ctx, check=False)
+        ref = build_op_system(WeightParams(beta, lam0), n, ctx, check=False)
         sys = gram_system(beta, n, lam0)
         with ctx.workprec():
             assert abs(ref.Q[n] - sys.Q[n]) < 1e-12
@@ -271,7 +271,7 @@ class TestGramRoute:
 
 
 def test_norm_product_identity_along_the_ladder():
-    sys = build_op_system(WeightParams.direct(0.4j, 1.1), 7, CTX, check=False)
+    sys = build_op_system(WeightParams(0.4j, 1.1), 7, CTX, check=False)
     with CTX.workprec():
         acc = mp.mpf(1)
         for k in range(7):
@@ -281,4 +281,4 @@ def test_norm_product_identity_along_the_ladder():
 
 def test_nonfinite_beta_rejected():
     with pytest.raises(ValueError):
-        WeightParams.direct(float("nan") + 0j, 0.0)
+        WeightParams(float("nan") + 0j, 0.0)
