@@ -1,23 +1,21 @@
-"""Closed-form asymptotic predictions for the finite-n objects.
+"""Closed-form asymptotic predictions for the finite-n objects, as logs.
 
 Every evaluator takes the edge coordinate t (the cut point then sits at
 ``sqrt(2n) (1 + t n^(-2/3)/2)``) or the bulk coordinate ``lambda`` in (-1, 1),
-and returns the predicted value of the matching finite-n quantity.  The
+and returns the natural log of the predicted finite-n value as a complex, in
+doubles: H_n, h_n and p_n(lambda0) leave double range from n ~ 40 on, their
+logs do not.  A log sums the principal logs of its factors; a multiple of
+2 pi i drops out of the ratio ``exp(log finite - log prediction)``.  The
 distinction between t and its slightly deformed conformal image is absorbed
 into the error terms, matching the asymptotic statements being tested.
-
-All fractional powers and logarithms act on positive real arguments here
-(principal branches throughout).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from statistics import fmean
 
 import mpmath as mp
-
-from .precision import PrecisionCtx
-from .weightlab import gaussian_hankel
 
 __all__ = [
     "edge_hankel_asymptote", "bulk_hankel_asymptote", "recurrence_asymptotes",
@@ -25,20 +23,17 @@ __all__ = [
 ]
 
 
-def edge_hankel_asymptote(n: int, t: float, beta, sol, ctx: PrecisionCtx) -> mp.mpc:
-    """Predicted H_n near the edge: e^(i pi beta n) H_n(0) exp(-F(t)).
+def edge_hankel_asymptote(n: int, t: float, beta, sol) -> complex:
+    """Predicted log(H_n(beta)/H_n(0)) near the edge: i pi beta n - F(t).
 
     ``sol`` must be the Painleve solution for kappa^2 = 1 - e^(-2 pi i beta);
     F is its second antiderivative, the Tracy-Widom exponent.
     """
-    F = complex(sol.F(t))
-    with ctx.workprec(10):
-        return (mp.exp(1j * mp.pi * mp.mpc(beta) * n) * gaussian_hankel(n, ctx)
-                * mp.exp(-mp.mpc(F)))
+    return 1j * math.pi * complex(beta) * n - complex(sol.F(t))
 
 
-def bulk_hankel_asymptote(n: int, lam: float, beta, ctx: PrecisionCtx) -> mp.mpc:
-    """Predicted H_n with the cut at lambda sqrt(2n) strictly inside the bulk.
+def bulk_hankel_asymptote(n: int, lam: float, beta) -> complex:
+    """Predicted log(H_n(beta)/H_n(0)) with the cut at lambda sqrt(2n) inside the bulk.
 
     Valid for |Re beta| < 1/4 and lambda in compact subsets of (-1, 1);
     accuracy degrades visibly as |lambda| approaches 1.
@@ -48,57 +43,42 @@ def bulk_hankel_asymptote(n: int, lam: float, beta, ctx: PrecisionCtx) -> mp.mpc
     b = complex(beta)
     if abs(b.real) >= 0.25:
         raise ValueError("bulk asymptote needs |Re beta| < 1/4")
-    with ctx.workprec(10):
-        bb = mp.mpc(beta)
-        lamm = mp.mpf(lam)
-        pref = mp.barnesg(1 + bb) * mp.barnesg(1 - bb)
-        pw = (1 - lamm ** 2) ** (-3 * bb ** 2 / 2) * (8 * mp.mpf(n)) ** (-bb ** 2)
-        osc = mp.exp(2j * n * bb * (mp.asin(lamm) + lamm * mp.sqrt(1 - lamm ** 2)))
-        return gaussian_hankel(n, ctx) * pref * pw * osc
+    pref = complex(mp.log(mp.barnesg(1 + b) * mp.barnesg(1 - b)))
+    return (pref - 1.5 * b * b * math.log(1 - lam * lam) - b * b * math.log(8 * n)
+            + 2j * n * b * (math.asin(lam) + lam * math.sqrt(1 - lam * lam)))
 
 
-def recurrence_asymptotes(n: int, t: float, sol, ctx: PrecisionCtx | None = None) -> dict:
-    """Predicted R_n, Q_n and norm h_n from the Painleve data at t.
+def recurrence_asymptotes(n: int, t: float, sol) -> dict:
+    """Predicted R_n, Q_n and log h_n from the Painleve data at t.
 
     R = n/2 - u^2 n^(1/3)/2 and Q = -u^2 n^(-1/6)/sqrt(2).  The norm
-    expansion is returned in two variants: ``h`` uses the coefficients that
-    the matrix-entry route and the finite-n data confirm,
-    ``(1 - n^(-1/3) v + n^(-2/3)(v^2 - u^2)/2)``, while ``h_printed`` keeps
-    the +v first-order sign of the published display; residual reports
-    print both.
+    h_n = pi sqrt(2n) (n/(2e))^n e^(i pi beta) (1 + ...) comes in two variants:
+    ``log_h`` uses the correction that the matrix-entry route and the finite-n
+    data confirm, ``(1 - n^(-1/3) v + n^(-2/3)(v^2 - u^2)/2)``, while
+    ``log_h_printed`` keeps the +v first-order sign of the published display.
     """
-    u = complex(sol.u(t))
-    v = complex(sol.v(t))
+    u, v = complex(sol.u(t)), complex(sol.v(t))
     u2 = u * u
     R = n / 2 - u2 * n ** (1.0 / 3.0) / 2
     Q = -u2 * n ** (-1.0 / 6.0) / math.sqrt(2)
-    bits = ctx.bits if ctx is not None else 64
-    with mp.workprec(bits + 10):
-        nn = mp.mpf(n)
-        pref = (mp.pi * mp.sqrt(2 * nn) * nn ** nn / (2 ** nn * mp.exp(nn))
-                * mp.exp(1j * mp.pi * mp.mpc(sol.beta)))
-        un, vn = mp.mpc(u2), mp.mpc(v)
-        third = nn ** mp.mpf("-1/3")
-        second = (vn * vn - un) / 2
-        h = pref * (1 - third * vn + third ** 2 * second)
-        h_printed = pref * (1 + third * vn + third ** 2 * second)
-    return {"R": R, "Q": Q, "h": h, "h_printed": h_printed}
+    log_pref = (math.log(math.pi) + math.log(2 * n) / 2 + n * math.log(n / (2 * math.e))
+                + 1j * math.pi * complex(sol.beta))
+    third = n ** (-1.0 / 3.0)
+    second = third * third * (v * v - u2) / 2
+    return {"R": R, "Q": Q,
+            "log_h": log_pref + cmath.log(1 - third * v + second),
+            "log_h_printed": log_pref + cmath.log(1 + third * v + second)}
 
 
-def polynomial_value_asymptote(n: int, t: float, sol, ctx: PrecisionCtx | None = None) -> mp.mpc:
-    """Predicted monic polynomial value at the cut point.
+def polynomial_value_asymptote(n: int, t: float, sol) -> complex:
+    """Predicted log of the monic polynomial value at the cut point.
 
-    ``(sqrt(2 pi)/kappa) (n e/2)^(n/2) n^(1/6) e^(t n^(1/3)) u(t; kappa)``;
+    The log of ``(sqrt(2 pi)/kappa) (n e/2)^(n/2) n^(1/6) e^(t n^(1/3)) u(t; kappa)``;
     reduces to the classical Plancherel-Rotach form with Ai(t) as kappa -> 0.
     """
-    u = complex(sol.u(t))
-    kap = complex(sol.kappa)
-    bits = ctx.bits if ctx is not None else 64
-    with mp.workprec(bits + 10):
-        nn = mp.mpf(n)
-        return (mp.sqrt(2 * mp.pi) / mp.mpc(kap) * (nn * mp.e / 2) ** (nn / 2)
-                * nn ** mp.mpf("1/6") * mp.exp(mp.mpf(t) * nn ** mp.mpf("1/3"))
-                * mp.mpc(u))
+    return (math.log(2 * math.pi) / 2 - cmath.log(complex(sol.kappa))
+            + n / 2 * math.log(n * math.e / 2) + math.log(n) / 6 + t * n ** (1.0 / 3.0)
+            + cmath.log(complex(sol.u(t))))
 
 
 def airy_tail_residual(t: float, beta, logdet: complex) -> float:

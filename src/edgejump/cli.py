@@ -129,6 +129,9 @@ def _build_config(args) -> RunConfig:
         raise ConfigError(f"need nodes >= 1 (or 0 for the default), got {nodes}")
     if bits is not None and bits < MIN_BITS:
         raise ConfigError(f"need bits >= {MIN_BITS} (or 0 for the default), got {bits}")
+    trials = _value(merged, "trials", int, 100_000)
+    if trials < 2:  # every estimator reports a ddof = 1 standard error
+        raise ConfigError(f"need trials >= 2, got {trials}")
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):  # a config file bypasses the flag's choices
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -139,7 +142,7 @@ def _build_config(args) -> RunConfig:
         bits=bits,
         tol=_value(merged, "tol", float, 1e-12),
         nodes=nodes,
-        trials=_value(merged, "trials", int, 100_000),
+        trials=trials,
         seed=_value(merged, "seed", int, 20240),
         out=merged.get("out"), fmt=fmt,
         timestamp=bool(merged.get("timestamp", False)),

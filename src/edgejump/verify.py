@@ -22,6 +22,11 @@ determinants, recurrence coefficients, polynomial value) reads the
 complex128 Gram-route system (``gram_system``), the edge ones through
 :func:`op_system_cached`.  So the Fredholm identity confronts the moment
 route with the Gram determinant.
+
+Those comparisons run in doubles: the Gram route keeps H_n, h_n and
+p_n(lambda0) as logs, the :mod:`~edgejump.asympt` predictions are logs, and a
+ratio row holds ``exp(log finite - log prediction)`` against 1.  The edge cut
+point is the one big-float step left on that side.
 """
 from __future__ import annotations
 
@@ -38,9 +43,9 @@ from .precision import PrecisionCtx, hankel_ctx
 from .report import Report, ReportRow
 from .util import kappa_from_beta, kappa_sq_from_beta
 
-#: Precision of the big-float values (H_n, h_n, p_n past double range) that
-#: the Gram-route checks compare with their predictions.
-_ROW_CTX = PrecisionCtx(64)
+#: Precision of the edge cut point of :func:`op_system_cached`; a cut in
+#: doubles is an ulp off at about a quarter of (n, t), moving its Gram system.
+_EDGE_CUT_CTX = PrecisionCtx(64)
 
 #: Criterion 5's R gap decays like n^(-1/3); its fitted order must lie within
 #: this tolerance of that.
@@ -69,7 +74,7 @@ def op_system_cached(beta, n: int, t: float) -> weightlab.GramSystem:
     The cut sits at ``lambda0 = sqrt(2 n) (1 + t n^(-2/3) / 2)``.
     """
     def make():
-        lam0 = weightlab.WeightParams.edge(beta, n, t, _ROW_CTX).lambda0
+        lam0 = weightlab.WeightParams.edge(beta, n, t, _EDGE_CUT_CTX).lambda0
         return weightlab.gram_system(beta, n, lam0)
     return _memo(_OP_CACHE, (complex(beta), n, float(t)), make)
 
@@ -279,16 +284,6 @@ def check_singular_regime(gamma: float = 0.0, center: float = -12.0,
 # asymptotic trend checks
 # ---------------------------------------------------------------------------
 
-def _hankel_vs(sys: weightlab.GramSystem, pred):
-    """H_n / pred, with H_n = H_n(0) e^(log_H_ratio) from the Gram route.
-
-    H_n and its prediction leave double range from n ~ 40 on; their ratio
-    does not, so rows report it against 1.
-    """
-    with _ROW_CTX.workprec():
-        return weightlab.gaussian_hankel(sys.n, _ROW_CTX) * mp.exp(sys.log_H_ratio) / pred
-
-
 def check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80),
                       final_bound: float = 0.05, tol: float = 1e-12) -> Report:
     """| |H_n(beta)/prediction| - 1 | decreasing in n, small at the largest n."""
@@ -298,9 +293,9 @@ def check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80),
     for t in ts:
         devs = []
         for n in ns:
-            pred = asympt.edge_hankel_asymptote(n, t, beta, sol, _ROW_CTX)
-            ratio = _hankel_vs(op_system_cached(beta, n, t), pred)
-            dev = float(abs(abs(ratio) - 1))
+            ratio = cmath.exp(op_system_cached(beta, n, t).log_H_ratio
+                              - asympt.edge_hankel_asymptote(n, t, beta, sol))
+            dev = abs(abs(ratio) - 1)
             devs.append(dev)
             rep.add(ReportRow(label="edge-hankel", n=n, t=t, beta=complex(beta),
                               kappa=kap, finite=ratio, asym=1.0, rel_res=dev))
@@ -327,13 +322,11 @@ def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(256, 512, 1
         gaps_R, gaps_Q = [], []
         for n in ns:
             sys = op_system_cached(beta, n, t)
-            pred = asympt.recurrence_asymptotes(n, t, sol, ctx=_ROW_CTX)
+            pred = asympt.recurrence_asymptotes(n, t, sol)
             gap_R = float(abs(sys.R[n] - pred["R"]))
             gap_Q = float(abs(sys.Q[n] - pred["Q"])) * math.sqrt(n)
-            with _ROW_CTX.workprec():
-                h = mp.exp(sys.log_h)
-                h_rel = float(abs(h / pred["h"] - 1))
-                h_rel_printed = float(abs(h / pred["h_printed"] - 1))
+            h_rel = abs(cmath.exp(sys.log_h - pred["log_h"]) - 1)
+            h_rel_printed = abs(cmath.exp(sys.log_h - pred["log_h_printed"]) - 1)
             gaps_R.append(gap_R)
             gaps_Q.append(gap_Q)
             rep.add(ReportRow(label="recurrence-R", n=n, t=t, beta=complex(beta),
@@ -372,11 +365,9 @@ def check_polynomial_asymptote(beta=0.4j, t: float = 0.5, ns=(64, 128, 256),
     sol = solution_cached(kap, t - 1.0, tol)
     errs = []
     for n in ns:
-        sys = op_system_cached(beta, n, t)
-        pred = asympt.polynomial_value_asymptote(n, t, sol, _ROW_CTX)
-        with _ROW_CTX.workprec():
-            ratio = mp.exp(sys.log_pn) / pred  # p_n(lambda0) leaves double range
-            rel = float(abs(ratio - 1))
+        ratio = cmath.exp(op_system_cached(beta, n, t).log_pn
+                          - asympt.polynomial_value_asymptote(n, t, sol))
+        rel = abs(ratio - 1)
         errs.append(rel)
         rep.add(ReportRow(label="polynomial-at-cut", n=n, t=t, beta=complex(beta),
                           kappa=kap, finite=ratio, asym=1.0, rel_res=rel))
@@ -400,11 +391,9 @@ def check_bulk_hankel(beta=0.2j, lam: float = 0.0, ns=(30, 60, 120),
 
     def deviation(n, lam):
         lam0 = lam * math.sqrt(2.0 * n)
-        pred = asympt.bulk_hankel_asymptote(n, lam, beta, _ROW_CTX)
-        ratio = _hankel_vs(weightlab.gram_system(beta, n, lam0), pred)
-        with _ROW_CTX.workprec():
-            dev = float(abs(ratio - 1))
-        return lam0, ratio, dev
+        ratio = cmath.exp(weightlab.gram_system(beta, n, lam0).log_H_ratio
+                          - asympt.bulk_hankel_asymptote(n, lam, beta))
+        return lam0, ratio, abs(ratio - 1)
 
     devs = []
     for n in ns:
@@ -457,6 +446,11 @@ def check_airy_tail(beta=0.15j, ts=(-10.0, -25.0), bound: float = 0.05) -> Repor
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _in_units(gap: float, unit: float) -> float:
+    """gap / unit; a zero unit (every trial alike) gives inf, or 0 for a zero gap."""
+    return gap / unit if unit else (math.inf if gap else 0.0)
+
+
 def check_mc_gue(n: int = 8, lambda0: float = 3.0, trials: int = 100_000,
                  master: int = 20240 + 8) -> Report:
     """Empirical gap probability within 3 sigma of the determinant."""
@@ -482,7 +476,7 @@ def check_mc_thinning(n: int = 50, s: float = 0.5, trials: int = 200_000,
     res = rmtsim.thinning_check(n, s, lam0, trials, master)
     det = fredholm.finite_n_det(n, lam0, 1.0 - s).real
     for label, key in (("thinned-max", "bernoulli"), ("thinned-max-analytic", "analytic")):
-        z = abs(res[key] - det) / res[key + "_stderr"]
+        z = _in_units(abs(res[key] - det), res[key + "_stderr"])
         rep.add(ReportRow(label=label, n=n, lambda0=lam0, finite=res[key], asym=det,
                           abs_res=abs(res[key] - det), rel_res=z),
                 z <= 3.0, f"{key} estimate off by {z:.2f} sigma")
@@ -500,7 +494,7 @@ def check_mc_plancherel(N: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
         band = 3.0 * sig + finite_band
         gap = abs(cdf - det)
         rep.add(ReportRow(label="plancherel-thinned-cdf", n=N, t=float(t),
-                          finite=cdf, asym=det, abs_res=gap, rel_res=gap / band),
+                          finite=cdf, asym=det, abs_res=gap, rel_res=_in_units(gap, band)),
                 gap <= band, f"t={t}: |cdf - det| = {gap:.4f} > band {band:.4f}")
     return rep
 

@@ -347,6 +347,54 @@ def pii_taylor_index_sum(t, y, K):
     return u, p, v, F
 
 
+def gaussian_hankel_closed_form(n: int, bits: int = 200):
+    """H_n at beta = 0: (2 pi)^(n/2) 2^(-n^2/2) G(n + 1), G the Barnes G-function."""
+    with mp.workprec(bits):
+        return (2 * mp.pi) ** (mp.mpf(n) / 2) * mp.mpf(2) ** (-mp.mpf(n) ** 2 / 2) * mp.barnesg(n + 1)
+
+
+def edge_hankel_product(n: int, beta, F, bits: int = 200):
+    """Predicted edge H_n as the product e^(i pi beta n) H_n(0) e^(-F), F = F(t)."""
+    with mp.workprec(bits):
+        return (mp.exp(1j * mp.pi * mp.mpc(beta) * n) * gaussian_hankel_closed_form(n, bits)
+                * mp.exp(-mp.mpc(F)))
+
+
+def bulk_hankel_product(n: int, lam: float, beta, bits: int = 200):
+    """Predicted bulk H_n: H_n(0) G(1+b) G(1-b) (1-lam^2)^(-3b^2/2) (8n)^(-b^2) e^(i phase).
+
+    The phase is 2 n b (arcsin lam + lam sqrt(1 - lam^2)).
+    """
+    with mp.workprec(bits):
+        b, lm = mp.mpc(beta), mp.mpf(lam)
+        return (gaussian_hankel_closed_form(n, bits) * mp.barnesg(1 + b) * mp.barnesg(1 - b)
+                * (1 - lm ** 2) ** (-3 * b ** 2 / 2) * (8 * mp.mpf(n)) ** (-b ** 2)
+                * mp.exp(2j * n * b * (mp.asin(lm) + lm * mp.sqrt(1 - lm ** 2))))
+
+
+def norm_expansion_products(n: int, beta, u, v, bits: int = 200) -> tuple:
+    """Predicted h_n, with the -v and the +v first-order sign, as products.
+
+    pi sqrt(2n) n^n / (2^n e^n) e^(i pi beta) (1 -+ n^(-1/3) v + n^(-2/3) (v^2 - u^2)/2).
+    """
+    with mp.workprec(bits):
+        nn = mp.mpf(n)
+        pref = (mp.pi * mp.sqrt(2 * nn) * nn ** nn / (2 ** nn * mp.exp(nn))
+                * mp.exp(1j * mp.pi * mp.mpc(beta)))
+        third = nn ** mp.mpf("-1/3")
+        un, vn = mp.mpc(u), mp.mpc(v)
+        second = third ** 2 * (vn * vn - un * un) / 2
+        return pref * (1 - third * vn + second), pref * (1 + third * vn + second)
+
+
+def polynomial_value_product(n: int, t: float, kappa, u, bits: int = 200):
+    """Predicted monic p_n at the edge cut: (sqrt(2 pi)/kappa) (n e/2)^(n/2) n^(1/6) e^(t n^(1/3)) u."""
+    with mp.workprec(bits):
+        nn = mp.mpf(n)
+        return (mp.sqrt(2 * mp.pi) / mp.mpc(kappa) * (nn * mp.e / 2) ** (nn / 2)
+                * nn ** mp.mpf("1/6") * mp.exp(mp.mpf(t) * nn ** mp.mpf("1/3")) * mp.mpc(u))
+
+
 def lis_length(seq) -> int:
     """Longest increasing subsequence by patience sorting (tails array)."""
     tails: list = []

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -9,12 +10,10 @@ from edgejump.asympt import (airy_tail_residual, bulk_hankel_asymptote,
                              edge_hankel_asymptote, fit_order,
                              polynomial_value_asymptote, recurrence_asymptotes)
 from edgejump.painleve import _airy_initial_state, solve_as
-from edgejump.precision import PrecisionCtx
-from edgejump.weightlab import gaussian_hankel
+from edgejump.util import kappa_from_beta
 
-from oracles import moment_limit_check
-
-CTX = PrecisionCtx(256)
+from oracles import (bulk_hankel_product, edge_hankel_product, gaussian_hankel_closed_form,
+                     moment_limit_check, norm_expansion_products, polynomial_value_product)
 
 
 class TestMomentLimit:
@@ -54,14 +53,13 @@ class TestFitOrder:
 
 class TestDegenerateLimits:
     def test_edge_hankel_beta_zero(self):
+        # the prediction is log(H_n(beta)/H_n(0)), so 0 at beta = 0
         sol = solve_as(0.0, -3.0, 1e-12)
-        pred = edge_hankel_asymptote(12, 0.0, 0.0, sol, CTX)
-        with CTX.workprec():
-            assert abs(pred - gaussian_hankel(12, CTX)) < mp.mpf(10) ** -60
+        assert abs(edge_hankel_asymptote(12, 0.0, 0.0, sol)) < 1e-60
 
     def test_recurrence_kappa_zero(self):
         sol = solve_as(0.0, -3.0, 1e-12)
-        pred = recurrence_asymptotes(40, 0.0, sol, ctx=CTX)
+        pred = recurrence_asymptotes(40, 0.0, sol)
         assert pred["R"] == pytest.approx(20.0, abs=1e-15)
         assert pred["Q"] == pytest.approx(0.0, abs=1e-15)
 
@@ -71,13 +69,14 @@ class TestDegenerateLimits:
         kap = 1e-7
         t, n = 0.5, 64
         sol = solve_as(kap, t - 1.0, 1e-13, t_start=6.0)
-        pred = polynomial_value_asymptote(n, t, sol, CTX)
-        with CTX.workprec():
+        log_pred = polynomial_value_asymptote(n, t, sol)
+        with mp.workprec(256):
             nn = mp.mpf(n)
             hermite_form = (mp.sqrt(2 * mp.pi) * (nn * mp.e / 2) ** (nn / 2)
                             * nn ** mp.mpf("1/6") * mp.exp(t * nn ** mp.mpf("1/3"))
                             * mp.airyai(t))
-            assert abs(pred / hermite_form - 1) < 1e-8
+            log_form = complex(mp.log(hermite_form))
+        assert abs(cmath.exp(log_pred - log_form) - 1) < 1e-8
 
     def test_airy_tail_beta_zero_is_exact(self):
         # beta = 0 is kappa = 0, where the Airy determinant is 1
@@ -86,15 +85,51 @@ class TestDegenerateLimits:
 
 def test_bulk_asymptote_domain_guards():
     with pytest.raises(ValueError):
-        bulk_hankel_asymptote(30, 1.2, 0.1j, CTX)
+        bulk_hankel_asymptote(30, 1.2, 0.1j)
     with pytest.raises(ValueError):
-        bulk_hankel_asymptote(30, 0.0, 0.3, CTX)
+        bulk_hankel_asymptote(30, 0.0, 0.3)
 
 
 def test_norm_expansion_variants_differ():
     beta = 0.4j
-    from edgejump.util import kappa_from_beta
     sol = solve_as(kappa_from_beta(beta), -1.0, 1e-12)
-    pred = recurrence_asymptotes(64, 0.0, sol, ctx=CTX)
-    with CTX.workprec():
-        assert abs(pred["h"] - pred["h_printed"]) > 0
+    pred = recurrence_asymptotes(64, 0.0, sol)
+    assert abs(pred["log_h"] - pred["log_h_printed"]) > 0
+
+
+def _log_gap(log_pred, oracle, divisor=1) -> float:
+    """|exp(log_pred - log(oracle / divisor)) - 1|, the log of the oracle taken in its precision."""
+    with mp.workprec(200):
+        log_oracle = complex(mp.log(oracle / divisor))
+    return abs(cmath.exp(log_pred - log_oracle) - 1)
+
+
+class TestLogsAgainstProducts:
+    # the evaluators sum logs in doubles; the oracles multiply the same
+    # factors at 200 bits with H_n(0) from its closed form
+    BETA = 0.4j
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return solve_as(kappa_from_beta(self.BETA), -3.0, 1e-12)
+
+    @pytest.mark.parametrize("n", [20, 640, 2048])
+    @pytest.mark.parametrize("t", [-2.0, 0.0, 2.0])
+    def test_edge_recurrence_polynomial(self, sol, n, t):
+        F, u, v = complex(sol.F(t)), complex(sol.u(t)), complex(sol.v(t))
+        assert _log_gap(edge_hankel_asymptote(n, t, self.BETA, sol),
+                        edge_hankel_product(n, self.BETA, F),
+                        gaussian_hankel_closed_form(n)) <= 1e-10
+        pred = recurrence_asymptotes(n, t, sol)
+        h, h_printed = norm_expansion_products(n, self.BETA, u, v)
+        assert _log_gap(pred["log_h"], h) <= 1e-10
+        assert _log_gap(pred["log_h_printed"], h_printed) <= 1e-10
+        assert _log_gap(polynomial_value_asymptote(n, t, sol),
+                        polynomial_value_product(n, t, sol.kappa, u)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [30, 120])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("beta", [0.2j, 0.1])
+    def test_bulk(self, n, lam, beta):
+        assert _log_gap(bulk_hankel_asymptote(n, lam, beta), bulk_hankel_product(n, lam, beta),
+                        gaussian_hankel_closed_form(n)) <= 1e-10

@@ -150,6 +150,16 @@ def test_mc_gue_subcommand(tmp_path):
     assert code == 0
 
 
+def test_too_few_trials_exits_2(capsys):
+    # every Monte-Carlo estimator reports a ddof = 1 standard error
+    for command in ("gue", "plancherel"):
+        for trials in ("-5", "0", "1"):
+            assert main(["mc", command, "--trials", trials]) == 2
+    assert "need trials >= 2, got 1" in capsys.readouterr().err
+    # two trials run, and fail on a standard error of 0 instead of raising
+    assert main(["mc", "gue", "--trials", "2"]) == 1
+
+
 def test_failing_check_exits_1(tmp_path):
     from edgejump.cli import _emit, RunConfig
 

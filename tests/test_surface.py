@@ -113,3 +113,23 @@ def test_drivers_judge_only_through_the_report():
              or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                  and node.func.attr == "fail")]
     assert found == []
+
+
+def test_asymptotic_predictions_stay_in_doubles():
+    # the evaluators return logs computed in doubles: no precision context,
+    # no big-float Hankel closed form
+    tree = ast.parse((PACKAGE / "asympt.py").read_text())
+    banned = {"precision", "weightlab"}
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if (isinstance(node, ast.ImportFrom)
+                   and (node.module or "").rsplit(".", 1)[-1] in banned)
+               or (isinstance(node, ast.Import)
+                   and any(a.name.rsplit(".", 1)[-1] in banned for a in node.names))]
+    assert imports == []
+    evaluators = {"edge_hankel_asymptote", "bulk_hankel_asymptote",
+                  "recurrence_asymptotes", "polynomial_value_asymptote"}
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert evaluators <= set(defs)
+    with_ctx = [name for name in evaluators
+                if "ctx" in [a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)]]
+    assert with_ctx == []

@@ -98,3 +98,17 @@ def test_a_bound_that_cannot_be_met_fails(driver, kwargs, why, judged):
     verdicts = [r.verdict for r in rep.rows]
     assert verdicts == ["FAIL" if judged(r) else "PASS" for r in rep.rows]
     assert "FAIL" in verdicts
+
+
+def test_zero_standard_error_fails():
+    # two trials alike give the analytic estimator a standard error of 0
+    rep = verify.check_mc_thinning(trials=2)
+    assert not rep.passed
+    assert rep.rows[1].rel_res == math.inf
+    assert rep.detail == (f"bernoulli estimate off by {rep.rows[0].rel_res:.2f} sigma; "
+                          "analytic estimate off by inf sigma")
+    # all 40 samples on one side of t = 0, and no finite-size band
+    rep = verify.check_mc_plancherel(ts=(0.0,), trials=40, finite_band=0.0)
+    assert not rep.passed
+    assert rep.rows[0].rel_res == math.inf
+    assert rep.detail == f"t=0.0: |cdf - det| = {rep.rows[0].abs_res:.4f} > band 0.0000"
