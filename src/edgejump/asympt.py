@@ -16,6 +16,7 @@ import math
 from statistics import fmean
 
 import mpmath as mp
+import numpy as np
 
 __all__ = [
     "edge_hankel_asymptote", "bulk_hankel_asymptote", "recurrence_asymptotes",
@@ -81,22 +82,24 @@ def polynomial_value_asymptote(n: int, t: float, sol) -> complex:
             + cmath.log(complex(sol.u(t))))
 
 
-def airy_tail_residual(t: float, beta, logdet: complex) -> float:
+def airy_tail_residual(t, beta, logdet):
     """Residual of the conjectured large-gap expansion of the Airy determinant.
 
     |log det(1 - kappa^2 K_Ai) + (4/3) i beta (-t)^(3/2)
       + (3/2) beta^2 log(-t) - log(G(1+beta) G(1-beta)) + 3 beta^2 log 2|,
     with ``logdet`` = log det(1 - kappa^2 K_Ai) on [t, inf); it should tend
-    to 0 as t -> -infinity.
+    to 0 as t -> -infinity.  ``t`` is one point (a float back) or a sequence
+    with one ``logdet`` per point (an array back); the Barnes G constant is
+    evaluated once per call.
     """
     b = complex(beta)
-    if b == 0:
-        return 0.0
-    mt = -t
+    mt = -np.asarray(t, dtype=float)
+    if not np.all(mt > 0):
+        raise ValueError("the large-gap expansion needs t < 0")
     g = complex(mp.log(mp.barnesg(1 + mp.mpc(b))) + mp.log(mp.barnesg(1 - mp.mpc(b))))
-    val = (complex(logdet) + (4.0 / 3.0) * 1j * b * mt ** 1.5
-           + 1.5 * b * b * math.log(mt) - g + 3 * b * b * math.log(2.0))
-    return abs(val)
+    res = np.abs(np.asarray(logdet, dtype=complex) + (4.0 / 3.0) * 1j * b * mt ** 1.5
+                 + 1.5 * b * b * np.log(mt) - g + 3 * b * b * math.log(2.0))
+    return float(res) if res.ndim == 0 else res
 
 
 def fit_order(errs, ratio: float = 2.0) -> float:

@@ -266,7 +266,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--lambda0", type=float, help="cut point (direct form)")
     p.add_argument("--bits", type=int, help="mantissa bits for exact computations")
     p.add_argument("--tol", type=float, help="ODE/Nystrom tolerance")
-    p.add_argument("--nodes", type=int, help="Gauss nodes per unit panel")
+    p.add_argument("--nodes", type=int, help="Gauss nodes per unit length of the Airy grid "
+                   "(a shorter panel gets proportionally fewer, at least half)")
     p.add_argument("--trials", type=int, help="Monte-Carlo trial count")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--out", type=str, help="report file path")

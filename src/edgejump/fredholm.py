@@ -4,16 +4,17 @@
   determinant det(1 - kappa^2 K_Ai) on [t, inf), by Nystrom discretization,
   for a whole sweep of t at once.  One composite Gauss-Legendre grid covers
   [min t, T]: a breakpoint at every requested t and at T, and between
-  breakpoints panels of equal width at most 1 with ``m`` nodes each, so the
-  nodes above any requested t are exactly a composite rule on [t, T]
-  (Bornemann, Math. Comp. 79 (2010), "On the numerical evaluation of
-  Fredholm determinants").  With the nodes in decreasing order, the leading
-  blocks of the symmetrized Nystrom matrix A discretize [x_s, T] for every
-  node x_s, so one unpivoted ``I - kappa^2 A = L diag(1 + e) L^T``
-  (``linalg.ldlt``) per kappa gives every log-determinant at once: the
-  cumulative sum of ``log1p(e_k)`` is log det on [x_s, inf) at node s, and
-  stays accurate for tiny kappa^2.  A does not depend on kappa, so a sweep
-  of kappa builds it once and factors it once per kappa.
+  breakpoints panels of equal width w <= 1 with ``m`` nodes per unit length
+  (ceil(m w), at least ceil(m/2)), so the nodes above any requested t are
+  exactly a composite rule on [t, T] (Bornemann, Math. Comp. 79 (2010), "On
+  the numerical evaluation of Fredholm determinants").  With the nodes in
+  decreasing order, the leading blocks of the symmetrized Nystrom matrix A
+  discretize [x_s, T] for every node x_s, so one unpivoted
+  ``I - kappa^2 A = L diag(1 + e) L^T`` (``linalg.ldlt``) per kappa gives
+  every log-determinant at once: the cumulative sum of ``log1p(e_k)`` is
+  log det on [x_s, inf) at node s, and stays accurate for tiny kappa^2.  A
+  does not depend on kappa, so a sweep of kappa builds it once and factors
+  it once per kappa.
 
   Branch: each pivot is the ratio of consecutive leading determinants.  The
   factors 1 - kappa^2 lambda_i of a real symmetric A lie on one segment
@@ -82,7 +83,7 @@ class TailBoundViolated(ValueError):
 
 @dataclass(frozen=True)
 class NystromConfig:
-    """Gauss nodes per unit panel, truncation point and target error of the Airy grid."""
+    """Gauss nodes per unit length, truncation point and target error of the Airy grid."""
 
     m: int
     T: float
@@ -90,7 +91,7 @@ class NystromConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("need at least one node per panel")
+            raise ValueError("need at least one node per unit length")
 
 
 def airy_kernel_diagonal(x):
@@ -100,7 +101,7 @@ def airy_kernel_diagonal(x):
 
 
 def default_nystrom(t, tol: float = 1e-10) -> NystromConfig:
-    """12 nodes per unit panel and truncation T = max(t, 0) + 14.
+    """12 nodes per unit length and truncation T = max(t, 0) + 14.
 
     ``t`` is one point or a sweep; T is taken past the largest.
     """
@@ -120,21 +121,26 @@ def _airy_nystrom(ts: np.ndarray, cfg: NystromConfig) -> tuple:
     A is ``sqrt(w_i w_j) K_Ai(x_i, x_j)`` with the nodes x in decreasing
     order, so its leading ``above[i]`` rows and columns discretize
     [ts[i], T].  Every gap between consecutive breakpoints (the t's and T)
-    is cut into ceil(width) panels of equal width, each with ``cfg.m``
-    Gauss-Legendre nodes.
+    is cut into ceil(width) panels of equal width w <= 1, each with
+    max(ceil(m w), ceil(m/2)) Gauss-Legendre nodes: ``cfg.m`` per unit
+    length, and never fewer than half of that on a short panel.
     """
     if ts.max() >= cfg.T:
         raise ValueError(f"need every t below the truncation point T = {cfg.T}")
     edges = np.unique(np.append(ts, cfg.T))[::-1]
-    panels = np.ceil(edges[:-1] - edges[1:]).astype(int)
-    cuts = [np.linspace(b, a, k + 1) for b, a, k in zip(edges, edges[1:], panels)]
-    hi = np.concatenate([c[:-1] for c in cuts])
-    lo = np.concatenate([c[1:] for c in cuts])
-    nodes, weights = gauss_legendre(cfg.m, -1.0, 1.0)
-    half = (hi - lo)[:, None] / 2
-    x = ((hi + lo)[:, None] / 2 + half * nodes[::-1]).ravel()
-    w = (half * weights[::-1]).ravel()
-    above = cfg.m * np.cumsum(panels)[np.searchsorted(-edges[1:], -ts)]
+    gaps = edges[:-1] - edges[1:]
+    panels = np.ceil(gaps).astype(int)
+    sizes = np.maximum(np.ceil(cfg.m * gaps / panels), (cfg.m + 1) // 2).astype(int)
+    rules = {size: gauss_legendre(size, -1.0, 1.0) for size in set(sizes.tolist())}
+    xs, ws = [], []
+    for b, a, k, size in zip(edges, edges[1:], panels, sizes):
+        nodes, weights = rules[size]
+        cut = np.linspace(b, a, k + 1)
+        half = (cut[:-1] - cut[1:])[:, None] / 2
+        xs.append(((cut[:-1] + cut[1:])[:, None] / 2 + half * nodes[::-1]).ravel())
+        ws.append((half * weights[::-1]).ravel())
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    above = np.cumsum(panels * sizes)[np.searchsorted(-edges[1:], -ts)]
     ai, aip = airy(x)
     dx = x[:, None] - x
     near = np.abs(dx) < 1e-6 * (1.0 + np.abs(x)[:, None])
@@ -187,7 +193,7 @@ def airy_fredholm_logdet(kappa_sq, t, cfg: NystromConfig | None = None):
     k2s = [complex(k2) for k2 in np.atleast_1d(kappa_sq)]
     logdet = np.empty((len(k2s), len(ts)), dtype=complex)
     for row, k2 in zip(logdet, k2s):
-        _, e = ldlt(-k2.real * A if k2.imag == 0 else -k2 * A)
+        e = np.diagonal(ldlt(-k2.real * A if k2.imag == 0 else -k2 * A))
         row[:] = np.cumsum(_log1p(e))[above - 1]
     if np.ndim(t) == 0:
         logdet = logdet[:, 0]

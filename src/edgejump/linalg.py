@@ -95,15 +95,17 @@ PIVOT_FLOOR = 2.0 ** -26
 _BLOCK = 32
 
 
-def ldlt(E: np.ndarray) -> tuple:
-    """Unpivoted ``I + E = L diag(1 + e) L^T`` of a symmetric E: (L, e).
+def ldlt(E: np.ndarray) -> np.ndarray:
+    """Unpivoted ``I + E = L diag(1 + e) L^T`` of a symmetric E, packed in one array.
 
     E is real symmetric or complex symmetric (the transpose, not the
-    conjugate transpose), and L is unit lower triangular.  The pivots come
-    back as ``e = D - 1``: the Schur complements of ``I + E`` are ``I`` plus
-    those of E, so e is accumulated directly and ``log1p(e)`` keeps its
-    relative accuracy when E is tiny.  Pivot k is the ratio of the leading
-    minors of orders k + 1 and k.
+    conjugate transpose), and L is unit lower triangular.  The returned
+    array holds L below its diagonal (the unit diagonal is implied) and the
+    pivots as ``e = D - 1`` on it; its upper triangle is scratch.  The
+    Schur complements of ``I + E`` are ``I`` plus those of E, so e is
+    accumulated directly and ``log1p(e)`` keeps its relative accuracy when
+    E is tiny.  Pivot k is the ratio of the leading minors of orders k + 1
+    and k.
 
     Right-looking and blocked: scalar steps inside each block of ``_BLOCK``
     columns, then one matrix product for the trailing update.  Raises
@@ -113,9 +115,11 @@ def ldlt(E: np.ndarray) -> tuple:
     """
     A = np.array(E, dtype=complex if np.iscomplexobj(E) else float)
     n = len(A)
-    big = np.abs(A)
-    np.fill_diagonal(big, np.abs(1 + np.diagonal(A)))
-    floor = PIVOT_FLOOR * big.max(initial=0.0)
+    diag = np.diagonal(A).copy()
+    np.fill_diagonal(A, 1 + diag)  # I + E while the floor is taken, a block of rows at a time
+    floor = PIVOT_FLOOR * max((np.abs(A[j:j + _BLOCK]).max() for j in range(0, n, _BLOCK)),
+                              default=0.0)
+    np.fill_diagonal(A, diag)
     for j0 in range(0, n, _BLOCK):
         j1 = min(j0 + _BLOCK, n)
         for k in range(j0, j1):
@@ -127,7 +131,4 @@ def ldlt(E: np.ndarray) -> tuple:
             A[k + 1:, k] = col
         L21 = A[j1:, j0:j1]
         A[j1:, j1:] -= (L21 * (1 + np.diagonal(A)[j0:j1])) @ L21.T
-    e = np.diagonal(A).copy()
-    L = np.tril(A, -1)
-    np.fill_diagonal(L, 1)
-    return L, e
+    return A

@@ -66,8 +66,9 @@ def _horner_derivative(c, s):
 class DenseTrajectory:
     """Piecewise Taylor polynomials of one run on a line in the t-plane.
 
-    Evaluates the state and its t-derivative at any point of the span,
-    whichever the direction of integration.
+    Evaluates the state, or its component ``k`` alone, and the t-derivative
+    of component ``k`` at any point of the span, whichever the direction of
+    integration.
     """
 
     def __init__(self, ts, coeffs, direction, y_end, event_t=None):
@@ -102,13 +103,14 @@ class DenseTrajectory:
         i = min(max(bisect_right(self._key, key) - 1, 0), len(self.coeffs) - 1)
         return i, t - self.ts[i]
 
-    def __call__(self, t):
+    def __call__(self, t, k=None):
         i, s = self._locate(t)
-        return tuple(_horner(c, s) for c in self.coeffs[i])
+        c = self.coeffs[i]
+        return tuple(_horner(ck, s) for ck in c) if k is None else _horner(c[k], s)
 
-    def derivative(self, t):
+    def derivative(self, t, k):
         i, s = self._locate(t)
-        return tuple(_horner_derivative(c, s) for c in self.coeffs[i])
+        return _horner_derivative(self.coeffs[i][k], s)
 
 
 #: _ROOT_EXPONENTS[k][m] = 1/(k - m), the exponent of the step-size root.

@@ -18,10 +18,11 @@ one once |u| reaches 20, solves the local Laurent data (location a, residue
 sign eps, free cubic coefficient) from u and u' at the stop point, and goes
 around the pole through complex t to the mirror point (Fornberg & Weideman,
 J. Comput. Phys. 230, 2011); each crossing is recorded, and the Laurent
-expansion answers real t inside the small window the detour skips.  u, u'
-and v are meromorphic there; F picks up -log(t - a) and is continued on the
-principal-value branch -log|t - a|, the mean of the continuations above and
-below the pole (F is only used on pole-free runs).
+expansion answers real t inside the small window the detour skips.  The
+solution is real, so the detours above and below the pole are mirror images
+(Schwarz reflection): one serves, and the continuation is the real part of
+its end state.  u, u' and v are meromorphic there; F picks up -log(t - a)
+and takes the real part -log|t - a| (F is only used on pole-free runs).
 
 Closed-form asymptotic evaluators for the oscillatory regime t -> -inf and
 for the squared transcendent in the singular |Re beta| = 1/2 regime are
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partialmethod
 from operator import mul
 
 import mpmath as mp
@@ -211,34 +213,31 @@ def _laurent_state(rec: PoleRecord, t):
 def _cross_pole(t_s, y_s, side: int, tol: float):
     """Go around the pole in front of the real stop point t_s to its mirror point.
 
-    Integrates on the semicircle through the upper and on the one through the
-    lower half-plane, both of radius |t_s - a|, and returns the pole record
-    (with its Laurent window) and the mean of the two end states at 2a - t_s.
-    u, u' and v are meromorphic at the pole; F has a logarithm and picks up
-    -i (turn of arg(t - a)) on each semicircle, which is added back so that
-    F stays on the principal-value branch of :func:`laurent_F`.  Each end
-    state must agree with the Laurent prediction.  For a real solution the
-    two semicircles are mirror images, so the mean is real.
+    Integrates counterclockwise on the semicircle of radius |t_s - a| and
+    returns the pole record (with its Laurent window), 2a - t_s and the real
+    part of the state there: for a real state at t_s, the mean of the
+    continuations above and below the pole, which are mirror images.  u, u'
+    and v are meromorphic at the pole; F has a logarithm and picks up -i pi,
+    which is added back.  The end state must agree with the Laurent
+    prediction, F on the principal-value branch of :func:`laurent_F`.
     """
+    if any(complex(c).imag for c in y_s):
+        raise ValueError(f"detour from a complex state at t = {t_s:.6g}: no mirror symmetry")
     rec = _laurent_data(t_s, y_s, side)
     a, r = rec.location, abs(t_s - rec.location)
     t_e = 2 * a - t_s
     th0 = 0.0 if side > 0 else math.pi
+    nodes = ([t_s] + [a + r * cmath.exp(1j * (th0 + math.pi * j / _DETOUR_CHORDS))
+                      for j in range(1, _DETOUR_CHORDS)] + [t_e])
+    y = list(along_path(_pii_taylor, y_s, nodes, tol))
+    y[3] += 1j * math.pi
     pred = _laurent_state(rec, t_e)
-    ends = []
-    for turn in (math.pi, -math.pi):
-        nodes = ([t_s] + [a + r * cmath.exp(1j * (th0 + turn * j / _DETOUR_CHORDS))
-                          for j in range(1, _DETOUR_CHORDS)] + [t_e])
-        y = list(along_path(_pii_taylor, y_s, nodes, tol))
-        y[3] += 1j * turn
-        worst = max(abs(got - want) / max(1.0, abs(want)) for got, want in zip(y, pred))
-        if worst > _LAURENT_MATCH:
-            raise FitFailure(f"state after the detour around t = {a:.6g} misses the "
-                             f"Laurent prediction by {worst:.2e}")
-        ends.append(y)
-    lo, hi = sorted((t_s, t_e))
-    rec = PoleRecord(a, rec.sign, rec.cubic, rec.c_v, rec.c_f, gap_lo=lo, gap_hi=hi)
-    return rec, t_e, tuple((p + q) / 2 for p, q in zip(*ends))
+    worst = max(abs(got - want) / max(1.0, abs(want)) for got, want in zip(y, pred))
+    if worst > _LAURENT_MATCH:
+        raise FitFailure(f"state after the detour around t = {a:.6g} misses the "
+                         f"Laurent prediction by {worst:.2e}")
+    rec = replace(rec, gap_lo=min(t_s, t_e), gap_hi=max(t_s, t_e))
+    return rec, t_e, tuple(complex(c.real) for c in y)
 
 
 class ASolution:
@@ -270,24 +269,20 @@ class ASolution:
                 return p
         return None
 
-    def state(self, t):
-        """(u, u', v, F) at t, from dense output or a pole-window expansion."""
+    def state(self, t, k=None):
+        """(u, u', v, F), or component k alone, at t: dense output or pole-window expansion."""
         seg = self._segment_for(t)
         if seg is not None:
-            return seg(t)
+            return seg(t, k)
         p = self._pole_for(t)
         if p is None:
             raise ValueError(f"t = {t} not covered by this solution")
-        return _laurent_state(p, t)
+        y = _laurent_state(p, t)
+        return y if k is None else y[k]
 
-    def u(self, t):
-        return self.state(t)[0]
-
-    def v(self, t):
-        return self.state(t)[2]
-
-    def F(self, t):
-        return self.state(t)[3]
+    u = partialmethod(state, k=0)
+    v = partialmethod(state, k=2)
+    F = partialmethod(state, k=3)
 
     def grid(self, num: int = 200, t_lo=None, t_hi=None):
         """num points uniform over the covered span, skipping pole windows."""
@@ -302,9 +297,8 @@ def pii_residual(sol: ASolution, t) -> float:
     seg = sol._segment_for(t)
     if seg is None:
         raise ValueError("residual is only defined on integrated segments")
-    u = seg(t)[0]
-    upp = seg.derivative(t)[1]
-    return abs(upp - t * u - 2 * u ** 3)
+    u = seg(t, 0)
+    return abs(seg.derivative(t, 1) - t * u - 2 * u ** 3)
 
 
 def _pick_t_start(kappa_sq_mag: float, tol: float) -> float:
@@ -371,28 +365,22 @@ def solve_as(kappa, t_min: float, tol: float = 1e-12, *, t_start=None,
     beta = beta_from_kappa(kappa) if kappa != 0 else 0j
     if traverse is None:
         traverse = kappa.imag == 0 and abs(kappa.real) > 1
-    k2mag = abs(kappa) ** 2
-    t0 = _pick_t_start(k2mag, tol) if t_start is None else float(t_start)
+    t0 = _pick_t_start(abs(kappa) ** 2, tol) if t_start is None else float(t_start)
     y0 = _airy_initial_state(kappa, t0)
     segments, poles = _integrate_with_poles(y0, t0, t_min, tol, traverse=traverse)
     return ASolution(kappa, beta, tol, t0, t_min, segments, poles)
 
 
-def pole_roundtrip_error(sol: ASolution, pole: PoleRecord, offset: float = 0.3,
-                         tol: float | None = None) -> float:
+def pole_roundtrip_error(sol: ASolution, pole: PoleRecord, offset: float = 0.3) -> float:
     """Re-cross a traversed pole upward and compare u on the far side.
 
     Starts from the dense state below the pole, integrates upward around it
     (a fresh detour), and returns |u_roundtrip - u_original| at a + offset.
     """
-    a = pole.location
-    t_lo, t_hi = a - offset, a + offset
-    if tol is None:
-        tol = sol.tol
+    t_lo, t_hi = pole.location - offset, pole.location + offset
     y_lo = tuple(complex(v) for v in sol.state(t_lo))
-    segments, _ = _integrate_with_poles(y_lo, t_lo, t_hi, tol, traverse=True)
-    u_round = segments[-1](t_hi)[0]
-    return abs(u_round - sol.u(t_hi))
+    segments, _ = _integrate_with_poles(y_lo, t_lo, t_hi, sol.tol, traverse=True)
+    return abs(segments[-1](t_hi, 0) - sol.u(t_hi))
 
 
 def pole_free_scan(kappas, t_min: float = -25.0, tol: float = 1e-12):

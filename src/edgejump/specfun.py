@@ -31,18 +31,17 @@ _AIRY_BOTTOM = -64.0
 _AIRY_BITS = 128
 
 
-def _airy_asymptotic(x, terms: int, exp, sqrt, pi):
+def _airy_asymptotic(x, series: np.ndarray, exp, sqrt, pi):
     """(Ai, Ai') from the series in zeta = 2/3 x^(3/2) (DLMF 9.7.5, 9.7.6).
 
-    Runs on floats, arrays or mpf.  At zeta >= 21 (x >= 10) the terms fall
-    to 1e-17 relative by k = 24 and to their minimum, 3e-20, at k = 43.
+    ``series`` holds the rows ((-1)^k u_k, (-1)^k v_k): the sums are one
+    Vandermonde matrix in 1/zeta times it.  Runs on a float array, or on one
+    mpf with rows of mpf (each value back in a one-element array).  At
+    zeta >= 21 (x >= 10) the terms fall to 1e-17 relative by k = 24 and to
+    their minimum, 3e-20, at k = 43.
     """
     zeta = 2 * x * sqrt(x) / 3
-    term = su = sv = 1  # term = u_k (-1/zeta)^k
-    for k in range(1, terms):
-        term = -term * ((6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / ((2 * k - 1) * 216 * k * zeta)
-        su = su + term
-        sv = sv - term * (6 * k + 1) / (6 * k - 1)
+    su, sv = (np.vander(np.atleast_1d(1 / zeta), len(series), increasing=True) @ series).T
     pre = exp(-zeta) / (2 * sqrt(pi))
     q = sqrt(sqrt(x))
     return pre / q * su, -pre * q * sv
@@ -88,14 +87,19 @@ def _airy_table(rows: list, width: int) -> np.ndarray:
 
 def _build_airy_table() -> tuple:
     with mp.workprec(_AIRY_BITS + 20):
-        ai, aip = _airy_asymptotic(mp.mpf(_AIRY_TOP), 44, mp.exp, mp.sqrt, mp.pi)
-        y, yp = (int(mp.nint(mp.ldexp(v, _AIRY_BITS))) for v in (ai, aip))
+        uv = [(mp.mpf(1), mp.mpf(1))]
+        for k in range(1, 44):
+            u = -uv[-1][0] * ((6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / ((2 * k - 1) * 216 * k)
+            uv.append((u, -u * (6 * k + 1) / (6 * k - 1)))
+        series = np.array(uv)
+        ai, aip = _airy_asymptotic(mp.mpf(_AIRY_TOP), series, mp.exp, mp.sqrt, mp.pi)
+        y, yp = (int(mp.nint(mp.ldexp(v[0], _AIRY_BITS))) for v in (ai, aip))
     count = int((_AIRY_TOP - _AIRY_BOTTOM) / _AIRY_STEP) + 1
     rows, below = _airy_march(_AIRY_TOP, y, yp, count)
-    return _airy_table(rows, _taylor_terms(_AIRY_BOTTOM, 12)), below
+    return _airy_table(rows, _taylor_terms(_AIRY_BOTTOM, 12)), below, series[:25].astype(float)
 
 
-_AIRY_TAYLOR, _AIRY_BELOW = _build_airy_table()
+_AIRY_TAYLOR, _AIRY_BELOW, _AIRY_SERIES = _build_airy_table()  # series rows 0..24 in doubles
 
 
 def airy(x) -> tuple:
@@ -128,7 +132,7 @@ def airy(x) -> tuple:
     aip = (c[:, 1:] * hp[:, :-1]) @ np.arange(1.0, c.shape[1])
     if big.any():
         # both underflow to 0 past x ~ 105; the cap keeps x^(3/2) finite
-        ai[big], aip[big] = _airy_asymptotic(np.minimum(flat[big], 200.0), 25,
+        ai[big], aip[big] = _airy_asymptotic(np.minimum(flat[big], 200.0), _AIRY_SERIES,
                                              np.exp, np.sqrt, math.pi)
     return ai.reshape(x.shape)[()], aip.reshape(x.shape)[()]
 

@@ -426,15 +426,11 @@ def check_airy_tail(beta=0.15j, ts=(-10.0, -25.0), bound: float = 0.05) -> Repor
     periods = [math.pi / math.sqrt(-t) for t in ts]
     probes = np.array([[t, t - p / 4, t - p / 2] for t, p in zip(ts, periods)])
     logdets = fredholm.airy_fredholm_logdet(kappa_sq_from_beta(beta), probes.ravel())
-    env = []
-    for row, lds in zip(probes, logdets.reshape(probes.shape)):
-        vals = [asympt.airy_tail_residual(float(tp), beta, logdet=ld)
-                for tp, ld in zip(row, lds)]
-        env.append(max(vals))
-        for tp, r in zip(row, vals):
-            rep.add(ReportRow(label="airy-tail-residual", t=float(tp),
-                              beta=complex(beta), kappa=kappa_from_beta(beta),
-                              abs_res=r))
+    residuals = asympt.airy_tail_residual(probes.ravel(), beta, logdets)
+    for tp, r in zip(probes.ravel().tolist(), residuals.tolist()):
+        rep.add(ReportRow(label="airy-tail-residual", t=tp, beta=complex(beta),
+                          kappa=kappa_from_beta(beta), abs_res=r))
+    env = residuals.reshape(probes.shape).max(axis=1).tolist()
     ok = env[-1] < env[0] and env[-1] <= bound
     rep.judge(ok, f"residual envelopes {['%.3g' % r for r in env]}", rep.rows)
     if ok:

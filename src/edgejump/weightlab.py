@@ -253,10 +253,10 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     small = abs(k2) * np.abs(G).max(axis=1) <= _HALF_ULP
     m = N if small.all() else int(np.argmin(small))
     try:
-        L, e = ldlt(-k2 * G[m:, m:])
+        L = ldlt(-k2 * G[m:, m:])  # packed: e on the diagonal, L below it
     except SingularMinor as exc:
         raise SingularMinor(m + exc.k) from None
-    D = np.concatenate((1 - k2 * np.diag(G)[:m], 1 + e))
+    D = np.concatenate((1 - k2 * np.diag(G)[:m], 1 + np.diagonal(L)))
     sub = np.zeros(n + 1, dtype=complex)  # L_(k+1,k), k = 0..n
     sub[m:] = np.diagonal(L, -1)
     r = np.sqrt(np.arange(N) / 2)

@@ -278,7 +278,7 @@ def p34_residual(sol, t) -> float:
     u, up = seg(t)[:2]
     if abs(u) < 1e-8:
         raise ValueError("Painleve XXXIV residual undefined where u = 0")
-    upp = seg.derivative(t)[1]
+    upp = seg.derivative(t, 1)
     y = u * u
     yp = 2 * u * up
     ypp = 2 * up * up + 2 * u * upp
@@ -473,3 +473,41 @@ def thinning_from_spectra(eigs: np.ndarray, s: float, lambda0: float,
         "analytic": float(weights.mean()),
         "analytic_stderr": float(weights.std(ddof=1)) / math.sqrt(trials),
     }
+
+
+def cross_pole_two_detours(t_s, y_s, side: int, tol: float):
+    """The pole crossing by both semicircles, as the library made it before.
+
+    Integrates around the pole in front of the real stop point t_s on the
+    semicircle through the upper and on the one through the lower
+    half-plane, and returns the pole record (with its Laurent window), the
+    mirror point and the mean of the two end states there, -i (turn) added
+    back to F on each.  Each end state must agree with the Laurent
+    prediction.  The library goes once, counterclockwise, and takes the
+    real part; this keeps the two-sided mean as its reference.  It shares
+    the Laurent solve and the Taylor stepper with the library on purpose, so
+    that a comparison isolates the crossing itself.
+    """
+    from edgejump.ode import along_path
+    from edgejump.painleve import (FitFailure, PoleRecord, _laurent_data,
+                                   _laurent_state, _pii_taylor)
+
+    chords = 16
+    rec = _laurent_data(t_s, y_s, side)
+    a, r = rec.location, abs(t_s - rec.location)
+    t_e = 2 * a - t_s
+    th0 = 0.0 if side > 0 else math.pi
+    pred = _laurent_state(rec, t_e)
+    ends = []
+    for turn in (math.pi, -math.pi):
+        nodes = ([t_s] + [a + r * cmath.exp(1j * (th0 + turn * j / chords))
+                          for j in range(1, chords)] + [t_e])
+        y = list(along_path(_pii_taylor, y_s, nodes, tol))
+        y[3] += 1j * turn
+        worst = max(abs(got - want) / max(1.0, abs(want)) for got, want in zip(y, pred))
+        if worst > 1e-6:
+            raise FitFailure(f"detour around t = {a:.6g} misses by {worst:.2e}")
+        ends.append(y)
+    lo, hi = sorted((t_s, t_e))
+    rec = PoleRecord(a, rec.sign, rec.cubic, rec.c_v, rec.c_f, gap_lo=lo, gap_hi=hi)
+    return rec, t_e, tuple((p + q) / 2 for p, q in zip(*ends))

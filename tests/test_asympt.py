@@ -82,6 +82,15 @@ class TestDegenerateLimits:
         # beta = 0 is kappa = 0, where the Airy determinant is 1
         assert airy_tail_residual(-9.0, 0.0, logdet=0j) == 0.0
 
+    def test_airy_tail_sweep_equals_one_call_per_t(self):
+        ts, lds = [-10.0, -10.25, -25.0], [0.3 - 4.2j, 0.31 - 4.4j, 1.1 - 16.6j]
+        swept = airy_tail_residual(ts, 0.15j, lds)
+        assert swept.shape == (3,)
+        for t, ld, got in zip(ts, lds, swept):
+            assert got == pytest.approx(airy_tail_residual(t, 0.15j, ld), rel=1e-14)
+        with pytest.raises(ValueError):
+            airy_tail_residual([-1.0, 0.5], 0.15j, [0j, 0j])
+
 
 def test_bulk_asymptote_domain_guards():
     with pytest.raises(ValueError):

@@ -119,6 +119,23 @@ class TestAiryDeterminant:
         b = airy_fredholm_logdet(k2, ts, NystromConfig(m=24, T=default_nystrom(ts).T))
         assert np.abs(a - b).max() <= 1e-10
 
+    @staticmethod
+    def _tail_probes(ts=(-10.0, -25.0)):
+        # check_airy_tail's probes: each t, a quarter and a half period below
+        return [p for t in ts for p in (t, t - math.pi / math.sqrt(-t) / 4,
+                                        t - math.pi / math.sqrt(-t) / 2)]
+
+    @pytest.mark.parametrize("k2s, ts", [
+        ((0.09, 0.49, 0.9025, 2.0, 0.5 + 0.3j), np.arange(-8.0, 4.25, 0.5)),
+        (tuple(kappa_sq_from_beta(b) for b in (0.15j, 0.3j, -0.45 + 0.2j)), None)])
+    def test_sub_unit_panels_against_doubled_nodes(self, k2s, ts):
+        # half-unit and quarter-period gaps get fewer nodes than whole-unit
+        # panels; they must agree with the m = 24 grid as whole ones do
+        ts = self._tail_probes() if ts is None else ts
+        a = airy_fredholm_logdet(k2s, ts)
+        b = airy_fredholm_logdet(k2s, ts, NystromConfig(m=24, T=default_nystrom(ts).T))
+        assert np.abs(a - b).max() <= 1e-10
+
     def test_kernel_diagonal_value(self):
         # K(x,x) = Ai'(x)^2 - x Ai(x)^2 by l'Hopital on the kernel quotient,
         # probed against a tiny divided difference

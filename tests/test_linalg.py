@@ -74,13 +74,13 @@ def test_ldlt_reconstructs_across_blocks():
     rng = np.random.default_rng(7)
     B = rng.standard_normal((70, 70)) + 1j * rng.standard_normal((70, 70))
     for E in ((B + B.T) / 40, (B.real + B.real.T) / 40):
-        L, e = ldlt(E)
-        assert L.dtype == E.dtype and np.all(np.diag(L) == 1) and np.all(np.triu(L, 1) == 0)
+        packed = ldlt(E)
+        assert packed.dtype == E.dtype
+        L, e = np.tril(packed, -1) + np.eye(70), np.diagonal(packed)
         assert np.abs((L * (1 + e)) @ L.T - (np.eye(70) + E)).max() <= 1e-13
 
 
 def test_ldlt_pivots_keep_tiny_perturbations():
     # diagonal E: the pivots minus one are E itself, not 1 + E - 1
     E = np.diag([1e-20, -3e-18, 2e-17 + 1e-19j])
-    _, e = ldlt(E)
-    assert np.array_equal(e, np.diag(E))
+    assert np.array_equal(np.diagonal(ldlt(E)), np.diag(E))

@@ -9,10 +9,12 @@ from edgejump.painleve import (FitFailure, PoleEncountered, TooCloseToPole,
                                as_asymptote_minus, kappa_for_gamma,
                                oscillation_envelope, p34_singular_asymptote,
                                phase_singular, pii_residual, pole_free_scan,
-                               pole_roundtrip_error, solve_as, _pii_taylor)
+                               pole_roundtrip_error, solve_as, _cross_pole,
+                               _pii_taylor)
 from edgejump.util import beta_from_kappa, kappa_from_beta
 
-from oracles import p34_residual, pii_taylor_index_sum, v_asymptote_minus
+from oracles import (cross_pole_two_detours, p34_residual, pii_taylor_index_sum,
+                     v_asymptote_minus)
 
 TOL = 1e-12
 
@@ -58,10 +60,9 @@ class TestSolveBasics:
         # v' = -u^2 and F' = -v from the dense interpolant slopes
         for t in sol_half.grid(25, t_lo=-20.0, t_hi=3.0):
             seg = sol_half._segment_for(t)
-            du = seg.derivative(t)
             u, _, v, _ = seg(t)
-            assert abs(du[2] + u * u) <= 1e-11 * (1 + abs(u) ** 2)
-            assert abs(du[3] + v) <= 1e-11 * (1 + abs(v))
+            assert abs(seg.derivative(t, 2) + u * u) <= 1e-11 * (1 + abs(u) ** 2)
+            assert abs(seg.derivative(t, 3) + v) <= 1e-11 * (1 + abs(v))
 
     def test_real_parameter_solution_is_real(self, sol_half):
         for t in sol_half.grid(20):
@@ -169,6 +170,42 @@ class TestPoles:
                 for tol in (1e-12, 1e-13)]
         assert len(locs[0]) == len(locs[1]) == 11
         assert np.max(np.abs(locs[0] - locs[1])) <= 1e-9
+
+    def test_one_detour_equals_both_on_the_way_down(self):
+        # the chord nodes of the lower semicircle are exact conjugates of the
+        # upper ones, so the two-sided mean is the real part of one, bit for bit
+        sol = solve_as(math.sqrt(2), -14.0, TOL)
+        assert len(sol.segments) == len(sol.poles) + 1 == 12
+        for seg, pole in zip(sol.segments, sol.poles):
+            got = _cross_pole(seg.event_t, seg.y_end, 1, TOL)
+            want = cross_pole_two_detours(seg.event_t, seg.y_end, 1, TOL)
+            assert got == want and got[0] == pole
+
+    def test_one_detour_matches_both_on_the_way_up(self, monkeypatch):
+        import edgejump.painleve as painleve
+        sol = solve_as(math.sqrt(2), -14.0, TOL)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _cross_pole(*args)
+
+        monkeypatch.setattr(painleve, "_cross_pole", spy)
+        pole_roundtrip_error(sol, sol.poles[5], offset=0.3)
+        assert [args[2] for args in calls] == [-1]
+        rec, t_e, y = _cross_pole(*calls[0])
+        rec_o, t_e_o, y_o = cross_pole_two_detours(*calls[0])
+        # the Laurent data come from the stop state alone; only the end states differ
+        assert rec == rec_o and t_e == t_e_o
+        assert all(abs(p - q) <= 1e-12 * max(1.0, abs(q)) for p, q in zip(y, y_o))
+
+    def test_complex_state_refused(self):
+        # off the real cut the solution is not real on the real axis, so one
+        # detour's real part is not the continuation: raise, return nothing
+        with pytest.raises(ValueError):
+            solve_as(1.5 + 1e-9j, -7.0, TOL, traverse=True)
+        with pytest.raises(ValueError):
+            _cross_pole(-1.65, (20.0 + 1e-12j, -400.0, 1.0, 1.0), 1, TOL)
 
     def test_traversal_disabled_raises(self):
         with pytest.raises(PoleEncountered):
