@@ -217,10 +217,8 @@ def _cmd_fredholm(cfg: RunConfig) -> int:
     t_lo = cfg.t_min if cfg.t_min is not None else -8.0
     t_hi = cfg.t if cfg.t is not None else 4.0
     ts = np.arange(t_lo, t_hi + 0.25, 0.5)
-    cfg_n = fredholm.default_nystrom(ts, cfg.tol)
-    if cfg.nodes is not None:
-        cfg_n = fredholm.NystromConfig(m=cfg.nodes, T=cfg_n.T, tol=cfg.tol)
-    logdets = fredholm.airy_fredholm_logdet(k2, ts, cfg_n)
+    nodes = {} if cfg.nodes is None else {"nodes": cfg.nodes}
+    logdets = fredholm.airy_fredholm_logdet(k2, ts, **nodes)
     rep = Report("fredholm-dump", passed=True, compares=False)
     for t, logdet in zip(ts, logdets):
         rep.add(ReportRow(label="airy-determinant", t=float(t), kappa=kap,
@@ -265,7 +263,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--t-min", type=float, help="lower end of a t sweep")
     p.add_argument("--lambda0", type=float, help="cut point (direct form)")
     p.add_argument("--bits", type=int, help="mantissa bits for exact computations")
-    p.add_argument("--tol", type=float, help="ODE/Nystrom tolerance")
+    p.add_argument("--tol", type=float, help="ODE tolerance (painleve, verify tw-identity)")
     p.add_argument("--nodes", type=int, help="Gauss nodes per unit length of the Airy grid "
                    "(a shorter panel gets proportionally fewer, at least half)")
     p.add_argument("--trials", type=int, help="Monte-Carlo trial count")

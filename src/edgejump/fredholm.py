@@ -3,18 +3,19 @@
 * ``airy_fredholm_logdet`` / ``airy_fredholm_det``: the Airy-kernel Fredholm
   determinant det(1 - kappa^2 K_Ai) on [t, inf), by Nystrom discretization,
   for a whole sweep of t at once.  One composite Gauss-Legendre grid covers
-  [min t, T]: a breakpoint at every requested t and at T, and between
-  breakpoints panels of equal width w <= 1 with ``m`` nodes per unit length
-  (ceil(m w), at least ceil(m/2)), so the nodes above any requested t are
-  exactly a composite rule on [t, T] (Bornemann, Math. Comp. 79 (2010), "On
-  the numerical evaluation of Fredholm determinants").  With the nodes in
-  decreasing order, the leading blocks of the symmetrized Nystrom matrix A
-  discretize [x_s, T] for every node x_s, so one unpivoted
-  ``I - kappa^2 A = L diag(1 + e) L^T`` (``linalg.ldlt``) per kappa gives
-  every log-determinant at once: the cumulative sum of ``log1p(e_k)`` is
-  log det on [x_s, inf) at node s, and stays accurate for tiny kappa^2.  A
-  does not depend on kappa, so a sweep of kappa builds it once and factors
-  it once per kappa.
+  [min t, T] with T = max(t, 0) + 14, past which the kernel is negligible
+  (K_Ai(14, 14) = 1.3e-33): a breakpoint at every requested t and at T, and
+  between breakpoints panels of equal width w <= 1 with ``nodes`` per unit
+  length (ceil(nodes w), at least ceil(nodes/2)), so the nodes above any
+  requested t are exactly a composite rule on [t, T] (Bornemann, Math.
+  Comp. 79 (2010), "On the numerical evaluation of Fredholm
+  determinants").  With the nodes in decreasing order, the leading blocks
+  of the symmetrized Nystrom matrix A discretize [x_s, T] for every node
+  x_s, so one unpivoted ``I - kappa^2 A = L diag(1 + e) L^T``
+  (``linalg.ldlt``) per kappa gives every log-determinant at once: the
+  cumulative sum of ``log1p(e_k)`` is log det on [x_s, inf) at node s, and
+  stays accurate for tiny kappa^2.  A does not depend on kappa, so a sweep
+  of kappa builds it once and factors it once per kappa.
 
   Branch: each pivot is the ratio of consecutive leading determinants.  The
   factors 1 - kappa^2 lambda_i of a real symmetric A lie on one segment
@@ -47,7 +48,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -58,7 +58,6 @@ from .quadrature import gauss_legendre
 from .specfun import airy, hermite_functions, hermite_functions_mp
 
 __all__ = [
-    "NystromConfig", "TailBoundViolated",
     "airy_fredholm_det", "airy_fredholm_logdet", "hermite_gram", "finite_n_det",
     "airy_kernel_diagonal",
 ]
@@ -77,60 +76,31 @@ _AGREED_DIGITS = 20
 _MAX_RESOLVE_BITS = 8192
 
 
-class TailBoundViolated(ValueError):
-    """Requested tolerance unreachable at the given truncation point."""
-
-
-@dataclass(frozen=True)
-class NystromConfig:
-    """Gauss nodes per unit length, truncation point and target error of the Airy grid."""
-
-    m: int
-    T: float
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least one node per unit length")
-
-
 def airy_kernel_diagonal(x):
     """K_Ai(x, x) = Ai'(x)^2 - x Ai(x)^2 (confluent limit of the kernel)."""
     ai, aip = airy(x)
     return aip * aip - x * ai * ai
 
 
-def default_nystrom(t, tol: float = 1e-10) -> NystromConfig:
-    """12 nodes per unit length and truncation T = max(t, 0) + 14.
-
-    ``t`` is one point or a sweep; T is taken past the largest.
-    """
-    return NystromConfig(m=12, T=max(float(np.max(t)), 0.0) + 14.0, tol=tol)
-
-
-def _check_tail(cfg: NystromConfig):
-    tail = float(airy_kernel_diagonal(np.array([cfg.T]))[0])
-    if not tail < cfg.tol / 10:
-        raise TailBoundViolated(
-            f"kernel tail {tail:.2e} at T = {cfg.T} exceeds tol/10 = {cfg.tol / 10:.2e}")
-
-
-def _airy_nystrom(ts: np.ndarray, cfg: NystromConfig) -> tuple:
+def _airy_nystrom(ts: np.ndarray, nodes: int) -> tuple:
     """(A, above): the Nystrom matrix of the panel grid and the nodes above each t.
 
     A is ``sqrt(w_i w_j) K_Ai(x_i, x_j)`` with the nodes x in decreasing
     order, so its leading ``above[i]`` rows and columns discretize
-    [ts[i], T].  Every gap between consecutive breakpoints (the t's and T)
-    is cut into ceil(width) panels of equal width w <= 1, each with
-    max(ceil(m w), ceil(m/2)) Gauss-Legendre nodes: ``cfg.m`` per unit
-    length, and never fewer than half of that on a short panel.
+    [ts[i], T], T = max(t, 0) + 14.  Every gap between consecutive
+    breakpoints (the t's and T) is cut into ceil(width) panels of equal
+    width w <= 1, each with max(ceil(nodes w), ceil(nodes/2)) Gauss-Legendre
+    nodes: ``nodes`` per unit length, and never fewer than half of that on a
+    short panel.
     """
-    if ts.max() >= cfg.T:
-        raise ValueError(f"need every t below the truncation point T = {cfg.T}")
-    edges = np.unique(np.append(ts, cfg.T))[::-1]
+    if nodes < 1:
+        raise ValueError("need at least one node per unit length")
+    if not np.isfinite(ts).all():
+        raise ValueError("need finite t")
+    edges = np.unique(np.append(ts, max(ts.max(), 0.0) + 14.0))[::-1]
     gaps = edges[:-1] - edges[1:]
     panels = np.ceil(gaps).astype(int)
-    sizes = np.maximum(np.ceil(cfg.m * gaps / panels), (cfg.m + 1) // 2).astype(int)
+    sizes = np.maximum(np.ceil(nodes * gaps / panels), (nodes + 1) // 2).astype(int)
     rules = {size: gauss_legendre(size, -1.0, 1.0) for size in set(sizes.tolist())}
     xs, ws = [], []
     for b, a, k, size in zip(edges, edges[1:], panels, sizes):
@@ -173,23 +143,20 @@ def _log1p(e: np.ndarray) -> np.ndarray:
     return log_abs + 1j * np.arctan2(e.imag, 1 + e.real)
 
 
-def airy_fredholm_logdet(kappa_sq, t, cfg: NystromConfig | None = None):
+def airy_fredholm_logdet(kappa_sq, t, nodes: int = 12):
     """log det(1 - kappa^2 K_Ai restricted to [t, inf)) at one t or a sweep.
 
     ``kappa_sq`` and ``t`` are each one number or a sequence.  A number for
     both gives a complex; a sequence gives one entry per value, kappa first:
     an array of shape (len(kappa_sq), len(t)) when both are sequences.
-    Every entry comes from one panel grid and one LDL^T per kappa (see the
-    module docstring).  The value is the sum of principal logs of the
-    factors 1 - kappa^2 lambda, accurate even when the determinant
-    underflows.  Raises ``linalg.SingularMinor`` when a leading determinant
+    Every entry comes from one panel grid of ``nodes`` Gauss nodes per unit
+    length and one LDL^T per kappa (see the module docstring).  The value is
+    the sum of principal logs of the factors 1 - kappa^2 lambda, accurate
+    even when the determinant underflows.  Raises ``linalg.SingularMinor`` when a leading determinant
     of the grid vanishes (real kappa^2 >= 1 only).
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if cfg is None:
-        cfg = default_nystrom(ts)
-    _check_tail(cfg)
-    A, above = _airy_nystrom(ts, cfg)
+    A, above = _airy_nystrom(ts, nodes)
     k2s = [complex(k2) for k2 in np.atleast_1d(kappa_sq)]
     logdet = np.empty((len(k2s), len(ts)), dtype=complex)
     for row, k2 in zip(logdet, k2s):
@@ -202,9 +169,9 @@ def airy_fredholm_logdet(kappa_sq, t, cfg: NystromConfig | None = None):
     return complex(logdet) if np.ndim(logdet) == 0 else logdet
 
 
-def airy_fredholm_det(kappa_sq, t, cfg: NystromConfig | None = None):
+def airy_fredholm_det(kappa_sq, t, nodes: int = 12):
     """det(1 - kappa^2 K_Ai restricted to [t, inf)), shaped as ``airy_fredholm_logdet``."""
-    logdet = airy_fredholm_logdet(kappa_sq, t, cfg)
+    logdet = airy_fredholm_logdet(kappa_sq, t, nodes)
     return complex(np.exp(logdet)) if np.ndim(logdet) == 0 else np.exp(logdet)
 
 

@@ -2,8 +2,8 @@
 
 Determinants of moment matrices are transcendental, so exact (fraction-free)
 elimination is unavailable; complex LU with partial pivoting at high working
-precision is the robust route.  Matrices are plain lists of row lists so the
-same code runs on floats, complex, mpf and mpc entries.
+precision is the robust route.  Its matrices are plain lists of row lists,
+whose entries it converts to mpf or mpc under an explicit precision context.
 
 ``ldlt`` factors a symmetric ``I + E`` in float64 or complex128 without
 pivoting, so its pivots are ratios of consecutive leading minors: the Gram
@@ -20,14 +20,8 @@ from .precision import PrecisionCtx
 __all__ = ["lu_det", "ldlt", "SingularMinor", "PIVOT_FLOOR"]
 
 
-def _as_rows(M, ctx: PrecisionCtx | None):
-    if ctx is None:
-        return [list(row) for row in M]
-    return [[mp.mpmathify(x) for x in row] for row in M]
-
-
-def lu_det(M, ctx: PrecisionCtx | None = None):
-    """Determinant by LU with partial pivoting.
+def lu_det(M, ctx: PrecisionCtx):
+    """Determinant by LU with partial pivoting, in big floats at ``ctx`` precision.
 
     The 0x0 matrix yields 1 (empty-product convention, consistent with the
     zeroth Hankel determinant).  An exactly zero pivot column signals a
@@ -36,14 +30,11 @@ def lu_det(M, ctx: PrecisionCtx | None = None):
     rows = list(M)
     n = len(rows)
     if n == 0:
-        return mp.mpf(1) if ctx is not None else 1.0
+        return mp.mpf(1)
     if any(len(r) != n for r in rows):
         raise ValueError("lu_det needs a square matrix")
-
-    if ctx is not None:
-        with ctx.workprec(10):
-            return _lu_det_inner(_as_rows(rows, ctx))
-    return _lu_det_inner(_as_rows(rows, None))
+    with ctx.workprec(10):
+        return _lu_det_inner([[mp.mpmathify(x) for x in row] for row in rows])
 
 
 def _lu_det_inner(A):

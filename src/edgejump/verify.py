@@ -2,12 +2,15 @@
 
 Every driver compares finite-size computations against their closed-form
 predictions (or two independent engines against each other), fills a
-:class:`~edgejump.report.Report` with tagged rows, and judges them at the
-tolerance it was called with, only through the report: ``Report.add``
-judges one row, and ``Report.judge`` a gate over several rows (a trend) or
-over the whole run.  The command-line layer and the acceptance test suite
-both run exactly these functions; :data:`CHECKS` names the ones
-``edgejump verify`` runs and the options each takes.
+:class:`~edgejump.report.Report` with tagged rows, and judges them only
+through the report: ``Report.add`` judges one row, and ``Report.judge`` a
+gate over several rows (a trend) or over the whole run.  A check takes
+what to compute (sweeps, sizes, precision, seeds), not how to judge it:
+each gate is one module constant, read when the check runs, and so is
+``_ODE_TOL``, the tolerance of its Painleve runs (tw-identity alone takes
+its own).  The command-line layer and the acceptance test suite both run
+exactly these functions; :data:`CHECKS` names the ones ``edgejump verify``
+runs and the options each takes.
 
 Trend verdicts rest on the data alone: a trend check applies its stated
 rule (ratio cap, strict decrease, fitted order, a bound at the largest size)
@@ -24,9 +27,9 @@ complex128 Gram-route system (``gram_system``), the edge ones through
 route with the Gram determinant.
 
 Those comparisons run in doubles: the Gram route keeps H_n, h_n and
-p_n(lambda0) as logs, the :mod:`~edgejump.asympt` predictions are logs, and a
-ratio row holds ``exp(log finite - log prediction)`` against 1.  The edge cut
-point is the one big-float step left on that side.
+p_n(lambda0) as logs, the :mod:`~edgejump.asympt` predictions are logs, the
+edge cut point is a double, and a ratio row holds
+``exp(log finite - log prediction)`` against 1.
 """
 from __future__ import annotations
 
@@ -43,14 +46,36 @@ from .precision import PrecisionCtx, hankel_ctx
 from .report import Report, ReportRow
 from .util import kappa_from_beta, kappa_sq_from_beta
 
-#: Precision of the edge cut point of :func:`op_system_cached`; a cut in
-#: doubles is an ulp off at about a quarter of (n, t), moving its Gram system.
-_EDGE_CUT_CTX = PrecisionCtx(64)
+#: Tolerance of the checks' Painleve II runs (tw-identity takes its own).
+_ODE_TOL = 1e-12
 
-#: Criterion 5's R gap decays like n^(-1/3); its fitted order must lie within
-#: this tolerance of that.
-_R_GAP_ORDER = 1.0 / 3.0
-_R_GAP_ORDER_TOL = 0.15
+#: Criterion 1: relative error of H_n at beta = 0 against its closed form.
+_CLOSED_FORM_TOL = 1e-30
+#: Criterion 2: |e^(-i pi n beta) H_n(beta)/H_n(0) - det(1 - kappa^2 G)|.
+_FINITE_N_TOL = 1e-18
+#: Criterion 3: |Nystrom determinant - exp(-F(t))| at every t.
+_TW_BOUND = 1e-8
+#: Criterion 4: scaled Painleve II residual along the trajectory.
+_PII_RESIDUAL_TOL = 1e-12
+#: Criterion 5: largest ratio of consecutive R and scaled Q gaps.
+_GROWTH_CAP = 1.5
+#: Criteria 5 and 6: the R gap and the polynomial-value error decay like
+#: n^(-1/3); each fitted order must lie within _GAP_ORDER_TOL of that.
+_GAP_ORDER = 1.0 / 3.0
+_GAP_ORDER_TOL = 0.15
+#: Criterion 7: deviation of |H_n/prediction| from 1 at the largest n.
+_EDGE_FINAL_BOUND = 0.05
+#: Criterion 8: large-gap residual envelope at the deepest t.
+_AIRY_TAIL_BOUND = 0.05
+#: Criterion 9: relative error of the singular expansion where
+#: |cos(phase)| > _COS_GUARD (away from its zeros), and the pole round trip.
+_SINGULAR_REL_BOUND = 0.05
+_COS_GUARD = 0.3
+_ROUNDTRIP_BOUND = 1e-6
+#: Criterion 12: finite-N band added to 3 sigma for the Plancherel CDF.
+_FINITE_BAND = 0.03
+#: Bulk check: cut point ``_DEGRADE_LAMBDA sqrt(2 n)`` of its edge-degradation row.
+_DEGRADE_LAMBDA = 0.9
 
 #: Entries each memo table keeps; past it the oldest entry is evicted.
 CACHE_SIZE = 32
@@ -71,15 +96,14 @@ def _memo(cache: dict, key, make):
 def op_system_cached(beta, n: int, t: float) -> weightlab.GramSystem:
     """Edge-form system from the Gram route, memoized on (beta, n, t).
 
-    The cut sits at ``lambda0 = sqrt(2 n) (1 + t n^(-2/3) / 2)``.
+    The cut sits at ``lambda0 = sqrt(2 n) (1 + t n^(-2/3) / 2)``, in doubles.
     """
     def make():
-        lam0 = weightlab.WeightParams.edge(beta, n, t, _EDGE_CUT_CTX).lambda0
-        return weightlab.gram_system(beta, n, lam0)
+        return weightlab.gram_system(beta, n, math.sqrt(2 * n) * (1 + t * n ** (-2 / 3) / 2))
     return _memo(_OP_CACHE, (complex(beta), n, float(t)), make)
 
 
-def solution_cached(kappa, t_min: float, tol: float = 1e-12) -> painleve.ASolution:
+def solution_cached(kappa, t_min: float, tol: float = _ODE_TOL) -> painleve.ASolution:
     return _memo(_SOL_CACHE, (complex(kappa), float(t_min), tol),
                  lambda: painleve.solve_as(kappa, t_min, tol))
 
@@ -89,7 +113,7 @@ def solution_cached(kappa, t_min: float, tol: float = 1e-12) -> painleve.ASoluti
 # ---------------------------------------------------------------------------
 
 def check_gaussian_closed_form(ns=tuple(range(1, 31)), bits: int = 512,
-                               lambda0: float = 0.3, tol: float = 1e-30) -> Report:
+                               lambda0: float = 0.3) -> Report:
     """H_n at beta = 0 against the factorial closed form."""
     rep = Report("gaussian-closed-form")
     ctx = PrecisionCtx(bits)
@@ -101,13 +125,13 @@ def check_gaussian_closed_form(ns=tuple(range(1, 31)), bits: int = 512,
             rel = float(abs(sys.H[n] - closed) / abs(closed))
             rep.add(ReportRow(label="gaussian-hankel", n=n, lambda0=lambda0,
                               beta=0j, finite=sys.H[n], asym=closed, rel_res=rel),
-                    not rel > tol, f"n={n} rel err {rel:.2e} > {tol:.0e}")
+                    not rel > _CLOSED_FORM_TOL,
+                    f"n={n} rel err {rel:.2e} > {_CLOSED_FORM_TOL:.0e}")
     return rep
 
 
 def check_finite_n_identity(ns=(4, 10, 20), betas=(0.4j, 0.3, 0.2 + 0.1j),
-                            lambda0s=(-1.0, 0.5, "edge"), bits: int = 768,
-                            tol: float = 1e-18) -> Report:
+                            lambda0s=(-1.0, 0.5, "edge"), bits: int = 768) -> Report:
     """e^(-i pi n beta) H_n(beta)/H_n(0) against det(1 - kappa^2 G)."""
     rep = Report("finite-n-fredholm-identity")
     ctx = PrecisionCtx(bits)
@@ -128,8 +152,8 @@ def check_finite_n_identity(ns=(4, 10, 20), betas=(0.4j, 0.3, 0.2 + 0.1j),
                                   lambda0=float(lam0), beta=complex(beta),
                                   kappa=kappa_from_beta(beta),
                                   finite=complex(lhs), asym=complex(rhs), abs_res=err),
-                        err <= tol, f"n={n} lambda0={float(lam0):.3f} beta={beta}: "
-                                    f"|diff| = {err:.2e} > {tol:.0e}")
+                        err <= _FINITE_N_TOL, f"n={n} lambda0={float(lam0):.3f} beta={beta}: "
+                                              f"|diff| = {err:.2e} > {_FINITE_N_TOL:.0e}")
     return rep
 
 
@@ -178,9 +202,8 @@ def check_exact_identities(bits: int = 512) -> Report:
 # ---------------------------------------------------------------------------
 
 def check_tw_identity(kappas=(0.3, 0.7, 0.95), t_lo: float = -8.0, t_hi: float = 4.0,
-                      step: float = 0.5, tol: float = 1e-10,
-                      bound: float = 1e-8) -> Report:
-    """Nystrom determinant against exp(-F(t)) from the Painleve solution."""
+                      step: float = 0.5, tol: float = 1e-10) -> Report:
+    """Nystrom determinant against exp(-F(t)), F integrated at ODE tolerance ``tol``."""
     rep = Report("tracy-widom-identity")
     ts = np.arange(t_lo, t_hi + step / 2, step)
     det_rows = fredholm.airy_fredholm_det([complex(kap) ** 2 for kap in kappas], ts)
@@ -192,21 +215,21 @@ def check_tw_identity(kappas=(0.3, 0.7, 0.95), t_lo: float = -8.0, t_hi: float =
             gap = abs(det - pred)
             worst = max(worst, gap)
             rep.add(ReportRow(label="tw-identity", t=float(t), kappa=kap,
-                              finite=det, asym=pred, abs_res=gap), gap <= bound)
-        rep.judge(not worst > bound, f"kappa={kap}: max gap {worst:.2e} > {bound:.0e}")
+                              finite=det, asym=pred, abs_res=gap), gap <= _TW_BOUND)
+        rep.judge(not worst > _TW_BOUND, f"kappa={kap}: max gap {worst:.2e} > {_TW_BOUND:.0e}")
     return rep
 
 
-def check_pii_solution(tol: float = 1e-12) -> Report:
+def check_pii_solution() -> Report:
     """Residual invariant of the integrated trajectories plus the Airy limit."""
     rep = Report("pii-solution")
-    sol = solution_cached(0.5, -30.0, tol)
+    sol = solution_cached(0.5, -30.0, _ODE_TOL)
     worst = 0.0
     for t in sol.grid(200):
         r = painleve.pii_residual(sol, t) / (1 + abs(sol.u(t)) ** 3)
         worst = max(worst, r)
     rep.add(ReportRow(label="pii-residual", kappa=0.5, abs_res=worst),
-            worst <= tol, f"residual {worst:.2e} > tol {tol:.0e}")
+            worst <= _PII_RESIDUAL_TOL, f"residual {worst:.2e} > tol {_PII_RESIDUAL_TOL:.0e}")
 
     kap = 1e-6
     lin = painleve.solve_as(kap, -10.5, 1e-13, t_start=5.0)
@@ -220,32 +243,28 @@ def check_pii_solution(tol: float = 1e-12) -> Report:
 
 def check_pole_freeness(radii=(0.3, 0.7, 0.95, 1.3),
                         angles=(math.pi / 6, math.pi / 2, 5 * math.pi / 6),
-                        t_min: float = -25.0, control_kappa: float = 1.5,
-                        tol: float = 1e-12) -> Report:
+                        t_min: float = -25.0, control_kappa: float = 1.5) -> Report:
     """No blow-ups off the real cut; at least one pole on it (control run)."""
     rep = Report("pole-freeness")
     kappas = [r * cmath.exp(1j * th) for r in radii for th in angles]
-    events = painleve.pole_free_scan(kappas, t_min=t_min, tol=tol)
+    events = painleve.pole_free_scan(kappas, t_min=t_min, tol=_ODE_TOL)
     for kap in kappas:
         hit = [e for e in events if e[0] == kap]
         rep.add(ReportRow(label="pole-free-scan", kappa=kap, abs_res=float(len(hit))),
                 not hit)
     rep.judge(not events, f"{len(events)} unexpected blow-ups: {events}")
-    control = painleve.solve_as(control_kappa, -12.0, tol)
+    control = painleve.solve_as(control_kappa, -12.0, _ODE_TOL)
     rep.add(ReportRow(label="pole-control-run", kappa=control_kappa,
                       abs_res=float(len(control.poles))),
             len(control.poles) >= 1, f"kappa={control_kappa}: no pole found on [-12, start]")
     return rep
 
 
-def check_singular_regime(gamma: float = 0.0, center: float = -12.0,
-                          rel_bound: float = 0.05, cos_guard: float = 0.3,
-                          roundtrip_bound: float = 1e-6,
-                          tol: float = 1e-12) -> Report:
+def check_singular_regime(gamma: float = 0.0, center: float = -12.0) -> Report:
     """Squared transcendent between consecutive poles against the singular expansion."""
     rep = Report("singular-asymptote")
     kap = painleve.kappa_for_gamma(gamma)
-    sol = painleve.solve_as(kap, center - 2.0, tol)
+    sol = painleve.solve_as(kap, center - 2.0, _ODE_TOL)
     locs = sorted(p.location for p in sol.poles)
     pair = None
     for a, b in zip(locs, locs[1:]):
@@ -261,7 +280,7 @@ def check_singular_regime(gamma: float = 0.0, center: float = -12.0,
     npts = 0
     for t in np.linspace(a_lo + margin, a_hi - margin, 80):
         ph = painleve.phase_singular(float(t), gamma)
-        if abs(math.cos(ph)) <= cos_guard:
+        if abs(math.cos(ph)) <= _COS_GUARD:
             continue
         y_ode = complex(sol.u(float(t))) ** 2
         y_pred = painleve.p34_singular_asymptote(float(t), gamma)
@@ -269,14 +288,14 @@ def check_singular_regime(gamma: float = 0.0, center: float = -12.0,
         worst = max(worst, rel)
         npts += 1
         rep.add(ReportRow(label="singular-asymptote", t=float(t), kappa=kap,
-                          finite=y_ode, asym=y_pred, rel_res=rel), rel <= rel_bound)
-    rep.judge(not (npts == 0 or worst > rel_bound),
+                          finite=y_ode, asym=y_pred, rel_res=rel), rel <= _SINGULAR_REL_BOUND)
+    rep.judge(not (npts == 0 or worst > _SINGULAR_REL_BOUND),
               f"singular comparison worst {worst:.3f} over {npts} points")
     mid_pole = min(sol.poles, key=lambda p: abs(p.location - center))
     rt = painleve.pole_roundtrip_error(sol, mid_pole, offset=0.3)
     rep.add(ReportRow(label="pole-roundtrip", t=mid_pole.location, kappa=kap,
                       abs_res=float(rt)),
-            rt <= roundtrip_bound, f"roundtrip error {rt:.2e} > {roundtrip_bound:.0e}")
+            rt <= _ROUNDTRIP_BOUND, f"roundtrip error {rt:.2e} > {_ROUNDTRIP_BOUND:.0e}")
     return rep
 
 
@@ -284,12 +303,11 @@ def check_singular_regime(gamma: float = 0.0, center: float = -12.0,
 # asymptotic trend checks
 # ---------------------------------------------------------------------------
 
-def check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80),
-                      final_bound: float = 0.05, tol: float = 1e-12) -> Report:
+def check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80)) -> Report:
     """| |H_n(beta)/prediction| - 1 | decreasing in n, small at the largest n."""
     rep = Report("edge-hankel-asymptote")
     kap = kappa_from_beta(beta)
-    sol = solution_cached(kap, min(ts) - 1.0, tol)
+    sol = solution_cached(kap, min(ts) - 1.0, _ODE_TOL)
     for t in ts:
         devs = []
         for n in ns:
@@ -299,24 +317,23 @@ def check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80),
             devs.append(dev)
             rep.add(ReportRow(label="edge-hankel", n=n, t=t, beta=complex(beta),
                               kappa=kap, finite=ratio, asym=1.0, rel_res=dev))
-        rep.judge(all(a > b for a, b in zip(devs, devs[1:])) and devs[-1] <= final_bound,
+        rep.judge(all(a > b for a, b in zip(devs, devs[1:])) and devs[-1] <= _EDGE_FINAL_BOUND,
                   f"t={t}: deviations {['%.3g' % d for d in devs]}", rep.rows[-len(ns):])
     return rep
 
 
-def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(256, 512, 1024),
-                                 growth_cap: float = 1.5, tol: float = 1e-12) -> Report:
+def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(256, 512, 1024)) -> Report:
     """R_n and Q_n against the Painleve predictions: bounded error terms.
 
     ``ns`` doubles from rung to rung.  The R gap and the Q gap scaled by
     sqrt(n) must not grow: every consecutive ratio stays at or below
-    ``growth_cap``.  The R gap must also decay at the fitted order
-    1/3 +- 0.15.  Norm rows are informational, with the confirmed sign and
-    the printed one.
+    ``_GROWTH_CAP``.  The R gap must also decay at the fitted order
+    ``_GAP_ORDER +- _GAP_ORDER_TOL``.  Norm rows are informational, with the
+    confirmed sign and the printed one.
     """
     rep = Report("recurrence-asymptotics")
     kap = kappa_from_beta(beta)
-    sol = solution_cached(kap, min(ts) - 1.0, tol)
+    sol = solution_cached(kap, min(ts) - 1.0, _ODE_TOL)
     whys = []
     for t in ts:
         gaps_R, gaps_Q = [], []
@@ -341,28 +358,26 @@ def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(256, 512, 1
                               beta=complex(beta), kappa=kap, rel_res=h_rel_printed))
         for name, gaps in (("R", gaps_R), ("scaled Q", gaps_Q)):
             ratios = [b / a if a > 0 else math.inf for a, b in zip(gaps, gaps[1:])]
-            if max(ratios) > growth_cap:
+            if max(ratios) > _GROWTH_CAP:
                 whys.append(f"t={t}: {name} gap ratios {['%.3g' % r for r in ratios]} "
-                            f"exceed {growth_cap}")
+                            f"exceed {_GROWTH_CAP}")
         order = asympt.fit_order(gaps_R)
         for row in rep.rows[-4 * len(ns):]:
             if row.label == "recurrence-R":
                 row.order_est = order
-        if abs(order - _R_GAP_ORDER) > _R_GAP_ORDER_TOL:
+        if abs(order - _GAP_ORDER) > _GAP_ORDER_TOL:
             whys.append(f"t={t}: R gap order {order:.3f} outside "
-                        f"{_R_GAP_ORDER:.3f} +- {_R_GAP_ORDER_TOL}")
+                        f"{_GAP_ORDER:.3f} +- {_GAP_ORDER_TOL}")
     rep.judge(not whys, "; ".join(whys),
               [row for row in rep.rows if row.label.startswith("recurrence")])
     return rep
 
 
-def check_polynomial_asymptote(beta=0.4j, t: float = 0.5, ns=(64, 128, 256),
-                               order: float = 1.0 / 3.0, order_tol: float = 0.15,
-                               tol: float = 1e-12) -> Report:
+def check_polynomial_asymptote(beta=0.4j, t: float = 0.5, ns=(64, 128, 256)) -> Report:
     """Relative error of the polynomial value prediction decays at order ~ 1/3."""
     rep = Report("polynomial-asymptote")
     kap = kappa_from_beta(beta)
-    sol = solution_cached(kap, t - 1.0, tol)
+    sol = solution_cached(kap, t - 1.0, _ODE_TOL)
     errs = []
     for n in ns:
         ratio = cmath.exp(op_system_cached(beta, n, t).log_pn
@@ -374,17 +389,16 @@ def check_polynomial_asymptote(beta=0.4j, t: float = 0.5, ns=(64, 128, 256),
     est = asympt.fit_order(errs)
     for row in rep.rows:
         row.order_est = est
-    rep.judge(abs(est - order) <= order_tol,
-              f"fitted order {est:.3f} outside {order:.3f} +- {order_tol}", rep.rows)
+    rep.judge(abs(est - _GAP_ORDER) <= _GAP_ORDER_TOL,
+              f"fitted order {est:.3f} outside {_GAP_ORDER:.3f} +- {_GAP_ORDER_TOL}", rep.rows)
     return rep
 
 
-def check_bulk_hankel(beta=0.2j, lam: float = 0.0, ns=(30, 60, 120),
-                      degrade_lambda: float = 0.9) -> Report:
+def check_bulk_hankel(beta=0.2j, lam: float = 0.0, ns=(30, 60, 120)) -> Report:
     """Bulk-regime prediction: decreasing deviation, log(n)/n-scale at the end.
 
     The cut sits at ``lam sqrt(2 n)``; a last row moves it to
-    ``degrade_lambda sqrt(2 n)`` at the middle n, where the deviation must
+    ``_DEGRADE_LAMBDA sqrt(2 n)`` at the middle n, where the deviation must
     be larger.
     """
     rep = Report("bulk-hankel-asymptote")
@@ -405,14 +419,14 @@ def check_bulk_hankel(beta=0.2j, lam: float = 0.0, ns=(30, 60, 120),
     rep.judge(all(a > b for a, b in zip(devs, devs[1:]))
               and devs[-1] <= 5.0 * math.log(n_last) / n_last,
               f"deviations {['%.3g' % d for d in devs]}", rep.rows)
-    lam0, _, dev_edge = deviation(ns[1], degrade_lambda)
+    lam0, _, dev_edge = deviation(ns[1], _DEGRADE_LAMBDA)
     rep.add(ReportRow(label="bulk-hankel-edge-degradation", n=ns[1], lambda0=lam0,
                       beta=complex(beta), rel_res=dev_edge),
             not dev_edge <= devs[1], "no visible degradation toward the edge")
     return rep
 
 
-def check_airy_tail(beta=0.15j, ts=(-10.0, -25.0), bound: float = 0.05) -> Report:
+def check_airy_tail(beta=0.15j, ts=(-10.0, -25.0)) -> Report:
     """Large-gap expansion residual of the Airy determinant: decreasing, small.
 
     The vanishing correction term oscillates in t (its local period is
@@ -431,10 +445,10 @@ def check_airy_tail(beta=0.15j, ts=(-10.0, -25.0), bound: float = 0.05) -> Repor
         rep.add(ReportRow(label="airy-tail-residual", t=tp, beta=complex(beta),
                           kappa=kappa_from_beta(beta), abs_res=r))
     env = residuals.reshape(probes.shape).max(axis=1).tolist()
-    ok = env[-1] < env[0] and env[-1] <= bound
+    ok = env[-1] < env[0] and env[-1] <= _AIRY_TAIL_BOUND
     rep.judge(ok, f"residual envelopes {['%.3g' % r for r in env]}", rep.rows)
     if ok:
-        rep.note(f"envelopes {['%.3g' % r for r in env]} (bound {bound})")
+        rep.note(f"envelopes {['%.3g' % r for r in env]} (bound {_AIRY_TAIL_BOUND})")
     return rep
 
 
@@ -480,14 +494,13 @@ def check_mc_thinning(n: int = 50, s: float = 0.5, trials: int = 200_000,
 
 
 def check_mc_plancherel(N: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
-                        trials: int = 800, master: int = 31337,
-                        finite_band: float = 0.03) -> Report:
+                        trials: int = 800, master: int = 31337) -> Report:
     """Thinned Plancherel maximum CDF against the deformed Airy determinant."""
     rep = Report("mc-plancherel")
     est = rmtsim.thinned_max_cdf(N, s, ts, trials, master)
     dets = fredholm.airy_fredholm_det(1.0 - s, est["t"]).real.tolist()
     for t, cdf, sig, det in zip(est["t"], est["cdf"], est["stderr"], dets):
-        band = 3.0 * sig + finite_band
+        band = 3.0 * sig + _FINITE_BAND
         gap = abs(cdf - det)
         rep.add(ReportRow(label="plancherel-thinned-cdf", n=N, t=float(t),
                           finite=cdf, asym=det, abs_res=gap, rel_res=_in_units(gap, band)),

@@ -42,7 +42,7 @@ import numpy as np
 
 from .fredholm import hermite_gram
 from .linalg import PIVOT_FLOOR, SingularMinor, ldlt
-from .precision import PrecisionCtx, agreed_digits, hankel_ctx
+from .precision import PrecisionCtx, agreed_digits
 from .specfun import _full_gauss_moment, half_gauss_moments, hermite_functions
 from .util import kappa_sq_from_beta
 
@@ -167,17 +167,16 @@ def _build_once(params: WeightParams, N: int, ctx: PrecisionCtx):
                         H=tuple(H), h=tuple(h), R=tuple(R), Q=tuple(Q))
 
 
-def build_op_system(params: WeightParams, N: int, ctx: PrecisionCtx | None = None,
+def build_op_system(params: WeightParams, N: int, ctx: PrecisionCtx,
                     *, check: bool = True) -> OPSystem:
-    """Build the OPSystem for degrees 0..N.
+    """Build the OPSystem for degrees 0..N at ``ctx`` precision.
 
-    With ``check`` (default) the system is computed at ctx.bits and at twice
+    ``precision.hankel_ctx(N)`` is a precision that suits the size.  With
+    ``check`` (default) the system is computed at ctx.bits and at twice
     that, values are taken from the high run, and the agreeing digit counts
     per field family are attached.  Requires all leading Hankel minors
     nonzero; raises SingularMinor otherwise.
     """
-    if ctx is None:
-        ctx = hankel_ctx(N)
     lo = _build_once(params, N, ctx)
     if not check:
         return lo
@@ -328,8 +327,7 @@ def qn_jump_identity_residual(sys: OPSystem, n: int):
         return abs(sys.Q[n] - rhs)
 
 
-def diff_identity_residual(params: WeightParams, n: int, delta=None,
-                           ctx: PrecisionCtx | None = None):
+def diff_identity_residual(params: WeightParams, n: int, ctx: PrecisionCtx, delta=None):
     """Residual of the log-derivative identity for H_n against central differences.
 
     The cut-point derivative of log H_n equals
@@ -337,10 +335,8 @@ def diff_identity_residual(params: WeightParams, n: int, delta=None,
     (the diagonal Christoffel-Darboux kernel times the jump strength).  The
     derivative is probed by central differencing of log H_n in lambda0 with
     step ``delta`` (default 2^(-bits/3), balancing truncation against
-    cancellation).
+    cancellation), all at ``ctx`` precision.
     """
-    if ctx is None:
-        ctx = hankel_ctx(n)
     sys = build_op_system(params, n, ctx, check=False)
     with ctx.workprec(10):
         lam = mp.mpf(params.lambda0)

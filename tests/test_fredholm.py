@@ -7,10 +7,8 @@ import pytest
 import scipy.linalg
 
 from edgejump import fredholm
-from edgejump.fredholm import (NystromConfig, TailBoundViolated,
-                               _airy_nystrom, airy_fredholm_det,
-                               airy_fredholm_logdet,
-                               airy_kernel_diagonal, default_nystrom,
+from edgejump.fredholm import (_airy_nystrom, airy_fredholm_det,
+                               airy_fredholm_logdet, airy_kernel_diagonal,
                                finite_n_det, hermite_gram)
 from edgejump.linalg import SingularMinor, lu_det
 from edgejump.painleve import solve_as
@@ -42,24 +40,23 @@ class TestAiryDeterminant:
         assert vals[-1] <= 1 + 1e-12
 
     def test_node_doubling(self):
-        cfg = default_nystrom(-4.0)
-        cfg2 = NystromConfig(m=2 * cfg.m, T=cfg.T)
-        a = airy_fredholm_det(0.49, -4.0, cfg)
-        b = airy_fredholm_det(0.49, -4.0, cfg2)
+        a = airy_fredholm_det(0.49, -4.0)
+        b = airy_fredholm_det(0.49, -4.0, nodes=24)
         assert abs(a - b) < 1e-10
 
-    def test_tail_bound_enforced(self):
-        with pytest.raises(TailBoundViolated):
-            airy_fredholm_logdet(0.5, -2.0, NystromConfig(m=80, T=1.0, tol=1e-10))
+    def test_kernel_negligible_past_truncation(self):
+        # the grid stops at T = max(t, 0) + 14, where the kernel's diagonal
+        # (its largest entry beyond T) is far below double resolution
+        assert airy_kernel_diagonal(14.0) < 1e-32
 
     def test_logdet_consistent_with_det(self):
         ld = airy_fredholm_logdet(0.49, -3.0)
         assert abs(cmath.exp(ld) - airy_fredholm_det(0.49, -3.0)) < 1e-12
 
     @staticmethod
-    def _block(t, cfg):
+    def _block(t, nodes=12):
         """The double Nystrom block on [t, T] that the route factors."""
-        A, above = _airy_nystrom(np.array([t]), cfg)
+        A, above = _airy_nystrom(np.array([t]), nodes)
         return A[:above[0], :above[0]]
 
     @pytest.mark.parametrize("k2, t", [(1e-12 * (1 + 1j), -2.0), (0.3 + 0.2j, -6.0),
@@ -71,7 +68,7 @@ class TestAiryDeterminant:
         # complex kappa^2, a complex one, kappa^2 > 1 where some factors are
         # negative (+i pi each), and a deep-tail kappa^2 whose imaginary part
         # winds through many multiples of 2 pi
-        lam = scipy.linalg.eigh(self._block(t, default_nystrom(t)), eigvals_only=True)
+        lam = scipy.linalg.eigh(self._block(t), eigvals_only=True)
         with mp.workdps(40):
             want = complex(sum(mp.log(1 - mp.mpc(k2) * mp.mpf(x)) for x in lam))
         got = airy_fredholm_logdet(k2, t)
@@ -84,23 +81,21 @@ class TestAiryDeterminant:
         # 128-bit LU of the same double matrix (4 nodes per panel, 88 nodes);
         # a sum of logs over eigh misses it by 1.3e-8, one double ulp of
         # backward error in the smallest factor (eps / 2e-8 = 1.1e-8)
-        cfg = NystromConfig(m=4, T=14.0)
-        A = self._block(-8.0, cfg)
+        A = self._block(-8.0, nodes=4)
         ctx = PrecisionCtx(128)
         with ctx.workprec():
             ref = mp.log(lu_det([[int(i == j) - mp.mpf(float(a)) for j, a in enumerate(row)]
                                  for i, row in enumerate(A)], ctx))
-        got = airy_fredholm_logdet(1.0, -8.0, cfg)
+        got = airy_fredholm_logdet(1.0, -8.0, nodes=4)
         assert got.imag == 0
         assert abs(cmath.exp(got - complex(ref)) - 1) <= 1e-8
 
     def test_vanishing_leading_determinant_raises(self):
         t = -3.0
-        cfg = default_nystrom(t)
-        A = self._block(t, cfg)
+        A = self._block(t)
         k2 = 1 / scipy.linalg.eigh(A, eigvals_only=True)[-1]
         with pytest.raises(SingularMinor) as exc:
-            airy_fredholm_logdet(k2, [t, -5.0], cfg)
+            airy_fredholm_logdet(k2, [t, -5.0])
         assert exc.value.k == len(A)
 
     @pytest.mark.parametrize("k2", [0.49, 0.3 + 0.2j, 1.6])
@@ -116,7 +111,7 @@ class TestAiryDeterminant:
         k2 = kappa_sq_from_beta(beta)
         ts = [-25.0, -60.0]
         a = airy_fredholm_logdet(k2, ts)
-        b = airy_fredholm_logdet(k2, ts, NystromConfig(m=24, T=default_nystrom(ts).T))
+        b = airy_fredholm_logdet(k2, ts, nodes=24)
         assert np.abs(a - b).max() <= 1e-10
 
     @staticmethod
@@ -130,10 +125,10 @@ class TestAiryDeterminant:
         (tuple(kappa_sq_from_beta(b) for b in (0.15j, 0.3j, -0.45 + 0.2j)), None)])
     def test_sub_unit_panels_against_doubled_nodes(self, k2s, ts):
         # half-unit and quarter-period gaps get fewer nodes than whole-unit
-        # panels; they must agree with the m = 24 grid as whole ones do
+        # panels; they must agree with the nodes = 24 grid as whole ones do
         ts = self._tail_probes() if ts is None else ts
         a = airy_fredholm_logdet(k2s, ts)
-        b = airy_fredholm_logdet(k2s, ts, NystromConfig(m=24, T=default_nystrom(ts).T))
+        b = airy_fredholm_logdet(k2s, ts, nodes=24)
         assert np.abs(a - b).max() <= 1e-10
 
     def test_kernel_diagonal_value(self):

@@ -71,27 +71,30 @@ def _singular_why(rep):
             f"roundtrip error {rt:.2e} > 0e+00")
 
 
-#: (driver, keywords with a bound it cannot meet, expected detail, rows judged FAIL)
+#: (check function, its sweep, gate constants set to a bound it cannot meet,
+#: expected detail, rows judged FAIL)
 _FORCED_FAILURES = [
-    ("check_gaussian_closed_form", dict(ns=(1, 2, 3), tol=-1.0), _gaussian_why,
-     lambda r: True),
-    ("check_tw_identity", dict(kappas=(0.3,), bound=0.0), _tw_why,
+    ("check_gaussian_closed_form", dict(ns=(1, 2, 3)), dict(_CLOSED_FORM_TOL=-1.0),
+     _gaussian_why, lambda r: True),
+    ("check_tw_identity", dict(kappas=(0.3,)), dict(_TW_BOUND=0.0), _tw_why,
      lambda r: r.abs_res > 0.0),
-    ("check_edge_hankel", dict(final_bound=0.0), _edge_why, lambda r: True),
-    ("check_bulk_hankel", dict(degrade_lambda=0.0),
+    ("check_edge_hankel", {}, dict(_EDGE_FINAL_BOUND=0.0), _edge_why, lambda r: True),
+    ("check_bulk_hankel", {}, dict(_DEGRADE_LAMBDA=0.0),
      lambda rep: "no visible degradation toward the edge",
      lambda r: r.label == "bulk-hankel-edge-degradation"),
-    ("check_singular_regime", dict(rel_bound=0.0, roundtrip_bound=0.0), _singular_why,
-     lambda r: True),
+    ("check_singular_regime", {}, dict(_SINGULAR_REL_BOUND=0.0, _ROUNDTRIP_BOUND=0.0),
+     _singular_why, lambda r: True),
 ]
 
 
-@pytest.mark.parametrize("driver, kwargs, why, judged", _FORCED_FAILURES,
+@pytest.mark.parametrize("driver, kwargs, gates, why, judged", _FORCED_FAILURES,
                          ids=[case[0] for case in _FORCED_FAILURES])
-def test_a_bound_that_cannot_be_met_fails(driver, kwargs, why, judged):
+def test_a_bound_that_cannot_be_met_fails(driver, kwargs, gates, why, judged, monkeypatch):
     # each gate shape: a per-row bound, a per-row bound under a worst-case
     # gate, a trend over a ladder, a trend plus its own last row, and
     # per-point rows plus a round trip
+    for name, value in gates.items():
+        monkeypatch.setattr(verify, name, value)
     rep = getattr(verify, driver)(**kwargs)
     assert not rep.passed
     assert rep.detail == why(rep)
@@ -100,7 +103,7 @@ def test_a_bound_that_cannot_be_met_fails(driver, kwargs, why, judged):
     assert "FAIL" in verdicts
 
 
-def test_zero_standard_error_fails():
+def test_zero_standard_error_fails(monkeypatch):
     # two trials alike give the analytic estimator a standard error of 0
     rep = verify.check_mc_thinning(trials=2)
     assert not rep.passed
@@ -108,7 +111,8 @@ def test_zero_standard_error_fails():
     assert rep.detail == (f"bernoulli estimate off by {rep.rows[0].rel_res:.2f} sigma; "
                           "analytic estimate off by inf sigma")
     # all 40 samples on one side of t = 0, and no finite-size band
-    rep = verify.check_mc_plancherel(ts=(0.0,), trials=40, finite_band=0.0)
+    monkeypatch.setattr(verify, "_FINITE_BAND", 0.0)
+    rep = verify.check_mc_plancherel(ts=(0.0,), trials=40)
     assert not rep.passed
     assert rep.rows[0].rel_res == math.inf
     assert rep.detail == f"t=0.0: |cdf - det| = {rep.rows[0].abs_res:.4f} > band 0.0000"
