@@ -48,7 +48,7 @@ class RunConfig:
     t: float | None = None
     lambda0: float | None = None
     bits: int | None = None
-    tol: float = 1e-12
+    tol: float | None = None
     nodes: int | None = None
     trials: int = 100_000
     seed: int = 20240
@@ -140,7 +140,7 @@ def _build_config(args) -> RunConfig:
         t=_value(merged, "t", float),
         lambda0=_value(merged, "lambda0", float),
         bits=bits,
-        tol=_value(merged, "tol", float, 1e-12),
+        tol=_value(merged, "tol", float),
         nodes=nodes,
         trials=trials,
         seed=_value(merged, "seed", int, 20240),
@@ -197,7 +197,7 @@ def _cmd_hankel(cfg: RunConfig) -> int:
 def _cmd_painleve(cfg: RunConfig) -> int:
     kap = cfg.resolved_kappa()
     t_min = cfg.t_min if cfg.t_min is not None else -12.0
-    sol = painleve.solve_as(kap, t_min, cfg.tol)
+    sol = painleve.solve_as(kap, t_min, cfg.tol if cfg.tol is not None else 1e-12)
     rep = Report("painleve-dump", passed=True, compares=False,
                  detail=f"{len(sol.poles)} poles, start t = {sol.t_start}")
     for t in sol.grid(241):

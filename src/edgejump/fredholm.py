@@ -67,6 +67,8 @@ __all__ = [
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOG_HUGE = math.log(np.finfo(float).max)
 _EPS = np.finfo(float).eps
+#: Rows of the Nystrom matrix built per block.
+_ROWS = 64
 
 #: Largest relative error the double path of finite_n_det accepts in a factor.
 _DOUBLE_REL_ERR = 1e-10
@@ -112,14 +114,21 @@ def _airy_nystrom(ts: np.ndarray, nodes: int) -> tuple:
     x, w = np.concatenate(xs), np.concatenate(ws)
     above = np.cumsum(panels * sizes)[np.searchsorted(-edges[1:], -ts)]
     ai, aip = airy(x)
-    dx = x[:, None] - x
-    near = np.abs(dx) < 1e-6 * (1.0 + np.abs(x)[:, None])
-    np.fill_diagonal(near, True)
-    dx[near] = 1.0
-    K = (np.outer(ai, aip) - np.outer(aip, ai)) / dx
+    K = np.empty((x.size, x.size))
+    near_i, near_j = [], []
+    for r in range(0, x.size, _ROWS):  # a block of rows at a time keeps temporaries small
+        rows = slice(r, r + _ROWS)
+        dx = x[rows, None] - x
+        near = np.abs(dx) < 1e-6 * (1.0 + np.abs(x[rows])[:, None])
+        np.fill_diagonal(near[:, r:], True)
+        dx[near] = 1.0
+        K[rows] = (np.outer(ai[rows], aip) - np.outer(aip[rows], ai)) / dx
+        i, j = np.nonzero(near)
+        near_i.append(i + r)
+        near_j.append(j)
     # near-diagonal pairs: divided difference cancels catastrophically, use
     # the derivative form at the midpoint instead
-    i, j = np.nonzero(near)
+    i, j = np.concatenate(near_i), np.concatenate(near_j)
     K[i, j] = airy_kernel_diagonal(0.5 * (x[i] + x[j]))
     sw = np.sqrt(w)
     K *= sw[:, None]
@@ -160,7 +169,7 @@ def airy_fredholm_logdet(kappa_sq, t, nodes: int = 12):
     k2s = [complex(k2) for k2 in np.atleast_1d(kappa_sq)]
     logdet = np.empty((len(k2s), len(ts)), dtype=complex)
     for row, k2 in zip(logdet, k2s):
-        e = np.diagonal(ldlt(-k2.real * A if k2.imag == 0 else -k2 * A))
+        e = np.diagonal(ldlt(A, -k2))
         row[:] = np.cumsum(_log1p(e))[above - 1]
     if np.ndim(t) == 0:
         logdet = logdet[:, 0]
@@ -175,14 +184,15 @@ def airy_fredholm_det(kappa_sq, t, nodes: int = 12):
     return complex(np.exp(logdet)) if np.ndim(logdet) == 0 else np.exp(logdet)
 
 
-def _gram_closed_form(psi: np.ndarray, g00, sqrt) -> np.ndarray:
-    """The Gram matrix from psi_0..psi_n at lambda0 and G_00.
+def _gram_closed_form(psi: np.ndarray, lambda0, lib) -> np.ndarray:
+    """The n x n Gram matrix on [lambda0, inf) from psi_0..psi_n at lambda0.
 
-    Runs unchanged on float64 arrays and on object arrays of mpf, with
-    ``sqrt`` the matching square root.
+    Runs unchanged on float64 arrays with ``lib = math`` and on object
+    arrays of mpf with ``lib = mpmath``, whose ``sqrt`` and ``erfc`` match.
     """
     n = psi.size - 1
-    r = np.array([sqrt(k / 2) for k in range(n + 1)])
+    g00 = lib.erfc(lambda0) / 2
+    r = np.array([lib.sqrt(k / 2) for k in range(n + 1)])
     p = psi[:n]
     dp = r[:n] * np.roll(p, 1) - r[1:] * psi[1:]  # psi_k'; r[0] = 0 drops psi_(-1)
     k = np.arange(n)
@@ -214,11 +224,10 @@ def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> np.
         raise ValueError("need n >= 1")
     if ctx is None:
         lam = float(lambda0)
-        psi = hermite_functions(n + 1, np.array([lam]))[:, 0]
-        return _gram_closed_form(psi, math.erfc(lam) / 2, math.sqrt)
+        return _gram_closed_form(np.array(hermite_functions(n + 1, lam)), lam, math)
     with ctx.workprec(10):
         psi = np.array(hermite_functions_mp(n + 1, lambda0, ctx), dtype=object)
-        return _gram_closed_form(psi, mp.erfc(mp.mpf(lambda0)) / 2, mp.sqrt)
+        return _gram_closed_form(psi, mp.mpf(lambda0), mp)
 
 
 def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None):

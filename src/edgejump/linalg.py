@@ -5,10 +5,11 @@ elimination is unavailable; complex LU with partial pivoting at high working
 precision is the robust route.  Its matrices are plain lists of row lists,
 whose entries it converts to mpf or mpc under an explicit precision context.
 
-``ldlt`` factors a symmetric ``I + E`` in float64 or complex128 without
+``ldlt`` factors a symmetric ``I + cG`` in float64 or complex128 without
 pivoting, so its pivots are ratios of consecutive leading minors: the Gram
 route of ``weightlab`` and the Airy Nystrom determinant of ``fredholm`` both
-read those minors off it.
+read those minors off it.  A real positive-definite ``I + cG`` goes through
+LAPACK's Cholesky; a complex or indefinite one through scalar elimination.
 """
 from __future__ import annotations
 
@@ -84,33 +85,99 @@ PIVOT_FLOOR = 2.0 ** -26
 
 #: Columns factored by scalar steps before one matrix product updates the rest.
 _BLOCK = 32
+#: Columns per LAPACK Cholesky block of the positive-definite path.
+_CHOLESKY_BLOCK = 64
 
 
-def ldlt(E: np.ndarray) -> np.ndarray:
-    """Unpivoted ``I + E = L diag(1 + e) L^T`` of a symmetric E, packed in one array.
+def ldlt(G: np.ndarray, c) -> np.ndarray:
+    """Unpivoted ``I + cG = L diag(1 + e) L^T`` of a symmetric G, packed in one array.
 
-    E is real symmetric or complex symmetric (the transpose, not the
-    conjugate transpose), and L is unit lower triangular.  The returned
-    array holds L below its diagonal (the unit diagonal is implied) and the
-    pivots as ``e = D - 1`` on it; its upper triangle is scratch.  The
-    Schur complements of ``I + E`` are ``I`` plus those of E, so e is
-    accumulated directly and ``log1p(e)`` keeps its relative accuracy when
-    E is tiny.  Pivot k is the ratio of the leading minors of orders k + 1
-    and k.
+    G is real symmetric or complex symmetric (the transpose, not the
+    conjugate transpose), c a real or complex scale, and L is unit lower
+    triangular.  The returned array holds L below its diagonal (the unit
+    diagonal is implied) and the pivots as ``e = D - 1`` on it; its upper
+    triangle is scratch.  e is accumulated apart from the 1, so ``log1p(e)``
+    keeps its relative accuracy when cG is tiny.  Pivot k is the ratio of
+    the leading minors of orders k + 1 and k.  The array is real when G and
+    c are (a complex c with zero imaginary part counts as real).
 
-    Right-looking and blocked: scalar steps inside each block of ``_BLOCK``
-    columns, then one matrix product for the trailing update.  Raises
-    SingularMinor(k + 1) when ``|1 + e_k|`` is at or below ``PIVOT_FLOOR``
-    times the largest entry of ``I + E``: the leading (k + 1) x (k + 1) minor
-    vanished to double precision.
+    Two paths give the same factors.  When G and c are real and the
+    Cholesky factorization ``I + cG = C C^T`` succeeds (I + cG positive
+    definite; LAPACK on blocks, in place, see ``_cholesky_in_place``), L is
+    C with each column divided by its diagonal entry, and each pivot is read
+    from the off-diagonal part, ``e_k = cG_kk - sum_(j<k) C_kj^2``.  For a
+    complex c or G, or an I + cG that is not positive definite, scalar
+    elimination steps run in doubles (see ``_ldlt_blocked``).  Both work in
+    place in the array they return, so a factorization holds one matrix
+    beside G, not three as a copy handed to ``numpy.linalg.cholesky`` would.
+
+    Either path raises SingularMinor(k + 1) at the first k where
+    ``|1 + e_k|`` is at or below ``PIVOT_FLOOR`` times the largest entry of
+    ``I + cG``: the leading (k + 1) x (k + 1) minor vanished to double
+    precision.
     """
-    A = np.array(E, dtype=complex if np.iscomplexobj(E) else float)
+    c = complex(c)
+    if c.imag == 0 and not np.iscomplexobj(G):
+        c = c.real
+    A = c * np.asarray(G)
     n = len(A)
-    diag = np.diagonal(A).copy()
-    np.fill_diagonal(A, 1 + diag)  # I + E while the floor is taken, a block of rows at a time
+    cg_diag = np.diagonal(A).copy()
+    np.fill_diagonal(A, 1 + cg_diag)  # I + cG while the floor is taken, a block of rows at a time
     floor = PIVOT_FLOOR * max((np.abs(A[j:j + _BLOCK]).max() for j in range(0, n, _BLOCK)),
                               default=0.0)
-    np.fill_diagonal(A, diag)
+    if np.iscomplexobj(A):
+        np.fill_diagonal(A, cg_diag)
+    else:
+        try:
+            _cholesky_in_place(A)
+        except np.linalg.LinAlgError:
+            A = c * np.asarray(G)  # the failed factorization overwrote part of I + cG
+        else:
+            d = np.diagonal(A).copy()
+            np.fill_diagonal(A, 0.0)
+            e = cg_diag - np.einsum("ij,ij->i", A, A)
+            small = np.flatnonzero(~(np.abs(1 + e) > floor))
+            if small.size:
+                raise SingularMinor(int(small[0]) + 1)
+            A /= d
+            np.fill_diagonal(A, e)
+            return A
+    return _ldlt_blocked(A, floor)
+
+
+def _cholesky_in_place(A: np.ndarray) -> None:
+    """Overwrite a real symmetric A with its lower Cholesky factor, upper triangle zeroed.
+
+    Blocks of ``_CHOLESKY_BLOCK`` columns, left to right: LAPACK's Cholesky
+    of the diagonal block, the panel below it times that factor's inverse
+    transpose, then the update of the trailing lower triangle a block of
+    columns at a time, so no temporary is larger than a panel.  Raises
+    ``numpy.linalg.LinAlgError`` when A is not positive definite, with A
+    partly overwritten.
+    """
+    n = len(A)
+    b = _CHOLESKY_BLOCK
+    for j0 in range(0, n, b):
+        j1 = min(j0 + b, n)
+        L11 = np.linalg.cholesky(A[j0:j1, j0:j1])
+        A[j0:j1, j0:j1] = L11
+        A[j0:j1, j1:] = 0.0
+        P = A[j1:, j0:j1]
+        P[...] = P @ np.linalg.inv(L11).T  # L21 L11^T = A21
+        for k0 in range(j1, n, b):
+            A[k0:, k0:k0 + b] -= P[k0 - j1:] @ P[k0 - j1:k0 - j1 + b].T
+
+
+def _ldlt_blocked(A: np.ndarray, floor: float) -> np.ndarray:
+    """``ldlt`` of ``I + A`` in place, by scalar steps and blocked updates.
+
+    Right-looking: scalar steps inside each block of ``_BLOCK`` columns,
+    then one matrix product for the trailing update.  The Schur complements
+    of ``I + A`` are I plus those of A, so the pivots e are accumulated
+    directly.  Raises SingularMinor(k + 1) at the first ``|1 + e_k|`` at or
+    below ``floor``.
+    """
+    n = len(A)
     for j0 in range(0, n, _BLOCK):
         j1 = min(j0 + _BLOCK, n)
         for k in range(j0, j1):

@@ -122,15 +122,32 @@ def _step_size(coeffs, tol):
 
     A component whose last two coefficients vanish sets no bound.  A zero
     c_m gives a zero root, which never raises the max.
+
+    The pair (component, k) bounds h by the largest of its roots
+    (tol |c_m| / |c_k|)^(1/(k-m)), so it lowers h only when every root lies
+    below the current h: the scan of a pair stops at its first root >= h,
+    starting at m = 0, where the largest root usually sits.  A NaN root is
+    skipped as ``max`` skips it, except at m = 0, where it voids the pair.
     """
     h = math.inf
     for c in coeffs:
         mags = [abs(x) for x in c]
         for k in (len(c) - 2, len(c) - 1):
             mk = mags[k]
-            if mk:
-                h = min(h, max(map(pow, [tol * x / mk for x in mags[:k]],
-                                   _ROOT_EXPONENTS[k]), default=0.0))
+            if not mk:
+                continue
+            exps = _ROOT_EXPONENTS[k]
+            bound = pow(tol * mags[0] / mk, exps[0])
+            if not bound < h:
+                continue
+            for m in range(1, k):
+                root = pow(tol * mags[m] / mk, exps[m])
+                if root >= h:
+                    break
+                if root > bound:
+                    bound = root
+            else:
+                h = bound
     return h
 
 

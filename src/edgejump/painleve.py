@@ -423,12 +423,17 @@ def phase_oscillatory(t, beta) -> complex:
             - 3j * complex(b) * math.log(2.0))
 
 
-def phase_singular(t, gamma: float) -> float:
-    """Phase of the singular asymptote on the boundary line Re beta = 1/2."""
-    mt = -t
+def phase_singular(t, gamma: float):
+    """Phase of the singular asymptote on the boundary line Re beta = 1/2.
+
+    ``t`` is one point (a float back) or a sweep (an array back); arg
+    Gamma(1/2 + i gamma) is evaluated once per call.
+    """
     arg_g = float(mp.arg(mp.gamma(mp.mpc(0.5, gamma))))
-    return ((2.0 / 3.0) * mt ** 1.5 + 1.5 * gamma * math.log(mt)
-            + 3.0 * gamma * math.log(2.0) - arg_g)
+    phases = [(2.0 / 3.0) * mt ** 1.5 + 1.5 * gamma * math.log(mt)
+              + 3.0 * gamma * math.log(2.0) - arg_g
+              for mt in (-float(x) for x in np.ravel(t))]
+    return np.array(phases) if np.ndim(t) else phases[0]
 
 
 def as_asymptote_minus(t, beta) -> complex:
@@ -451,24 +456,28 @@ def as_asymptote_minus(t, beta) -> complex:
     return (-t) ** -0.25 * amp * cmath.sin(phase_oscillatory(t, b))
 
 
-def p34_singular_asymptote(t, gamma: float) -> float:
+def p34_singular_asymptote(t, gamma: float):
     """Two-term expansion of y = u^2 on the boundary line Re beta = 1/2.
 
     Valid for large negative t away from the trigonometric poles; requires
-    |cos(phase)| > 0.15 and raises :class:`TooCloseToPole` otherwise.
+    |cos(phase)| > 0.15 at every point and raises :class:`TooCloseToPole`
+    otherwise.  ``t`` is one point or a sweep, as in :func:`phase_singular`.
     """
-    if t >= 0:
+    ts = [float(x) for x in np.ravel(t)]
+    if any(x >= 0 for x in ts):
         raise ValueError("singular asymptote needs t < 0")
-    ph = phase_singular(t, gamma)
-    c = math.cos(ph)
-    if abs(c) <= 0.15:
-        raise TooCloseToPole(f"|cos phase| = {abs(c):.3f} <= 0.15 at t = {t}")
-    s = math.sin(ph)
-    mt = -t
-    lead = mt / (c * c)
-    sub = (-gamma + 0.5 * (s / c) + 2 * gamma / (c * c)
-           + 3.0 * (12 * gamma * gamma - 1) * s / (16 * c ** 3))
-    return lead + sub / math.sqrt(mt)
+    vals = []
+    for x, ph in zip(ts, phase_singular(ts, gamma).tolist()):
+        c = math.cos(ph)
+        if abs(c) <= 0.15:
+            raise TooCloseToPole(f"|cos phase| = {abs(c):.3f} <= 0.15 at t = {x}")
+        s = math.sin(ph)
+        mt = -x
+        lead = mt / (c * c)
+        sub = (-gamma + 0.5 * (s / c) + 2 * gamma / (c * c)
+               + 3.0 * (12 * gamma * gamma - 1) * s / (16 * c ** 3))
+        vals.append(lead + sub / math.sqrt(mt))
+    return np.array(vals) if np.ndim(t) else vals[0]
 
 
 def kappa_for_gamma(gamma: float) -> float:

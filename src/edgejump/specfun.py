@@ -182,29 +182,27 @@ def _half_moments_nonneg(lam, K: int):
     return vals
 
 
-def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Hermite functions psi_k = H_k(x) e^(-x^2/2) for k = 0..nmax-1.
+def hermite_functions(nmax: int, x: float) -> list:
+    """Hermite functions psi_k = H_k(x) e^(-x^2/2) for k = 0..nmax-1 at one point.
 
-    The recurrence runs on mantissas with a separate power-of-two exponent
-    per point, started from ``e^(-x^2/2) = m 2^e``, so neither the Gaussian
-    factor (e^-800 at x = 40) nor the growing polynomial part leaves the
-    double range: psi_k is right wherever it is representable.  Returns an
-    array of shape (nmax, len(x)).
+    The recurrence runs in Python floats on a mantissa with a separate
+    power-of-two exponent, started from ``e^(-x^2/2) = m 2^e``, so neither
+    the Gaussian factor (e^-800 at x = 40) nor the growing polynomial part
+    leaves the double range: psi_k is right wherever it is representable.
+    Returns a list of length nmax.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax, x.size))
-    e = np.floor(-0.5 * x * x / math.log(2.0))
-    h = np.pi ** -0.25 * np.exp(-0.5 * x * x - e * math.log(2.0))
-    e = e.astype(np.int64)
-    h_prev = np.zeros_like(x)
+    x = float(x)
+    e = math.floor(-0.5 * x * x / math.log(2.0))
+    h = math.pi ** -0.25 * math.exp(-0.5 * x * x - e * math.log(2.0))
+    h_prev = 0.0
+    out = []
     for k in range(nmax):
-        out[k] = np.ldexp(h, e)
+        out.append(math.ldexp(h, e))
         h, h_prev = (x * math.sqrt(2.0 / (k + 1)) * h
                      - math.sqrt(k / (k + 1.0)) * h_prev), h
-        big = np.abs(h) > 2.0 ** 500
-        if big.any():
-            shift = np.where(big, np.frexp(h)[1], 0)
-            h, h_prev, e = np.ldexp(h, -shift), np.ldexp(h_prev, -shift), e + shift
+        if abs(h) > 2.0 ** 500:
+            shift = math.frexp(h)[1]
+            h, h_prev, e = math.ldexp(h, -shift), math.ldexp(h_prev, -shift), e + shift
     return out
 
 

@@ -55,8 +55,10 @@ _CLOSED_FORM_TOL = 1e-30
 _FINITE_N_TOL = 1e-18
 #: Criterion 3: |Nystrom determinant - exp(-F(t))| at every t.
 _TW_BOUND = 1e-8
-#: Criterion 4: scaled Painleve II residual along the trajectory.
+#: Criterion 4: scaled Painleve II residual along the trajectory, and the
+#: relative gap of u/kappa to Ai at kappa = 1e-6.
 _PII_RESIDUAL_TOL = 1e-12
+_LINEARIZATION_BOUND = 1e-10
 #: Criterion 5: largest ratio of consecutive R and scaled Q gaps.
 _GROWTH_CAP = 1.5
 #: Criteria 5 and 6: the R gap and the polynomial-value error decay like
@@ -72,9 +74,22 @@ _AIRY_TAIL_BOUND = 0.05
 _SINGULAR_REL_BOUND = 0.05
 _COS_GUARD = 0.3
 _ROUNDTRIP_BOUND = 1e-6
-#: Criterion 12: finite-N band added to 3 sigma for the Plancherel CDF.
+#: Criterion 11: the Q_n jump identity holds to 2^(_QN_GUARD_BITS - bits)
+#: times |Q_n|; the log-derivative identity to _DIFF_FD_BOUND by a finite
+#: difference and to _DIFF_EXACT_BOUND in closed form; the norm product
+#: matches pivoted LU to _NORM_PRODUCT_REL_TOL.
+_QN_GUARD_BITS = 32
+_DIFF_FD_BOUND = 1e-9
+_DIFF_EXACT_BOUND = 1e-20
+_NORM_PRODUCT_REL_TOL = 1e-80
+#: Criterion 12: Monte-Carlo estimates lie within _MC_SIGMAS standard errors
+#: of the determinant; the Plancherel CDF adds the finite-N band _FINITE_BAND.
+_MC_SIGMAS = 3.0
 _FINITE_BAND = 0.03
-#: Bulk check: cut point ``_DEGRADE_LAMBDA sqrt(2 n)`` of its edge-degradation row.
+#: Bulk check: the deviation at the largest n is at most _BULK_LOG_FACTOR
+#: log(n)/n, and its edge-degradation row puts the cut at
+#: ``_DEGRADE_LAMBDA sqrt(2 n)``.
+_BULK_LOG_FACTOR = 5.0
 _DEGRADE_LAMBDA = 0.9
 
 #: Entries each memo table keeps; past it the oldest entry is evicted.
@@ -172,14 +187,14 @@ def check_exact_identities(bits: int = 512) -> Report:
         res = float(weightlab.qn_jump_identity_residual(sys, n))
         with ctx.workprec():
             scale = max(float(abs(sys.Q[n])), 1e-30)
-        bound = 2.0 ** (32 - ctx.bits) * scale if scale > 1e-30 else 2.0 ** (32 - ctx.bits)
+        bound = 2.0 ** (_QN_GUARD_BITS - ctx.bits) * (scale if scale > 1e-30 else 1.0)
         rep.add(ReportRow(label="qn-jump-identity", n=n, lambda0=float(params.lambda0),
                           beta=complex(params.beta), abs_res=res),
                 res <= bound, f"qn identity n={n}: {res:.2e} > {bound:.2e}")
     # differential identity
     for params, n, delta, bound, ctx in (
-            (weightlab.WeightParams(0.5j, 0.9), 6, 1e-6, 1e-9, PrecisionCtx(320)),
-            (weightlab.WeightParams(0.3j, 0.4), 1, None, 1e-20, PrecisionCtx(320))):
+            (weightlab.WeightParams(0.5j, 0.9), 6, 1e-6, _DIFF_FD_BOUND, PrecisionCtx(320)),
+            (weightlab.WeightParams(0.3j, 0.4), 1, None, _DIFF_EXACT_BOUND, PrecisionCtx(320))):
         res = float(weightlab.diff_identity_residual(params, n, delta=delta, ctx=ctx))
         rep.add(ReportRow(label="diff-identity", n=n, lambda0=float(params.lambda0),
                           beta=complex(params.beta), abs_res=res),
@@ -193,7 +208,7 @@ def check_exact_identities(bits: int = 512) -> Report:
         rel = float(abs(sys.H[10] - det) / abs(det))
     rep.add(ReportRow(label="norm-product-vs-lu", n=10, lambda0=0.6,
                       beta=0.2 + 0.1j, rel_res=rel),
-            rel <= 1e-80, f"norm product vs LU: rel {rel:.2e}")
+            rel <= _NORM_PRODUCT_REL_TOL, f"norm product vs LU: rel {rel:.2e}")
     return rep
 
 
@@ -237,7 +252,8 @@ def check_pii_solution() -> Report:
     worst_l = max(abs(complex(lin.u(float(t))) / kap - ai) / abs(ai)
                   for t, ai in zip(ts, specfun.airy(ts)[0]))
     rep.add(ReportRow(label="airy-linearization", kappa=kap, abs_res=worst_l),
-            worst_l <= 1e-10, f"linearization err {worst_l:.2e} > 1e-10")
+            worst_l <= _LINEARIZATION_BOUND,
+            f"linearization err {worst_l:.2e} > {_LINEARIZATION_BOUND:.0e}")
     return rep
 
 
@@ -276,18 +292,16 @@ def check_singular_regime(gamma: float = 0.0, center: float = -12.0) -> Report:
         return rep
     a_lo, a_hi = pair
     margin = 0.06 * (a_hi - a_lo)
+    ts = np.linspace(a_lo + margin, a_hi - margin, 80).tolist()
+    ts = [t for t, ph in zip(ts, painleve.phase_singular(ts, gamma).tolist())
+          if not abs(math.cos(ph)) <= _COS_GUARD]
     worst = 0.0
-    npts = 0
-    for t in np.linspace(a_lo + margin, a_hi - margin, 80):
-        ph = painleve.phase_singular(float(t), gamma)
-        if abs(math.cos(ph)) <= _COS_GUARD:
-            continue
-        y_ode = complex(sol.u(float(t))) ** 2
-        y_pred = painleve.p34_singular_asymptote(float(t), gamma)
+    npts = len(ts)
+    for t, y_pred in zip(ts, painleve.p34_singular_asymptote(ts, gamma).tolist()):
+        y_ode = complex(sol.u(t)) ** 2
         rel = abs(y_ode.real - y_pred) / abs(y_pred)
         worst = max(worst, rel)
-        npts += 1
-        rep.add(ReportRow(label="singular-asymptote", t=float(t), kappa=kap,
+        rep.add(ReportRow(label="singular-asymptote", t=t, kappa=kap,
                           finite=y_ode, asym=y_pred, rel_res=rel), rel <= _SINGULAR_REL_BOUND)
     rep.judge(not (npts == 0 or worst > _SINGULAR_REL_BOUND),
               f"singular comparison worst {worst:.3f} over {npts} points")
@@ -417,7 +431,7 @@ def check_bulk_hankel(beta=0.2j, lam: float = 0.0, ns=(30, 60, 120)) -> Report:
                           finite=ratio, asym=1.0, rel_res=dev))
     n_last = ns[-1]
     rep.judge(all(a > b for a, b in zip(devs, devs[1:]))
-              and devs[-1] <= 5.0 * math.log(n_last) / n_last,
+              and devs[-1] <= _BULK_LOG_FACTOR * math.log(n_last) / n_last,
               f"deviations {['%.3g' % d for d in devs]}", rep.rows)
     lam0, _, dev_edge = deviation(ns[1], _DEGRADE_LAMBDA)
     rep.add(ReportRow(label="bulk-hankel-edge-degradation", n=ns[1], lambda0=lam0,
@@ -470,7 +484,7 @@ def check_mc_gue(n: int = 8, lambda0: float = 3.0, trials: int = 100_000,
     z = abs(p - det) / sig
     rep.add(ReportRow(label="gue-gap-probability", n=n, lambda0=lambda0,
                       finite=p, asym=det, abs_res=abs(p - det), rel_res=z),
-            z <= 3.0, f"gap probability off by {z:.2f} sigma")
+            z <= _MC_SIGMAS, f"gap probability off by {z:.2f} sigma")
     return rep
 
 
@@ -489,7 +503,7 @@ def check_mc_thinning(n: int = 50, s: float = 0.5, trials: int = 200_000,
         z = _in_units(abs(res[key] - det), res[key + "_stderr"])
         rep.add(ReportRow(label=label, n=n, lambda0=lam0, finite=res[key], asym=det,
                           abs_res=abs(res[key] - det), rel_res=z),
-                z <= 3.0, f"{key} estimate off by {z:.2f} sigma")
+                z <= _MC_SIGMAS, f"{key} estimate off by {z:.2f} sigma")
     return rep
 
 
@@ -500,7 +514,7 @@ def check_mc_plancherel(N: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
     est = rmtsim.thinned_max_cdf(N, s, ts, trials, master)
     dets = fredholm.airy_fredholm_det(1.0 - s, est["t"]).real.tolist()
     for t, cdf, sig, det in zip(est["t"], est["cdf"], est["stderr"], dets):
-        band = 3.0 * sig + _FINITE_BAND
+        band = _MC_SIGMAS * sig + _FINITE_BAND
         gap = abs(cdf - det)
         rep.add(ReportRow(label="plancherel-thinned-cdf", n=N, t=float(t),
                           finite=cdf, asym=det, abs_res=gap, rel_res=_in_units(gap, band)),

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .fredholm import hermite_gram
+from .fredholm import _gram_closed_form
 from .linalg import PIVOT_FLOOR, SingularMinor, ldlt
 from .precision import PrecisionCtx, agreed_digits
 from .specfun import _full_gauss_moment, half_gauss_moments, hermite_functions
@@ -234,7 +234,7 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     * ``R_k = (k/2) D_k / D_(k-1)``;
     * ``Q_k = sqrt((k+1)/2) L_(k+1,k) - sqrt(k/2) L_(k,k-1)``;
     * ``p_n(lambda0) = y_n e^(lambda0^2/2) / gamma_n`` from ``L y = psi``,
-      psi the Hermite functions at lambda0.
+      psi the Hermite functions at lambda0, the values G is built from.
 
     Leading rows whose entries of kappa^2 G all lie below half an ulp of 1
     are rows of the identity in double rounding (low-degree Hermite functions
@@ -248,11 +248,12 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     lam = float(lambda0)
     k2 = kappa_sq_from_beta(beta)
     N = n + 2
-    G = hermite_gram(N, lam)
+    psi = hermite_functions(N + 1, lam)
+    G = _gram_closed_form(np.array(psi), lam, math)
     small = abs(k2) * np.abs(G).max(axis=1) <= _HALF_ULP
     m = N if small.all() else int(np.argmin(small))
     try:
-        L = ldlt(-k2 * G[m:, m:])  # packed: e on the diagonal, L below it
+        L = ldlt(G[m:, m:], -k2)  # packed: e on the diagonal, L below it
     except SingularMinor as exc:
         raise SingularMinor(m + exc.k) from None
     D = np.concatenate((1 - k2 * np.diag(G)[:m], 1 + np.diagonal(L)))
@@ -261,7 +262,7 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     r = np.sqrt(np.arange(N) / 2)
     Q = r[1:] * sub - r[:-1] * np.concatenate(([0.0], sub[:-1]))
     R = np.concatenate(([0.0], r[1:] ** 2 * D[1:] / D[:-1]))
-    y = hermite_functions(n + 1, np.array([lam]))[:, 0].astype(complex)
+    y = np.array(psi[:n + 1], dtype=complex)
     for i, row in enumerate(L[:n + 1 - m]):  # forward substitution, L unit lower
         y[m + i] -= row[:i] @ y[m:m + i]
     log_gamma = (n * math.log(2) - math.lgamma(n + 1) - math.log(math.pi) / 2) / 2

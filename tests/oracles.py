@@ -511,3 +511,22 @@ def cross_pole_two_detours(t_s, y_s, side: int, tol: float):
     lo, hi = sorted((t_s, t_e))
     rec = PoleRecord(a, rec.sign, rec.cubic, rec.c_v, rec.c_f, gap_lo=lo, gap_hi=hi)
     return rec, t_e, tuple((p + q) / 2 for p, q in zip(*ends))
+
+
+def step_size_all_roots(coeffs, tol):
+    """The Taylor step-size rule with every root computed on every call.
+
+    Largest h with |c_k| h^k <= tol max_(m<k) |c_m| h^m for k = K-1, K and
+    every component: the minimum over (component, k) of the largest root
+    (tol |c_m| / |c_k|)^(1/(k-m)).  A component whose last two
+    coefficients vanish sets no bound.
+    """
+    h = math.inf
+    for c in coeffs:
+        mags = [abs(x) for x in c]
+        for k in (len(c) - 2, len(c) - 1):
+            mk = mags[k]
+            if mk:
+                h = min(h, max(map(pow, [tol * x / mk for x in mags[:k]],
+                                   [1.0 / (k - m) for m in range(k)]), default=0.0))
+    return h

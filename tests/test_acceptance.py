@@ -120,6 +120,7 @@ _STATED_GATES = {
     "_FINITE_N_TOL": 1e-18,         # criterion 2
     "_TW_BOUND": 1e-8,              # criterion 3
     "_PII_RESIDUAL_TOL": 1e-12,     # criterion 4
+    "_LINEARIZATION_BOUND": 1e-10,  # criterion 4
     "_GROWTH_CAP": 1.5,             # criterion 5
     "_GAP_ORDER": 1.0 / 3.0,        # criteria 5 and 6
     "_GAP_ORDER_TOL": 0.15,         # criteria 5 and 6
@@ -128,7 +129,13 @@ _STATED_GATES = {
     "_SINGULAR_REL_BOUND": 0.05,    # criterion 9
     "_COS_GUARD": 0.3,              # criterion 9
     "_ROUNDTRIP_BOUND": 1e-6,       # criterion 9
+    "_QN_GUARD_BITS": 32,           # criterion 11
+    "_DIFF_FD_BOUND": 1e-9,         # criterion 11
+    "_DIFF_EXACT_BOUND": 1e-20,     # criterion 11
+    "_NORM_PRODUCT_REL_TOL": 1e-80, # criterion 11
+    "_MC_SIGMAS": 3.0,              # criterion 12
     "_FINITE_BAND": 0.03,           # criterion 12
+    "_BULK_LOG_FACTOR": 5.0,        # the bulk check
     "_DEGRADE_LAMBDA": 0.9,         # the bulk check
     "_ODE_TOL": 1e-12,              # criteria 4 to 7, 9 and 10
 }

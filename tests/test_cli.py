@@ -195,7 +195,7 @@ VERIFY_MAPPING = {
     "conj1.3": ("check_airy_tail", {
         "bare": {}, "beta": _BETA, "kappa": {}, "complex-kappa": {}}),
     "tw-identity": ("check_tw_identity", {
-        "bare": {"tol": 1e-12}, "beta": {"tol": 1e-10, "t_lo": -3.0},
+        "bare": {}, "beta": {"tol": 1e-10, "t_lo": -3.0},
         "kappa": {"tol": 1e-10, "kappas": (0.7,), "t_lo": -3.0},
         "complex-kappa": {"tol": 1e-10, "kappas": (0.7 + 0.2j,), "t_lo": -3.0}}),
     "finite-n-identity": ("check_finite_n_identity", {

@@ -1,10 +1,14 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sps
 
-from edgejump.ode import StepUnderflow, adaptive_rk, along_path
+from edgejump.ode import _ORDER, StepUnderflow, _step_size, adaptive_rk, along_path
 from edgejump.painleve import pole_roundtrip_error, solve_as
+
+from oracles import step_size_all_roots
 
 
 def exp_taylor(t, y, K):
@@ -150,3 +154,28 @@ def test_real_cut_detours_stay_real(sol_sqrt2):
 def test_roundtrip_across_every_pole(sol_sqrt2):
     for pole in sol_sqrt2.poles:
         assert pole_roundtrip_error(sol_sqrt2, pole, offset=0.3) <= 1e-6
+
+
+def test_step_size_matches_the_all_roots_rule():
+    # the scan that stops at a pair's first deciding root gives the same h,
+    # bit for bit, as computing every root: real and complex coefficients
+    # with geometric decay, three tolerances, and zero, infinite and NaN
+    # entries in some sets
+    rng = np.random.default_rng(2024)
+    specials = (0.0, math.inf, -math.inf, math.nan, complex(math.nan, 1.0))
+    for trial in range(3000):
+        tol = (1e-10, 1e-12, 1e-13)[trial % 3]
+        coeffs = []
+        for _ in range(4):
+            mags = 10.0 ** (rng.uniform(-8, 3) + rng.uniform(-3, 1) * np.arange(_ORDER + 1)
+                            + rng.normal(size=_ORDER + 1))
+            c = (mags * rng.choice((-1.0, 1.0), _ORDER + 1)).tolist()
+            if trial % 2:
+                turns = rng.uniform(0, 2 * math.pi, _ORDER + 1)
+                c = [x * cmath.exp(1j * a) for x, a in zip(c, turns)]
+            for _ in range(rng.integers(0, 4)):
+                pool = specials if trial % 5 == 0 else specials[:1]
+                c[rng.integers(0, _ORDER + 1)] = pool[rng.integers(0, len(pool))]
+            coeffs.append(c)
+        got, want = _step_size(coeffs, tol), step_size_all_roots(coeffs, tol)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (trial, got, want)

@@ -266,7 +266,7 @@ class TestGramRoute:
         # the leading 2 x 2 minor of A is 0
         A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
         with pytest.raises(SingularMinor) as exc:
-            ldlt(A - np.eye(3))
+            ldlt(A - np.eye(3), 1.0)
         assert exc.value.k == 2
 
 
