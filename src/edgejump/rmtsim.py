@@ -19,7 +19,11 @@ below that threshold.
 
 Randomness is counter-based (Philox) with streams derived as
 (master seed, stream index), so parallel trials are reproducible and any
-sample can be regenerated in isolation.
+sample can be regenerated in isolation.  The only block-sized array a draw
+holds is one block's normals; the chi variates, the counts and thinning's
+removal variates are drawn and read a piece of rows at a time.  A sequential
+draw split into row pieces gives the same numbers, so any piece size draws
+the same spectra.
 """
 from __future__ import annotations
 
@@ -33,10 +37,16 @@ __all__ = [
     "plancherel_sample", "rsk_shape", "thinned_max_cdf",
 ]
 
-#: Trials drawn per block.  Part of the stream layout: spectra, counts and
-#: thinning's removal variates are all drawn block by block, so every route
-#: reads the same numbers for the same (master, stream).
+#: Trials drawn per block.  Part of the stream layout: each block draws all
+#: of its normals, then its chi variates, so every route reads the same
+#: numbers for the same (master, stream).  One block's normals are the only
+#: block-sized array a draw holds.
 _CHUNK = 20_000
+
+#: Matrix entries per piece: the chi variates, the counts and the removal
+#: variates of a block are drawn and read this many entries (whole rows) at
+#: a time.  Not part of the stream layout: any piece size draws the same numbers.
+_PIECE = 1 << 16
 
 #: Dense matrix entries per ``eigvalsh`` batch in :func:`sample_gue_eigs`.
 _DENSE_ENTRIES = 1 << 22
@@ -48,21 +58,26 @@ def stream_rng(master: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _tridiag_draws(n: int, trials: int, rng: np.random.Generator):
-    d = rng.standard_normal((trials, n))
-    if n > 1:
-        dof = 2.0 * np.arange(n - 1, 0, -1)
-        e = np.sqrt(rng.chisquare(dof, size=(trials, n - 1)) / 2.0)
-    else:
-        e = np.zeros((trials, 0))
-    return d, e
+def _tridiag_pieces(n: int, trials: int, master: int, stream: int):
+    """The draws of ``trials`` matrices on (master, stream), a piece at a time.
 
-
-def _tridiag_blocks(n: int, trials: int, master: int, stream: int):
-    """The draws of ``trials`` matrices on (master, stream), ``_CHUNK`` at a time."""
+    Yields (lo, d, e): the diagonals d and off-diagonals e of trials lo,
+    lo + 1, ... .  Each block of ``_CHUNK`` trials draws its normals d into
+    one buffer that the next block overwrites, then its chi variates
+    e_i = sqrt(Gamma(n - i)), i.e. chi with 2(n - i) degrees of freedom over
+    sqrt 2, at most ``_PIECE`` entries at a time.  A d piece is a view of
+    that buffer: read it before asking for the next piece.
+    """
     rng = stream_rng(master, stream)
+    k = np.arange(n - 1, 0, -1, dtype=float)
+    rows = max(1, _PIECE // n)
+    buf = np.empty((min(_CHUNK, trials), n))
     for lo in range(0, trials, _CHUNK):
-        yield _tridiag_draws(n, min(_CHUNK, trials - lo), rng)
+        d = buf[:min(_CHUNK, trials - lo)]
+        rng.standard_normal(out=d)
+        for a in range(0, d.shape[0], rows):
+            e = rng.standard_gamma(k, size=(min(rows, d.shape[0] - a), n - 1))
+            yield lo + a, d[a:a + rows], np.sqrt(e, out=e)
 
 
 def _count_above(d: np.ndarray, e: np.ndarray, sigma: float) -> np.ndarray:
@@ -76,11 +91,11 @@ def _count_above(d: np.ndarray, e: np.ndarray, sigma: float) -> np.ndarray:
     finite, so no pivot is ever 0, inf or NaN.
     """
     n = d.shape[1]
-    e2 = e * e
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    emax = max(float(e.max(initial=0.0)), -float(e.min(initial=0.0)))
+    pivmin = np.finfo(float).tiny * max(1.0, emax * emax)
     below = np.zeros(d.shape[0], dtype=np.int64)
     for i in range(n):
-        q = d[:, i] - sigma - (e2[:, i - 1] / q if i else 0.0)
+        q = d[:, i] - sigma - (e[:, i - 1] ** 2 / q if i else 0.0)
         q[np.abs(q) <= pivmin] = -pivmin
         below += q < 0
     return n - below
@@ -93,8 +108,10 @@ def _gue_counts(n: int, lambda0: float, trials: int, master: int,
     The draws are those of ``sample_gue_eigs(n, trials, master, stream)``.
     """
     sigma = lambda0 * math.sqrt(2.0)
-    return np.concatenate([_count_above(d, e, sigma)
-                           for d, e in _tridiag_blocks(n, trials, master, stream)])
+    X = np.empty(trials, dtype=np.int64)
+    for lo, d, e in _tridiag_pieces(n, trials, master, stream):
+        X[lo:lo + d.shape[0]] = _count_above(d, e, sigma)
+    return X
 
 
 def sample_gue_eigs(n: int, trials: int, master: int, stream: int = 0) -> np.ndarray:
@@ -106,16 +123,14 @@ def sample_gue_eigs(n: int, trials: int, master: int, stream: int = 0) -> np.nda
     out = np.empty((trials, n))
     batch = max(1, _DENSE_ENTRIES // (n * n))
     idx = np.arange(n)
-    done = 0
-    for d, e in _tridiag_blocks(n, trials, master, stream):
-        for lo in range(0, d.shape[0], batch):
-            db, eb = d[lo:lo + batch], e[lo:lo + batch]
+    for lo, d, e in _tridiag_pieces(n, trials, master, stream):
+        for a in range(0, d.shape[0], batch):
+            db, eb = d[a:a + batch], e[a:a + batch]
             T = np.zeros((db.shape[0], n, n))
             T[:, idx, idx] = db
             T[:, idx[:-1], idx[1:]] = eb
             T[:, idx[1:], idx[:-1]] = eb
-            out[done:done + db.shape[0]] = np.linalg.eigvalsh(T)[:, ::-1] / math.sqrt(2.0)
-            done += db.shape[0]
+            out[lo + a:lo + a + db.shape[0]] = np.linalg.eigvalsh(T)[:, ::-1] / math.sqrt(2.0)
     return out
 
 
@@ -135,16 +150,17 @@ def thinning_check(n: int, s: float, lambda0: float, trials: int, master: int,
     * 'analytic': average of s^X over the draws, X the count above lambda0
       (removal randomness integrated out).
 
-    The removal variates are uniforms on stream + 1, one row of n per trial:
-    a trial's j-th largest point is removed when variate j is below s, so
-    only the first X variates of a row decide whether a point survives
-    above lambda0.
+    The removal variates are uniforms on stream + 1, one row of n per trial,
+    drawn a piece of rows at a time: a trial's j-th largest point is removed
+    when variate j is below s, so only the first X variates of a row decide
+    whether a point survives above lambda0.
     """
     X = _gue_counts(n, lambda0, trials, master, stream)
     rng = stream_rng(master, stream + 1)
+    rows = max(1, _PIECE // n)
     cleared = 0  # trials with no survivor above lambda0
-    for lo in range(0, trials, _CHUNK):
-        x = X[lo:lo + _CHUNK, None]
+    for lo in range(0, trials, rows):
+        x = X[lo:lo + rows, None]
         removed = rng.random((x.shape[0], n)) < s
         survivor = (np.arange(n) < x) & ~removed  # a top-X point not removed
         cleared += int((~survivor.any(axis=1)).sum())

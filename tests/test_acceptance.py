@@ -26,87 +26,87 @@ def _criterion(number, name, report, elapsed, budget):
 
 
 def test_criterion_01_gaussian_closed_form():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_gaussian_closed_form(ns=tuple(range(1, 31)), bits=512)
-    _criterion(1, "Gaussian Hankel closed form", rep, time.time() - t0, 10.0)
+    _criterion(1, "Gaussian Hankel closed form", rep, time.perf_counter() - t0, 10.0)
 
 
 def test_criterion_02_finite_n_fredholm_identity():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_finite_n_identity(ns=(4, 10, 20),
                                          betas=(0.4j, 0.3, 0.2 + 0.1j),
                                          lambda0s=(-1.0, 0.5, "edge"))
-    _criterion(2, "finite-n Fredholm/Hankel identity", rep, time.time() - t0, 60.0)
+    _criterion(2, "finite-n Fredholm/Hankel identity", rep, time.perf_counter() - t0, 60.0)
 
 
 def test_criterion_03_tracy_widom_identity():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_tw_identity(kappas=(0.3, 0.7, 0.95), t_lo=-8.0,
                                    t_hi=4.0, step=0.5)
-    _criterion(3, "Tracy-Widom identity", rep, time.time() - t0, 30.0)
+    _criterion(3, "Tracy-Widom identity", rep, time.perf_counter() - t0, 30.0)
 
 
 def test_criterion_04_pii_residual_and_airy_matching():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_pii_solution()
-    _criterion(4, "PII residual + Airy linearization", rep, time.time() - t0, 10.0)
+    _criterion(4, "PII residual + Airy linearization", rep, time.perf_counter() - t0, 10.0)
 
 
 def test_criterion_05_recurrence_coefficient_asymptotics():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0),
                                               ns=(256, 512, 1024, 2048))
-    _criterion(5, "recurrence coefficient expansions", rep, time.time() - t0, 300.0)
+    _criterion(5, "recurrence coefficient expansions", rep, time.perf_counter() - t0, 300.0)
 
 
 def test_criterion_06_polynomial_asymptote_order():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_polynomial_asymptote(beta=0.4j, t=0.5,
                                             ns=(64, 128, 256, 512, 1024, 2048))
-    _criterion(6, "polynomial value expansion order", rep, time.time() - t0, 300.0)
+    _criterion(6, "polynomial value expansion order", rep, time.perf_counter() - t0, 300.0)
 
 
 def test_criterion_07_edge_hankel_trend():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_edge_hankel(beta=0.4j, ts=(0.0, 2.0),
                                    ns=(20, 40, 80, 160, 320, 640))
-    _criterion(7, "edge Hankel expansion trend", rep, time.time() - t0, 120.0)
+    _criterion(7, "edge Hankel expansion trend", rep, time.perf_counter() - t0, 120.0)
 
 
 def test_criterion_08_airy_determinant_tail():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_airy_tail(beta=0.15j, ts=(-10.0, -25.0))
-    _criterion(8, "Airy determinant tail expansion", rep, time.time() - t0, 60.0)
+    _criterion(8, "Airy determinant tail expansion", rep, time.perf_counter() - t0, 60.0)
 
 
 def test_criterion_09_singular_regime():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_singular_regime(gamma=0.0, center=-12.0)
-    _criterion(9, "boundary-line singular expansion", rep, time.time() - t0, 120.0)
+    _criterion(9, "boundary-line singular expansion", rep, time.perf_counter() - t0, 120.0)
 
 
 def test_criterion_10_pole_freeness_scan():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_pole_freeness(radii=(0.3, 0.7, 0.95, 1.3),
                                      angles=(math.pi / 6, math.pi / 2,
                                              5 * math.pi / 6),
                                      t_min=-25.0, control_kappa=1.5)
-    _criterion(10, "pole-freeness scan + control run", rep, time.time() - t0, 180.0)
+    _criterion(10, "pole-freeness scan + control run", rep, time.perf_counter() - t0, 180.0)
 
 
 def test_criterion_11_exact_identities():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify.check_exact_identities()
-    _criterion(11, "exact internal identities", rep, time.time() - t0, 120.0)
+    _criterion(11, "exact internal identities", rep, time.perf_counter() - t0, 120.0)
 
 
 def test_criterion_12_monte_carlo():
-    t0 = time.time()
+    t0 = time.perf_counter()
     reps = [verify.check_mc_thinning(n=50, s=0.5, trials=200_000),
             verify.check_mc_gue(n=8, lambda0=3.0, trials=100_000),
             verify.check_mc_plancherel(N=10_000, s=0.5, ts=(-2.0, 0.0, 1.0),
                                        trials=800)]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     merged = verify.Report("monte-carlo")
     merged.rows = [r for rep in reps for r in rep.rows]
     merged.passed = all(r.passed for r in reps)

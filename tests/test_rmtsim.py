@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,14 +75,37 @@ class TestCounts:
             count = _count_above(np.array([d]), np.array([e]).reshape(1, -1), sigma)
         assert count.tolist() == [above]
 
-    def test_estimators_equal_spectrum_oracles(self):
-        # 25,000 trials span two draw blocks of 20,000
-        n, s, lambda0, trials, master = 12, 0.5, 3.5, 25_000, 47
-        eigs = sample_gue_eigs(n, trials, master)
-        assert gap_probability_mc(n, lambda0, trials, master) == \
-            gap_probability_from_spectra(eigs, lambda0)
-        assert thinning_check(n, s, lambda0, trials, master) == \
-            thinning_from_spectra(eigs, s, lambda0, stream_rng(master, 1))
+    def test_estimators_equal_spectrum_oracles(self, monkeypatch):
+        # 25,000 trials span two draw blocks of 20,000; 21,234 trials at n = 50
+        # also end in a partial piece; 4001-entry pieces (333 rows at n = 12)
+        # divide neither n nor the block
+        s, master = 0.5, 47
+        for n, lambda0, trials, piece in ((12, 3.5, 25_000, rmtsim._PIECE),
+                                          (50, 10.0, 21_234, rmtsim._PIECE),
+                                          (12, 3.5, 25_000, 4001)):
+            monkeypatch.setattr(rmtsim, "_PIECE", piece)
+            eigs = sample_gue_eigs(n, trials, master)
+            assert gap_probability_mc(n, lambda0, trials, master) == \
+                gap_probability_from_spectra(eigs, lambda0)
+            assert thinning_check(n, s, lambda0, trials, master) == \
+                thinning_from_spectra(eigs, s, lambda0, stream_rng(master, 1))
+
+
+def test_draws_hold_one_block():
+    # the only block-sized array is one block's normals; the chi variates,
+    # counts and removal variates come a piece at a time
+    n, trials, master = 50, 40_000, 59
+    bound = rmtsim._CHUNK * n * 8 + (2 << 20)
+    _gue_counts(n, 10.0, 10, master, 0)  # first-call imports are not draws
+    for run in (lambda: _gue_counts(n, 10.0, trials, master, 0),
+                lambda: thinning_check(n, 0.5, 10.0, trials, master)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 class TestThinning:

@@ -219,8 +219,10 @@ class TestGramRoute:
     @pytest.mark.parametrize("n", [16, 64, 128])
     @pytest.mark.parametrize("beta", [0.4j, 0.3, 0.2 + 0.1j, -0.45 + 0.2j])
     def test_against_moment_route(self, beta, n):
-        # logs are compared through exp(difference) - 1, so modulo 2 pi i
-        ctx = hankel_ctx(n)
+        # logs are compared through exp(difference) - 1, so modulo 2 pi i.
+        # 64 + 4n bits: at n = 128 (576 bits) the reference's Q_n, R_n, h_n
+        # and p_n(lambda0) agree to 114 digits with those at hankel_ctx(n)'s 1600
+        ctx = PrecisionCtx(64 + 4 * n)
         for t in (-2.0, 0.0, 0.5, 2.0):
             params = WeightParams.edge(beta, n, t, ctx)
             ref = build_op_system(params, n, ctx, check=False)
