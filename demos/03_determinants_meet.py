@@ -15,7 +15,7 @@ from edgejump.fredholm import airy_fredholm_det, finite_n_det, hermite_gram
 from edgejump.painleve import solve_as
 from edgejump.precision import PrecisionCtx
 from edgejump.util import kappa_sq_from_beta
-from edgejump.weightlab import WeightParams, build_op_system, gaussian_hankel
+from edgejump.weightlab import WeightParams, build_op_system, edge_cut, gaussian_hankel
 
 beta, n, lam0 = 0.4j, 12, 0.5
 ctx = PrecisionCtx(448)
@@ -36,6 +36,5 @@ print("   t     Airy-kernel det    exp(-F(t))        finite n=400")
 ts = (-6.0, -3.0, 0.0, 2.0)
 for t, d in zip(ts, airy_fredholm_det(0.49, ts).real):
     f = math.exp(-complex(sol.F(t)).real)
-    lam_edge = math.sqrt(800.0) * (1 + t * 400 ** (-2.0 / 3.0) / 2)
-    fin = finite_n_det(400, lam_edge, 0.49).real
+    fin = finite_n_det(400, edge_cut(400, t), 0.49).real
     print(f" {t:+5.1f}   {d:.12f}    {f:.12f}    {fin:.6f}")

@@ -16,7 +16,7 @@ from edgejump.asympt import (edge_hankel_asymptote, polynomial_value_asymptote,
                              recurrence_asymptotes)
 from edgejump.painleve import solve_as
 from edgejump.util import kappa_from_beta
-from edgejump.weightlab import gram_system
+from edgejump.weightlab import edge_cut, gram_system
 
 beta, t = 0.4j, 0.0
 sol = solve_as(kappa_from_beta(beta), t - 1.0, 1e-12)
@@ -24,8 +24,7 @@ sol = solve_as(kappa_from_beta(beta), t - 1.0, 1e-12)
 print(f"beta = {beta}, edge coordinate t = {t}")
 print("   n      R_n - R_pred      (Q_n - Q_pred) sqrt(n)   |H_n/H_pred| - 1   |p_n/p_pred| - 1")
 for n in (64, 128, 256, 512, 1024):
-    lam0 = math.sqrt(2 * n) * (1 + t * n ** (-2 / 3) / 2)
-    sys = gram_system(beta, n, lam0)
+    sys = gram_system(beta, n, edge_cut(n, t))
     pred = recurrence_asymptotes(n, t, sol)
     dR = abs(sys.R[n] - pred["R"])
     dQ = abs(sys.Q[n] - pred["Q"]) * math.sqrt(n)

@@ -39,7 +39,8 @@ class RunConfig:
     """Normalized options shared by all subcommands.
 
     Exactly one of beta / kappa may be given; the other is derived through
-    the jump relation on the |Re beta| <= 1/2 branch.
+    the jump relation on the |Re beta| <= 1/2 branch, so both are set or
+    neither is.  ``trials`` is None when not given.
     """
 
     beta: complex | None = None
@@ -50,7 +51,7 @@ class RunConfig:
     bits: int | None = None
     tol: float | None = None
     nodes: int | None = None
-    trials: int = 100_000
+    trials: int | None = None
     seed: int = 20240
     out: str | None = None
     fmt: str = "csv"
@@ -58,11 +59,9 @@ class RunConfig:
     t_min: float | None = None
 
     def resolved_kappa(self) -> complex:
-        if self.kappa is not None:
-            return self.kappa
-        if self.beta is not None:
-            return kappa_from_beta(self.beta)
-        raise ConfigError("need --beta/--beta-im or --kappa/--kappa-im")
+        if self.kappa is None:
+            raise ConfigError("need --beta/--beta-im or --kappa/--kappa-im")
+        return self.kappa
 
 
 def _parse_ns(raw: str | None) -> tuple:
@@ -102,15 +101,16 @@ def _value(merged: dict, key: str, kind, default=None):
 
 
 def _build_config(args) -> RunConfig:
+    # the keys a config file may set are the dests of the flags _add_common declares
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "which", "config")}
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(_read_config_file(args.config))
-    for key in ("beta", "beta_im", "kappa", "kappa_im", "n", "t", "lambda0",
-                "bits", "tol", "nodes", "trials", "seed", "out", "format",
-                "timestamp", "t_min"):
-        v = getattr(args, key.replace("-", "_"), None)
-        if v is not None:
-            merged[key] = v
+        unknown = sorted(set(merged) - set(flags))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) in {args.config!r}: "
+                              + ", ".join(map(repr, unknown)))
+    merged.update({k: v for k, v in flags.items() if v is not None})
     beta = kappa = None
     if merged.get("beta") is not None or merged.get("beta_im") is not None:
         beta = complex(_value(merged, "beta", float, 0.0),
@@ -120,8 +120,15 @@ def _build_config(args) -> RunConfig:
                         _value(merged, "kappa_im", float, 0.0))
     if beta is not None and kappa is not None:
         raise ConfigError("give beta or kappa, not both")
-    if beta is not None and abs(beta.real) > 0.5:
-        raise ConfigError("need |Re beta| <= 1/2")
+    if beta is not None:
+        if abs(beta.real) > 0.5:
+            raise ConfigError("need |Re beta| <= 1/2")
+        kappa = kappa_from_beta(beta)
+    elif kappa is not None:
+        try:
+            beta = beta_from_kappa(kappa)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     # 0 bits asks for the default precision, as an unset --bits does
     bits = _value(merged, "bits", int) or None
     nodes = _value(merged, "nodes", int) or None
@@ -129,8 +136,8 @@ def _build_config(args) -> RunConfig:
         raise ConfigError(f"need nodes >= 1 (or 0 for the default), got {nodes}")
     if bits is not None and bits < MIN_BITS:
         raise ConfigError(f"need bits >= {MIN_BITS} (or 0 for the default), got {bits}")
-    trials = _value(merged, "trials", int, 100_000)
-    if trials < 2:  # every estimator reports a ddof = 1 standard error
+    trials = _value(merged, "trials", int)
+    if trials is not None and trials < 2:  # every estimator reports a ddof = 1 standard error
         raise ConfigError(f"need trials >= 2, got {trials}")
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):  # a config file bypasses the flag's choices
@@ -172,14 +179,11 @@ def _emit(reports, cfg: RunConfig) -> int:
 def _cmd_hankel(cfg: RunConfig) -> int:
     if not cfg.ns:
         raise ConfigError("hankel needs --n")
-    beta = cfg.beta if cfg.beta is not None else (
-        beta_from_kappa(cfg.kappa) if cfg.kappa is not None else 0j)
+    beta = cfg.beta if cfg.beta is not None else 0j
     N = max(cfg.ns)
     ctx = PrecisionCtx(cfg.bits) if cfg.bits else hankel_ctx(N)
-    if cfg.t is not None:
-        params = weightlab.WeightParams.edge(beta, N, cfg.t, ctx)
-    else:
-        params = weightlab.WeightParams(beta, cfg.lambda0 or 0.0)
+    lambda0 = weightlab.edge_cut(N, cfg.t) if cfg.t is not None else cfg.lambda0 or 0.0
+    params = weightlab.WeightParams(beta, lambda0)
     sys = weightlab.build_op_system(params, N, ctx)
     rep = Report("hankel-dump", passed=True, compares=False,
                  detail=f"agreed digits {sys.agreed}")
@@ -239,17 +243,18 @@ def _cmd_verify(cfg: RunConfig, which: str) -> int:
 
 
 def _cmd_mc(cfg: RunConfig, which: str) -> int:
+    # without --trials: fewer for plancherel, whose pure-Python RSK costs ms a trial
+    trials = cfg.trials or (100_000 if which == "gue" else 5000)
     if which == "gue":
         reps = [
             verify.check_mc_gue(n=cfg.ns[0] if cfg.ns else 8,
                                 lambda0=cfg.lambda0 if cfg.lambda0 is not None else 3.0,
-                                trials=cfg.trials, master=cfg.seed),
-            verify.check_mc_thinning(trials=cfg.trials, master=cfg.seed + 1),
+                                trials=trials, master=cfg.seed),
+            verify.check_mc_thinning(trials=trials, master=cfg.seed + 1),
         ]
     else:
         reps = [verify.check_mc_plancherel(
-            N=cfg.ns[0] if cfg.ns else 10_000,
-            trials=min(cfg.trials, 5000), master=cfg.seed)]
+            N=cfg.ns[0] if cfg.ns else 10_000, trials=trials, master=cfg.seed)]
     return _emit(reps, cfg)
 
 

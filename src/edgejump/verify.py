@@ -22,9 +22,11 @@ exact checks (Gaussian closed form, the finite-n Fredholm identity, the
 internal identities) build big-float systems from moments
 (``build_op_system``).  Every asymptotic comparison (edge and bulk Hankel
 determinants, recurrence coefficients, polynomial value) reads the
-complex128 Gram-route system (``gram_system``), the edge ones through
-:func:`op_system_cached`.  So the Fredholm identity confronts the moment
-route with the Gram determinant.
+complex128 Gram-route system (``gram_system``), the edge ones at the cut
+``weightlab.edge_cut(n, t)`` through :func:`op_system_cached`.  So the
+Fredholm identity confronts the moment route with the Gram determinant.
+Each system and each Painleve solution is built where it is judged: no
+driver asks for the same one twice, so nothing is kept between calls.
 
 Those comparisons run in doubles: the Gram route keeps H_n, h_n and
 p_n(lambda0) as logs, the :mod:`~edgejump.asympt` predictions are logs, the
@@ -92,35 +94,22 @@ _FINITE_BAND = 0.03
 _BULK_LOG_FACTOR = 5.0
 _DEGRADE_LAMBDA = 0.9
 
-#: Entries each memo table keeps; past it the oldest entry is evicted.
-CACHE_SIZE = 32
-
-_OP_CACHE: dict = {}
-_SOL_CACHE: dict = {}
-
-
-def _memo(cache: dict, key, make):
-    """cache[key], made by ``make()`` on a miss; the oldest entry goes past CACHE_SIZE."""
-    if key not in cache:
-        if len(cache) >= CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[key] = make()
-    return cache[key]
-
-
 def op_system_cached(beta, n: int, t: float) -> weightlab.GramSystem:
-    """Edge-form system from the Gram route, memoized on (beta, n, t).
+    """Gram-route system at the cut ``weightlab.edge_cut(n, t)``, built on every call.
 
-    The cut sits at ``lambda0 = sqrt(2 n) (1 + t n^(-2/3) / 2)``, in doubles.
+    No driver asks for one (beta, n, t) twice, so nothing is kept; the name
+    stays because the benchmark's tracer wraps it.
     """
-    def make():
-        return weightlab.gram_system(beta, n, math.sqrt(2 * n) * (1 + t * n ** (-2 / 3) / 2))
-    return _memo(_OP_CACHE, (complex(beta), n, float(t)), make)
+    return weightlab.gram_system(beta, n, weightlab.edge_cut(n, t))
 
 
 def solution_cached(kappa, t_min: float, tol: float = _ODE_TOL) -> painleve.ASolution:
-    return _memo(_SOL_CACHE, (complex(kappa), float(t_min), tol),
-                 lambda: painleve.solve_as(kappa, t_min, tol))
+    """``painleve.solve_as(kappa, t_min, tol)``, solved on every call.
+
+    No driver asks for one (kappa, t_min, tol) twice, so nothing is kept;
+    the name stays because the benchmark's tracer wraps it.
+    """
+    return painleve.solve_as(kappa, t_min, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +168,8 @@ def check_exact_identities(bits: int = 512) -> Report:
     cases = [
         (weightlab.WeightParams(0.0, 0.7), 4, PrecisionCtx(256)),
         (weightlab.WeightParams(0.4j, 1.1), 8, PrecisionCtx(bits)),
+        (weightlab.WeightParams(0.3, weightlab.edge_cut(20, 0.0)), 20, hankel_ctx(20)),
     ]
-    ctx20 = hankel_ctx(20)
-    cases.append((weightlab.WeightParams.edge(0.3, 20, 0.0, ctx20), 20, ctx20))
     for params, n, ctx in cases:
         sys = weightlab.build_op_system(params, n, ctx, check=False)
         res = float(weightlab.qn_jump_identity_residual(sys, n))
@@ -537,8 +525,9 @@ class Check:
     ``driver`` is the driver's attribute name here, looked up when the check
     runs, so a wrapped or replaced driver is the one called.  ``options``
     maps a RunConfig field to the driver keyword it sets; a field that is
-    unset (None or empty) is not passed.  ``min_ns`` is the fewest rungs a
-    trend check judges: an ``ns`` given with fewer is a configuration error.
+    unset (None or empty) is not passed; the command line sets beta and
+    kappa together.  ``min_ns`` is the fewest rungs a trend check judges:
+    an ``ns`` given with fewer is a configuration error.
     """
 
     driver: str

@@ -30,6 +30,10 @@ Gram route every asymptotic comparison.
   scale, so it reaches n in the thousands.  It serves every asymptotic
   comparison: the edge expansions (criteria 5, 6 and 7), the bulk check and
   demo 05.
+
+Both routes take the cut as given.  At the spectral edge it comes from
+``edge_cut(n, t)``, one double, whichever route builds the system, so a
+printed lambda0 is exactly the cut its system was built at.
 """
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ from .specfun import _full_gauss_moment, half_gauss_moments, hermite_functions
 from .util import kappa_sq_from_beta
 
 __all__ = [
-    "WeightParams", "OPSystem", "SingularMinor", "moments", "build_op_system",
+    "WeightParams", "edge_cut", "OPSystem", "SingularMinor", "moments", "build_op_system",
     "GramSystem", "gram_system", "PIVOT_FLOOR", "eval_pn_prime",
     "qn_jump_identity_residual", "diff_identity_residual",
     "gaussian_hankel", "hankel_matrix",
@@ -58,9 +62,8 @@ __all__ = [
 class WeightParams:
     """Jump parameters: exponent beta (|Re beta| <= 1/2) and cut point lambda0.
 
-    Construct directly from (beta, lambda0) or in edge form from
-    (beta, n, t), which places the cut at
-    ``lambda0 = sqrt(2 n) (1 + t n^(-2/3) / 2)`` near the spectral edge.
+    An edge-form cut comes from :func:`edge_cut`:
+    ``WeightParams(beta, edge_cut(n, t))``.
     """
 
     beta: complex
@@ -74,20 +77,16 @@ class WeightParams:
         # |Re beta| <= 1/2 is the canonical band and the asymptotic
         # evaluators enforce their own narrower domains.
 
-    @classmethod
-    def edge(cls, beta, n: int, t, ctx: PrecisionCtx) -> "WeightParams":
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        with ctx.workprec():
-            tn = mp.mpf(t)
-            lam0 = mp.sqrt(2 * mp.mpf(n)) * (1 + tn * mp.mpf(n) ** mp.mpf("-2/3") / 2)
-        return cls(beta=beta, lambda0=lam0)
-
     def jump_phases(self):
         """(e^(i pi beta), e^(-i pi beta)) at current working precision."""
         b = mp.mpc(self.beta)
         ipb = mp.mpc(0, 1) * mp.pi * b
         return mp.exp(ipb), mp.exp(-ipb)
+
+
+def edge_cut(n: int, t: float) -> float:
+    """The cut ``lambda0 = sqrt(2 n) (1 + t n^(-2/3) / 2)`` at edge coordinate t, in doubles."""
+    return math.sqrt(2 * n) * (1 + t * n ** (-2 / 3) / 2)
 
 
 def moments(params: WeightParams, kmax: int, ctx: PrecisionCtx):

@@ -17,6 +17,12 @@ import mpmath as mp
 import numpy as np
 from scipy.special import airy, eval_hermite, gammaln
 
+#: The 30 (n, t) edge cuts of criteria 5, 6 and 7 at their acceptance sweeps.
+CRITERIA_5_TO_7_CUTS = sorted(
+    {(n, t) for n in (256, 512, 1024, 2048) for t in (-2.0, 0.0, 2.0)}      # 5
+    | {(n, 0.5) for n in (64, 128, 256, 512, 1024, 2048)}                   # 6
+    | {(n, t) for n in (20, 40, 80, 160, 320, 640) for t in (0.0, 2.0)})    # 7
+
 
 def _legendre_pair(m: int, x):
     """(P_m(x), P_m'(x)) by the three-term recurrence."""

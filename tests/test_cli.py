@@ -8,6 +8,7 @@ import pytest
 from edgejump import verify
 from edgejump.cli import main
 from edgejump.report import CSV_HEADER, Report
+from edgejump.util import beta_from_kappa, kappa_from_beta
 
 
 def _read_rows(path):
@@ -82,20 +83,25 @@ def test_timestamp_flag_adds_header_line(tmp_path):
     assert first.startswith("# generated ")
 
 
-def test_invalid_config_exits_2(tmp_path):
+def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["verify", "tw-identity", "--beta", "0.1", "--kappa", "0.5"]) == 2
     assert main(["hankel", "--n", "5,3", "--beta", "0"]) == 2
     assert main(["painleve"]) == 2  # neither beta nor kappa
+    for kappa in ("1", "-1"):  # no beta on the jump relation's branch
+        assert main(["verify", "thm1.2", "--kappa", kappa]) == 2
     assert main(["hankel", "--n", "x", "--beta", "0"]) == 2
     assert main(["hankel", "--n", "4", "--beta", "0", "--bits", "10"]) == 2
     assert main(["fredholm", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     for text in ('{"kappa": 0.3,', "[0.3]", '{"kappa": "abc"}', '{"kappa": [0.3]}',
                  '{"kappa": 0.3, "t": "x"}', '{"beta": 0, "n": "4,x"}',
-                 '{"beta": 0, "n": 4, "bits": "many"}', '{"kappa": 0.3, "format": "xml"}'):
+                 '{"beta": 0, "n": 4, "bits": "many"}', '{"kappa": 0.3, "format": "xml"}',
+                 '{"beta": 0, "n": "3", "lamda0": 0.5}'):
         bad.write_text(text)
         command = "hankel" if '"n"' in text else "fredholm"
         assert main([command, "--config", str(bad)]) == 2, text
+    err = capsys.readouterr().err
+    assert "unknown config key(s)" in err and "'lamda0'" in err
 
 
 @pytest.mark.parametrize("name", ["noncrit", "thm1.4", "thm1.5", "thm1.2"])
@@ -143,6 +149,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert float(rows[0]["kappa_re"]) == pytest.approx(0.3)
 
 
+def test_mc_plancherel_honours_trials(monkeypatch):
+    trials = []
+
+    def stub(**kwargs):
+        trials.append(kwargs["trials"])
+        return Report("stub")
+
+    monkeypatch.setattr(verify, "check_mc_plancherel", stub)
+    assert main(["mc", "plancherel", "--trials", "6000"]) == 0
+    assert main(["mc", "plancherel"]) == 0
+    assert trials == [6000, 5000]
+
+
 def test_mc_gue_subcommand(tmp_path):
     out = tmp_path / "mc.csv"
     code = main(["mc", "gue", "--trials", "20000", "--seed", "77",
@@ -179,30 +198,37 @@ VERIFY_FLAG_SETS = {
     "complex-kappa": ["--kappa", "0.7", "--kappa-im", "0.2", *_OTHER_FLAGS],
 }
 _NS = {"ns": (12, 24)}
+# the one of beta and kappa not given is derived through the jump relation
 _BETA = {"beta": 0.4j}
+_BETA_K = {"beta": beta_from_kappa(0.7)}
+_BETA_CK = {"beta": beta_from_kappa(0.7 + 0.2j)}
 # name -> (driver attribute of edgejump.verify, keywords per flag set)
 VERIFY_MAPPING = {
     "thm1.2": ("check_edge_hankel", {
         "bare": {}, "beta": {**_BETA, **_NS, "ts": (0.5,)},
-        "kappa": {**_NS, "ts": (0.5,)}, "complex-kappa": {**_NS, "ts": (0.5,)}}),
+        "kappa": {**_BETA_K, **_NS, "ts": (0.5,)},
+        "complex-kappa": {**_BETA_CK, **_NS, "ts": (0.5,)}}),
     "thm1.4": ("check_recurrence_asymptotics", {
-        "bare": {}, "beta": {**_BETA, **_NS}, "kappa": _NS, "complex-kappa": _NS}),
+        "bare": {}, "beta": {**_BETA, **_NS}, "kappa": {**_BETA_K, **_NS},
+        "complex-kappa": {**_BETA_CK, **_NS}}),
     "thm1.5": ("check_polynomial_asymptote", {
         "bare": {}, "beta": {**_BETA, **_NS, "t": 0.5},
-        "kappa": {**_NS, "t": 0.5}, "complex-kappa": {**_NS, "t": 0.5}}),
+        "kappa": {**_BETA_K, **_NS, "t": 0.5}, "complex-kappa": {**_BETA_CK, **_NS, "t": 0.5}}),
     "noncrit": ("check_bulk_hankel", {
-        "bare": {}, "beta": {**_BETA, **_NS}, "kappa": _NS, "complex-kappa": _NS}),
+        "bare": {}, "beta": {**_BETA, **_NS}, "kappa": {**_BETA_K, **_NS},
+        "complex-kappa": {**_BETA_CK, **_NS}}),
     "conj1.3": ("check_airy_tail", {
-        "bare": {}, "beta": _BETA, "kappa": {}, "complex-kappa": {}}),
+        "bare": {}, "beta": _BETA, "kappa": _BETA_K, "complex-kappa": _BETA_CK}),
     "tw-identity": ("check_tw_identity", {
-        "bare": {}, "beta": {"tol": 1e-10, "t_lo": -3.0},
+        "bare": {}, "beta": {"tol": 1e-10, "kappas": (kappa_from_beta(0.4j),), "t_lo": -3.0},
         "kappa": {"tol": 1e-10, "kappas": (0.7,), "t_lo": -3.0},
         "complex-kappa": {"tol": 1e-10, "kappas": (0.7 + 0.2j,), "t_lo": -3.0}}),
     "finite-n-identity": ("check_finite_n_identity", {
         "bare": {},
         "beta": {**_NS, "betas": (0.4j,), "lambda0s": (0.25,), "bits": 384},
-        "kappa": {**_NS, "lambda0s": (0.25,), "bits": 384},
-        "complex-kappa": {**_NS, "lambda0s": (0.25,), "bits": 384}}),
+        "kappa": {**_NS, "betas": (beta_from_kappa(0.7),), "lambda0s": (0.25,), "bits": 384},
+        "complex-kappa": {**_NS, "betas": (beta_from_kappa(0.7 + 0.2j),),
+                          "lambda0s": (0.25,), "bits": 384}}),
     "diff-identity": ("check_exact_identities", dict.fromkeys(VERIFY_FLAG_SETS, {})),
     "qn-identity": ("check_exact_identities", dict.fromkeys(VERIFY_FLAG_SETS, {})),
     "thm1.6": ("check_singular_regime", dict.fromkeys(VERIFY_FLAG_SETS, {})),

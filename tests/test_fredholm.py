@@ -15,7 +15,7 @@ from edgejump.painleve import solve_as
 from edgejump.precision import PrecisionCtx
 from edgejump.specfun import hermite_functions_mp
 from edgejump.util import kappa_sq_from_beta
-from edgejump.weightlab import WeightParams, build_op_system, gaussian_hankel
+from edgejump.weightlab import WeightParams, build_op_system, edge_cut, gaussian_hankel
 
 from oracles import gauss_legendre_mp, hermite_gram_quadrature
 
@@ -239,8 +239,7 @@ class TestFiniteN:
         t, kap = -2.0, 0.7
         lim = airy_fredholm_det(kap * kap, t).real
         for n in (400, 2000):
-            lam0 = math.sqrt(2 * n) * (1 + t * n ** (-2.0 / 3.0) / 2)
-            fin = finite_n_det(n, lam0, kap * kap).real
+            fin = finite_n_det(n, edge_cut(n, t), kap * kap).real
             assert abs(fin - lim) < 2e-3
 
     def test_kappa_zero(self):

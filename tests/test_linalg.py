@@ -9,7 +9,9 @@ from edgejump.fredholm import _airy_nystrom
 from edgejump.linalg import SingularMinor, ldlt, lu_det
 from edgejump.precision import PrecisionCtx
 from edgejump.util import kappa_sq_from_beta
-from edgejump.weightlab import gram_system
+from edgejump.weightlab import edge_cut, gram_system
+
+from oracles import CRITERIA_5_TO_7_CUTS
 
 
 CTX = PrecisionCtx(192)
@@ -127,14 +129,11 @@ def _criterion_grids():
               for t, p in ((t, math.pi / math.sqrt(-t)) for t in (-10.0, -25.0))]
     yield "criterion 8", _airy_nystrom(np.ravel(probes), 12)[0], -kappa_sq_from_beta(0.15j)
     yield "criterion 12", _airy_nystrom(np.array([-2.0, 0.0, 1.0]), 12)[0], -0.5
-    cuts = {(n, t) for n in (256, 512, 1024, 2048) for t in (-2.0, 0.0, 2.0)}    # 5
-    cuts |= {(n, 0.5) for n in (64, 128, 256, 512, 1024, 2048)}                  # 6
-    cuts |= {(n, t) for n in (20, 40, 80, 160, 320, 640) for t in (0.0, 2.0)}    # 7
     blocks = []
-    for n, t in sorted(cuts):
+    for n, t in CRITERIA_5_TO_7_CUTS:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(weightlab, "ldlt", lambda G, c: blocks.append((n, t, G, c)) or ldlt(G, c))
-            gram_system(0.4j, n, math.sqrt(2 * n) * (1 + t * n ** (-2 / 3) / 2))
+            gram_system(0.4j, n, edge_cut(n, t))
     for n, t, G, c in blocks:
         yield f"criteria 5-7 Gram block, n={n}, t={t}", G, c
 

@@ -133,3 +133,40 @@ def test_asymptotic_predictions_stay_in_doubles():
     with_ctx = [name for name in evaluators
                 if "ctx" in [a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)]]
     assert with_ctx == []
+
+
+#: functools decorators that keep results between calls.
+_CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _is_empty_container(node) -> bool:
+    """True for ``{}``, ``[]``, ``dict()``, ``list()`` and ``set()``."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set") and not node.args
+            and not node.keywords)
+
+
+def test_no_module_keeps_state_between_calls():
+    # perfbench/run.py empties caches before every pass, but finds them only
+    # by a ``*_CACHE`` name or a ``cache_clear`` attribute: a table kept
+    # under any other name would warm the benchmark's passes unseen.  So no
+    # module binds an empty container at module level, the start of a table
+    # filled at run time, or uses a functools cache.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem}: {ast.unparse(node)}" for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and _is_empty_container(node.value)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.stem}: {ast.unparse(node)}" for a in node.names
+                          if a.name in _CACHE_DECORATORS]
+            elif (isinstance(node, ast.Attribute) and node.attr in _CACHE_DECORATORS
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+    assert found == []

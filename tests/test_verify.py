@@ -4,21 +4,12 @@ import pytest
 
 from edgejump import verify
 from edgejump.report import ReportRow
+from edgejump.weightlab import edge_cut
 
 
-def test_memo_tables_are_bounded():
-    cache = {}
-    for k in range(verify.CACHE_SIZE + 5):
-        assert verify._memo(cache, k, lambda k=k: k * k) == k * k
-    assert list(cache) == list(range(5, verify.CACHE_SIZE + 5))  # oldest out first
-    assert verify._memo(cache, 5, lambda: None) == 25  # a hit makes nothing
-
-
-def test_op_system_cached_reuses_its_system():
-    verify._OP_CACHE.clear()
-    a = verify.op_system_cached(0.4j, 32, 0.5)
-    assert verify.op_system_cached(0.4j, 32, 0.5) is a
-    assert len(verify._OP_CACHE) == 1
+def test_op_system_cached_builds_at_the_edge_cut():
+    for n, t in ((20, 0.0), (64, 0.5), (256, -2.0)):
+        assert verify.op_system_cached(0.4j, n, t).lambda0 == edge_cut(n, t)
 
 
 def test_bulk_hankel_passes_at_defaults():

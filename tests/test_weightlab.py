@@ -10,12 +10,12 @@ from edgejump.linalg import ldlt, lu_det
 from edgejump.precision import PrecisionCtx, hankel_ctx
 from edgejump.util import kappa_sq_from_beta
 from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev,
-                                build_op_system, diff_identity_residual,
+                                build_op_system, diff_identity_residual, edge_cut,
                                 eval_pn_prime, gaussian_hankel, gram_system,
                                 hankel_matrix, moments, qn_jump_identity_residual)
 
-from oracles import (eval_pn_from_coeffs, gram_schmidt_monic, jump_weight_integral,
-                     monic_coefficients)
+from oracles import (CRITERIA_5_TO_7_CUTS, eval_pn_from_coeffs, gram_schmidt_monic,
+                     jump_weight_integral, monic_coefficients)
 
 
 def eval_pn(sys, k, x):
@@ -128,11 +128,12 @@ class TestBuild:
                 _chebyshev(mu, 3)
 
     def test_edge_form_reproduces_scaling(self):
-        ctx = PrecisionCtx(256)
-        params = WeightParams.edge(0.4j, 37, -1.25, ctx)
-        with ctx.workprec():
-            want = mp.sqrt(mp.mpf(74)) * (1 + mp.mpf(-1.25) * mp.mpf(37) ** mp.mpf("-2/3") / 2)
-            assert params.lambda0 == want  # bit-for-bit at ctx precision
+        # edge_cut in doubles against the formula at 200 bits
+        assert len(CRITERIA_5_TO_7_CUTS) == 30
+        with mp.workprec(200):
+            for n, t in CRITERIA_5_TO_7_CUTS:
+                want = mp.sqrt(2 * mp.mpf(n)) * (1 + mp.mpf(t) * mp.mpf(n) ** (mp.mpf(-2) / 3) / 2)
+                assert abs(edge_cut(n, t) - want) <= 1e-15 * want, (n, t)
 
 
 class TestEval:
@@ -186,7 +187,7 @@ class TestJumpIdentity:
 
     def test_edge_cut(self):
         ctx = hankel_ctx(20)
-        params = WeightParams.edge(0.3, 20, 0.0, ctx)
+        params = WeightParams(0.3, edge_cut(20, 0.0))
         sys = build_op_system(params, 20, ctx, check=False)
         res = qn_jump_identity_residual(sys, 20)
         with ctx.workprec():
@@ -210,7 +211,7 @@ class TestDiffIdentity:
 
     def test_edge_form(self):
         ctx = hankel_ctx(12)
-        params = WeightParams.edge(0.2j, 12, 0.5, ctx)
+        params = WeightParams(0.2j, edge_cut(12, 0.5))
         res = diff_identity_residual(params, 12, ctx=ctx)
         assert float(res) < 1e-12
 
@@ -224,7 +225,7 @@ class TestGramRoute:
         # and p_n(lambda0) agree to 114 digits with those at hankel_ctx(n)'s 1600
         ctx = PrecisionCtx(64 + 4 * n)
         for t in (-2.0, 0.0, 0.5, 2.0):
-            params = WeightParams.edge(beta, n, t, ctx)
+            params = WeightParams(beta, edge_cut(n, t))
             ref = build_op_system(params, n, ctx, check=False)
             sys = gram_system(beta, n, params.lambda0)
             with ctx.workprec():
