@@ -41,13 +41,17 @@
   real, symmetric and the same for every kappa, so a sweep of kappa builds
   once: in doubles one ``numpy.linalg.eigvalsh`` of G, in big floats one
   Householder reduction ``Q^T G Q = T`` to a real tridiagonal T with
-  diagonal a and off-diagonal b (Golub & Van Loan, 8.3.1).  Each
-  kappa then costs O(n): det(I - kappa^2 T) is the last term of the
-  continuant D_j = (1 - kappa^2 a_j) D_(j-1) - kappa^4 b_(j-1)^2 D_(j-2).
+  diagonal a and off-diagonal b (Golub & Van Loan, 8.3.1).  As 0 <= G <= I
+  keeps every entry in [-1, 1], it runs on ints scaled by 2^S (S = working
+  precision + 16 guard bits), one rounding per product: an absolute error
+  of 2^-S per step, normwise as in floating point.  Each kappa then costs
+  O(n): det(I - kappa^2 T) is the last term of the continuant
+  D_j = (1 - kappa^2 a_j) D_(j-1) - kappa^4 b_(j-1)^2 D_(j-2).
 """
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -289,37 +293,44 @@ def _double_det(n: int, lambda0, k2: complex, eigs: np.ndarray) -> complex:
 
 
 def _householder_tridiagonal(G) -> tuple:
-    """(a, b2): diagonal and squared off-diagonal of a tridiagonal Q^T G Q.
+    """(a, b2): diagonal and squared off-diagonal of a tridiagonal Q^T G Q, as mpf.
 
-    G is real symmetric (rows of mpf); each step reflects the column below
-    the diagonal onto its first entry (Golub & Van Loan 8.3.1), and only the
-    lower triangle of the trailing block is updated.
+    Fixed point: G is real symmetric with 0 <= G <= I (rows of mpf), so every
+    entry stays in [-1, 1] and is held as an int times 2^-S, S the working
+    precision + 16 guard bits.  Dot products are exact and each product is
+    rounded once (``>> S`` or ``// den``), an absolute error of 2^-S per
+    step: the normwise backward error of floating-point Householder.  Each
+    step reflects the column below the diagonal onto its first entry (Golub
+    & Van Loan 8.3.1), scaled by the exact v.v, and updates the lower
+    triangle of the trailing block.
     """
-    A = [list(row) for row in G]
+    S = mp.mp.prec + 16
+    A = [[mp.libmp.to_fixed(x._mpf_, S) for x in row] for row in G]
     n = len(A)
     b2 = []
     for k in range(n - 2):
         x = [A[i][k] for i in range(k + 1, n)]
-        s = mp.fdot(x, x)
+        s = sum(map(mul, x, x))
         b2.append(s)  # the reflected column is (-sign(x_0) sqrt(s), 0, ..., 0)
         if not any(x[1:]):
             continue  # already reduced
-        r = mp.sqrt(s)
+        r = math.isqrt(s)
+        den = s + r * (r + 2 * abs(x[0]))  # v . v
         v = x
         v[0] = x[0] + r if x[0] >= 0 else x[0] - r
-        beta = 1 / (r * abs(v[0]))  # 2 / (v . v)
         B = [A[i][k + 1:] for i in range(k + 1, n)]
-        p = [beta * mp.fdot(row, v) for row in B]
-        w = [pi - (beta / 2) * mp.fdot(p, v) * vi for pi, vi in zip(p, v)]
+        p = [(sum(map(mul, row, v)) << (S + 1)) // den for row in B]  # 2 B v / (v . v)
+        pv = sum(map(mul, p, v))
+        w = [pi - pv * vi // den for pi, vi in zip(p, v)]
         for i, row in enumerate(B):
             vi, wi = v[i], w[i]
             for j in range(i + 1):
                 A[k + 1 + j][k + 1 + i] = A[k + 1 + i][k + 1 + j] = (
-                    row[j] - vi * w[j] - wi * v[j])
-    a = [A[i][i] for i in range(n)]
+                    row[j] - ((vi * w[j] + wi * v[j]) >> S))
+    a = [mp.mpf((A[i][i], -S)) for i in range(n)]
     if n >= 2:
         b2.append(A[n - 1][n - 2] ** 2)
-    return a, b2
+    return a, [mp.mpf((s, -2 * S)) for s in b2]
 
 
 def _big_float_det(gram: np.ndarray, kappa_sqs, ctx: PrecisionCtx) -> list:
@@ -342,16 +353,12 @@ def _big_float_det(gram: np.ndarray, kappa_sqs, ctx: PrecisionCtx) -> list:
 
 def _resolved_det(n: int, lambda0, kappa_sq: complex):
     """Big-float determinant at 128, 256, ... bits until two runs agree."""
-    bits = 128
-    lo = _big_float_det(hermite_gram(n, lambda0, ctx=PrecisionCtx(bits)), [kappa_sq],
-                        PrecisionCtx(bits))[0]
-    while 2 * bits <= _MAX_RESOLVE_BITS:
-        bits *= 2
-        ctx = PrecisionCtx(bits)
-        hi = _big_float_det(hermite_gram(n, lambda0, ctx=ctx), [kappa_sq], ctx)[0]
-        if agreed_digits(lo, hi) >= _AGREED_DIGITS:
+    lo, bits = None, 128
+    while bits <= _MAX_RESOLVE_BITS:
+        hi = finite_n_det(n, lambda0, kappa_sq, ctx=PrecisionCtx(bits))
+        if lo is not None and agreed_digits(lo, hi) >= _AGREED_DIGITS:
             return hi
-        lo = hi
+        lo, bits = hi, 2 * bits
     raise FloatingPointError(
         f"det(1 - kappa^2 K_n) at (n, lambda0, kappa^2) = ({n}, {float(lambda0)}, "
         f"{kappa_sq}) not resolved at {_MAX_RESOLVE_BITS} bits")

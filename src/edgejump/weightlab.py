@@ -19,6 +19,8 @@ Gram route every asymptotic comparison.
   exposes the two exact internal identities (the jump identity for Q_n and
   the log-derivative identity for the Hankel determinant) as residual
   operations.  Polynomial values and derivatives come from the recurrence.
+  A real weight (Re beta = 0) runs in real arithmetic, and each modified
+  moment is one ``mp.fdot``: exact products, rounded once.
 
 * ``gram_system`` (Gram route, complex128): in the orthonormal Hermite basis
   the weight's moment matrix is ``e^(i pi beta) (I - kappa^2 G)``, with G the
@@ -78,8 +80,10 @@ class WeightParams:
         # evaluators enforce their own narrower domains.
 
     def jump_phases(self):
-        """(e^(i pi beta), e^(-i pi beta)) at current working precision."""
+        """(e^(i pi beta), e^(-i pi beta)) at current working precision: mpf when Re beta = 0."""
         b = mp.mpc(self.beta)
+        if b.real == 0:  # a real weight
+            return mp.exp(-mp.pi * b.imag), mp.exp(mp.pi * b.imag)
         ipb = mp.mpc(0, 1) * mp.pi * b
         return mp.exp(ipb), mp.exp(-ipb)
 
@@ -98,10 +102,7 @@ def moments(params: WeightParams, kmax: int, ctx: PrecisionCtx):
     J = half_gauss_moments(params.lambda0, kmax, ctx)
     with ctx.workprec(20):
         eplus, eminus = params.jump_phases()
-        out = []
-        for j in range(kmax + 1):
-            Mj = _full_gauss_moment(j)
-            out.append(eplus * (Mj - J[j]) + eminus * J[j])
+        out = [eplus * (_full_gauss_moment(j) - J[j]) + eminus * J[j] for j in range(kmax + 1)]
     with ctx.workprec():
         return tuple(+m for m in out)
 
@@ -110,11 +111,13 @@ def _chebyshev(mu, N: int):
     """Moment-to-recurrence pass: (Q_0..Q_N, R_0..R_N, h_0..h_N).
 
     R_0 is set to zero (the p_{-1} term of the recurrence never enters).
-    Raises SingularMinor when a diagonal modified moment vanishes exactly.
+    Real moments (a real weight) keep the pass in mpf.  Each modified
+    moment is one ``mp.fdot`` of exact products, rounded once.  Raises
+    SingularMinor when a diagonal modified moment vanishes exactly.
     """
     if mu[0] == 0:
         raise SingularMinor(1)
-    zero = mu[0] * 0
+    zero, one, fdot = mu[0] * 0, mp.mpf(1), mp.fdot
     sig_prev = [zero] * (2 * N + 2)
     sig = list(mu[:2 * N + 2])
     Q = [mu[1] / mu[0]]
@@ -123,9 +126,9 @@ def _chebyshev(mu, N: int):
     for k in range(1, N + 1):
         new = [zero] * (2 * N + 2)
         # sigma_{k,l} = sigma_{k-1,l+1} - Q_{k-1} sigma_{k-1,l} - R_{k-1} sigma_{k-2,l}
-        qkm, rkm = Q[k - 1], R[k - 1]
+        coeffs = (one, -Q[k - 1], -R[k - 1])
         for l in range(k, 2 * N + 2 - k):
-            new[l] = sig[l + 1] - qkm * sig[l] - rkm * sig_prev[l]
+            new[l] = fdot(coeffs, (sig[l + 1], sig[l], sig_prev[l]))
         if new[k] == 0:
             raise SingularMinor(k + 1)
         Q.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])

@@ -536,3 +536,81 @@ def step_size_all_roots(coeffs, tol):
                 h = min(h, max(map(pow, [tol * x / mk for x in mags[:k]],
                                    [1.0 / (k - m) for m in range(k)]), default=0.0))
     return h
+
+
+def householder_tridiagonal_mpf(G) -> tuple:
+    """(a, b2) of a tridiagonal Q^T G Q by Householder reflections in mpf.
+
+    The floating-point form of the reduction (Golub & Van Loan 8.3.1) at the
+    current working precision: each step reflects the column below the
+    diagonal onto its first entry, and only the lower triangle of the
+    trailing block is updated.  G is real symmetric (rows of mpf).
+    """
+    A = [list(row) for row in G]
+    n = len(A)
+    b2 = []
+    for k in range(n - 2):
+        x = [A[i][k] for i in range(k + 1, n)]
+        s = mp.fdot(x, x)
+        b2.append(s)  # the reflected column is (-sign(x_0) sqrt(s), 0, ..., 0)
+        if not any(x[1:]):
+            continue  # already reduced
+        r = mp.sqrt(s)
+        v = x
+        v[0] = x[0] + r if x[0] >= 0 else x[0] - r
+        beta = 1 / (r * abs(v[0]))  # 2 / (v . v)
+        B = [A[i][k + 1:] for i in range(k + 1, n)]
+        p = [beta * mp.fdot(row, v) for row in B]
+        w = [pi - (beta / 2) * mp.fdot(p, v) * vi for pi, vi in zip(p, v)]
+        for i, row in enumerate(B):
+            vi, wi = v[i], w[i]
+            for j in range(i + 1):
+                A[k + 1 + j][k + 1 + i] = A[k + 1 + i][k + 1 + j] = (
+                    row[j] - vi * w[j] - wi * v[j])
+    a = [A[i][i] for i in range(n)]
+    if n >= 2:
+        b2.append(A[n - 1][n - 2] ** 2)
+    return a, b2
+
+
+def op_system_mpc_phases(beta, lambda0, N: int, bits: int) -> tuple:
+    """(H, h, R, Q) of the jump weight, every step in complex arithmetic.
+
+    The moments mu_j = e^(i pi beta) (M_j - J_j) + e^(-i pi beta) J_j take
+    mpc phases whatever beta is, with the full moments M_j = Gamma((j+1)/2)
+    (even j) and the half-range moments J_j = integral_lambda0^inf x^j
+    e^(-x^2) dx from J_0 = sqrt(pi) erfc(lambda0) / 2, J_1 = e^(-lambda0^2) / 2
+    and J_j = lambda0^(j-1) e^(-lambda0^2) / 2 + (j - 1) J_(j-2) / 2 (upward,
+    for moderate lambda0), rounded to ``bits``.  The modified Chebyshev pass
+    then runs at bits + 10 with each modified moment updated by three
+    separately rounded complex operations.
+    """
+    kmax = 2 * N + 1
+    with mp.workprec(bits + 20):
+        lam = mp.mpf(lambda0)
+        w = mp.exp(-lam * lam)
+        J = [mp.sqrt(mp.pi) * mp.erfc(lam) / 2, w / 2]
+        for j in range(2, kmax + 1):
+            J.append(lam ** (j - 1) * w / 2 + (j - 1) * J[j - 2] / 2)
+        ipb = mp.mpc(0, 1) * mp.pi * mp.mpc(beta)
+        eplus, eminus = mp.exp(ipb), mp.exp(-ipb)
+        mu = [eplus * ((mp.gamma(mp.mpf(j + 1) / 2) if j % 2 == 0 else 0) - J[j])
+              + eminus * J[j] for j in range(kmax + 1)]
+    with mp.workprec(bits):
+        mu = [+m for m in mu]
+    with mp.workprec(bits + 10):
+        zero = mp.mpc(0)
+        sig_prev, sig = [zero] * (kmax + 1), mu
+        Q, R, h = [mu[1] / mu[0]], [zero], [mu[0]]
+        for k in range(1, N + 1):
+            new = [zero] * (kmax + 1)
+            for l in range(k, kmax + 1 - k):
+                new[l] = sig[l + 1] - Q[k - 1] * sig[l] - R[k - 1] * sig_prev[l]
+            Q.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])
+            R.append(new[k] / sig[k - 1])
+            h.append(new[k])
+            sig_prev, sig = sig, new
+        H = [mp.mpc(1)]
+        for hk in h:
+            H.append(H[-1] * hk)
+        return H, h, R, Q

@@ -17,7 +17,7 @@ from edgejump.specfun import hermite_functions_mp
 from edgejump.util import kappa_sq_from_beta
 from edgejump.weightlab import WeightParams, build_op_system, edge_cut, gaussian_hankel
 
-from oracles import gauss_legendre_mp, hermite_gram_quadrature
+from oracles import gauss_legendre_mp, hermite_gram_quadrature, householder_tridiagonal_mpf
 
 
 class TestAiryDeterminant:
@@ -284,6 +284,20 @@ class TestFiniteN:
                           for i in range(n)], ctx)
             assert abs(got / ref - 1) < mp.mpf(10) ** -60
 
+    def test_big_float_det_against_lu_at_the_edge(self):
+        # criterion 2's 768-bit case at n = 20, lambda0 = sqrt(2n), its three betas
+        n, ctx = 20, PrecisionCtx(768)
+        with ctx.workprec(10):
+            lam0 = mp.sqrt(2 * mp.mpf(n))
+        gram = hermite_gram(n, lam0, ctx=ctx)
+        k2s = [kappa_sq_from_beta(b, ctx) for b in (0.4j, 0.3, 0.2 + 0.1j)]
+        dets = finite_n_det(n, lam0, k2s, ctx=ctx)
+        with ctx.workprec(10):
+            for k2, got in zip(k2s, dets):
+                ref = lu_det([[int(i == j) - k2 * gram[i, j] for j in range(n)]
+                              for i in range(n)], ctx)
+                assert abs(got / ref - 1) < mp.mpf(2) ** (32 - ctx.bits)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_big_float_det_smallest_sizes(self, n):
         ctx = PrecisionCtx(256)
@@ -319,3 +333,49 @@ class TestFiniteN:
         assert at_one_t.tolist() == [airy_fredholm_logdet(k2, -2.5) for k2 in k2s]
         assert airy_fredholm_det(k2s, ts).tolist() == np.exp(sweep).tolist()
 
+
+def _charpoly(a, b2, z):
+    """det(z I - T) of the symmetric tridiagonal T with diagonal a and squared off-diagonal b2."""
+    prev, cur = 1, z - a[0]
+    for aj, bj2 in zip(a[1:], b2):
+        prev, cur = cur, (z - aj) * cur - bj2 * prev
+    return cur
+
+
+class TestHouseholder:
+    @pytest.mark.parametrize("bits", [256, 768, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 60])
+    @pytest.mark.parametrize("lam_spec", ["-1", "0.5", "edge"])
+    def test_against_mpf_oracle(self, bits, n, lam_spec):
+        # The fixed-point reduction against Householder in mpf.  Past a tiny
+        # b_k (b^2 reaches 1e-146 at n = 60) T is not a well-posed function of
+        # G: the mpf oracle at bits and at 2 bits differs there by 2^83 units
+        # of 2^-bits.  What the continuant reads off T is its characteristic
+        # polynomial.  Each reduction is exact for some G + E with
+        # |E| ~ n 2^-(bits + 26), and every z here lies 1/2 or more from the
+        # spectrum in [0, 1], so det(z I - T) moves by at most 2 n |E|
+        # relative: within 2^-bits.  A cut at -1 gives G negative entries.
+        ctx = PrecisionCtx(bits)
+        with ctx.workprec(10):
+            lam0 = mp.sqrt(2 * mp.mpf(n)) if lam_spec == "edge" else mp.mpf(lam_spec)
+        G = hermite_gram(n, lam0, ctx=ctx)
+        with ctx.workprec(10):
+            a, b2 = fredholm._householder_tridiagonal(G)
+            ref_a, ref_b2 = householder_tridiagonal_mpf(G)
+            assert len(a) == n and len(b2) == max(n - 1, 0)
+            assert all(type(x) is mp.mpf for x in a + b2) and min(b2, default=0) >= 0
+            for z in (mp.mpc(0.5, 0.5), mp.mpc(0, -0.5), mp.mpf(1.5), mp.mpf(-0.5)):
+                got, want = _charpoly(a, b2, z), _charpoly(ref_a, ref_b2, z)
+                assert abs(got / want - 1) <= mp.mpf(2) ** -bits, z
+
+    def test_already_tridiagonal(self):
+        # dyadic entries, so both reductions return T = G exactly; the zero
+        # off-diagonal entries leave a column with nothing to reflect
+        with mp.workprec(266):
+            a = [mp.mpf(k) / 8 for k in range(1, 8)]
+            b = [mp.mpf(v) / 16 for v in (1, 0, -1, 1, 0, -1)]
+            G = [[a[i] if i == j else b[min(i, j)] if abs(i - j) == 1 else mp.mpf(0)
+                  for j in range(7)] for i in range(7)]
+            want = (a, [x * x for x in b])
+            assert fredholm._householder_tridiagonal(G) == want
+            assert householder_tridiagonal_mpf(G) == want

@@ -15,7 +15,7 @@ from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev,
                                 hankel_matrix, moments, qn_jump_identity_residual)
 
 from oracles import (CRITERIA_5_TO_7_CUTS, eval_pn_from_coeffs, gram_schmidt_monic,
-                     jump_weight_integral, monic_coefficients)
+                     jump_weight_integral, monic_coefficients, op_system_mpc_phases)
 
 
 def eval_pn(sys, k, x):
@@ -52,6 +52,34 @@ class TestMoments:
         oracle = jump_weight_integral(lambda x: 1, 0.3j, 0.7, bits=CTX.bits)
         with CTX.workprec():
             assert abs(mu[0] - oracle) < 1e-25
+
+
+class TestRealWeight:
+    @pytest.mark.parametrize("beta", [0, 0.4j, -0.3j, 0.3, 0.2 + 0.1j])
+    def test_against_complex_phase_oracle(self, beta):
+        # Re beta = 0 is a real weight: real moments and a pass in mpf, which
+        # must match a build whose every step is complex (and whose modified
+        # moments take three roundings each); at n = 8 the two differ by at
+        # most 2^12 units of 2^-bits
+        n, lam0 = 8, 0.5
+        params = WeightParams(beta, lam0)
+        kind = mp.mpf if complex(beta).real == 0 else mp.mpc
+        assert all(type(m) is kind for m in moments(params, 2 * n + 1, CTX))
+        sys = build_op_system(params, n, CTX, check=False)
+        assert all(type(x) is kind for x in sys.H[1:] + sys.h + sys.R + sys.Q)  # H_0 = 1
+        ref = op_system_mpc_phases(beta, lam0, n, CTX.bits)
+        with CTX.workprec(10):
+            tol = mp.mpf(2) ** (20 - CTX.bits)
+            for name, got, want in zip("HhRQ", (sys.H, sys.h, sys.R, sys.Q), ref):
+                assert len(got) == len(want)
+                for x, y in zip(got, want):
+                    assert abs(x - y) <= tol * max(abs(y), 1), (name, x, y)
+
+    def test_imaginary_mpc_beta_takes_the_real_path(self):
+        params = WeightParams(mp.mpc(0, 0.4), 0.5)
+        with CTX.workprec():
+            assert all(type(e) is mp.mpf for e in params.jump_phases())
+        assert all(type(m) is mp.mpf for m in moments(params, 6, CTX))
 
 
 class TestBuild:
