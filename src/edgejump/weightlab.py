@@ -19,8 +19,9 @@ Gram route every asymptotic comparison.
   exposes the two exact internal identities (the jump identity for Q_n and
   the log-derivative identity for the Hankel determinant) as residual
   operations.  Polynomial values and derivatives come from the recurrence.
-  A real weight (Re beta = 0) runs in real arithmetic, and each modified
-  moment is one ``mp.fdot``: exact products, rounded once.
+  A real weight (Re beta = 0) runs in real arithmetic.  Each modified
+  moment is summed exactly on integer mantissas and rounded once per part,
+  to nearest with ties to even: the values of ``mp.fdot``.
 
 * ``gram_system`` (Gram route, complex128): in the orthonormal Hermite basis
   the weight's moment matrix is ``e^(i pi beta) (I - kappa^2 G)``, with G the
@@ -107,34 +108,73 @@ def moments(params: WeightParams, kmax: int, ctx: PrecisionCtx):
         return tuple(+m for m in out)
 
 
-def _chebyshev(mu, N: int):
-    """Moment-to-recurrence pass: (Q_0..Q_N, R_0..R_N, h_0..h_N).
+#: A zero's exponent in the integer kernel: above any real one, so never a sum's least exponent.
+_ZERO_EXP = 1 << 62
 
-    R_0 is set to zero (the p_{-1} term of the recurrence never enters).
-    Real moments (a real weight) keep the pass in mpf.  Each modified
-    moment is one ``mp.fdot`` of exact products, rounded once.  Raises
-    SingularMinor when a diagonal modified moment vanishes exactly.
-    """
+
+def _entry(x):
+    """An mpf as exact (signed mantissa, exponent); an mpc as (re, im, one exponent)."""
+    if isinstance(x, mp.mpc):
+        (re, er), (im, ei) = map(_entry, (x.real, x.imag))
+        return re << er - (e := min(er, ei)), im << ei - e, e
+    sign, man, exp, _ = x._mpf_
+    if exp and not man:
+        raise ValueError("moments must be finite")
+    return (-man if sign else man), (exp if man else _ZERO_EXP)
+
+
+def _round(man: int, exp: int, prec: int):
+    """``man 2^exp`` rounded to ``prec`` bits, to nearest with ties to even: the value of
+    ``mpmath.libmp.from_man_exp(man, exp, prec, 'n')``, with a zero at _ZERO_EXP."""
+    if not man:
+        return 0, _ZERO_EXP
+    a = -man if man < 0 else man
+    n = a.bit_length() - prec
+    if n > 0:
+        t = a >> (n - 1)  # the kept bits, then the half bit
+        a, exp = (t >> 1) + bool(t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1))), exp + n
+    return (-a if man < 0 else a), exp
+
+
+def _chebyshev(mu, N: int):
+    """Moment-to-recurrence pass: (Q_0..Q_N, R_0..R_N, h_0..h_N), R_0 = 0.
+
+    Each sigma_{k,l} = sigma_{k-1,l+1} - Q_{k-1} sigma_{k-1,l} - R_{k-1} sigma_{k-2,l}
+    is held as exact integers, a signed mantissa per part (real moments have
+    no imaginary part) on one exponent.  Its update is summed exactly (Gauss's
+    three products for a complex one) and each part rounded once to nearest
+    even: ``mp.fdot``'s values, save where fdot's ``mpf_sum`` drops a term
+    over 2 prec bits below its running sum.  That tells only at an exact tie
+    or after a cancellation of over 2 prec bits, where the exact sum is the
+    correctly rounded one.  Raises SingularMinor when sigma_{k,k} is zero."""
     if mu[0] == 0:
         raise SingularMinor(1)
-    zero, one, fdot = mu[0] * 0, mp.mpf(1), mp.fdot
-    sig_prev = [zero] * (2 * N + 2)
-    sig = list(mu[:2 * N + 2])
-    Q = [mu[1] / mu[0]]
-    R = [zero]
-    h = [mu[0]]
+    prec, L, cplx = mp.mp.prec, 2 * N + 2, isinstance(mu[0], mp.mpc)
+    value = (lambda s: mp.mpc(mp.mpf(s[::2]), mp.mpf(s[1:]))) if cplx else mp.mpf  # s: (re, im, e)
+    sig, prev = [_entry(x) for x in mu[:L]], [_entry(mu[0] * 0)] * L
+    Q, R, h = [mu[1] / mu[0]], [mu[0] * 0], [mu[0]]
     for k in range(1, N + 1):
-        new = [zero] * (2 * N + 2)
-        # sigma_{k,l} = sigma_{k-1,l+1} - Q_{k-1} sigma_{k-1,l} - R_{k-1} sigma_{k-2,l}
-        coeffs = (one, -Q[k - 1], -R[k - 1])
-        for l in range(k, 2 * N + 2 - k):
-            new[l] = fdot(coeffs, (sig[l + 1], sig[l], sig_prev[l]))
-        if new[k] == 0:
+        new, rows = [None] * L, zip(range(k, L - k), sig[k + 1:], sig[k:], prev[k:])
+        if cplx:
+            (qr, qi, eq), (rr, ri, er) = _entry(Q[-1]), _entry(R[-1])
+            for l, (r1, i1, e1), (r2, i2, e2), (r3, i3, e3) in rows:
+                br, bi = (g := r2 * (qr + qi)) - qi * (r2 + i2), g + qr * (i2 - r2)  # Q sig[l]
+                cr, ci = (g := r3 * (rr + ri)) - ri * (r3 + i3), g + rr * (i3 - r3)  # R prev[l]
+                e = min(e1, eb := eq + e2, ec := er + e3)
+                mr, xr = _round((r1 << e1 - e) - (br << eb - e) - (cr << ec - e), e, prec)
+                mi, xi = _round((i1 << e1 - e) - (bi << eb - e) - (ci << ec - e), e, prec)
+                new[l] = mr << xr - (e := min(xr, xi)), mi << xi - e, e
+        else:
+            (mq, eq), (mr, er) = _entry(Q[-1]), _entry(R[-1])
+            for l, (m1, e1), (m2, e2), (m3, e3) in rows:
+                e = min(e1, eb := eq + e2, ec := er + e3)
+                new[l] = _round((m1 << e1 - e) - (mq * m2 << eb - e) - (mr * m3 << ec - e), e, prec)
+        if not any(new[k][:-1]):
             raise SingularMinor(k + 1)
-        Q.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])
-        R.append(new[k] / sig[k - 1])
-        h.append(new[k])
-        sig_prev, sig = sig, new
+        h.append(value(new[k]))
+        Q.append(value(new[k + 1]) / h[-1] - value(sig[k]) / h[-2])
+        R.append(h[-1] / h[-2])
+        prev, sig = sig, new
     return Q, R, h
 
 

@@ -17,6 +17,8 @@ import mpmath as mp
 import numpy as np
 from scipy.special import airy, eval_hermite, gammaln
 
+from edgejump.linalg import SingularMinor
+
 #: The 30 (n, t) edge cuts of criteria 5, 6 and 7 at their acceptance sweeps.
 CRITERIA_5_TO_7_CUTS = sorted(
     {(n, t) for n in (256, 512, 1024, 2048) for t in (-2.0, 0.0, 2.0)}      # 5
@@ -571,6 +573,35 @@ def householder_tridiagonal_mpf(G) -> tuple:
     if n >= 2:
         b2.append(A[n - 1][n - 2] ** 2)
     return a, b2
+
+
+def chebyshev_fdot(mu, N: int) -> tuple:
+    """(Q_0..Q_N, R_0..R_N, h_0..h_N) by the modified Chebyshev pass on ``mp.fdot``.
+
+    Each modified moment sigma_{k,l} = sigma_{k-1,l+1} - Q_{k-1} sigma_{k-1,l}
+    - R_{k-1} sigma_{k-2,l} is one ``mp.fdot`` at the current working
+    precision: mpmath sums the exact products with ``mpf_sum`` and rounds the
+    real and imaginary parts once each.  Raises SingularMinor when a diagonal
+    modified moment vanishes exactly.
+    """
+    if mu[0] == 0:
+        raise SingularMinor(1)
+    zero, one = mu[0] * 0, mp.mpf(1)
+    sig_prev = [zero] * (2 * N + 2)
+    sig = list(mu[:2 * N + 2])
+    Q, R, h = [mu[1] / mu[0]], [zero], [mu[0]]
+    for k in range(1, N + 1):
+        new = [zero] * (2 * N + 2)
+        coeffs = (one, -Q[k - 1], -R[k - 1])
+        for l in range(k, 2 * N + 2 - k):
+            new[l] = mp.fdot(coeffs, (sig[l + 1], sig[l], sig_prev[l]))
+        if new[k] == 0:
+            raise SingularMinor(k + 1)
+        Q.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])
+        R.append(new[k] / sig[k - 1])
+        h.append(new[k])
+        sig_prev, sig = sig, new
+    return Q, R, h
 
 
 def op_system_mpc_phases(beta, lambda0, N: int, bits: int) -> tuple:

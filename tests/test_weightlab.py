@@ -4,18 +4,20 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import from_man_exp
 
 from edgejump.fredholm import finite_n_det
 from edgejump.linalg import ldlt, lu_det
 from edgejump.precision import PrecisionCtx, hankel_ctx
 from edgejump.util import kappa_sq_from_beta
-from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev,
+from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev, _round,
                                 build_op_system, diff_identity_residual, edge_cut,
                                 eval_pn_prime, gaussian_hankel, gram_system,
                                 hankel_matrix, moments, qn_jump_identity_residual)
 
-from oracles import (CRITERIA_5_TO_7_CUTS, eval_pn_from_coeffs, gram_schmidt_monic,
-                     jump_weight_integral, monic_coefficients, op_system_mpc_phases)
+from oracles import (CRITERIA_5_TO_7_CUTS, chebyshev_fdot, eval_pn_from_coeffs,
+                     gram_schmidt_monic, jump_weight_integral, monic_coefficients,
+                     op_system_mpc_phases)
 
 
 def eval_pn(sys, k, x):
@@ -80,6 +82,56 @@ class TestRealWeight:
         with CTX.workprec():
             assert all(type(e) is mp.mpf for e in params.jump_phases())
         assert all(type(m) is mp.mpf for m in moments(params, 6, CTX))
+
+
+class TestChebyshevKernel:
+    @pytest.mark.parametrize("n", [1, 2, 20, 60])
+    @pytest.mark.parametrize("bits", [192, 304, 768])
+    def test_bit_identical_to_fdot_oracle(self, bits, n):
+        # the integer pass returns exactly the mp.fdot pass's Q, R and h,
+        # value and type, with the working precision of a build
+        ctx = PrecisionCtx(bits)
+        for lam0 in (-1.0, 0.5, edge_cut(n, 0.0)):
+            for beta in (0, 0.4j, 0.3, -0.45 + 0.2j):
+                mu = moments(WeightParams(beta, lam0), 2 * n + 1, ctx)
+                if beta == 0:  # exactly zero odd moments: zero terms in the updates
+                    assert all(m == 0 for m in mu[1::2])
+                with ctx.workprec(10):
+                    got, want = _chebyshev(mu, n), chebyshev_fdot(mu, n)
+                for g, w in zip(got, want):
+                    assert [(type(x), x) for x in g] == [(type(x), x) for x in w], (lam0, beta)
+
+    @pytest.mark.parametrize("beta", [0.4j, 0.3])
+    def test_nonfinite_moments_rejected(self, beta):
+        # the fdot pass carried a NaN moment into NaN coefficients; the
+        # integer kernel has no NaN and refuses it (lambda0 = inf makes
+        # half_gauss_moments return inf * 0)
+        for lam0 in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                build_op_system(WeightParams(beta, lam0), 4, PrecisionCtx(128), check=False)
+
+    def test_single_rounding_matches_from_man_exp(self):
+        rng = np.random.default_rng(22)
+        cases = [
+            (0b10001, 0, 4),     # exact half, even quotient 8: stays
+            (0b10011, 0, 4),     # exact half, odd quotient 9: up to 10
+            (0b11111, 3, 4),     # 15 and a half rounds to 16: a carry to the next power of two
+            (0b1011, -7, 10),    # shorter than prec: exact
+            (1 << 40, 9, 12),    # a power of two longer than prec
+        ]
+        for q in (2 ** 200 + 6, 2 ** 200 + 7):  # exact halves 70 bits down, then just off them
+            for d in (0, 1, -1):
+                cases.append(((q << 70) + (1 << 69) + d, -300, 201))
+        for _ in range(200):
+            prec = int(rng.integers(2, 400))
+            man = int.from_bytes(rng.bytes(int(rng.integers(1, 120))), "little")
+            cases.append((man, int(rng.integers(-2000, 2000)), prec))
+        assert any(m.bit_length() <= p for m, _, p in cases)
+        for man, exp, prec in cases:
+            for m in (man, -man):
+                got = from_man_exp(*_round(m, exp, prec))  # stored exactly
+                assert got == from_man_exp(m, exp, prec, "n"), (m, exp, prec)
+        assert from_man_exp(*_round(0, 5, 10)) == from_man_exp(0, 5, 10, "n")
 
 
 class TestBuild:
@@ -149,11 +201,16 @@ class TestBuild:
         assert min(sys.agreed.values()) > 40
 
     def test_singular_minor_detected(self):
-        # moments of a unit point mass: the 2x2 moment matrix is singular
         with CTX.workprec():
-            mu = [mp.mpc(1)] * 8
-            with pytest.raises(SingularMinor):
-                _chebyshev(mu, 3)
+            for one in (mp.mpf(1), mp.mpc(1)):
+                for mu, k in (([one * 0] + [one] * 7, 1),  # H_1 = mu_0 = 0
+                              ([one] * 8, 2),  # a unit point mass: H_2 = 0
+                              # unit masses at 1 and 2: H_3 = 0, and every step is
+                              # dyadic, so sigma_{2,2} comes out exactly zero
+                              ([one * (1 + 2 ** j) for j in range(8)], 3)):
+                    with pytest.raises(SingularMinor) as exc:
+                        _chebyshev(mu, 3)
+                    assert exc.value.k == k, (type(one), k)
 
     def test_edge_form_reproduces_scaling(self):
         # edge_cut in doubles against the formula at 200 bits
