@@ -5,8 +5,10 @@ Subcommands
 hankel     dump an orthogonal-polynomial system (log H_k, log h_k, R_k, Q_k rows)
 painleve   dump a Painleve trajectory (t, u, u', v, F series plus poles)
 fredholm   dump an Airy-determinant grid over t
-verify     run one named verification (``edgejump verify --help`` lists them)
-mc         Monte-Carlo comparisons (gue, plancherel)
+verify     run one named check of ``verify.CHECKS`` (``edgejump verify --help`` lists them)
+mc         ``mc gue`` and ``mc plancherel`` run ``verify mc-gue`` and ``verify mc-plancherel``
+
+A bare ``verify`` or ``mc`` command runs its criterion's sweep, trials and seeds.
 
 Reports are written as CSV or JSON (complex values split re/im) together
 with a machine-readable PASS/FAIL summary; exit status is 0 when every
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +43,7 @@ class RunConfig:
 
     Exactly one of beta / kappa may be given; the other is derived through
     the jump relation on the |Re beta| <= 1/2 branch, so both are set or
-    neither is.  ``trials`` is None when not given.
+    neither is.  Every other option is None (``ns`` empty) when not given.
     """
 
     beta: complex | None = None
@@ -52,7 +55,7 @@ class RunConfig:
     tol: float | None = None
     nodes: int | None = None
     trials: int | None = None
-    seed: int = 20240
+    seed: int | None = None
     out: str | None = None
     fmt: str = "csv"
     timestamp: bool = False
@@ -90,14 +93,17 @@ def _read_config_file(path: str) -> dict:
 
 
 def _value(merged: dict, key: str, kind, default=None):
-    """``merged[key]`` converted by ``kind``; ``default`` when absent or null."""
+    """``merged[key]`` as a ``kind``, finite if a float; ``default`` when absent or null."""
     v = merged.get(key)
     if v is None:
         return default
     try:
-        return kind(v)
+        out = kind(v)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be {kind.__name__}, got {v!r}") from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {v!r}")
+    return out
 
 
 def _build_config(args) -> RunConfig:
@@ -139,6 +145,9 @@ def _build_config(args) -> RunConfig:
     trials = _value(merged, "trials", int)
     if trials is not None and trials < 2:  # every estimator reports a ddof = 1 standard error
         raise ConfigError(f"need trials >= 2, got {trials}")
+    tol = _value(merged, "tol", float)
+    if tol is not None and tol <= 0:
+        raise ConfigError(f"need tol > 0, got {tol}")
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):  # a config file bypasses the flag's choices
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -147,10 +156,10 @@ def _build_config(args) -> RunConfig:
         t=_value(merged, "t", float),
         lambda0=_value(merged, "lambda0", float),
         bits=bits,
-        tol=_value(merged, "tol", float),
+        tol=tol,
         nodes=nodes,
         trials=trials,
-        seed=_value(merged, "seed", int, 20240),
+        seed=_value(merged, "seed", int),
         out=merged.get("out"), fmt=fmt,
         timestamp=bool(merged.get("timestamp", False)),
         t_min=_value(merged, "t_min", float),
@@ -239,23 +248,7 @@ def _cmd_verify(cfg: RunConfig, which: str) -> int:
     if cfg.ns and len(cfg.ns) < check.min_ns:
         raise ConfigError(f"verify {which} judges a trend over n: need at least "
                           f"{check.min_ns} values in --n, got {len(cfg.ns)}")
-    return _emit([check.run(cfg)], cfg)
-
-
-def _cmd_mc(cfg: RunConfig, which: str) -> int:
-    # without --trials: fewer for plancherel, whose pure-Python RSK costs ms a trial
-    trials = cfg.trials or (100_000 if which == "gue" else 5000)
-    if which == "gue":
-        reps = [
-            verify.check_mc_gue(n=cfg.ns[0] if cfg.ns else 8,
-                                lambda0=cfg.lambda0 if cfg.lambda0 is not None else 3.0,
-                                trials=trials, master=cfg.seed),
-            verify.check_mc_thinning(trials=trials, master=cfg.seed + 1),
-        ]
-    else:
-        reps = [verify.check_mc_plancherel(
-            N=cfg.ns[0] if cfg.ns else 10_000, trials=trials, master=cfg.seed)]
-    return _emit(reps, cfg)
+    return _emit(check.run(cfg), cfg)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -293,7 +286,7 @@ def main(argv=None) -> int:
     vp.add_argument("which", choices=tuple(verify.CHECKS))
     _add_common(vp)
     mcp = sub.add_parser("mc")
-    mcp.add_argument("which", choices=("gue", "plancherel"))
+    mcp.add_argument("which", choices=[name[3:] for name in verify.CHECKS if name[:3] == "mc-"])
     _add_common(mcp)
 
     args = ap.parse_args(argv)
@@ -307,7 +300,7 @@ def main(argv=None) -> int:
             return _cmd_fredholm(cfg)
         if args.command == "verify":
             return _cmd_verify(cfg, args.which)
-        return _cmd_mc(cfg, args.which)
+        return _cmd_verify(cfg, "mc-" + args.which)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

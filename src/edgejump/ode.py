@@ -152,8 +152,10 @@ def _step_size(coeffs, tol):
 
 
 def _march(taylor, y0, t0, t1, tol, event):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not (cmath.isfinite(t0) and cmath.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     direction = (t1 - t0) / abs(t1 - t0) if t1 != t0 else 1
     t, y = t0, tuple(y0)
     ts, coeffs = [t0], []

@@ -152,6 +152,8 @@ def half_gauss_moments(lambda0, K: int, ctx: PrecisionCtx) -> tuple:
         raise ValueError("K must be >= 0")
     with ctx.workprec(20):
         lam = mp.mpf(lambda0)
+        if not mp.isfinite(lam):
+            raise ValueError(f"lambda0 must be finite, got {lambda0}")
         if lam < 0:
             pos = _half_moments_nonneg(-lam, K)
             full = [_full_gauss_moment(j) for j in range(K + 1)]

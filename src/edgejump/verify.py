@@ -8,9 +8,10 @@ gate over several rows (a trend) or over the whole run.  A check takes
 what to compute (sweeps, sizes, precision, seeds), not how to judge it:
 each gate is one module constant, read when the check runs, and so is
 ``_ODE_TOL``, the tolerance of its Painleve runs (tw-identity alone takes
-its own).  The command-line layer and the acceptance test suite both run
-exactly these functions; :data:`CHECKS` names the ones ``edgejump verify``
-runs and the options each takes.
+its own).  :data:`CHECKS` names every check: its driver calls, their sweeps
+and options.  :data:`CRITERIA` lists the twelve acceptance criteria by those
+names; ``edgejump verify``, ``edgejump mc`` and the acceptance suite all run
+that one table.
 
 Trend verdicts rest on the data alone: a trend check applies its stated
 rule (ratio cap, strict decrease, fitted order, a bound at the largest size)
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -511,58 +512,87 @@ def check_mc_plancherel(N: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
 
 
 # ---------------------------------------------------------------------------
-# registry of ``edgejump verify`` checks
+# the registry: every named check, and the acceptance criteria
 # ---------------------------------------------------------------------------
 
-#: Driver keywords that take a sweep; a single command-line value becomes a 1-tuple.
-_SWEEP_KEYWORDS = ("ts", "betas", "lambda0s", "kappas")
+#: Driver keywords that take a sweep (a single command-line value becomes a
+#: 1-tuple), and those that take one size (the first value of --n).
+_SWEEP_KEYWORDS, _SIZE_KEYWORDS = ("ts", "betas", "lambda0s", "kappas"), ("n", "N")
 
 
 @dataclass(frozen=True)
 class Check:
-    """One ``edgejump verify`` check: a driver of this module and its options.
+    """A named check: a tuple of driver calls ``(driver, sweep, options)``.
 
-    ``driver`` is the driver's attribute name here, looked up when the check
-    runs, so a wrapped or replaced driver is the one called.  ``options``
-    maps a RunConfig field to the driver keyword it sets; a field that is
-    unset (None or empty) is not passed; the command line sets beta and
-    kappa together.  ``min_ns`` is the fewest rungs a trend check judges:
-    an ``ns`` given with fewer is a configuration error.
+    ``driver`` is looked up here by name when the check runs, so a wrapped or
+    replaced driver is the one called.  ``sweep`` holds the criterion's
+    keywords that differ from the driver's defaults.  ``options`` maps a
+    RunConfig field to the driver keyword it sets over the sweep; an unset
+    field (None or empty) is not passed.  A seed S is master S + i at the
+    i-th call.  ``min_ns`` is the fewest rungs a trend check judges.
     """
 
-    driver: str
-    options: dict = field(default_factory=dict)
+    calls: tuple
     min_ns: int = 0
 
-    def kwargs(self, cfg) -> dict:
-        """Driver keywords from the set fields of ``cfg``."""
-        out = {}
-        for name, keyword in self.options.items():
-            value = getattr(cfg, name)
-            if value is None or value == ():
-                continue
-            if keyword == "kappas" and value.imag == 0:
-                value = value.real  # a float, like the driver's default kappas
-            out[keyword] = (value,) if keyword in _SWEEP_KEYWORDS else value
-        return out
+    def run(self, cfg=None) -> list:
+        """The calls' reports: each sweep with the set fields of ``cfg`` over it."""
+        reports = []
+        for i, (driver, sweep, options) in enumerate(self.calls):
+            kwargs = dict(sweep)
+            for name, keyword in options.items():
+                value = getattr(cfg, name, None)
+                if value is None or value == ():
+                    continue
+                if keyword == "kappas" and value.imag == 0:
+                    value = value.real  # a float, like the driver's default kappas
+                kwargs[keyword] = ((value,) if keyword in _SWEEP_KEYWORDS
+                                   else value[0] if keyword in _SIZE_KEYWORDS
+                                   else value + i if keyword == "master" else value)
+            reports.append(globals()[driver](**kwargs))
+        return reports
 
-    def run(self, cfg) -> Report:
-        return globals()[self.driver](**self.kwargs(cfg))
 
+_EXACT = Check((("check_exact_identities", {}, {}),))
+_MC = {"trials": "trials", "seed": "master"}
 
+# Criteria 5 to 7 run longer ladders than their drivers' defaults, which stay:
+# the benchmark's ``hankel`` workload runs the polynomial and edge checks at them.
 CHECKS = {
-    "thm1.2": Check("check_edge_hankel", {"beta": "beta", "ns": "ns", "t": "ts"}, min_ns=2),
-    "thm1.4": Check("check_recurrence_asymptotics", {"beta": "beta", "ns": "ns"}, min_ns=2),
-    "thm1.5": Check("check_polynomial_asymptote", {"beta": "beta", "ns": "ns", "t": "t"},
-                    min_ns=2),
-    "noncrit": Check("check_bulk_hankel", {"beta": "beta", "ns": "ns"}, min_ns=2),
-    "conj1.3": Check("check_airy_tail", {"beta": "beta"}),
-    "tw-identity": Check("check_tw_identity",
-                         {"tol": "tol", "kappa": "kappas", "t_min": "t_lo"}),
-    "finite-n-identity": Check("check_finite_n_identity",
-                               {"ns": "ns", "beta": "betas", "lambda0": "lambda0s",
-                                "bits": "bits"}),
-    "diff-identity": Check("check_exact_identities"),
-    "qn-identity": Check("check_exact_identities"),
-    "thm1.6": Check("check_singular_regime"),
+    "closed-form": Check((("check_gaussian_closed_form", {}, {}),)),
+    "finite-n-identity": Check((("check_finite_n_identity", {}, {
+        "ns": "ns", "beta": "betas", "lambda0": "lambda0s", "bits": "bits"}),)),
+    "tw-identity": Check((("check_tw_identity", {},
+                           {"tol": "tol", "kappa": "kappas", "t_min": "t_lo"}),)),
+    "pii": Check((("check_pii_solution", {}, {}),)),
+    "thm1.4": Check((("check_recurrence_asymptotics", {"ns": (256, 512, 1024, 2048)},
+                      {"beta": "beta", "ns": "ns"}),), min_ns=2),
+    "thm1.5": Check((("check_polynomial_asymptote", {"ns": (64, 128, 256, 512, 1024, 2048)},
+                      {"beta": "beta", "ns": "ns", "t": "t"}),), min_ns=2),
+    "thm1.2": Check((("check_edge_hankel", {"ns": (20, 40, 80, 160, 320, 640)},
+                      {"beta": "beta", "ns": "ns", "t": "ts"}),), min_ns=2),
+    "conj1.3": Check((("check_airy_tail", {}, {"beta": "beta"}),)),
+    "thm1.6": Check((("check_singular_regime", {}, {}),)),
+    "pole-free": Check((("check_pole_freeness", {}, {}),)),
+    "exact-identities": _EXACT, "diff-identity": _EXACT, "qn-identity": _EXACT,
+    "mc-gue": Check((("check_mc_gue", {}, {"ns": "n", "lambda0": "lambda0", **_MC}),
+                     ("check_mc_thinning", {}, _MC))),
+    "mc-plancherel": Check((("check_mc_plancherel", {}, {"ns": "N", **_MC}),)),
+    "noncrit": Check((("check_bulk_hankel", {}, {"beta": "beta", "ns": "ns"}),), min_ns=2),
 }
+
+#: The acceptance criteria in order: title, budget in seconds, checks that must all pass.
+CRITERIA = (
+    ("Gaussian closed form", 10.0, ("closed-form",)),
+    ("finite-n Fredholm identity", 60.0, ("finite-n-identity",)),
+    ("Tracy-Widom identity", 30.0, ("tw-identity",)),
+    ("PII residual and Airy matching", 10.0, ("pii",)),
+    ("recurrence coefficient asymptotics", 300.0, ("thm1.4",)),
+    ("polynomial asymptote order", 300.0, ("thm1.5",)),
+    ("edge Hankel trend", 120.0, ("thm1.2",)),
+    ("Airy determinant tail", 60.0, ("conj1.3",)),
+    ("singular regime", 120.0, ("thm1.6",)),
+    ("pole-freeness scan", 180.0, ("pole-free",)),
+    ("exact identities", 120.0, ("exact-identities",)),
+    ("Monte Carlo", 600.0, ("mc-gue", "mc-plancherel")),
+)

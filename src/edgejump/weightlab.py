@@ -73,9 +73,10 @@ class WeightParams:
     lambda0: object  # float or mpf; pinned at construction precision
 
     def __post_init__(self):
-        b = complex(self.beta) if not isinstance(self.beta, mp.mpc) else self.beta
-        if not (abs(complex(b).real) < 1e308 and abs(complex(b).imag) < 1e308):
+        if not cmath.isfinite(complex(self.beta)):
             raise ValueError("beta must be finite")
+        if not mp.isfinite(self.lambda0):
+            raise ValueError(f"lambda0 must be finite, got {self.lambda0}")
         # The weight is 2-periodic in beta, so any real part is accepted;
         # |Re beta| <= 1/2 is the canonical band and the asymptotic
         # evaluators enforce their own narrower domains.
@@ -288,6 +289,8 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     if n < 1:
         raise ValueError("need n >= 1")
     lam = float(lambda0)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda0 must be finite, got {lambda0}")
     k2 = kappa_sq_from_beta(beta)
     N = n + 2
     psi = hermite_functions(N + 1, lam)

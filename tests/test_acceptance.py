@@ -1,13 +1,14 @@
 """Acceptance suite: every verification criterion at its stated tolerance.
 
-Each test runs one criterion through the same driver the command line uses,
-with that criterion's sweep, prints a single PASS/FAIL line (run with
+Each criterion of ``verify.CRITERIA`` is one test, named after its number
+and title.  It runs the criterion's checks with nothing set, as a bare
+``edgejump verify`` does, prints a single PASS/FAIL line (run with
 ``pytest -s`` to see them all), and asserts both the verdict and the stated
 runtime budget.  The checks judge at the gate constants of
 :mod:`edgejump.verify`; ``test_gates_at_stated_tolerances`` pins each of
 them to the tolerance its criterion states.
 """
-import math
+import re
 import time
 
 from edgejump import verify
@@ -15,103 +16,27 @@ from edgejump import verify
 _LINES = []
 
 
-def _criterion(number, name, report, elapsed, budget):
-    status = "PASS" if report.passed else "FAIL"
-    line = (f"[{status}] criterion {number:2d} ({name}): {elapsed:.3f}s"
-            + (f" | {report.detail}" if report.detail else ""))
-    _LINES.append(line)
-    print("\n" + line)
-    assert report.passed, f"{name}: {report.detail}"
-    assert elapsed <= budget, f"{name} exceeded its {budget}s budget ({elapsed:.3f}s)"
+def _criterion_test(number, title, budget, names):
+    def test():
+        t0 = time.perf_counter()
+        reports = [rep for name in names for rep in verify.CHECKS[name].run()]
+        elapsed = time.perf_counter() - t0
+        passed = all(rep.passed for rep in reports)
+        detail = "; ".join(rep.detail for rep in reports if rep.detail)
+        line = (f"[{'PASS' if passed else 'FAIL'}] criterion {number:2d} ({title}): "
+                f"{elapsed:.3f}s" + (f" | {detail}" if detail else ""))
+        _LINES.append(line)
+        print("\n" + line)
+        assert passed, f"{title}: {detail}"
+        assert elapsed <= budget, f"{title} exceeded its {budget}s budget ({elapsed:.3f}s)"
+
+    test.__name__ = f"test_criterion_{number:02d}_" + re.sub(r"\W+", "_", title.lower())
+    return test
 
 
-def test_criterion_01_gaussian_closed_form():
-    t0 = time.perf_counter()
-    rep = verify.check_gaussian_closed_form(ns=tuple(range(1, 31)), bits=512)
-    _criterion(1, "Gaussian Hankel closed form", rep, time.perf_counter() - t0, 10.0)
-
-
-def test_criterion_02_finite_n_fredholm_identity():
-    t0 = time.perf_counter()
-    rep = verify.check_finite_n_identity(ns=(4, 10, 20),
-                                         betas=(0.4j, 0.3, 0.2 + 0.1j),
-                                         lambda0s=(-1.0, 0.5, "edge"))
-    _criterion(2, "finite-n Fredholm/Hankel identity", rep, time.perf_counter() - t0, 60.0)
-
-
-def test_criterion_03_tracy_widom_identity():
-    t0 = time.perf_counter()
-    rep = verify.check_tw_identity(kappas=(0.3, 0.7, 0.95), t_lo=-8.0,
-                                   t_hi=4.0, step=0.5)
-    _criterion(3, "Tracy-Widom identity", rep, time.perf_counter() - t0, 30.0)
-
-
-def test_criterion_04_pii_residual_and_airy_matching():
-    t0 = time.perf_counter()
-    rep = verify.check_pii_solution()
-    _criterion(4, "PII residual + Airy linearization", rep, time.perf_counter() - t0, 10.0)
-
-
-def test_criterion_05_recurrence_coefficient_asymptotics():
-    t0 = time.perf_counter()
-    rep = verify.check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0),
-                                              ns=(256, 512, 1024, 2048))
-    _criterion(5, "recurrence coefficient expansions", rep, time.perf_counter() - t0, 300.0)
-
-
-def test_criterion_06_polynomial_asymptote_order():
-    t0 = time.perf_counter()
-    rep = verify.check_polynomial_asymptote(beta=0.4j, t=0.5,
-                                            ns=(64, 128, 256, 512, 1024, 2048))
-    _criterion(6, "polynomial value expansion order", rep, time.perf_counter() - t0, 300.0)
-
-
-def test_criterion_07_edge_hankel_trend():
-    t0 = time.perf_counter()
-    rep = verify.check_edge_hankel(beta=0.4j, ts=(0.0, 2.0),
-                                   ns=(20, 40, 80, 160, 320, 640))
-    _criterion(7, "edge Hankel expansion trend", rep, time.perf_counter() - t0, 120.0)
-
-
-def test_criterion_08_airy_determinant_tail():
-    t0 = time.perf_counter()
-    rep = verify.check_airy_tail(beta=0.15j, ts=(-10.0, -25.0))
-    _criterion(8, "Airy determinant tail expansion", rep, time.perf_counter() - t0, 60.0)
-
-
-def test_criterion_09_singular_regime():
-    t0 = time.perf_counter()
-    rep = verify.check_singular_regime(gamma=0.0, center=-12.0)
-    _criterion(9, "boundary-line singular expansion", rep, time.perf_counter() - t0, 120.0)
-
-
-def test_criterion_10_pole_freeness_scan():
-    t0 = time.perf_counter()
-    rep = verify.check_pole_freeness(radii=(0.3, 0.7, 0.95, 1.3),
-                                     angles=(math.pi / 6, math.pi / 2,
-                                             5 * math.pi / 6),
-                                     t_min=-25.0, control_kappa=1.5)
-    _criterion(10, "pole-freeness scan + control run", rep, time.perf_counter() - t0, 180.0)
-
-
-def test_criterion_11_exact_identities():
-    t0 = time.perf_counter()
-    rep = verify.check_exact_identities()
-    _criterion(11, "exact internal identities", rep, time.perf_counter() - t0, 120.0)
-
-
-def test_criterion_12_monte_carlo():
-    t0 = time.perf_counter()
-    reps = [verify.check_mc_thinning(n=50, s=0.5, trials=200_000),
-            verify.check_mc_gue(n=8, lambda0=3.0, trials=100_000),
-            verify.check_mc_plancherel(N=10_000, s=0.5, ts=(-2.0, 0.0, 1.0),
-                                       trials=800)]
-    elapsed = time.perf_counter() - t0
-    merged = verify.Report("monte-carlo")
-    merged.rows = [r for rep in reps for r in rep.rows]
-    merged.passed = all(r.passed for r in reps)
-    merged.detail = "; ".join(r.detail for r in reps if r.detail)
-    _criterion(12, "Monte-Carlo thinning/gap/partitions", merged, elapsed, 600.0)
+for _number, _criterion in enumerate(verify.CRITERIA, 1):
+    _test = _criterion_test(_number, *_criterion)
+    globals()[_test.__name__] = _test
 
 
 #: Each gate constant of ``edgejump.verify`` and the value its criterion states.

@@ -1,5 +1,6 @@
 import cmath
 import csv
+import inspect
 import json
 import math
 
@@ -96,12 +97,28 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     for text in ('{"kappa": 0.3,', "[0.3]", '{"kappa": "abc"}', '{"kappa": [0.3]}',
                  '{"kappa": 0.3, "t": "x"}', '{"beta": 0, "n": "4,x"}',
                  '{"beta": 0, "n": 4, "bits": "many"}', '{"kappa": 0.3, "format": "xml"}',
+                 '{"kappa": 0.3, "t": NaN}', '{"kappa": 0.3, "tol": -1e-10}',
                  '{"beta": 0, "n": "3", "lamda0": 0.5}'):
         bad.write_text(text)
         command = "hankel" if '"n"' in text else "fredholm"
         assert main([command, "--config", str(bad)]) == 2, text
     err = capsys.readouterr().err
     assert "unknown config key(s)" in err and "'lamda0'" in err
+    # a float flag must be finite and tol positive: none of these may run
+    # (nan or inf once gave tracebacks, a [PASS] dump or a phantom pole)
+    for argv in (["painleve", "--kappa", "0.5", "--t-min", "nan"],
+                 ["painleve", "--kappa", "0.5", "--tol", "nan"],
+                 ["painleve", "--kappa", "0.5", "--tol", "0"],
+                 ["painleve", "--kappa", "inf"],
+                 ["hankel", "--n", "4", "--beta", "0", "--lambda0", "nan"],
+                 ["hankel", "--n", "4", "--beta", "0", "--t", "inf"],
+                 ["hankel", "--n", "4", "--beta-im", "nan"],
+                 ["verify", "thm1.5", "--t", "nan"],
+                 ["verify", "tw-identity", "--kappa", "0.7", "--tol", "-0.5"],
+                 ["fredholm", "--kappa", "0.5", "--t", "inf"],
+                 ["mc", "gue", "--lambda0", "nan"]):
+        assert main(argv) == 2, argv
+    assert "t_min must be finite, got nan" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["noncrit", "thm1.4", "thm1.5", "thm1.2"])
@@ -150,16 +167,20 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_mc_plancherel_honours_trials(monkeypatch):
+    # --trials runs as given; unset, the driver runs criterion 12's 800
+    signature = inspect.signature(verify.check_mc_plancherel)
     trials = []
 
     def stub(**kwargs):
-        trials.append(kwargs["trials"])
+        bound = signature.bind(**kwargs)
+        bound.apply_defaults()
+        trials.append(bound.arguments["trials"])
         return Report("stub")
 
     monkeypatch.setattr(verify, "check_mc_plancherel", stub)
     assert main(["mc", "plancherel", "--trials", "6000"]) == 0
     assert main(["mc", "plancherel"]) == 0
-    assert trials == [6000, 5000]
+    assert trials == [6000, 800]
 
 
 def test_mc_gue_subcommand(tmp_path):
@@ -187,10 +208,10 @@ def test_failing_check_exits_1(tmp_path):
     assert _emit([rep], RunConfig()) == 1
 
 
-# Flag sets for ``edgejump verify <name>``: none, beta with every other
-# option, and real or complex kappa with every other option.
+# Flag sets for ``edgejump verify <name>`` and ``edgejump mc <which>``: none,
+# beta with every other option, and real or complex kappa with every other option.
 _OTHER_FLAGS = ["--n", "12,24", "--t", "0.5", "--t-min", "-3", "--lambda0", "0.25",
-                "--bits", "384", "--tol", "1e-10"]
+                "--bits", "384", "--tol", "1e-10", "--trials", "40", "--seed", "77"]
 VERIFY_FLAG_SETS = {
     "bare": [],
     "beta": ["--beta-im", "0.4", *_OTHER_FLAGS],
@@ -202,54 +223,74 @@ _NS = {"ns": (12, 24)}
 _BETA = {"beta": 0.4j}
 _BETA_K = {"beta": beta_from_kappa(0.7)}
 _BETA_CK = {"beta": beta_from_kappa(0.7 + 0.2j)}
-# name -> (driver attribute of edgejump.verify, keywords per flag set)
+
+
+def _flagged(driver, given):
+    """One call that takes ``given`` under every flag set but the bare one (none: ``{}``)."""
+    return [(driver, {"bare": {}, **dict.fromkeys(("beta", "kappa", "complex-kappa"), given)})]
+
+
+# command -> its driver calls in order: (driver attribute of edgejump.verify,
+# keywords per flag set); a bare trend check runs its criterion's ladder
 VERIFY_MAPPING = {
-    "thm1.2": ("check_edge_hankel", {
-        "bare": {}, "beta": {**_BETA, **_NS, "ts": (0.5,)},
+    "thm1.2": [("check_edge_hankel", {
+        "bare": {"ns": (20, 40, 80, 160, 320, 640)}, "beta": {**_BETA, **_NS, "ts": (0.5,)},
         "kappa": {**_BETA_K, **_NS, "ts": (0.5,)},
-        "complex-kappa": {**_BETA_CK, **_NS, "ts": (0.5,)}}),
-    "thm1.4": ("check_recurrence_asymptotics", {
+        "complex-kappa": {**_BETA_CK, **_NS, "ts": (0.5,)}})],
+    "thm1.4": [("check_recurrence_asymptotics", {
+        "bare": {"ns": (256, 512, 1024, 2048)}, "beta": {**_BETA, **_NS},
+        "kappa": {**_BETA_K, **_NS}, "complex-kappa": {**_BETA_CK, **_NS}})],
+    "thm1.5": [("check_polynomial_asymptote", {
+        "bare": {"ns": (64, 128, 256, 512, 1024, 2048)}, "beta": {**_BETA, **_NS, "t": 0.5},
+        "kappa": {**_BETA_K, **_NS, "t": 0.5}, "complex-kappa": {**_BETA_CK, **_NS, "t": 0.5}})],
+    "noncrit": [("check_bulk_hankel", {
         "bare": {}, "beta": {**_BETA, **_NS}, "kappa": {**_BETA_K, **_NS},
-        "complex-kappa": {**_BETA_CK, **_NS}}),
-    "thm1.5": ("check_polynomial_asymptote", {
-        "bare": {}, "beta": {**_BETA, **_NS, "t": 0.5},
-        "kappa": {**_BETA_K, **_NS, "t": 0.5}, "complex-kappa": {**_BETA_CK, **_NS, "t": 0.5}}),
-    "noncrit": ("check_bulk_hankel", {
-        "bare": {}, "beta": {**_BETA, **_NS}, "kappa": {**_BETA_K, **_NS},
-        "complex-kappa": {**_BETA_CK, **_NS}}),
-    "conj1.3": ("check_airy_tail", {
-        "bare": {}, "beta": _BETA, "kappa": _BETA_K, "complex-kappa": _BETA_CK}),
-    "tw-identity": ("check_tw_identity", {
+        "complex-kappa": {**_BETA_CK, **_NS}})],
+    "conj1.3": [("check_airy_tail", {
+        "bare": {}, "beta": _BETA, "kappa": _BETA_K, "complex-kappa": _BETA_CK})],
+    "tw-identity": [("check_tw_identity", {
         "bare": {}, "beta": {"tol": 1e-10, "kappas": (kappa_from_beta(0.4j),), "t_lo": -3.0},
         "kappa": {"tol": 1e-10, "kappas": (0.7,), "t_lo": -3.0},
-        "complex-kappa": {"tol": 1e-10, "kappas": (0.7 + 0.2j,), "t_lo": -3.0}}),
-    "finite-n-identity": ("check_finite_n_identity", {
+        "complex-kappa": {"tol": 1e-10, "kappas": (0.7 + 0.2j,), "t_lo": -3.0}})],
+    "finite-n-identity": [("check_finite_n_identity", {
         "bare": {},
         "beta": {**_NS, "betas": (0.4j,), "lambda0s": (0.25,), "bits": 384},
         "kappa": {**_NS, "betas": (beta_from_kappa(0.7),), "lambda0s": (0.25,), "bits": 384},
         "complex-kappa": {**_NS, "betas": (beta_from_kappa(0.7 + 0.2j),),
-                          "lambda0s": (0.25,), "bits": 384}}),
-    "diff-identity": ("check_exact_identities", dict.fromkeys(VERIFY_FLAG_SETS, {})),
-    "qn-identity": ("check_exact_identities", dict.fromkeys(VERIFY_FLAG_SETS, {})),
-    "thm1.6": ("check_singular_regime", dict.fromkeys(VERIFY_FLAG_SETS, {})),
+                          "lambda0s": (0.25,), "bits": 384}})],
+    "diff-identity": _flagged("check_exact_identities", {}),
+    "qn-identity": _flagged("check_exact_identities", {}),
+    "exact-identities": _flagged("check_exact_identities", {}),
+    "thm1.6": _flagged("check_singular_regime", {}),
+    "closed-form": _flagged("check_gaussian_closed_form", {}),
+    "pii": _flagged("check_pii_solution", {}),
+    "pole-free": _flagged("check_pole_freeness", {}),
+    # --n (its first value) and --lambda0 reach the gap call only; seed S
+    # gives masters S and S + 1
+    "mc gue": [*_flagged("check_mc_gue", {"n": 12, "lambda0": 0.25, "trials": 40,
+                                          "master": 77}),
+               *_flagged("check_mc_thinning", {"trials": 40, "master": 78})],
+    "mc plancherel": _flagged("check_mc_plancherel", {"N": 12, "trials": 40, "master": 77}),
 }
+VERIFY_MAPPING["mc-gue"] = VERIFY_MAPPING["mc gue"]
+VERIFY_MAPPING["mc-plancherel"] = VERIFY_MAPPING["mc plancherel"]
 
 
 @pytest.mark.parametrize("name", VERIFY_MAPPING)
 def test_verify_passes_flags_to_its_driver(name, monkeypatch):
-    driver, expected = VERIFY_MAPPING[name]
     calls = []
-
-    def stub(**kwargs):
-        calls.append(kwargs)
-        return Report("stub")
-
-    monkeypatch.setattr(verify, driver, stub)
+    for driver, _ in VERIFY_MAPPING[name]:
+        def stub(driver=driver, **kwargs):
+            calls.append((driver, kwargs))
+            return Report("stub")
+        monkeypatch.setattr(verify, driver, stub)
+    command = name.split() if " " in name else ["verify", name]
     for flag_set, argv in VERIFY_FLAG_SETS.items():
         calls.clear()
-        assert main(["verify", name, *argv]) == 0
-        assert len(calls) == 1
+        assert main([*command, *argv]) == 0
         # repr tells a float from a complex and an int from a float
-        got = sorted((k, repr(v)) for k, v in calls[0].items())
-        want = sorted((k, repr(v)) for k, v in expected[flag_set].items())
+        got = [(driver, sorted((k, repr(v)) for k, v in kwargs.items()))
+               for driver, kwargs in calls]
+        want = [(driver, sorted((k, repr(v)) for k, v in expected[flag_set].items()))
+                for driver, expected in VERIFY_MAPPING[name]]
         assert got == want, flag_set

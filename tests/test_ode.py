@@ -124,6 +124,20 @@ def test_dense_output_satisfies_the_ode():
         assert abs(upp - t * u - 2 * u ** 3) <= tol * (1 + abs(u) ** 3)
 
 
+@pytest.mark.parametrize("t0, t1, tol", [(0.0, 1.0, math.nan), (0.0, 1.0, 0.0),
+                                         (0.0, math.nan, 1e-10), (math.inf, 1.0, 1e-10)])
+def test_non_finite_span_or_tolerance_raises(t0, t1, tol):
+    # a NaN tolerance once took one step across the whole span, and a NaN
+    # end returned a trajectory of no steps
+    with pytest.raises(ValueError, match="must be positive|must be finite"):
+        adaptive_rk(exp_taylor, (1.0,), t0, t1, tol)
+    with pytest.raises(ValueError, match="must be positive|must be finite"):
+        along_path(exp_taylor, (1.0,), [t0, complex(t1, 0.5), t1], tol)
+    if math.isnan(t1):  # solve_as(0.5, nan) once returned a solution of no steps
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_as(0.5, t1, tol)
+
+
 def test_out_of_span_eval_raises():
     tr = adaptive_rk(exp_taylor, (1.0,), 0.0, 1.0, 1e-10)
     with pytest.raises(ValueError):

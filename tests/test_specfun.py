@@ -233,6 +233,13 @@ class TestHalfMoments:
         J = half_gauss_moments(0.7, 9, CTX)
         assert all(v > 0 for v in J)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cut_raises(self, lam):
+        # +inf once gave 0, 0, nan, ... (inf * 0 in the recursion), nan an
+        # integer-conversion error
+        with pytest.raises(ValueError, match="lambda0 must be finite"):
+            half_gauss_moments(lam, 4, CTX)
+
 
 class TestHermite:
     def test_constant_normalization(self):

@@ -1,10 +1,28 @@
+import dataclasses
+import inspect
 import math
 
 import pytest
 
 from edgejump import verify
+from edgejump.cli import RunConfig
 from edgejump.report import ReportRow
 from edgejump.weightlab import edge_cut
+
+
+def test_every_criterion_resolves_to_driver_calls():
+    # each criterion names checks of the one registry, and each call of a
+    # check reads RunConfig fields and names a driver that takes the keywords
+    # its sweep and options set
+    assert len(verify.CRITERIA) == 12
+    names = [name for _, _, checks in verify.CRITERIA for name in checks]
+    assert set(names) <= set(verify.CHECKS)
+    assert set(verify.CHECKS) - set(names) == {"diff-identity", "qn-identity", "noncrit"}
+    for name, check in verify.CHECKS.items():
+        for driver, sweep, options in check.calls:
+            params = inspect.signature(getattr(verify, driver)).parameters
+            assert set(sweep) | set(options.values()) <= set(params), (name, driver)
+            assert set(options) <= {f.name for f in dataclasses.fields(RunConfig)}, name
 
 
 def test_op_system_cached_builds_at_the_edge_cut():
@@ -28,9 +46,9 @@ def test_given_rel_res_survives_finish():
 
 def test_rows_past_double_range_stay_finite():
     # H_n, p_n(lambda0) and their predictions leave double range from
-    # n ~ 40 on; the rows report them scaled by the prediction
-    reps = [verify.check_edge_hankel(ns=(20, 40, 80, 160, 320, 640)),
-            verify.check_polynomial_asymptote(ns=(64, 128, 256, 512, 1024, 2048)),
+    # n ~ 40 on; the rows report them scaled by the prediction (criteria 7
+    # and 6 at their ladders, and the bulk check)
+    reps = [*verify.CHECKS["thm1.2"].run(), *verify.CHECKS["thm1.5"].run(),
             verify.check_bulk_hankel()]
     for rep in reps:
         assert rep.passed, rep.detail

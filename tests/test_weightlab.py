@@ -104,11 +104,13 @@ class TestChebyshevKernel:
     @pytest.mark.parametrize("beta", [0.4j, 0.3])
     def test_nonfinite_moments_rejected(self, beta):
         # the fdot pass carried a NaN moment into NaN coefficients; the
-        # integer kernel has no NaN and refuses it (lambda0 = inf makes
-        # half_gauss_moments return inf * 0)
-        for lam0 in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                build_op_system(WeightParams(beta, lam0), 4, PrecisionCtx(128), check=False)
+        # integer kernel has no NaN and refuses it (a non-finite cut, which
+        # once made such moments, is refused by WeightParams before them)
+        ctx = PrecisionCtx(128)
+        mu = moments(WeightParams(beta, 0.5), 9, ctx)
+        for bad in (mp.nan, mp.inf):
+            with ctx.workprec(10), pytest.raises(ValueError, match="moments must be finite"):
+                _chebyshev([*mu[:3], bad * mu[3], *mu[4:]], 4)
 
     def test_single_rounding_matches_from_man_exp(self):
         rng = np.random.default_rng(22)
@@ -370,3 +372,13 @@ def test_norm_product_identity_along_the_ladder():
 def test_nonfinite_beta_rejected():
     with pytest.raises(ValueError):
         WeightParams(float("nan") + 0j, 0.0)
+
+
+@pytest.mark.parametrize("lam0", [math.nan, math.inf, -math.inf, mp.mpf("nan")])
+def test_nonfinite_cut_rejected(lam0):
+    # both routes name the cut; gram_system once failed with 'cannot convert
+    # float NaN to integer' or an OverflowError
+    with pytest.raises(ValueError, match="lambda0 must be finite"):
+        WeightParams(0.3, lam0)
+    with pytest.raises(ValueError, match="lambda0 must be finite"):
+        gram_system(0.4j, 8, lam0)
