@@ -8,7 +8,9 @@ fredholm   dump an Airy-determinant grid over t
 verify     run one named check of ``verify.CHECKS`` (``edgejump verify --help`` lists them)
 mc         ``mc gue`` and ``mc plancherel`` run ``verify mc-gue`` and ``verify mc-plancherel``
 
-A bare ``verify`` or ``mc`` command runs its criterion's sweep, trials and seeds.
+A command takes the flags its function (a check: its drivers) reads, and no
+other (see ``_FLAGS``).  A bare ``verify`` or ``mc`` command runs its
+criterion's sweep, trials and seeds.
 
 Reports are written as CSV or JSON (complex values split re/im) together
 with a machine-readable PASS/FAIL summary; exit status is 0 when every
@@ -19,10 +21,11 @@ a generation time header).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -37,41 +40,76 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Normalized options shared by all subcommands.
-
-    Exactly one of beta / kappa may be given; the other is derived through
-    the jump relation on the |Re beta| <= 1/2 branch, so both are set or
-    neither is.  Every other option is None (``ns`` empty) when not given.
-    """
-
-    beta: complex | None = None
-    kappa: complex | None = None
-    ns: tuple = ()
-    t: float | None = None
-    lambda0: float | None = None
-    bits: int | None = None
-    tol: float | None = None
-    nodes: int | None = None
-    trials: int | None = None
-    seed: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    timestamp: bool = False
-    t_min: float | None = None
-
-    def resolved_kappa(self) -> complex:
-        if self.kappa is None:
-            raise ConfigError("need --beta/--beta-im or --kappa/--kappa-im")
-        return self.kappa
+#: Every flag a command may take: name -> (type or choices, help).  ``--n`` is
+#: a list: it sets ``ns`` as given, or ``n`` as its only value.  The four jump
+#: flags come together to every function that reads beta(s) or kappa(s); the
+#: one of beta and kappa not given is derived from the other through the jump
+#: relation on the |Re beta| <= 1/2 branch.  ``--seed S`` sets S + i at the
+#: i-th call of a command.
+_FLAGS = {
+    "beta": (float, "Re beta of the jump exponent"),
+    "beta_im": (float, "Im beta of the jump exponent"),
+    "kappa": (float, "Re kappa of the deformation"),
+    "kappa_im": (float, "Im kappa"),
+    "n": (str, "n, or a strictly increasing n list for a ladder, e.g. 20,40,80"),
+    "t": (float, "edge coordinate t (fredholm: upper end of its grid)"),
+    "t_min": (float, "lower end of a t range"),
+    "lambda0": (float, "cut point (direct form)"),
+    "bits": (int, "mantissa bits for exact computations (0: the default)"),
+    "tol": (float, "ODE tolerance"),
+    "nodes": (int, "Gauss nodes per unit length of the Airy grid (a shorter panel "
+                   "gets proportionally fewer, at least half; 0: the default)"),
+    "trials": (int, "Monte-Carlo trial count"),
+    "seed": (int, "master seed"),
+    "out": (str, "report file path"),
+    "format": (("csv", "json"), "report format"),
+    "timestamp": (bool, "embed a generation timestamp header line"),
+}
+_JUMP = ("beta", "beta_im", "kappa", "kappa_im")
 
 
-def _parse_ns(raw: str | None) -> tuple:
-    if not raw:
-        return ()
+def _flag(keyword: str) -> str | None:
+    """The flag that sets ``keyword``: x for x or xs; None when no flag does."""
+    if keyword in _FLAGS:
+        return keyword
+    return keyword[:-1] if keyword[-1:] == "s" and keyword[:-1] in _FLAGS else None
+
+
+def _flags(functions) -> list:
+    """The flags that some keyword of ``functions`` reads, in vocabulary order."""
+    read = {_flag(k) for fn in functions for k in inspect.signature(fn).parameters}
+    if read & {"beta", "kappa"}:
+        read.update(_JUMP)
+    return [name for name in _FLAGS if name in read]
+
+
+def _dashed(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _keywords(fn, given: dict, i: int = 0) -> dict:
+    """The keywords of ``fn`` that the ``given`` flags set, at the i-th call of a command."""
+    kwargs = {}
+    for keyword in inspect.signature(fn).parameters:
+        flag = _flag(keyword)
+        if flag not in given:
+            continue
+        value = given[flag]
+        if flag == keyword == "n":
+            if len(value) > 1:
+                raise ConfigError(f"--n sets one n here, got {len(value)} values")
+            value = value[0]
+        elif keyword != flag and flag != "n":
+            value = (value,)
+        elif flag == "seed":
+            value += i
+        kwargs[keyword] = value
+    return kwargs
+
+
+def _parse_ns(raw: str) -> tuple:
     try:
-        ns = tuple(int(x) for x in str(raw).replace(" ", "").split(","))
+        ns = tuple(int(x) for x in raw.replace(" ", "").split(","))
     except ValueError:
         raise ConfigError(f"n-list must be comma-separated integers, got {raw!r}") from None
     if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -92,92 +130,85 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
-def _value(merged: dict, key: str, kind, default=None):
-    """``merged[key]`` as a ``kind``, finite if a float; ``default`` when absent or null."""
-    v = merged.get(key)
-    if v is None:
-        return default
+def _value(name: str, raw, kind):
+    """``raw`` as a ``kind`` (one of its choices if a tuple), finite if a float."""
+    if isinstance(kind, tuple):  # a config file bypasses the flag's choices
+        if raw not in kind:
+            raise ConfigError(f"{name} must be {' or '.join(kind)}, got {raw!r}")
+        return raw
     try:
-        out = kind(v)
+        out = kind(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be {kind.__name__}, got {v!r}") from None
+        raise ConfigError(f"{name} must be {kind.__name__}, got {raw!r}") from None
     if kind is float and not math.isfinite(out):
-        raise ConfigError(f"{key} must be finite, got {v!r}")
+        raise ConfigError(f"{name} must be finite, got {raw!r}")
     return out
 
 
-def _build_config(args) -> RunConfig:
-    # the keys a config file may set are the dests of the flags _add_common declares
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "which", "config")}
-    merged: dict = {}
+def _given(args) -> dict:
+    """The command's flags given in ``--config`` or, over it, on the command line, checked.
+
+    ``n`` becomes a tuple, and beta and kappa each a complex, both set or
+    neither; a flag not given is absent.
+    """
+    merged = {}
     if args.config:
-        merged.update(_read_config_file(args.config))
-        unknown = sorted(set(merged) - set(flags))
+        merged = _read_config_file(args.config)
+        unknown = sorted(set(merged) - set(args.flags))
         if unknown:
             raise ConfigError(f"unknown config key(s) in {args.config!r}: "
                               + ", ".join(map(repr, unknown)))
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    beta = kappa = None
-    if merged.get("beta") is not None or merged.get("beta_im") is not None:
-        beta = complex(_value(merged, "beta", float, 0.0),
-                       _value(merged, "beta_im", float, 0.0))
-    if merged.get("kappa") is not None or merged.get("kappa_im") is not None:
-        kappa = complex(_value(merged, "kappa", float, 0.0),
-                        _value(merged, "kappa_im", float, 0.0))
-    if beta is not None and kappa is not None:
+    merged.update((name, getattr(args, name)) for name in args.flags
+                  if getattr(args, name) is not None)
+    given = {name: _value(name, raw, _FLAGS[name][0])
+             for name, raw in merged.items() if raw is not None}
+    if "n" in given:
+        given["n"] = _parse_ns(given["n"])
+    for name, least in (("bits", MIN_BITS), ("nodes", 1)):
+        if given.get(name) == 0:  # 0 asks for the default, as an unset flag does
+            del given[name]
+        elif given.get(name, least) < least:
+            raise ConfigError(f"need {name} >= {least} (or 0 for the default), got {given[name]}")
+    if given.get("trials", 2) < 2:  # every estimator reports a ddof = 1 standard error
+        raise ConfigError(f"need trials >= 2, got {given['trials']}")
+    if given.get("tol", 1) <= 0:
+        raise ConfigError(f"need tol > 0, got {given['tol']}")
+    jump = {x: complex(given.pop(x, 0.0), given.pop(x + "_im", 0.0))
+            for x in ("beta", "kappa") if x in given or x + "_im" in given}
+    if len(jump) == 2:
         raise ConfigError("give beta or kappa, not both")
-    if beta is not None:
-        if abs(beta.real) > 0.5:
+    if "beta" in jump:
+        if abs(jump["beta"].real) > 0.5:
             raise ConfigError("need |Re beta| <= 1/2")
-        kappa = kappa_from_beta(beta)
-    elif kappa is not None:
+        jump["kappa"] = kappa_from_beta(jump["beta"])
+    elif "kappa" in jump:
         try:
-            beta = beta_from_kappa(kappa)
+            jump["beta"] = beta_from_kappa(jump["kappa"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    # 0 bits asks for the default precision, as an unset --bits does
-    bits = _value(merged, "bits", int) or None
-    nodes = _value(merged, "nodes", int) or None
-    if nodes is not None and nodes < 1:
-        raise ConfigError(f"need nodes >= 1 (or 0 for the default), got {nodes}")
-    if bits is not None and bits < MIN_BITS:
-        raise ConfigError(f"need bits >= {MIN_BITS} (or 0 for the default), got {bits}")
-    trials = _value(merged, "trials", int)
-    if trials is not None and trials < 2:  # every estimator reports a ddof = 1 standard error
-        raise ConfigError(f"need trials >= 2, got {trials}")
-    tol = _value(merged, "tol", float)
-    if tol is not None and tol <= 0:
-        raise ConfigError(f"need tol > 0, got {tol}")
-    fmt = merged.get("format", "csv")
-    if fmt not in ("csv", "json"):  # a config file bypasses the flag's choices
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    return RunConfig(
-        beta=beta, kappa=kappa, ns=_parse_ns(merged.get("n")),
-        t=_value(merged, "t", float),
-        lambda0=_value(merged, "lambda0", float),
-        bits=bits,
-        tol=tol,
-        nodes=nodes,
-        trials=trials,
-        seed=_value(merged, "seed", int),
-        out=merged.get("out"), fmt=fmt,
-        timestamp=bool(merged.get("timestamp", False)),
-        t_min=_value(merged, "t_min", float),
-    )
+    return {**given, **jump}
 
 
-def _emit(reports, cfg: RunConfig) -> int:
+def _emit(reports, out: str | None = None, format: str = "csv",
+          timestamp: bool = False) -> int:
+    """Write ``reports`` to ``out`` when given and print their verdicts; the exit status."""
     reports = list(reports)
-    if cfg.out:
-        write_report(reports, cfg.out, fmt=cfg.fmt, timestamp=cfg.timestamp)
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"[{status}] {rep.name}" + (f": {rep.detail}" if rep.detail else ""))
-        if not cfg.out:
-            for row in rep.sorted_rows()[:40]:
-                rec = row.as_record()
-                brief = {k: v for k, v in rec.items() if v not in (None, "")}
-                print("   ", brief)
+    if out:
+        write_report(reports, out, fmt=format, timestamp=timestamp)
+    try:
+        for rep in reports:
+            status = "PASS" if rep.passed else "FAIL"
+            print(f"[{status}] {rep.name}" + (f": {rep.detail}" if rep.detail else ""))
+            if not out:
+                for row in rep.sorted_rows()[:40]:
+                    rec = row.as_record()
+                    brief = {k: v for k, v in rec.items() if v not in (None, "")}
+                    print("   ", brief)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``), and the verdict stands: Python's recipe
+        # points stdout at devnull, so that flushing it at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -185,92 +216,90 @@ def _emit(reports, cfg: RunConfig) -> int:
 # dump subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_hankel(cfg: RunConfig) -> int:
-    if not cfg.ns:
-        raise ConfigError("hankel needs --n")
-    beta = cfg.beta if cfg.beta is not None else 0j
-    N = max(cfg.ns)
-    ctx = PrecisionCtx(cfg.bits) if cfg.bits else hankel_ctx(N)
-    lambda0 = weightlab.edge_cut(N, cfg.t) if cfg.t is not None else cfg.lambda0 or 0.0
+def _hankel_dump(n: int, beta: complex = 0j, t: float | None = None,
+                 lambda0: float | None = None, bits: int = 0) -> Report:
+    """Dump log H_k, log h_k, Q_k, R_k (k <= n) at the cut lambda0 or the edge cut at t."""
+    if t is not None and lambda0 is not None:
+        raise ConfigError("give t or lambda0, not both")
+    ctx = PrecisionCtx(bits) if bits else hankel_ctx(n)
+    lambda0 = weightlab.edge_cut(n, t) if t is not None else lambda0 or 0.0
     params = weightlab.WeightParams(beta, lambda0)
-    sys = weightlab.build_op_system(params, N, ctx)
+    sys = weightlab.build_op_system(params, n, ctx)
     rep = Report("hankel-dump", passed=True, compares=False,
                  detail=f"agreed digits {sys.agreed}")
     # H_k and h_k leave double range near k = 32; their logs do not
     log_H, log_h = [mp.log(v) for v in sys.H], [mp.log(v) for v in sys.h]
-    for k in range(N + 1):
+    for k in range(n + 1):
         for name, vals in (("logH", log_H), ("logh", log_h), ("Q", sys.Q), ("R", sys.R)):
             if name != "R" or k >= 1:
                 rep.add(ReportRow(label=f"opsystem-{name}", n=k,
                                   lambda0=float(params.lambda0), beta=complex(beta),
                                   finite=vals[k]))
-    return _emit([rep], cfg)
+    return rep
 
 
-def _cmd_painleve(cfg: RunConfig) -> int:
-    kap = cfg.resolved_kappa()
-    t_min = cfg.t_min if cfg.t_min is not None else -12.0
-    sol = painleve.solve_as(kap, t_min, cfg.tol if cfg.tol is not None else 1e-12)
+def _painleve_dump(kappa: complex, t_min: float = -12.0, tol: float = 1e-12) -> Report:
+    """Dump a Painleve trajectory (u, v, F on 241 points down to t_min) and its poles."""
+    sol = painleve.solve_as(kappa, t_min, tol)
     rep = Report("painleve-dump", passed=True, compares=False,
                  detail=f"{len(sol.poles)} poles, start t = {sol.t_start}")
     for t in sol.grid(241):
         u, _, v, F = sol.state(t)
-        rep.add(ReportRow(label="trajectory-u", t=float(t), kappa=kap, finite=u))
-        rep.add(ReportRow(label="trajectory-v", t=float(t), kappa=kap, finite=v))
-        rep.add(ReportRow(label="trajectory-F", t=float(t), kappa=kap, finite=F))
+        rep.add(ReportRow(label="trajectory-u", t=float(t), kappa=kappa, finite=u))
+        rep.add(ReportRow(label="trajectory-v", t=float(t), kappa=kappa, finite=v))
+        rep.add(ReportRow(label="trajectory-F", t=float(t), kappa=kappa, finite=F))
     for p in sol.poles:
-        rep.add(ReportRow(label="pole", t=p.location, kappa=kap,
+        rep.add(ReportRow(label="pole", t=p.location, kappa=kappa,
                           finite=complex(p.sign), asym=complex(p.cubic)))
-    return _emit([rep], cfg)
+    return rep
 
 
-def _cmd_fredholm(cfg: RunConfig) -> int:
-    kap = cfg.resolved_kappa()
-    k2 = kap * kap
-    t_lo = cfg.t_min if cfg.t_min is not None else -8.0
-    t_hi = cfg.t if cfg.t is not None else 4.0
-    ts = np.arange(t_lo, t_hi + 0.25, 0.5)
-    nodes = {} if cfg.nodes is None else {"nodes": cfg.nodes}
-    logdets = fredholm.airy_fredholm_logdet(k2, ts, **nodes)
+def _fredholm_dump(kappa: complex, t_min: float = -8.0, t: float = 4.0,
+                   nodes: int = 12) -> Report:
+    """Dump the Airy determinant and its log on [t', inf) for t' = t_min, t_min + 0.5, ..., t."""
+    ts = np.arange(t_min, t + 0.25, 0.5)
+    logdets = fredholm.airy_fredholm_logdet(kappa * kappa, ts, nodes)
     rep = Report("fredholm-dump", passed=True, compares=False)
     for t, logdet in zip(ts, logdets):
-        rep.add(ReportRow(label="airy-determinant", t=float(t), kappa=kap,
+        rep.add(ReportRow(label="airy-determinant", t=float(t), kappa=kappa,
                           finite=complex(np.exp(logdet)), asym=complex(logdet)))
-    return _emit([rep], cfg)
+    return rep
+
+
+def _run_dump(name: str, dump, given: dict) -> list:
+    kwargs = _keywords(dump, given)
+    for keyword, param in inspect.signature(dump).parameters.items():
+        if param.default is param.empty and keyword not in kwargs:
+            flags = _JUMP if keyword in _JUMP else (_flag(keyword),)
+            raise ConfigError(f"{name} needs " + " or ".join(map(_dashed, flags)))
+    return [dump(**kwargs)]
 
 
 # ---------------------------------------------------------------------------
 # verify / mc subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(cfg: RunConfig, which: str) -> int:
-    check = verify.CHECKS[which]
-    if cfg.ns and len(cfg.ns) < check.min_ns:
-        raise ConfigError(f"verify {which} judges a trend over n: need at least "
-                          f"{check.min_ns} values in --n, got {len(cfg.ns)}")
-    return _emit(check.run(cfg), cfg)
+def _run_check(name: str, given: dict) -> list:
+    check = verify.CHECKS[name]
+    if "n" in given and len(given["n"]) < check.min_ns:
+        raise ConfigError(f"verify {name} judges a trend over n: need at least "
+                          f"{check.min_ns} values in --n, got {len(given['n'])}")
+    return check.run([_keywords(getattr(verify, driver), given, i)
+                      for i, (driver, _) in enumerate(check.calls)])
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--beta", type=float, help="Re beta of the jump exponent")
-    p.add_argument("--beta-im", type=float, help="Im beta of the jump exponent")
-    p.add_argument("--kappa", type=float, help="Re kappa of the deformation")
-    p.add_argument("--kappa-im", type=float, help="Im kappa")
-    p.add_argument("--n", type=str, help="strictly increasing n list, e.g. 20,40,80")
-    p.add_argument("--t", type=float, help="edge coordinate t")
-    p.add_argument("--t-min", type=float, help="lower end of a t sweep")
-    p.add_argument("--lambda0", type=float, help="cut point (direct form)")
-    p.add_argument("--bits", type=int, help="mantissa bits for exact computations")
-    p.add_argument("--tol", type=float, help="ODE tolerance (painleve, verify tw-identity)")
-    p.add_argument("--nodes", type=int, help="Gauss nodes per unit length of the Airy grid "
-                   "(a shorter panel gets proportionally fewer, at least half)")
-    p.add_argument("--trials", type=int, help="Monte-Carlo trial count")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", type=str, help="report file path")
-    p.add_argument("--format", choices=("csv", "json"), help="report format")
-    p.add_argument("--timestamp", action="store_const", const=True,
-                   help="embed a generation timestamp header line")
-    p.add_argument("--config", type=str, help="JSON config file (flags override)")
+def _add_command(sub, name: str, functions, run) -> None:
+    """A sub-parser for ``name`` with the flags ``functions`` and ``_emit`` read."""
+    doc = (functions[0].__doc__ or "").strip().split("\n")[0]
+    p = sub.add_parser(name, help=doc, description=doc)
+    flags = _flags([*functions, _emit])
+    for flag in flags:
+        kind, text = _FLAGS[flag]
+        how = ({"action": "store_const", "const": True} if kind is bool
+               else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+        p.add_argument(_dashed(flag), help=text, **how)
+    p.add_argument("--config", help="JSON file of these flags, underscored (flags override it)")
+    p.set_defaults(flags=flags, run=run)
 
 
 def main(argv=None) -> int:
@@ -280,27 +309,22 @@ def main(argv=None) -> int:
                     "Hankel determinants, Painleve II transcendents, "
                     "Airy-kernel determinants, and their Monte-Carlo twins.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("hankel", "painleve", "fredholm"):
-        _add_common(sub.add_parser(name))
-    vp = sub.add_parser("verify")
-    vp.add_argument("which", choices=tuple(verify.CHECKS))
-    _add_common(vp)
-    mcp = sub.add_parser("mc")
-    mcp.add_argument("which", choices=[name[3:] for name in verify.CHECKS if name[:3] == "mc-"])
-    _add_common(mcp)
+    for name, dump in (("hankel", _hankel_dump), ("painleve", _painleve_dump),
+                       ("fredholm", _fredholm_dump)):
+        _add_command(sub, name, [dump], lambda given, name=name, dump=dump:
+                     _run_dump(name, dump, given))
+    for command, prefix in (("verify", ""), ("mc", "mc-")):
+        checks = sub.add_parser(command).add_subparsers(dest="which", required=True)
+        for name, check in verify.CHECKS.items():
+            if name.startswith(prefix):
+                _add_command(checks, name[len(prefix):],
+                             [getattr(verify, driver) for driver, _ in check.calls],
+                             lambda given, name=name: _run_check(name, given))
 
     args = ap.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        if args.command == "hankel":
-            return _cmd_hankel(cfg)
-        if args.command == "painleve":
-            return _cmd_painleve(cfg)
-        if args.command == "fredholm":
-            return _cmd_fredholm(cfg)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args.which)
-        return _cmd_verify(cfg, "mc-" + args.which)
+        given = _given(args)
+        return _emit(args.run(given), **_keywords(_emit, given))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

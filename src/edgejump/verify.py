@@ -8,8 +8,8 @@ gate over several rows (a trend) or over the whole run.  A check takes
 what to compute (sweeps, sizes, precision, seeds), not how to judge it:
 each gate is one module constant, read when the check runs, and so is
 ``_ODE_TOL``, the tolerance of its Painleve runs (tw-identity alone takes
-its own).  :data:`CHECKS` names every check: its driver calls, their sweeps
-and options.  :data:`CRITERIA` lists the twelve acceptance criteria by those
+its own).  :data:`CHECKS` names every check: its driver calls and their
+sweeps.  :data:`CRITERIA` lists the twelve acceptance criteria by those
 names; ``edgejump verify``, ``edgejump mc`` and the acceptance suite all run
 that one table.
 
@@ -205,14 +205,14 @@ def check_exact_identities(bits: int = 512) -> Report:
 # Painleve / Fredholm cross checks
 # ---------------------------------------------------------------------------
 
-def check_tw_identity(kappas=(0.3, 0.7, 0.95), t_lo: float = -8.0, t_hi: float = 4.0,
+def check_tw_identity(kappas=(0.3, 0.7, 0.95), t_min: float = -8.0, t_hi: float = 4.0,
                       step: float = 0.5, tol: float = 1e-10) -> Report:
     """Nystrom determinant against exp(-F(t)), F integrated at ODE tolerance ``tol``."""
     rep = Report("tracy-widom-identity")
-    ts = np.arange(t_lo, t_hi + step / 2, step)
+    ts = np.arange(t_min, t_hi + step / 2, step)
     det_rows = fredholm.airy_fredholm_det([complex(kap) ** 2 for kap in kappas], ts)
     for kap, dets in zip(kappas, det_rows):
-        sol = solution_cached(kap, t_lo - 0.5, tol)
+        sol = solution_cached(kap, t_min - 0.5, tol)
         worst = 0.0
         for t, det in zip(ts, dets.tolist()):
             pred = cmath.exp(-complex(sol.F(float(t))))
@@ -429,19 +429,19 @@ def check_bulk_hankel(beta=0.2j, lam: float = 0.0, ns=(30, 60, 120)) -> Report:
     return rep
 
 
-def check_airy_tail(beta=0.15j, ts=(-10.0, -25.0)) -> Report:
+def check_airy_tail(beta=0.15j, depths=(-10.0, -25.0)) -> Report:
     """Large-gap expansion residual of the Airy determinant: decreasing, small.
 
     The vanishing correction term oscillates in t (its local period is
     pi/sqrt(-t)), so a single probe point can land on an accidental zero of
-    the oscillation.  Each stated t is therefore probed together with two
+    the oscillation.  Each t of ``depths`` is therefore probed together with two
     phase companions a quarter and half period away and the envelope (the
     maximum of the three) must decrease; the absolute bound applies to the
     envelope as well.
     """
     rep = Report("airy-determinant-tail")
-    periods = [math.pi / math.sqrt(-t) for t in ts]
-    probes = np.array([[t, t - p / 4, t - p / 2] for t, p in zip(ts, periods)])
+    periods = [math.pi / math.sqrt(-t) for t in depths]
+    probes = np.array([[t, t - p / 4, t - p / 2] for t, p in zip(depths, periods)])
     logdets = fredholm.airy_fredholm_logdet(kappa_sq_from_beta(beta), probes.ravel())
     residuals = asympt.airy_tail_residual(probes.ravel(), beta, logdets)
     for tp, r in zip(probes.ravel().tolist(), residuals.tolist()):
@@ -465,10 +465,10 @@ def _in_units(gap: float, unit: float) -> float:
 
 
 def check_mc_gue(n: int = 8, lambda0: float = 3.0, trials: int = 100_000,
-                 master: int = 20240 + 8) -> Report:
+                 seed: int = 20240 + 8) -> Report:
     """Empirical gap probability within 3 sigma of the determinant."""
     rep = Report("mc-gue-gap")
-    p, sig = rmtsim.gap_probability_mc(n, lambda0, trials, master)
+    p, sig = rmtsim.gap_probability_mc(n, lambda0, trials, seed)
     det = fredholm.finite_n_det(n, lambda0, 1.0).real
     z = abs(p - det) / sig
     rep.add(ReportRow(label="gue-gap-probability", n=n, lambda0=lambda0,
@@ -478,7 +478,7 @@ def check_mc_gue(n: int = 8, lambda0: float = 3.0, trials: int = 100_000,
 
 
 def check_mc_thinning(n: int = 50, s: float = 0.5, trials: int = 200_000,
-                      master: int = 20240 + 50) -> Report:
+                      seed: int = 20240 + 50) -> Report:
     """Thinned largest-particle probability within 3 sigma of the determinant.
 
     Both estimators are gated: thin-and-count, and the average of s^X with
@@ -486,7 +486,7 @@ def check_mc_thinning(n: int = 50, s: float = 0.5, trials: int = 200_000,
     """
     rep = Report("mc-thinning")
     lam0 = math.sqrt(2.0 * n)
-    res = rmtsim.thinning_check(n, s, lam0, trials, master)
+    res = rmtsim.thinning_check(n, s, lam0, trials, seed)
     det = fredholm.finite_n_det(n, lam0, 1.0 - s).real
     for label, key in (("thinned-max", "bernoulli"), ("thinned-max-analytic", "analytic")):
         z = _in_units(abs(res[key] - det), res[key + "_stderr"])
@@ -496,16 +496,16 @@ def check_mc_thinning(n: int = 50, s: float = 0.5, trials: int = 200_000,
     return rep
 
 
-def check_mc_plancherel(N: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
-                        trials: int = 800, master: int = 31337) -> Report:
+def check_mc_plancherel(n: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
+                        trials: int = 800, seed: int = 31337) -> Report:
     """Thinned Plancherel maximum CDF against the deformed Airy determinant."""
     rep = Report("mc-plancherel")
-    est = rmtsim.thinned_max_cdf(N, s, ts, trials, master)
+    est = rmtsim.thinned_max_cdf(n, s, ts, trials, seed)
     dets = fredholm.airy_fredholm_det(1.0 - s, est["t"]).real.tolist()
     for t, cdf, sig, det in zip(est["t"], est["cdf"], est["stderr"], dets):
         band = _MC_SIGMAS * sig + _FINITE_BAND
         gap = abs(cdf - det)
-        rep.add(ReportRow(label="plancherel-thinned-cdf", n=N, t=float(t),
+        rep.add(ReportRow(label="plancherel-thinned-cdf", n=n, t=float(t),
                           finite=cdf, asym=det, abs_res=gap, rel_res=_in_units(gap, band)),
                 gap <= band, f"t={t}: |cdf - det| = {gap:.4f} > band {band:.4f}")
     return rep
@@ -515,70 +515,46 @@ def check_mc_plancherel(N: int = 10_000, s: float = 0.5, ts=(-2.0, 0.0, 1.0),
 # the registry: every named check, and the acceptance criteria
 # ---------------------------------------------------------------------------
 
-#: Driver keywords that take a sweep (a single command-line value becomes a
-#: 1-tuple), and those that take one size (the first value of --n).
-_SWEEP_KEYWORDS, _SIZE_KEYWORDS = ("ts", "betas", "lambda0s", "kappas"), ("n", "N")
-
-
 @dataclass(frozen=True)
 class Check:
-    """A named check: a tuple of driver calls ``(driver, sweep, options)``.
+    """A named check: a tuple of driver calls ``(driver, sweep)``.
 
     ``driver`` is looked up here by name when the check runs, so a wrapped or
     replaced driver is the one called.  ``sweep`` holds the criterion's
-    keywords that differ from the driver's defaults.  ``options`` maps a
-    RunConfig field to the driver keyword it sets over the sweep; an unset
-    field (None or empty) is not passed.  A seed S is master S + i at the
-    i-th call.  ``min_ns`` is the fewest rungs a trend check judges.
+    keywords that differ from the driver's defaults.  The command line sets
+    keywords over it by name (see :mod:`edgejump.cli`).  ``min_ns`` is the
+    fewest rungs a trend check judges.
     """
 
     calls: tuple
     min_ns: int = 0
 
-    def run(self, cfg=None) -> list:
-        """The calls' reports: each sweep with the set fields of ``cfg`` over it."""
-        reports = []
-        for i, (driver, sweep, options) in enumerate(self.calls):
-            kwargs = dict(sweep)
-            for name, keyword in options.items():
-                value = getattr(cfg, name, None)
-                if value is None or value == ():
-                    continue
-                if keyword == "kappas" and value.imag == 0:
-                    value = value.real  # a float, like the driver's default kappas
-                kwargs[keyword] = ((value,) if keyword in _SWEEP_KEYWORDS
-                                   else value[0] if keyword in _SIZE_KEYWORDS
-                                   else value + i if keyword == "master" else value)
-            reports.append(globals()[driver](**kwargs))
-        return reports
+    def run(self, keywords=None) -> list:
+        """The calls' reports: the i-th call runs its sweep with ``keywords[i]`` over it."""
+        return [globals()[name](**{**sweep, **(keywords[i] if keywords else {})})
+                for i, (name, sweep) in enumerate(self.calls)]
 
 
-_EXACT = Check((("check_exact_identities", {}, {}),))
-_MC = {"trials": "trials", "seed": "master"}
+_EXACT = Check((("check_exact_identities", {}),))
 
 # Criteria 5 to 7 run longer ladders than their drivers' defaults, which stay:
 # the benchmark's ``hankel`` workload runs the polynomial and edge checks at them.
 CHECKS = {
-    "closed-form": Check((("check_gaussian_closed_form", {}, {}),)),
-    "finite-n-identity": Check((("check_finite_n_identity", {}, {
-        "ns": "ns", "beta": "betas", "lambda0": "lambda0s", "bits": "bits"}),)),
-    "tw-identity": Check((("check_tw_identity", {},
-                           {"tol": "tol", "kappa": "kappas", "t_min": "t_lo"}),)),
-    "pii": Check((("check_pii_solution", {}, {}),)),
-    "thm1.4": Check((("check_recurrence_asymptotics", {"ns": (256, 512, 1024, 2048)},
-                      {"beta": "beta", "ns": "ns"}),), min_ns=2),
-    "thm1.5": Check((("check_polynomial_asymptote", {"ns": (64, 128, 256, 512, 1024, 2048)},
-                      {"beta": "beta", "ns": "ns", "t": "t"}),), min_ns=2),
-    "thm1.2": Check((("check_edge_hankel", {"ns": (20, 40, 80, 160, 320, 640)},
-                      {"beta": "beta", "ns": "ns", "t": "ts"}),), min_ns=2),
-    "conj1.3": Check((("check_airy_tail", {}, {"beta": "beta"}),)),
-    "thm1.6": Check((("check_singular_regime", {}, {}),)),
-    "pole-free": Check((("check_pole_freeness", {}, {}),)),
+    "closed-form": Check((("check_gaussian_closed_form", {}),)),
+    "finite-n-identity": Check((("check_finite_n_identity", {}),)),
+    "tw-identity": Check((("check_tw_identity", {}),)),
+    "pii": Check((("check_pii_solution", {}),)),
+    "thm1.4": Check((("check_recurrence_asymptotics", {"ns": (256, 512, 1024, 2048)}),), min_ns=2),
+    "thm1.5": Check((("check_polynomial_asymptote", {"ns": (64, 128, 256, 512, 1024, 2048)}),),
+                    min_ns=2),
+    "thm1.2": Check((("check_edge_hankel", {"ns": (20, 40, 80, 160, 320, 640)}),), min_ns=2),
+    "conj1.3": Check((("check_airy_tail", {}),)),
+    "thm1.6": Check((("check_singular_regime", {}),)),
+    "pole-free": Check((("check_pole_freeness", {}),)),
     "exact-identities": _EXACT, "diff-identity": _EXACT, "qn-identity": _EXACT,
-    "mc-gue": Check((("check_mc_gue", {}, {"ns": "n", "lambda0": "lambda0", **_MC}),
-                     ("check_mc_thinning", {}, _MC))),
-    "mc-plancherel": Check((("check_mc_plancherel", {}, {"ns": "N", **_MC}),)),
-    "noncrit": Check((("check_bulk_hankel", {}, {"beta": "beta", "ns": "ns"}),), min_ns=2),
+    "mc-gue": Check((("check_mc_gue", {}), ("check_mc_thinning", {}))),
+    "mc-plancherel": Check((("check_mc_plancherel", {}),)),
+    "noncrit": Check((("check_bulk_hankel", {}),), min_ns=2),
 }
 
 #: The acceptance criteria in order: title, budget in seconds, checks that must all pass.

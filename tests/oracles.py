@@ -8,6 +8,7 @@ implementations they check.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -17,13 +18,22 @@ import mpmath as mp
 import numpy as np
 from scipy.special import airy, eval_hermite, gammaln
 
+from edgejump import verify
 from edgejump.linalg import SingularMinor
 
-#: The 30 (n, t) edge cuts of criteria 5, 6 and 7 at their acceptance sweeps.
-CRITERIA_5_TO_7_CUTS = sorted(
-    {(n, t) for n in (256, 512, 1024, 2048) for t in (-2.0, 0.0, 2.0)}      # 5
-    | {(n, 0.5) for n in (64, 128, 256, 512, 1024, 2048)}                   # 6
-    | {(n, t) for n in (20, 40, 80, 160, 320, 640) for t in (0.0, 2.0)})    # 7
+
+def _edge_cuts(check) -> set:
+    """The (n, t) edge cuts of a one-call check: its sweep over its driver's defaults."""
+    (driver, sweep), = check.calls
+    params = inspect.signature(getattr(verify, driver)).parameters
+    kwargs = {name: p.default for name, p in params.items()} | sweep
+    ts = kwargs["ts"] if "ts" in kwargs else (kwargs["t"],)
+    return {(n, t) for n in kwargs["ns"] for t in ts}
+
+
+#: The (n, t) edge cuts of criteria 5, 6 and 7 at their acceptance sweeps.
+CRITERIA_5_TO_7_CUTS = sorted(set().union(*(
+    _edge_cuts(verify.CHECKS[name]) for _, _, names in verify.CRITERIA[4:7] for name in names)))
 
 
 def _legendre_pair(m: int, x):

@@ -1,12 +1,15 @@
 import cmath
 import csv
+import functools
 import inspect
 import json
 import math
+import os
+import re
 
 import pytest
 
-from edgejump import verify
+from edgejump import cli, verify
 from edgejump.cli import main
 from edgejump.report import CSV_HEADER, Report
 from edgejump.util import beta_from_kappa, kappa_from_beta
@@ -100,7 +103,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  '{"kappa": 0.3, "t": NaN}', '{"kappa": 0.3, "tol": -1e-10}',
                  '{"beta": 0, "n": "3", "lamda0": 0.5}'):
         bad.write_text(text)
-        command = "hankel" if '"n"' in text else "fredholm"
+        command = ("hankel" if '"n"' in text else "painleve" if '"tol"' in text
+                   else "fredholm")
         assert main([command, "--config", str(bad)]) == 2, text
     err = capsys.readouterr().err
     assert "unknown config key(s)" in err and "'lamda0'" in err
@@ -119,6 +123,16 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["mc", "gue", "--lambda0", "nan"]):
         assert main(argv) == 2, argv
     assert "t_min must be finite, got nan" in capsys.readouterr().err
+    # hankel cuts at lambda0 or at the edge cut at t, not both; a driver that
+    # takes one n takes one value of --n; a config key is a flag the command reads
+    assert main(["hankel", "--n", "4", "--beta", "0", "--t", "0", "--lambda0", "5"]) == 2
+    assert main(["mc", "gue", "--n", "12,24"]) == 2
+    bad.write_text('{"kappa": 0.3, "tol": 1e-10}')
+    assert main(["fredholm", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "give t or lambda0, not both" in err
+    assert "--n sets one n here, got 2 values" in err
+    assert "unknown config key(s)" in err and "'tol'" in err
 
 
 @pytest.mark.parametrize("name", ["noncrit", "thm1.4", "thm1.5", "thm1.2"])
@@ -135,7 +149,7 @@ def test_negative_node_count_exits_2():
 def test_fredholm_dump_det_is_exp_logdet(tmp_path):
     out = tmp_path / "f.csv"
     assert main(["fredholm", "--kappa", "0.7", "--t-min", "-3", "--t", "1",
-                 "--tol", "1e-10", "--nodes", "16", "--out", str(out)]) == 0
+                 "--nodes", "16", "--out", str(out)]) == 0
     rows = _read_rows(out)
     assert [float(r["t"]) for r in rows] == [-3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0]
     for r in rows:
@@ -171,6 +185,7 @@ def test_mc_plancherel_honours_trials(monkeypatch):
     signature = inspect.signature(verify.check_mc_plancherel)
     trials = []
 
+    @functools.wraps(verify.check_mc_plancherel)  # a command's flags come from its signature
     def stub(**kwargs):
         bound = signature.bind(**kwargs)
         bound.apply_defaults()
@@ -201,96 +216,166 @@ def test_too_few_trials_exits_2(capsys):
 
 
 def test_failing_check_exits_1(tmp_path):
-    from edgejump.cli import _emit, RunConfig
-
     rep = Report("forced")
     rep.fail("synthetic")
-    assert _emit([rep], RunConfig()) == 1
+    assert cli._emit([rep]) == 1
 
 
-# Flag sets for ``edgejump verify <name>`` and ``edgejump mc <which>``: none,
-# beta with every other option, and real or complex kappa with every other option.
-_OTHER_FLAGS = ["--n", "12,24", "--t", "0.5", "--t-min", "-3", "--lambda0", "0.25",
-                "--bits", "384", "--tol", "1e-10", "--trials", "40", "--seed", "77"]
-VERIFY_FLAG_SETS = {
-    "bare": [],
-    "beta": ["--beta-im", "0.4", *_OTHER_FLAGS],
-    "kappa": ["--kappa", "0.7", *_OTHER_FLAGS],
-    "complex-kappa": ["--kappa", "0.7", "--kappa-im", "0.2", *_OTHER_FLAGS],
+@pytest.mark.parametrize("passed", [True, False])
+def test_closed_pipe_keeps_the_verdict(passed, tmp_path, monkeypatch, capsys):
+    # a reader that has gone (``| head``) makes a write raise BrokenPipeError:
+    # the exit status is still the verdict, and no traceback is printed
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return fd
+
+    rep = Report("forced")
+    if not passed:
+        rep.fail("synthetic")
+    stub = functools.wraps(verify.check_gaussian_closed_form)(lambda **kwargs: rep)
+    monkeypatch.setattr(verify, "check_gaussian_closed_form", stub)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["verify", "closed-form"]) == (0 if passed else 1)
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def _recording(driver, calls):
+    """A stand-in for ``verify.<driver>``, with its signature, that records its keywords."""
+    @functools.wraps(getattr(verify, driver))
+    def stub(**kwargs):
+        calls.append((driver, kwargs))
+        return Report("stub")
+    return stub
+
+
+#: A value for every option flag of the vocabulary (--n: one n for ``mc``).
+_VALUES = {"--beta": "0.1", "--beta-im": "0.4", "--kappa": "0.7", "--kappa-im": "0.2",
+           "--n": "12,24", "--t": "0.5", "--t-min": "-3", "--lambda0": "0.25",
+           "--bits": "384", "--tol": "1e-10", "--nodes": "16", "--trials": "40",
+           "--seed": "77"}
+_JUMP = {"--beta", "--beta-im", "--kappa", "--kappa-im"}
+#: The flags each command reads, besides --out, --format, --timestamp and --config.
+ACCEPTED = {
+    "closed-form": {"--n", "--lambda0", "--bits"},
+    "finite-n-identity": {*_JUMP, "--n", "--lambda0", "--bits"},
+    "tw-identity": {*_JUMP, "--t-min", "--tol"},
+    "pii": set(),
+    "thm1.4": {*_JUMP, "--n", "--t"},
+    "thm1.5": {*_JUMP, "--n", "--t"},
+    "thm1.2": {*_JUMP, "--n", "--t"},
+    "conj1.3": _JUMP,
+    "thm1.6": set(),
+    "pole-free": {"--t-min"},
+    "exact-identities": {"--bits"},
+    "diff-identity": {"--bits"},
+    "qn-identity": {"--bits"},
+    "mc gue": {"--n", "--lambda0", "--trials", "--seed"},
+    "mc plancherel": {"--n", "--t", "--trials", "--seed"},
+    "noncrit": {*_JUMP, "--n"},
 }
-_NS = {"ns": (12, 24)}
-# the one of beta and kappa not given is derived through the jump relation
-_BETA = {"beta": 0.4j}
-_BETA_K = {"beta": beta_from_kappa(0.7)}
-_BETA_CK = {"beta": beta_from_kappa(0.7 + 0.2j)}
-
-
-def _flagged(driver, given):
-    """One call that takes ``given`` under every flag set but the bare one (none: ``{}``)."""
-    return [(driver, {"bare": {}, **dict.fromkeys(("beta", "kappa", "complex-kappa"), given)})]
-
-
-# command -> its driver calls in order: (driver attribute of edgejump.verify,
-# keywords per flag set); a bare trend check runs its criterion's ladder
-VERIFY_MAPPING = {
-    "thm1.2": [("check_edge_hankel", {
-        "bare": {"ns": (20, 40, 80, 160, 320, 640)}, "beta": {**_BETA, **_NS, "ts": (0.5,)},
-        "kappa": {**_BETA_K, **_NS, "ts": (0.5,)},
-        "complex-kappa": {**_BETA_CK, **_NS, "ts": (0.5,)}})],
-    "thm1.4": [("check_recurrence_asymptotics", {
-        "bare": {"ns": (256, 512, 1024, 2048)}, "beta": {**_BETA, **_NS},
-        "kappa": {**_BETA_K, **_NS}, "complex-kappa": {**_BETA_CK, **_NS}})],
-    "thm1.5": [("check_polynomial_asymptote", {
-        "bare": {"ns": (64, 128, 256, 512, 1024, 2048)}, "beta": {**_BETA, **_NS, "t": 0.5},
-        "kappa": {**_BETA_K, **_NS, "t": 0.5}, "complex-kappa": {**_BETA_CK, **_NS, "t": 0.5}})],
-    "noncrit": [("check_bulk_hankel", {
-        "bare": {}, "beta": {**_BETA, **_NS}, "kappa": {**_BETA_K, **_NS},
-        "complex-kappa": {**_BETA_CK, **_NS}})],
-    "conj1.3": [("check_airy_tail", {
-        "bare": {}, "beta": _BETA, "kappa": _BETA_K, "complex-kappa": _BETA_CK})],
-    "tw-identity": [("check_tw_identity", {
-        "bare": {}, "beta": {"tol": 1e-10, "kappas": (kappa_from_beta(0.4j),), "t_lo": -3.0},
-        "kappa": {"tol": 1e-10, "kappas": (0.7,), "t_lo": -3.0},
-        "complex-kappa": {"tol": 1e-10, "kappas": (0.7 + 0.2j,), "t_lo": -3.0}})],
-    "finite-n-identity": [("check_finite_n_identity", {
-        "bare": {},
-        "beta": {**_NS, "betas": (0.4j,), "lambda0s": (0.25,), "bits": 384},
-        "kappa": {**_NS, "betas": (beta_from_kappa(0.7),), "lambda0s": (0.25,), "bits": 384},
-        "complex-kappa": {**_NS, "betas": (beta_from_kappa(0.7 + 0.2j),),
-                          "lambda0s": (0.25,), "bits": 384}})],
-    "diff-identity": _flagged("check_exact_identities", {}),
-    "qn-identity": _flagged("check_exact_identities", {}),
-    "exact-identities": _flagged("check_exact_identities", {}),
-    "thm1.6": _flagged("check_singular_regime", {}),
-    "closed-form": _flagged("check_gaussian_closed_form", {}),
-    "pii": _flagged("check_pii_solution", {}),
-    "pole-free": _flagged("check_pole_freeness", {}),
-    # --n (its first value) and --lambda0 reach the gap call only; seed S
-    # gives masters S and S + 1
-    "mc gue": [*_flagged("check_mc_gue", {"n": 12, "lambda0": 0.25, "trials": 40,
-                                          "master": 77}),
-               *_flagged("check_mc_thinning", {"trials": 40, "master": 78})],
-    "mc plancherel": _flagged("check_mc_plancherel", {"N": 12, "trials": 40, "master": 77}),
+ACCEPTED["mc-gue"] = ACCEPTED["mc gue"]
+ACCEPTED["mc-plancherel"] = ACCEPTED["mc plancherel"]
+#: The dumps: each takes the flags its function reads.
+DUMPS = {
+    "hankel": {*_JUMP, "--n", "--t", "--lambda0", "--bits"},
+    "painleve": {*_JUMP, "--t-min", "--tol"},
+    "fredholm": {*_JUMP, "--t-min", "--t", "--nodes"},
 }
-VERIFY_MAPPING["mc-gue"] = VERIFY_MAPPING["mc gue"]
-VERIFY_MAPPING["mc-plancherel"] = VERIFY_MAPPING["mc plancherel"]
 
 
-@pytest.mark.parametrize("name", VERIFY_MAPPING)
-def test_verify_passes_flags_to_its_driver(name, monkeypatch):
-    calls = []
-    for driver, _ in VERIFY_MAPPING[name]:
-        def stub(driver=driver, **kwargs):
-            calls.append((driver, kwargs))
-            return Report("stub")
-        monkeypatch.setattr(verify, driver, stub)
+def _help_flags(command, capsys) -> set:
+    """The flags ``edgejump <command> --help`` lists, but the output ones and --config."""
+    with pytest.raises(SystemExit):
+        main([*command, "--help"])
+    listed = set(re.findall(r"(--[a-z][a-z0-9-]*)", capsys.readouterr().out))
+    return listed - {"--help", "--out", "--format", "--timestamp", "--config"}
+
+
+def _refused(command, flag) -> bool:
+    with pytest.raises(SystemExit) as exc:
+        main([*command, flag, _VALUES[flag]])
+    return exc.value.code == 2
+
+
+def test_vocabulary_has_a_value_for_every_flag():
+    assert set(_VALUES) == ({cli._dashed(flag) for flag in cli._FLAGS}
+                            - {"--out", "--format", "--timestamp"})
+    assert set(verify.CHECKS) | {"mc gue", "mc plancherel"} == set(ACCEPTED)
+
+
+@pytest.mark.parametrize("name", ACCEPTED)
+def test_verify_passes_flags_to_its_driver(name, monkeypatch, capsys):
+    # every flag a command takes changes the keywords of one of its calls,
+    # its --help lists exactly those, and every other flag exits 2
     command = name.split() if " " in name else ["verify", name]
-    for flag_set, argv in VERIFY_FLAG_SETS.items():
+    calls = []
+    check = verify.CHECKS[name.replace(" ", "-")]
+    for driver, _ in check.calls:
+        monkeypatch.setattr(verify, driver, _recording(driver, calls))
+
+    def run(*argv):
         calls.clear()
-        assert main([*command, *argv]) == 0
+        assert main([*command, *argv]) == 0, argv
+        return list(calls)
+
+    bare = run()
+    assert [driver for driver, _ in bare] == [driver for driver, _ in check.calls]
+    assert _help_flags(command, capsys) == ACCEPTED[name]
+    for flag, value in _VALUES.items():
+        if flag not in ACCEPTED[name]:
+            assert _refused(command, flag), flag
+        else:
+            value = "12" if flag == "--n" and "mc" in name else value
+            assert run(flag, value) != bare, flag
+
+
+@pytest.mark.parametrize("name", DUMPS)
+def test_dump_takes_the_flags_its_function_reads(name, capsys):
+    assert _help_flags([name], capsys) == DUMPS[name]
+    for flag in set(_VALUES) - DUMPS[name]:
+        assert _refused([name], flag), flag
+
+
+def test_flag_values_reach_keywords(monkeypatch):
+    # flag x sets x, or xs as a 1-tuple; --n sets ns as given or n as its only
+    # value; seed S is S + i at the i-th call; the one of beta and kappa not
+    # given is derived from the other
+    calls = []
+    cases = [
+        (["mc", "gue", "--n", "12", "--seed", "77", "--trials", "40"],
+         [("check_mc_gue", {"n": 12, "seed": 77, "trials": 40}),
+          ("check_mc_thinning", {"n": 12, "seed": 78, "trials": 40})]),
+        (["mc", "plancherel", "--n", "12", "--t", "0.5", "--seed", "5"],
+         [("check_mc_plancherel", {"n": 12, "ts": (0.5,), "seed": 5})]),
+        (["verify", "thm1.2", "--kappa", "0.7", "--t", "0.5", "--n", "12,24"],
+         [("check_edge_hankel", {"beta": beta_from_kappa(0.7), "ts": (0.5,), "ns": (12, 24)})]),
+        (["verify", "tw-identity", "--beta-im", "0.4", "--t-min", "-3", "--tol", "1e-10"],
+         [("check_tw_identity", {"kappas": (kappa_from_beta(0.4j),), "t_min": -3.0,
+                                 "tol": 1e-10})]),
+        (["verify", "finite-n-identity", "--kappa", "0.7", "--kappa-im", "0.2",
+          "--lambda0", "0.25", "--n", "12", "--bits", "384"],
+         [("check_finite_n_identity", {"betas": (beta_from_kappa(0.7 + 0.2j),),
+                                       "lambda0s": (0.25,), "ns": (12,), "bits": 384})]),
+        (["verify", "closed-form", "--n", "3,5", "--lambda0", "0.25", "--bits", "0"],
+         [("check_gaussian_closed_form", {"ns": (3, 5), "lambda0": 0.25})]),
+    ]
+    for argv, want in cases:
+        for driver, _ in want:
+            monkeypatch.setattr(verify, driver, _recording(driver, calls))
+        calls.clear()
+        assert main(argv) == 0
         # repr tells a float from a complex and an int from a float
-        got = [(driver, sorted((k, repr(v)) for k, v in kwargs.items()))
-               for driver, kwargs in calls]
-        want = [(driver, sorted((k, repr(v)) for k, v in expected[flag_set].items()))
-                for driver, expected in VERIFY_MAPPING[name]]
-        assert got == want, flag_set
+        assert ([(driver, sorted((k, repr(v)) for k, v in kwargs.items()))
+                 for driver, kwargs in calls]
+                == [(driver, sorted((k, repr(v)) for k, v in kwargs.items()))
+                    for driver, kwargs in want]), argv

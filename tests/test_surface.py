@@ -8,6 +8,7 @@ those names must still resolve.
 """
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -90,6 +91,21 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"edgejump.{layer}"),
                                        name, None))]
     assert missing == []
+
+
+def test_every_benchmark_call_binds_to_its_driver():
+    # perfbench/ runs outside the test paths: a renamed driver keyword would
+    # break a benchmark workload unseen
+    from edgejump import verify
+
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for workload in workloads.WORKLOADS:
+        for driver, kwargs in workloads.calls(workload):
+            inspect.signature(getattr(verify, driver)).bind(**kwargs)
 
 
 def test_program_runs_without_scipy():

@@ -1,28 +1,23 @@
-import dataclasses
 import inspect
 import math
 
 import pytest
 
 from edgejump import verify
-from edgejump.cli import RunConfig
 from edgejump.report import ReportRow
 from edgejump.weightlab import edge_cut
 
 
 def test_every_criterion_resolves_to_driver_calls():
     # each criterion names checks of the one registry, and each call of a
-    # check reads RunConfig fields and names a driver that takes the keywords
-    # its sweep and options set
+    # check names a driver that takes the keywords its sweep sets
     assert len(verify.CRITERIA) == 12
     names = [name for _, _, checks in verify.CRITERIA for name in checks]
     assert set(names) <= set(verify.CHECKS)
     assert set(verify.CHECKS) - set(names) == {"diff-identity", "qn-identity", "noncrit"}
     for name, check in verify.CHECKS.items():
-        for driver, sweep, options in check.calls:
-            params = inspect.signature(getattr(verify, driver)).parameters
-            assert set(sweep) | set(options.values()) <= set(params), (name, driver)
-            assert set(options) <= {f.name for f in dataclasses.fields(RunConfig)}, name
+        for driver, sweep in check.calls:
+            inspect.signature(getattr(verify, driver)).bind(**sweep)
 
 
 def test_op_system_cached_builds_at_the_edge_cut():
