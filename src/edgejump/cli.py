@@ -66,6 +66,8 @@ _FLAGS = {
     "timestamp": (bool, "embed a generation timestamp header line"),
 }
 _JUMP = ("beta", "beta_im", "kappa", "kappa_im")
+#: Rival flags, refused together: one on the command line overrides the other in --config.
+_RIVALS = ({"t"}, {"lambda0"}), ({"beta", "beta_im"}, {"kappa", "kappa_im"})
 
 
 def _flag(keyword: str) -> str | None:
@@ -112,10 +114,8 @@ def _parse_ns(raw: str) -> tuple:
         ns = tuple(int(x) for x in raw.replace(" ", "").split(","))
     except ValueError:
         raise ConfigError(f"n-list must be comma-separated integers, got {raw!r}") from None
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("n-list must be strictly increasing")
-    if any(n < 1 for n in ns):
-        raise ConfigError("n values must be positive")
+    if ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"n-list must be positive and strictly increasing, got {raw!r}")
     return ns
 
 
@@ -149,7 +149,8 @@ def _given(args) -> dict:
     """The command's flags given in ``--config`` or, over it, on the command line, checked.
 
     ``n`` becomes a tuple, and beta and kappa each a complex, both set or
-    neither; a flag not given is absent.
+    neither; a flag not given is absent, and so is a config flag whose rival
+    (``_RIVALS``) is given on the command line.
     """
     merged = {}
     if args.config:
@@ -158,10 +159,16 @@ def _given(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config key(s) in {args.config!r}: "
                               + ", ".join(map(repr, unknown)))
-    merged.update((name, getattr(args, name)) for name in args.flags
-                  if getattr(args, name) is not None)
+    line = {name: getattr(args, name) for name in args.flags if getattr(args, name) is not None}
+    for mine, theirs in _RIVALS + tuple(pair[::-1] for pair in _RIVALS):
+        if mine & line.keys():
+            merged = {name: raw for name, raw in merged.items() if name not in theirs}
+    merged.update(line)
     given = {name: _value(name, raw, _FLAGS[name][0])
              for name, raw in merged.items() if raw is not None}
+    for pair in _RIVALS:
+        if all(side & given.keys() for side in pair):
+            raise ConfigError("give {} or {}, not both".format(*map(min, pair)))
     if "n" in given:
         given["n"] = _parse_ns(given["n"])
     for name, least in (("bits", MIN_BITS), ("nodes", 1)):
@@ -175,8 +182,6 @@ def _given(args) -> dict:
         raise ConfigError(f"need tol > 0, got {given['tol']}")
     jump = {x: complex(given.pop(x, 0.0), given.pop(x + "_im", 0.0))
             for x in ("beta", "kappa") if x in given or x + "_im" in given}
-    if len(jump) == 2:
-        raise ConfigError("give beta or kappa, not both")
     if "beta" in jump:
         if abs(jump["beta"].real) > 0.5:
             raise ConfigError("need |Re beta| <= 1/2")
@@ -192,7 +197,6 @@ def _given(args) -> dict:
 def _emit(reports, out: str | None = None, format: str = "csv",
           timestamp: bool = False) -> int:
     """Write ``reports`` to ``out`` when given and print their verdicts; the exit status."""
-    reports = list(reports)
     if out:
         write_report(reports, out, fmt=format, timestamp=timestamp)
     try:
@@ -201,9 +205,7 @@ def _emit(reports, out: str | None = None, format: str = "csv",
             print(f"[{status}] {rep.name}" + (f": {rep.detail}" if rep.detail else ""))
             if not out:
                 for row in rep.sorted_rows()[:40]:
-                    rec = row.as_record()
-                    brief = {k: v for k, v in rec.items() if v not in (None, "")}
-                    print("   ", brief)
+                    print("   ", {k: v for k, v in row.as_record().items() if v not in (None, "")})
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone (``| head``), and the verdict stands: Python's recipe
@@ -219,8 +221,6 @@ def _emit(reports, out: str | None = None, format: str = "csv",
 def _hankel_dump(n: int, beta: complex = 0j, t: float | None = None,
                  lambda0: float | None = None, bits: int = 0) -> Report:
     """Dump log H_k, log h_k, Q_k, R_k (k <= n) at the cut lambda0 or the edge cut at t."""
-    if t is not None and lambda0 is not None:
-        raise ConfigError("give t or lambda0, not both")
     ctx = PrecisionCtx(bits) if bits else hankel_ctx(n)
     lambda0 = weightlab.edge_cut(n, t) if t is not None else lambda0 or 0.0
     params = weightlab.WeightParams(beta, lambda0)
@@ -255,10 +255,11 @@ def _painleve_dump(kappa: complex, t_min: float = -12.0, tol: float = 1e-12) -> 
 
 
 def _fredholm_dump(kappa: complex, t_min: float = -8.0, t: float = 4.0,
-                   nodes: int = 12) -> Report:
+                   nodes: int | None = None) -> Report:
     """Dump the Airy determinant and its log on [t', inf) for t' = t_min, t_min + 0.5, ..., t."""
     ts = np.arange(t_min, t + 0.25, 0.5)
-    logdets = fredholm.airy_fredholm_logdet(kappa * kappa, ts, nodes)
+    given = {"nodes": nodes} if nodes else {}  # else the library's default
+    logdets = fredholm.airy_fredholm_logdet(kappa * kappa, ts, **given)
     rep = Report("fredholm-dump", passed=True, compares=False)
     for t, logdet in zip(ts, logdets):
         rep.add(ReportRow(label="airy-determinant", t=float(t), kappa=kappa,

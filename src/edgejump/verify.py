@@ -117,11 +117,10 @@ def solution_cached(kappa, t_min: float, tol: float = _ODE_TOL) -> painleve.ASol
 # exact finite-n checks
 # ---------------------------------------------------------------------------
 
-def check_gaussian_closed_form(ns=tuple(range(1, 31)), bits: int = 512,
-                               lambda0: float = 0.3) -> Report:
-    """H_n at beta = 0 against the factorial closed form."""
+def check_gaussian_closed_form(ns=tuple(range(1, 31))) -> Report:
+    """H_n at beta = 0 against the factorial closed form (the cut is immaterial there)."""
     rep = Report("gaussian-closed-form")
-    ctx = PrecisionCtx(bits)
+    ctx, lambda0 = PrecisionCtx(512), 0.3
     params = weightlab.WeightParams(0.0, lambda0)
     sys = weightlab.build_op_system(params, max(ns), ctx, check=False)
     with ctx.workprec():
@@ -162,13 +161,13 @@ def check_finite_n_identity(ns=(4, 10, 20), betas=(0.4j, 0.3, 0.2 + 0.1j),
     return rep
 
 
-def check_exact_identities(bits: int = 512) -> Report:
+def check_exact_identities() -> Report:
     """Round-off-level internal identities of the jump-weight systems."""
     rep = Report("exact-identities")
     # jump identity for Q_n at the documented parameter points
     cases = [
         (weightlab.WeightParams(0.0, 0.7), 4, PrecisionCtx(256)),
-        (weightlab.WeightParams(0.4j, 1.1), 8, PrecisionCtx(bits)),
+        (weightlab.WeightParams(0.4j, 1.1), 8, PrecisionCtx(512)),
         (weightlab.WeightParams(0.3, weightlab.edge_cut(20, 0.0)), 20, hankel_ctx(20)),
     ]
     for params, n, ctx in cases:
@@ -248,11 +247,11 @@ def check_pii_solution() -> Report:
 
 def check_pole_freeness(radii=(0.3, 0.7, 0.95, 1.3),
                         angles=(math.pi / 6, math.pi / 2, 5 * math.pi / 6),
-                        t_min: float = -25.0, control_kappa: float = 1.5) -> Report:
-    """No blow-ups off the real cut; at least one pole on it (control run)."""
+                        depth: float = -25.0, control_kappa: float = 1.5) -> Report:
+    """No blow-ups off the real cut down to t = depth; at least one pole on it (control run)."""
     rep = Report("pole-freeness")
     kappas = [r * cmath.exp(1j * th) for r in radii for th in angles]
-    events = painleve.pole_free_scan(kappas, t_min=t_min, tol=_ODE_TOL)
+    events = painleve.pole_free_scan(kappas, t_min=depth, tol=_ODE_TOL)
     for kap in kappas:
         hit = [e for e in events if e[0] == kap]
         rep.add(ReportRow(label="pole-free-scan", kappa=kap, abs_res=float(len(hit))),
@@ -477,20 +476,20 @@ def check_mc_gue(n: int = 8, lambda0: float = 3.0, trials: int = 100_000,
     return rep
 
 
-def check_mc_thinning(n: int = 50, s: float = 0.5, trials: int = 200_000,
+def check_mc_thinning(size: int = 50, s: float = 0.5, trials: int = 200_000,
                       seed: int = 20240 + 50) -> Report:
-    """Thinned largest-particle probability within 3 sigma of the determinant.
+    """Thinned largest-particle probability of a GUE of ``size`` within 3 sigma of the determinant.
 
     Both estimators are gated: thin-and-count, and the average of s^X with
     the removal randomness integrated out.
     """
     rep = Report("mc-thinning")
-    lam0 = math.sqrt(2.0 * n)
-    res = rmtsim.thinning_check(n, s, lam0, trials, seed)
-    det = fredholm.finite_n_det(n, lam0, 1.0 - s).real
+    lam0 = math.sqrt(2.0 * size)
+    res = rmtsim.thinning_check(size, s, lam0, trials, seed)
+    det = fredholm.finite_n_det(size, lam0, 1.0 - s).real
     for label, key in (("thinned-max", "bernoulli"), ("thinned-max-analytic", "analytic")):
         z = _in_units(abs(res[key] - det), res[key + "_stderr"])
-        rep.add(ReportRow(label=label, n=n, lambda0=lam0, finite=res[key], asym=det,
+        rep.add(ReportRow(label=label, n=size, lambda0=lam0, finite=res[key], asym=det,
                           abs_res=abs(res[key] - det), rel_res=z),
                 z <= _MC_SIGMAS, f"{key} estimate off by {z:.2f} sigma")
     return rep

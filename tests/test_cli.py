@@ -146,6 +146,16 @@ def test_negative_node_count_exits_2():
     assert main(["fredholm", "--kappa", "0.5", "--nodes", "-3"]) == 2
 
 
+def test_fredholm_dump_defaults_to_the_library_node_count(tmp_path):
+    # --nodes 0 and an unset --nodes both run fredholm's own default
+    default = inspect.signature(cli.fredholm.airy_fredholm_logdet).parameters["nodes"].default
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    for out, extra in zip(outs, ([], ["--nodes", "0"], ["--nodes", str(default)])):
+        assert main(["fredholm", "--kappa", "0.5", "--t-min", "-1", "--t", "0",
+                     *extra, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def test_fredholm_dump_det_is_exp_logdet(tmp_path):
     out = tmp_path / "f.csv"
     assert main(["fredholm", "--kappa", "0.7", "--t-min", "-3", "--t", "1",
@@ -178,6 +188,26 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["fredholm", "--config", str(cfg), "--out", str(out)]) == 0
     rows = _read_rows(out)
     assert float(rows[0]["kappa_re"]) == pytest.approx(0.3)
+    assert main(["fredholm", "--config", str(cfg), "--t", "1", "--out", str(out)]) == 0
+    assert float(_read_rows(out)[-1]["t"]) == 1.0
+
+
+@pytest.mark.parametrize("config, argv, want", [
+    ({"n": "4", "lambda0": 5}, ["--t", "0"], ["--beta", "0", "--t", "0"]),
+    ({"n": "4", "t": 0}, ["--lambda0", "5"], ["--beta", "0", "--lambda0", "5"]),
+    ({"n": "4", "kappa_im": 0.3}, ["--beta", "0.1"], ["--beta", "0.1"]),
+    ({"n": "4", "beta": 0.1, "lambda0": 5}, ["--kappa", "0.3"], ["--kappa", "0.3", "--lambda0", "5"]),
+])
+def test_command_line_flag_overrides_its_config_rival(config, argv, want, tmp_path):
+    # flags given on the command line override the config file, rivals too:
+    # --t drops the file's lambda0 (and --lambda0 its t), --beta its kappa
+    cfg, got, ref = tmp_path / "cfg.json", tmp_path / "got.csv", tmp_path / "ref.csv"
+    cfg.write_text(json.dumps({"beta": 0, **config}))
+    assert main(["hankel", "--config", str(cfg), *argv, "--out", str(got)]) == 0
+    assert main(["hankel", "--n", "4", *want, "--out", str(ref)]) == 0
+    assert got.read_bytes() == ref.read_bytes()
+    cfg.write_text(json.dumps({"n": "4", "beta": 0, "t": 0, "lambda0": 5}))
+    assert main(["hankel", "--config", str(cfg)]) == 2  # both in one file
 
 
 def test_mc_plancherel_honours_trials(monkeypatch):
@@ -266,7 +296,7 @@ _VALUES = {"--beta": "0.1", "--beta-im": "0.4", "--kappa": "0.7", "--kappa-im": 
 _JUMP = {"--beta", "--beta-im", "--kappa", "--kappa-im"}
 #: The flags each command reads, besides --out, --format, --timestamp and --config.
 ACCEPTED = {
-    "closed-form": {"--n", "--lambda0", "--bits"},
+    "closed-form": {"--n"},
     "finite-n-identity": {*_JUMP, "--n", "--lambda0", "--bits"},
     "tw-identity": {*_JUMP, "--t-min", "--tol"},
     "pii": set(),
@@ -275,10 +305,10 @@ ACCEPTED = {
     "thm1.2": {*_JUMP, "--n", "--t"},
     "conj1.3": _JUMP,
     "thm1.6": set(),
-    "pole-free": {"--t-min"},
-    "exact-identities": {"--bits"},
-    "diff-identity": {"--bits"},
-    "qn-identity": {"--bits"},
+    "pole-free": set(),
+    "exact-identities": set(),
+    "diff-identity": set(),
+    "qn-identity": set(),
     "mc gue": {"--n", "--lambda0", "--trials", "--seed"},
     "mc plancherel": {"--n", "--t", "--trials", "--seed"},
     "noncrit": {*_JUMP, "--n"},
@@ -315,8 +345,9 @@ def test_vocabulary_has_a_value_for_every_flag():
 
 @pytest.mark.parametrize("name", ACCEPTED)
 def test_verify_passes_flags_to_its_driver(name, monkeypatch, capsys):
-    # every flag a command takes changes the keywords of one of its calls,
-    # its --help lists exactly those, and every other flag exits 2
+    # a bare command calls its drivers with its criterion's sweep; every flag
+    # it takes changes the keywords of one of its calls, its --help lists
+    # exactly those, and every other flag exits 2
     command = name.split() if " " in name else ["verify", name]
     calls = []
     check = verify.CHECKS[name.replace(" ", "-")]
@@ -329,7 +360,7 @@ def test_verify_passes_flags_to_its_driver(name, monkeypatch, capsys):
         return list(calls)
 
     bare = run()
-    assert [driver for driver, _ in bare] == [driver for driver, _ in check.calls]
+    assert bare == [(driver, dict(sweep)) for driver, sweep in check.calls]
     assert _help_flags(command, capsys) == ACCEPTED[name]
     for flag, value in _VALUES.items():
         if flag not in ACCEPTED[name]:
@@ -348,13 +379,14 @@ def test_dump_takes_the_flags_its_function_reads(name, capsys):
 
 def test_flag_values_reach_keywords(monkeypatch):
     # flag x sets x, or xs as a 1-tuple; --n sets ns as given or n as its only
-    # value; seed S is S + i at the i-th call; the one of beta and kappa not
-    # given is derived from the other
+    # value (the gap call's alone in mc gue); seed S is S + i at the i-th call;
+    # the one of beta and kappa not given is derived from the other; --bits 0
+    # is an unset --bits
     calls = []
     cases = [
         (["mc", "gue", "--n", "12", "--seed", "77", "--trials", "40"],
          [("check_mc_gue", {"n": 12, "seed": 77, "trials": 40}),
-          ("check_mc_thinning", {"n": 12, "seed": 78, "trials": 40})]),
+          ("check_mc_thinning", {"seed": 78, "trials": 40})]),
         (["mc", "plancherel", "--n", "12", "--t", "0.5", "--seed", "5"],
          [("check_mc_plancherel", {"n": 12, "ts": (0.5,), "seed": 5})]),
         (["verify", "thm1.2", "--kappa", "0.7", "--t", "0.5", "--n", "12,24"],
@@ -366,8 +398,10 @@ def test_flag_values_reach_keywords(monkeypatch):
           "--lambda0", "0.25", "--n", "12", "--bits", "384"],
          [("check_finite_n_identity", {"betas": (beta_from_kappa(0.7 + 0.2j),),
                                        "lambda0s": (0.25,), "ns": (12,), "bits": 384})]),
-        (["verify", "closed-form", "--n", "3,5", "--lambda0", "0.25", "--bits", "0"],
-         [("check_gaussian_closed_form", {"ns": (3, 5), "lambda0": 0.25})]),
+        (["verify", "closed-form", "--n", "3,5"],
+         [("check_gaussian_closed_form", {"ns": (3, 5)})]),
+        (["verify", "finite-n-identity", "--n", "3", "--bits", "0"],
+         [("check_finite_n_identity", {"ns": (3,)})]),
     ]
     for argv, want in cases:
         for driver, _ in want:
