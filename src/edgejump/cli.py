@@ -109,13 +109,16 @@ def _keywords(fn, given: dict, i: int = 0) -> dict:
     return kwargs
 
 
-def _parse_ns(raw: str) -> tuple:
+def _parse_ns(raw) -> tuple:
+    """An n-list: a comma string such as "20,40", or in a config file an integer or a list."""
     try:
-        ns = tuple(int(x) for x in raw.replace(" ", "").split(","))
+        ns = (tuple(int(x) for x in raw.replace(" ", "").split(",")) if isinstance(raw, str)
+              else tuple(raw if isinstance(raw, list) else [raw]))
     except ValueError:
         raise ConfigError(f"n-list must be comma-separated integers, got {raw!r}") from None
-    if ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError(f"n-list must be positive and strictly increasing, got {raw!r}")
+    if (not ns or any(type(x) is not int for x in ns)
+            or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:]))):
+        raise ConfigError(f"n-list must be positive strictly increasing integers, got {raw!r}")
     return ns
 
 
@@ -131,18 +134,19 @@ def _read_config_file(path: str) -> dict:
 
 
 def _value(name: str, raw, kind):
-    """``raw`` as a ``kind`` (one of its choices if a tuple), finite if a float."""
-    if isinstance(kind, tuple):  # a config file bypasses the flag's choices
-        if raw not in kind:
-            raise ConfigError(f"{name} must be {' or '.join(kind)}, got {raw!r}")
-        return raw
-    try:
-        out = kind(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be {kind.__name__}, got {raw!r}") from None
-    if kind is float and not math.isfinite(out):
+    """``raw`` if of its flag's JSON type: bool, integer, finite number (no bool for
+    either), one of the flag's choices, or an n-list (:func:`_parse_ns`)."""
+    if name == "n":
+        return _parse_ns(raw)
+    choices, is_bool = isinstance(kind, tuple), isinstance(raw, bool)
+    ok = (raw in kind if choices else  # a bool is an int to Python, but not to JSON
+          isinstance(raw, (int, float) if kind is float else kind) and is_bool == (kind is bool))
+    if not ok:
+        want = " or ".join(kind) if choices else kind.__name__
+        raise ConfigError(f"{name} must be {want}, got {raw!r}")
+    if kind is float and not math.isfinite(raw):
         raise ConfigError(f"{name} must be finite, got {raw!r}")
-    return out
+    return float(raw) if kind is float else raw
 
 
 def _given(args) -> dict:
@@ -169,8 +173,6 @@ def _given(args) -> dict:
     for pair in _RIVALS:
         if all(side & given.keys() for side in pair):
             raise ConfigError("give {} or {}, not both".format(*map(min, pair)))
-    if "n" in given:
-        given["n"] = _parse_ns(given["n"])
     for name, least in (("bits", MIN_BITS), ("nodes", 1)):
         if given.get(name) == 0:  # 0 asks for the default, as an unset flag does
             del given[name]

@@ -16,8 +16,8 @@ when it falls below a floor, or the state overflows,
 :class:`StepUnderflow` carries the partial trajectory, which is how
 downstream code detects solution singularities.
 
-Steps may be complex: :func:`along_path` integrates through a chain of
-points in the complex t-plane, which is how a caller goes around a pole.
+The stepper keeps the scalar type it is given, and steps may be complex:
+:func:`along_path` chains points of the complex t-plane to go around a pole.
 """
 from __future__ import annotations
 

@@ -23,6 +23,9 @@ solution is real, so the detours above and below the pole are mirror images
 (Schwarz reflection): one serves, and the continuation is the real part of
 its end state.  u, u' and v are meromorphic there; F picks up -log(t - a)
 and takes the real part -log|t - a| (F is only used on pole-free runs).
+A real kappa runs on Python floats, complex only on the detour legs; the Airy
+initial data are numpy scalars, converted first, as float * numpy.float64 is a
+numpy.float64, slower in every operation.  A non-real kappa runs complex.
 
 Closed-form asymptotic evaluators for the oscillatory regime t -> -inf and
 for the squared transcendent in the singular |Re beta| = 1/2 regime are
@@ -173,7 +176,7 @@ def _laurent_data(t_s, y_s, side: int) -> PoleRecord:
     t_s lies above the pole, -1 below it).  The constants of v and F follow
     from their values at t_s.
     """
-    u, up = complex(y_s[0]).real, complex(y_s[1]).real
+    u, up = y_s[0].real, y_s[1].real
     eps = 1 if u * side > 0 else -1
     a, h = t_s - eps / u, 0.0
 
@@ -197,8 +200,8 @@ def _laurent_data(t_s, y_s, side: int) -> PoleRecord:
     else:
         raise FitFailure(f"Laurent solve near t = {t_s:.6g} did not converge")
     x = t_s - a
-    c_v = complex(y_s[2]).real - laurent_v(x, a, eps, h, 0.0)
-    c_f = complex(y_s[3]).real - laurent_F(x, a, eps, h, c_v, 0.0)
+    c_v = y_s[2].real - laurent_v(x, a, eps, h, 0.0)
+    c_f = y_s[3].real - laurent_F(x, a, eps, h, c_v, 0.0)
     return PoleRecord(a, eps, h, c_v, c_f)
 
 
@@ -221,7 +224,7 @@ def _cross_pole(t_s, y_s, side: int, tol: float):
     which is added back.  The end state must agree with the Laurent
     prediction, F on the principal-value branch of :func:`laurent_F`.
     """
-    if any(complex(c).imag for c in y_s):
+    if any(c.imag for c in y_s):
         raise ValueError(f"detour from a complex state at t = {t_s:.6g}: no mirror symmetry")
     rec = _laurent_data(t_s, y_s, side)
     a, r = rec.location, abs(t_s - rec.location)
@@ -237,14 +240,15 @@ def _cross_pole(t_s, y_s, side: int, tol: float):
         raise FitFailure(f"state after the detour around t = {a:.6g} misses the "
                          f"Laurent prediction by {worst:.2e}")
     rec = replace(rec, gap_lo=min(t_s, t_e), gap_hi=max(t_s, t_e))
-    return rec, t_e, tuple(complex(c.real) for c in y)
+    return rec, t_e, tuple(c.real for c in y)
 
 
 class ASolution:
     """Dense trajectory of (u, u', v, F) for one kappa, plus traversed poles.
 
     Evaluation falls back to the Laurent expansions inside the small windows
-    that the detours around the traversed poles skip.
+    that the detours around the traversed poles skip.  Values are floats for
+    a real kappa, else complex.
     """
 
     def __init__(self, kappa, beta, tol, t_start, t_min, segments, poles):
@@ -308,8 +312,8 @@ def _pick_t_start(kappa_sq_mag: float, tol: float) -> float:
     return float(ladder[fit[0]]) if fit.size else 12.0
 
 
-def _airy_initial_state(kappa: complex, t0: float):
-    ai, aip = airy(t0)
+def _airy_initial_state(kappa, t0: float):
+    ai, aip = map(float, airy(t0))
     k2 = kappa * kappa
     v = k2 * (aip * aip - t0 * ai * ai)
     F = k2 * (2 * t0 * t0 * ai * ai - ai * aip - 2 * t0 * aip * aip) / 3.0
@@ -353,7 +357,7 @@ def solve_as(kappa, t_min: float, tol: float = 1e-12, *, t_start=None,
     ``_POLE_THRESHOLD``.  Pole traversal defaults to on exactly when kappa
     sits on the real cut |kappa| > 1 (elsewhere the solution is pole-free
     on the real line); with traversal off, a blow-up raises
-    :class:`PoleEncountered`.
+    :class:`PoleEncountered`.  A real kappa runs in real arithmetic, on floats.
 
     kappa = +-1 (Hastings-McLeod) is out of scope.
     """
@@ -366,7 +370,7 @@ def solve_as(kappa, t_min: float, tol: float = 1e-12, *, t_start=None,
     if traverse is None:
         traverse = kappa.imag == 0 and abs(kappa.real) > 1
     t0 = _pick_t_start(abs(kappa) ** 2, tol) if t_start is None else float(t_start)
-    y0 = _airy_initial_state(kappa, t0)
+    y0 = _airy_initial_state(kappa.real if kappa.imag == 0 else kappa, t0)
     segments, poles = _integrate_with_poles(y0, t0, t_min, tol, traverse=traverse)
     return ASolution(kappa, beta, tol, t0, t_min, segments, poles)
 
@@ -378,8 +382,7 @@ def pole_roundtrip_error(sol: ASolution, pole: PoleRecord, offset: float = 0.3) 
     (a fresh detour), and returns |u_roundtrip - u_original| at a + offset.
     """
     t_lo, t_hi = pole.location - offset, pole.location + offset
-    y_lo = tuple(complex(v) for v in sol.state(t_lo))
-    segments, _ = _integrate_with_poles(y_lo, t_lo, t_hi, sol.tol, traverse=True)
+    segments, _ = _integrate_with_poles(sol.state(t_lo), t_lo, t_hi, sol.tol, traverse=True)
     return abs(segments[-1](t_hi, 0) - sol.u(t_hi))
 
 

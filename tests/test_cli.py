@@ -210,6 +210,57 @@ def test_command_line_flag_overrides_its_config_rival(config, argv, want, tmp_pa
     assert main(["hankel", "--config", str(cfg)]) == 2  # both in one file
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("timestamp", "false"), ("timestamp", 0), ("nodes", 2.5), ("nodes", True),
+    ("nodes", "12"), ("t", True), ("t", "1"), ("t_min", False), ("format", True),
+])
+def test_config_value_must_have_its_flag_type(key, raw, tmp_path, capsys):
+    # a config value has its flag's JSON type: "false" once turned the
+    # timestamp on, 2.5 nodes read 2, true read 1 node and t = 1.0
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"kappa": 0.3, "t_min": 0, "t": 1, key: raw}))
+    assert main(["fredholm", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_of_their_flag_type_run(tmp_path, monkeypatch):
+    # true and false set a bool flag; an integer is a number for a float flag
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    for timestamp in (False, True):
+        cfg.write_text(json.dumps({"kappa": 0.3, "t_min": 0, "t": 1, "timestamp": timestamp}))
+        assert main(["fredholm", "--config", str(cfg), "--out", str(out)]) == 0
+        assert open(out).readline().startswith("# generated ") == timestamp
+    calls = []
+    monkeypatch.setattr(verify, "check_tw_identity", _recording("check_tw_identity", calls))
+    cfg.write_text(json.dumps({"kappa": 0.7, "t_min": -3, "tol": 1e-10}))
+    assert main(["verify", "tw-identity", "--config", str(cfg)]) == 0
+    assert repr(calls[0][1]["t_min"]) == "-3.0"
+
+
+def test_config_n_as_a_json_list(tmp_path, monkeypatch, capsys):
+    # a list of integers is an n-list, as the comma string is, under the same checks
+    cfg = tmp_path / "cfg.json"
+    calls = []
+    monkeypatch.setattr(verify, "check_edge_hankel", _recording("check_edge_hankel", calls))
+    for n in ([12, 24], "12,24"):
+        cfg.write_text(json.dumps({"beta": 0, "n": n}))
+        assert main(["verify", "thm1.2", "--config", str(cfg)]) == 0
+    assert [kwargs["ns"] for _, kwargs in calls] == [(12, 24), (12, 24)]
+    outs = [tmp_path / "list.csv", tmp_path / "int.csv", tmp_path / "line.csv"]
+    for out, n in zip(outs, ([4], 4)):
+        cfg.write_text(json.dumps({"beta": 0, "n": n}))
+        assert main(["hankel", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["hankel", "--beta", "0", "--n", "4", "--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    for n in ([24, 12], [12, 12], [0, 4], [], [12, "24"], [12.0], [True], {"n": 4}, 4.0):
+        cfg.write_text(json.dumps({"beta": 0, "n": n}))
+        assert main(["verify", "thm1.2", "--config", str(cfg)]) == 2, n
+    assert "n-list must be positive strictly increasing integers" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"n": [12, 24]}))
+    assert main(["mc", "gue", "--config", str(cfg)]) == 2  # the gap call takes one n
+
+
 def test_mc_plancherel_honours_trials(monkeypatch):
     # --trials runs as given; unset, the driver runs criterion 12's 800
     signature = inspect.signature(verify.check_mc_plancherel)

@@ -295,3 +295,29 @@ def test_taylor_coefficients_match_index_sums(complex_state):
             t = complex(t, rng.normal())
         y = tuple(y.tolist())
         assert _pii_taylor(t, y, 24) == pii_taylor_index_sum(t, y, 24)
+
+
+@pytest.mark.parametrize("kappa", [0.5, -0.7, 0.95, math.sqrt(2), 1.5])
+def test_real_kappa_marches_on_floats(kappa):
+    # a real kappa runs in real arithmetic: every coefficient is a Python
+    # float, neither a complex nor a numpy.float64 (which would slow every
+    # step).  The same run from the complex-promoted start state takes the
+    # same steps and crosses the same poles, with imaginary parts exactly 0
+    # and real parts within 4 ulp: equal on CPython 3.11, where sum adds
+    # floats in order, while from 3.12 on sum may compensate float sums
+    import edgejump.painleve as painleve
+    sol = solve_as(kappa, -14.0, TOL)
+    coeffs = [c for seg in sol.segments for step in seg.coeffs for comp in step for c in comp]
+    assert {type(c) for c in coeffs} == {float}
+    assert {type(y) for t in sol.grid(60) for y in sol.state(t)} == {float}
+    y0 = tuple(complex(comp[0]) for comp in sol.segments[0].coeffs[0])
+    segments, poles = painleve._integrate_with_poles(y0, sol.t_start, -14.0, TOL,
+                                                     traverse=abs(kappa) > 1)
+    assert len(poles) == len(sol.poles) == (11 if abs(kappa) > 1 else 0)
+    assert [p.location for p in poles] == pytest.approx([p.location for p in sol.poles],
+                                                        rel=1e-12)
+    assert [seg.n_steps for seg in segments] == [seg.n_steps for seg in sol.segments]
+    promoted = [c for seg in segments for step in seg.coeffs for comp in step for c in comp]
+    assert isinstance(promoted[0], complex) and len(promoted) == len(coeffs)
+    assert all(c.imag == 0 for c in promoted)
+    assert all(abs(c.real - f) <= 4 * math.ulp(f) for c, f in zip(promoted, coeffs))
