@@ -12,10 +12,13 @@ it as the inertia count of ``T - lambda0 sqrt(2) I`` (an O(n) pivot
 recurrence over a block of trials), never from an eigendecomposition;
 :func:`sample_gue_eigs` diagonalizes the same draws, and the test suite
 reads its spectra to pin the counts.  Likewise the thinned Plancherel
-maximum needs only the rows above its lowest threshold, and each row of the
-RSK insertion tableau is built from the values the row above bumped out, so
-:func:`plancherel_sample` builds the leading rows one at a time and stops
-below that threshold.
+maximum needs only the rows above its lowest threshold.  Each row of the RSK
+insertion tableau is built from the values the row above bumped out, so
+:func:`thinned_max_cdf` builds the first two rows of a batch of trials
+together, one sorted-array search per permutation step, and finishes the
+rare trial whose second row is still above the threshold from that row's
+bumps; :func:`rsk_shape` is the one-permutation reference.  A batch holds
+one N-by-B array: its draws, each row replaced by row 2's bumps once read.
 
 Randomness is counter-based (Philox) with streams derived as
 (master seed, stream index), so parallel trials are reproducible and any
@@ -27,6 +30,7 @@ the same spectra.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 
@@ -50,6 +54,18 @@ _PIECE = 1 << 16
 
 #: Dense matrix entries per ``eigvalsh`` batch in :func:`sample_gue_eigs`.
 _DENSE_ENTRIES = 1 << 22
+
+#: Trials whose first two RSK rows :func:`thinned_max_cdf` builds together.
+#: Not part of the stream layout: trial i draws from stream + i at any size.
+_RSK_BATCH = 64
+
+#: Permutation entries per RSK batch: a batch of B trials at N holds one
+#: N-by-B int32 array (the draws, then row 2's bumps), so B shrinks below
+#: ``_RSK_BATCH`` once N passes ``_RSK_ENTRIES / _RSK_BATCH``.
+_RSK_ENTRIES = 1 << 24
+
+#: Permutation steps between the width checks of :func:`_rsk_lockstep`.
+_RSK_LOOKAHEAD = 32
 
 
 def stream_rng(master: int, stream: int = 0) -> np.random.Generator:
@@ -134,9 +150,16 @@ def sample_gue_eigs(n: int, trials: int, master: int, stream: int = 0) -> np.nda
     return out
 
 
+def _need_trials(trials: int) -> None:
+    """Refuse fewer than two trials: every estimator reports a ddof = 1 standard error."""
+    if trials < 2:
+        raise ValueError(f"need trials >= 2, got {trials}")
+
+
 def gap_probability_mc(n: int, lambda0: float, trials: int, master: int,
                        stream: int = 0) -> tuple:
     """Empirical P(no eigenvalue above lambda0) with its standard error."""
+    _need_trials(trials)
     X = _gue_counts(n, lambda0, trials, master, stream)
     hit = float((X == 0).mean())
     return hit, math.sqrt(max(hit * (1 - hit), 1e-12) / trials)
@@ -155,6 +178,7 @@ def thinning_check(n: int, s: float, lambda0: float, trials: int, master: int,
     when variate j is below s, so only the first X variates of a row decide
     whether a point survives above lambda0.
     """
+    _need_trials(trials)
     X = _gue_counts(n, lambda0, trials, master, stream)
     rng = stream_rng(master, stream + 1)
     rows = max(1, _PIECE // n)
@@ -215,6 +239,62 @@ def plancherel_sample(N: int, rng: np.random.Generator, bound: float = 0.0) -> n
     return rsk_shape(rng.permutation(N), bound)
 
 
+def _rsk_lockstep(P: np.ndarray, bound: float = 0.0) -> list:
+    """``rsk_shape(P[:, i], bound)`` for each column i of P, built together.
+
+    Each column of the (N, B) int32 (or wider) array P is a permutation of
+    range(N).  P is overwritten: once step j has read row j, that row
+    keeps row 2's bump of step j + 1, so a batch holds no other N-by-B array.
+    Rows 1 and 2 of every trial live in one flat sorted array R of 2B
+    blocks of width W: block b holds its row's values plus the offset
+    b (N + 1), padded with its top value b (N + 1) + N.  One step inserts
+    each trial's next value into its row 1 and row 1's bump from the step
+    before into its row 2, all with one ``searchsorted``; a row that bumps
+    nothing passes its top value on, whose insertion changes nothing.  Every
+    ``_RSK_LOOKAHEAD`` steps the blocks double if a row could fill its block
+    before the next check, so any permutation is exact (the identity's row 1
+    is N long).  A trial whose row 2 is longer than ``bound`` finishes its
+    shape with :func:`rsk_shape` on row 2's bumps (Schensted 1961).
+    """
+    N, B = P.shape
+    stride = N + 1
+    dtype = np.min_scalar_type(-2 * B * stride)  # the smallest signed type for every key
+    top = np.arange(N, 2 * B * stride, stride, dtype=dtype)
+    off = top - N
+    K = _RSK_LOOKAHEAD
+    W = 2 * math.isqrt(N) + 2 * K  # rows 1 and 2 are about 2 sqrt(N) long
+    R = np.repeat(top, W)
+    keys = np.empty(2 * B, dtype)
+    bumped = top.copy()
+    k1, k2, b1, b2 = keys[:B], keys[B:], bumped[:B], bumped[B:]
+    off1, off2 = off[:B], off[B:]
+    # the last step only moves row 1's last bump into row 2
+    for j, x in enumerate(itertools.chain(P, [np.full(B, N, P.dtype)])):
+        if j % K == 0 and (R[W - K - 1::W] != top).any():
+            grown = np.repeat(top, 2 * W).reshape(2 * B, 2 * W)
+            grown[:, :W] = R.reshape(2 * B, W)
+            R, W = grown.ravel(), 2 * W
+        np.add(x, off1, out=k1)
+        np.add(b1, B * stride, out=k2)  # row 1's block b feeds row 2's block B + b
+        pos = R.searchsorted(keys)
+        R.take(pos, out=bumped)
+        R[pos] = keys
+        if j:  # row 2's bump, N for none, where step j - 1 read its value
+            np.subtract(b2, off2, out=P[j - 1])
+    length = (R.reshape(2 * B, W) != top[:, None]).sum(axis=1).tolist()
+    shapes = []
+    for i in range(B):
+        l1, l2 = length[i], length[B + i]
+        shape = [l1] if l1 else []
+        if l1 > bound and l2:
+            shape.append(l2)
+        if l2 > bound:
+            bumps = P[:, i]
+            shape += rsk_shape(bumps[bumps < N], bound).tolist()
+        shapes.append(np.array(shape, dtype=np.int64))
+    return shapes
+
+
 def thinned_max_cdf(N: int, s: float, ts, trials: int, master: int,
                     stream: int = 0) -> dict:
     """CDF estimates of the rescaled largest thinned partition row.
@@ -222,18 +302,30 @@ def thinned_max_cdf(N: int, s: float, ts, trials: int, master: int,
     For each threshold t, estimates P(N^(-1/6) (mu_1 - 2 sqrt(N)) <= t) by
     averaging s^(number of rows above the threshold), i.e. with the removal
     randomness integrated out (lower variance than re-thinning per draw).
-    Each draw builds only the rows that can exceed the lowest threshold.
+    Trial i draws its permutation from ``stream_rng(master, stream + i)``,
+    as :func:`plancherel_sample` does, and builds only the rows that can
+    exceed the lowest threshold.  The trials run in batches of up to
+    ``_RSK_BATCH`` whose first two rows advance together
+    (:func:`_rsk_lockstep`): 1.6 ms a trial at N = 10^4 over 800 trials
+    (1.7 ms over 50), against 2.5 ms for :func:`rsk_shape` alone.  Memory
+    holds one batch.
     """
+    _need_trials(trials)
     ts = list(ts)
+    if not ts:
+        raise ValueError("need at least one threshold t")
     thresholds = [2.0 * math.sqrt(N) + t * N ** (1.0 / 6.0) for t in ts]
+    batch = max(1, min(_RSK_BATCH, _RSK_ENTRIES // max(N, 1)))
     acc = np.zeros((trials, len(ts)))
-    for i in range(trials):
-        rng = stream_rng(master, stream + i)
-        shape = plancherel_sample(N, rng, min(thresholds))
-        for j, thr in enumerate(thresholds):
-            above = int((shape > thr).sum())
-            acc[i, j] = s ** above
+    draws = np.empty((N, min(batch, trials)), dtype=np.int32)
+    for lo in range(0, trials, batch):
+        P = draws[:, :min(batch, trials - lo)]
+        for k in range(P.shape[1]):
+            P[:, k] = stream_rng(master, stream + lo + k).permutation(N)
+        for i, shape in enumerate(_rsk_lockstep(P, min(thresholds)), lo):
+            for j, thr in enumerate(thresholds):
+                above = int((shape > thr).sum())
+                acc[i, j] = s ** above
     mean = acc.mean(axis=0)
     return {"t": ts, "cdf": mean.tolist(),
             "stderr": (acc.std(axis=0, ddof=1) / math.sqrt(trials)).tolist()}
-

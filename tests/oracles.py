@@ -493,6 +493,30 @@ def thinning_from_spectra(eigs: np.ndarray, s: float, lambda0: float,
     }
 
 
+def thinned_max_cdf_per_trial(N: int, s: float, ts, trials: int, master: int,
+                              stream: int = 0) -> dict:
+    """``rmtsim.thinned_max_cdf`` one trial at a time, as the library computed it before.
+
+    Trial i is ``plancherel_sample`` (one permutation, row by row) on
+    ``stream_rng(master, stream + i)``; the estimates are computed from
+    the same (trials, len(ts)) array of s^(rows above each threshold).
+    """
+    from edgejump.rmtsim import plancherel_sample, stream_rng
+
+    ts = list(ts)
+    thresholds = [2.0 * math.sqrt(N) + t * N ** (1.0 / 6.0) for t in ts]
+    acc = np.zeros((trials, len(ts)))
+    for i in range(trials):
+        rng = stream_rng(master, stream + i)
+        shape = plancherel_sample(N, rng, min(thresholds))
+        for j, thr in enumerate(thresholds):
+            above = int((shape > thr).sum())
+            acc[i, j] = s ** above
+    mean = acc.mean(axis=0)
+    return {"t": ts, "cdf": mean.tolist(),
+            "stderr": (acc.std(axis=0, ddof=1) / math.sqrt(trials)).tolist()}
+
+
 def cross_pole_two_detours(t_s, y_s, side: int, tol: float):
     """The pole crossing by both semicircles, as the library made it before.
 

@@ -11,7 +11,8 @@ from edgejump.rmtsim import (_count_above, _gue_counts, gap_probability_mc,
                              stream_rng, thinned_max_cdf, thinning_check)
 
 from oracles import (gap_probability_from_spectra, hook_length_dimension, lis_length,
-                     partitions_of, plancherel_probability, thinning_from_spectra)
+                     partitions_of, plancherel_probability, thinned_max_cdf_per_trial,
+                     thinning_from_spectra)
 
 
 class TestSampling:
@@ -202,3 +203,81 @@ def test_thinned_max_cdf_smoke():
     est = thinned_max_cdf(400, 0.5, (0.0,), 100, master=41)
     assert 0.5 < est["cdf"][0] <= 1.0
     assert est["stderr"][0] < 0.05
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 37, 400])
+def test_lockstep_rows_equal_rsk_shape(N):
+    # the identity's row 1 is N long: at N = 400 the blocks double twice;
+    # the reversal has N rows of 1; bounds below 2 sqrt(N) need rows 3 and up
+    rng = stream_rng(61, N)
+    perms = [rng.permutation(N) for _ in range(13)] + [np.arange(N), np.arange(N)[::-1]]
+    P = np.array(perms, dtype=np.int32).T
+    root = 2 * math.sqrt(N)
+    deep = 0
+    for bound in (0.0, -1.0, 0.5 * root, 0.8 * root, root, float(N)):
+        shapes = rmtsim._rsk_lockstep(P.copy(), bound)  # P is overwritten
+        assert len(shapes) == len(perms)
+        for perm, shape in zip(perms, shapes):
+            assert np.array_equal(shape, rsk_shape(perm, bound))
+            deep += len(shape) > 2
+    assert deep or N < 3
+
+
+_B = rmtsim._RSK_BATCH
+
+
+@pytest.mark.parametrize("N, s, ts, trials, master, stream", [
+    (37, 0.5, (-10.0, 0.5), 2, 41, 0),  # t = -10 lies below 0: whole shapes
+    (100, 0.3, (-2.0, 0.0, 1.0), _B - 1, 7, 0),
+    (100, 0.3, (-2.0, 0.0, 1.0), _B, 7, 0),
+    (100, 0.3, (-2.0, 0.0, 1.0), _B + 1, 7, 5),
+    (400, 0.5, (-3.0, -1.0), 2 * _B + 5, 43, 0),
+    (10_000, 0.5, (-2.0, 0.0, 1.0), _B + 1, 31337, 0),  # criterion 12's N and master
+])
+def test_thinned_max_cdf_equals_per_trial_loop(N, s, ts, trials, master, stream):
+    assert thinned_max_cdf(N, s, ts, trials, master, stream) == \
+        thinned_max_cdf_per_trial(N, s, ts, trials, master, stream)
+
+
+@pytest.mark.parametrize("batch, entries", [(3, rmtsim._RSK_ENTRIES), (_B, 150)])
+def test_thinned_max_cdf_batch_size_draws_the_same(monkeypatch, batch, entries):
+    # trial i draws from stream + i at any batch size; 150 entries at N = 100
+    # leave one trial a batch
+    want = thinned_max_cdf(100, 0.5, (-2.0, 0.0), 10, 3)
+    monkeypatch.setattr(rmtsim, "_RSK_BATCH", batch)
+    monkeypatch.setattr(rmtsim, "_RSK_ENTRIES", entries)
+    assert thinned_max_cdf(100, 0.5, (-2.0, 0.0), 10, 3) == want
+
+
+def test_thinned_max_cdf_holds_one_batch():
+    # beyond one batch only the (trials, len(ts)) estimates grow, 8 bytes a
+    # trial per threshold (16 while the standard error holds its copy); a
+    # batch at N = 1000 holds 256 KB of draws
+    N, ts = 1000, (-2.0, 0.0, 1.0)
+    thinned_max_cdf(N, 0.5, ts, 2, 5)  # first-call imports are not draws
+    peaks = []
+    for trials in (_B, 4 * _B):
+        tracemalloc.start()
+        try:
+            thinned_max_cdf(N, 0.5, ts, trials, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 32 * 3 * _B * len(ts), peaks
+
+
+@pytest.mark.parametrize("trials", [-1, 0, 1])
+@pytest.mark.parametrize("estimate", [
+    lambda trials: gap_probability_mc(8, 3.0, trials, 1),
+    lambda trials: thinning_check(8, 0.5, 3.0, trials, 1),
+    lambda trials: thinned_max_cdf(400, 0.5, (0.0,), trials, 41),
+], ids=["gap_probability_mc", "thinning_check", "thinned_max_cdf"])
+def test_estimators_refuse_fewer_than_two_trials(estimate, trials):
+    # each reports a ddof = 1 standard error
+    with pytest.raises(ValueError, match=f"need trials >= 2, got {trials}"):
+        estimate(trials)
+
+
+def test_thinned_max_cdf_refuses_no_thresholds():
+    with pytest.raises(ValueError, match="at least one threshold"):
+        thinned_max_cdf(400, 0.5, (), 10, 41)
