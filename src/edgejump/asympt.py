@@ -53,7 +53,8 @@ def recurrence_asymptotes(n: int, t: float, sol) -> dict:
     """Predicted R_n, Q_n and log h_n from the Painleve data at t.
 
     R = n/2 - u^2 n^(1/3)/2 and Q = -u^2 n^(-1/6)/sqrt(2).  The norm
-    h_n = pi sqrt(2n) (n/(2e))^n e^(i pi beta) (1 + ...) comes in two variants:
+    h_n = h_n(0) e^(i pi beta) (1 + ...), with the exact Gaussian norm
+    h_n(0) = sqrt(pi) n!/2^n, comes in two variants:
     ``log_h`` uses the correction that the matrix-entry route and the finite-n
     data confirm, ``(1 - n^(-1/3) v + n^(-2/3)(v^2 - u^2)/2)``, while
     ``log_h_printed`` keeps the +v first-order sign of the published display.
@@ -62,7 +63,7 @@ def recurrence_asymptotes(n: int, t: float, sol) -> dict:
     u2 = u * u
     R = n / 2 - u2 * n ** (1.0 / 3.0) / 2
     Q = -u2 * n ** (-1.0 / 6.0) / math.sqrt(2)
-    log_pref = (math.log(math.pi) + math.log(2 * n) / 2 + n * math.log(n / (2 * math.e))
+    log_pref = (math.log(math.pi) / 2 + math.lgamma(n + 1) - n * math.log(2)
                 + 1j * math.pi * complex(sol.beta))
     third = n ** (-1.0 / 3.0)
     second = third * third * (v * v - u2) / 2
@@ -102,17 +103,19 @@ def airy_tail_residual(t, beta, logdet):
     return float(res) if res.ndim == 0 else res
 
 
-def fit_order(errs, ratio: float = 2.0) -> float:
-    """Empirical convergence order from errors at successively scaled sizes.
+def fit_order(ns, errs) -> float:
+    """Empirical convergence order from errors ``errs`` at the sizes ``ns``.
 
-    Mean of log_ratio(err_i / err_{i+1}) over the supplied sequence (sizes
-    assumed to grow by ``ratio`` each step).
+    Mean over consecutive rungs of log(err_i / err_(i+1)) / log(n_(i+1) / n_i),
+    so the ladder may grow by any factor from rung to rung.
     """
     if len(errs) < 2:
         raise ValueError("need at least two error values")
+    if len(ns) != len(errs):
+        raise ValueError(f"need one size per error, got {len(ns)} sizes for {len(errs)} errors")
     steps = []
-    for a, b in zip(errs, errs[1:]):
+    for n0, n1, a, b in zip(ns, ns[1:], errs, errs[1:]):
         if a <= 0 or b <= 0:
             raise ValueError("orders need positive errors")
-        steps.append(math.log(a / b) / math.log(ratio))
+        steps.append(math.log(a / b) / math.log(n1 / n0))
     return fmean(steps)

@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     try:
         given = _given(args)
         return _emit(args.run(given), **_keywords(_emit, given))
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a value outside the library's domain
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

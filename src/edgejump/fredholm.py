@@ -101,6 +101,8 @@ def _airy_nystrom(ts: np.ndarray, nodes: int) -> tuple:
     """
     if nodes < 1:
         raise ValueError("need at least one node per unit length")
+    if not ts.size:
+        raise ValueError("need at least one t")
     if not np.isfinite(ts).all():
         raise ValueError("need finite t")
     edges = np.unique(np.append(ts, max(ts.max(), 0.0) + 14.0))[::-1]

@@ -18,7 +18,8 @@ one once |u| reaches 20, solves the local Laurent data (location a, residue
 sign eps, free cubic coefficient) from u and u' at the stop point, and goes
 around the pole through complex t to the mirror point (Fornberg & Weideman,
 J. Comput. Phys. 230, 2011); each crossing is recorded, and the Laurent
-expansion answers real t inside the small window the detour skips.  The
+expansion, its coefficients from a Cauchy-product recurrence as the Taylor
+ones are, answers real t inside the small window the detour skips.  The
 solution is real, so the detours above and below the pole are mirror images
 (Schwarz reflection): one serves, and the continuation is the real part of
 its end state.  u, u' and v are meromorphic there; F picks up -log(t - a)
@@ -42,7 +43,7 @@ from operator import mul
 import mpmath as mp
 import numpy as np
 
-from .ode import StepUnderflow, adaptive_rk, along_path
+from .ode import StepUnderflow, _horner, adaptive_rk, along_path
 from .specfun import airy
 from .util import beta_from_kappa
 
@@ -81,6 +82,8 @@ _POLE_THRESHOLD = 20.0
 _DETOUR_CHORDS = 16
 _LAURENT_MATCH = 1e-6
 _NEWTON_ITERATIONS = 30
+#: Highest index k of the Laurent coefficients c_k of x^(k-1) in u: u through x^7.
+_LAURENT_ORDER = 8
 #: Most poles one real-axis run crosses.
 _MAX_POLES = 500
 
@@ -101,57 +104,27 @@ def _pii_taylor(t, y, K):
     return u, p, v, F
 
 
-# ---------------------------------------------------------------------------
-# local Laurent data at a simple pole:  u = eps/x + a1 x + a2 x^2 + h x^3 + ...
-# Substituting into u'' = t u + 2 u^3 forces eps^2 = 1 and every coefficient
-# except the cubic one, which is the free local datum:
-#   a1 = -a eps/6,  a2 = -eps/4,  a4 = a eps/72,
-#   a5 = -a^3 eps/1512 - a h/14 + eps/112,
-#   a6 = -a^2 eps/432 - h/12,
-#   a7 = a^4 eps/54432 + 5 a^2 h/756 - 25 a eps/9072 + eps h^2/6.
-# (Rederived symbolically; the quadratic term carries the residue sign.)
-# ---------------------------------------------------------------------------
+def _pii_laurent(a, eps, h, c_v, c_f):
+    """Laurent coefficients of (u, u', v, F) at a pole t = a, in x = t - a.
 
-def _laurent_coeffs(a, eps, h):
-    a1 = -a * eps / 6.0
-    a2 = -eps / 4.0
-    a4 = a * eps / 72.0
-    a5 = -a ** 3 * eps / 1512.0 - a * h / 14.0 + eps / 112.0
-    a6 = -a * a * eps / 432.0 - h / 12.0
-    a7 = (a ** 4 * eps / 54432.0 + 5.0 * a * a * h / 756.0
-          - 25.0 * a * eps / 9072.0 + eps * h * h / 6.0)
-    return a1, a2, h, a4, a5, a6, a7
-
-
-def laurent_u(x, a, eps, h):
-    a1, a2, a3, a4, a5, a6, a7 = _laurent_coeffs(a, eps, h)
-    return eps / x + x * (a1 + x * (a2 + x * (a3 + x * (a4 + x * (
-        a5 + x * (a6 + x * a7))))))
-
-
-def laurent_u_prime(x, a, eps, h):
-    a1, a2, a3, a4, a5, a6, a7 = _laurent_coeffs(a, eps, h)
-    return -eps / (x * x) + a1 + x * (2 * a2 + x * (3 * a3 + x * (4 * a4 + x * (
-        5 * a5 + x * (6 * a6 + x * 7 * a7)))))
-
-
-def laurent_v(x, a, eps, h, c_v):
-    # v' = -u^2 with u^2 = 1/x^2 + 2 eps a1 + 2 eps a2 x + (a1^2 + 2 eps a3) x^2 + ...
-    a1, a2, a3, a4, a5, _, _ = _laurent_coeffs(a, eps, h)
-    return (1.0 / x + c_v - 2 * eps * a1 * x - eps * a2 * x * x
-            - (a1 * a1 + 2 * eps * a3) * x ** 3 / 3.0
-            - (2 * a1 * a2 + 2 * eps * a4) * x ** 4 / 4.0
-            - (a2 * a2 + 2 * a1 * a3 + 2 * eps * a5) * x ** 5 / 5.0)
-
-
-def laurent_F(x, a, eps, h, c_v, c_f):
-    # F' = -v; the 1/x part integrates to -log|x| (principal-value convention).
-    a1, a2, a3, a4, a5, _, _ = _laurent_coeffs(a, eps, h)
-    return (-math.log(abs(x)) + c_f - c_v * x + eps * a1 * x * x
-            + eps * a2 * x ** 3 / 3.0
-            + (a1 * a1 + 2 * eps * a3) * x ** 4 / 12.0
-            + (2 * a1 * a2 + 2 * eps * a4) * x ** 5 / 20.0
-            + (a2 * a2 + 2 * a1 * a3 + 2 * eps * a5) * x ** 6 / 30.0)
+    With u = sum_k c_k x^(k-1) and c_0 = eps = +-1, u'' = t u + 2 u^3 reads
+    (k - 4)(k + 1) c_k = a c_(k-2) + c_(k-3) + 2 (u^3)_k, where the Cauchy
+    product (u^3)_k leaves out its c_k terms, 3 c_k.  The resonance k = 4
+    leaves the cubic coefficient c_4 = h free.  v' = -u^2 and F' = -v
+    integrate term by term from the constants c_v and c_f.  Returns the
+    coefficients of x u, x^2 u', x v and F + log|x| through index _LAURENT_ORDER.
+    """
+    c, u2 = [eps, 0], [1, 0]  # c_1 = 0: the k = 1 equation has nothing on its right
+    for k in range(2, _LAURENT_ORDER + 1):
+        # sum_j c_j c_(k-j) and sum_j (u^2)_j c_(k-j) with c_k = 0 for now
+        c.append(0)
+        u2.append(sum(map(mul, c, reversed(c))))
+        tu = a * c[k - 2] + (c[k - 3] if k > 2 else 0)
+        c[k] = h if k == 4 else (tu + 2 * sum(map(mul, u2, reversed(c)))) / ((k - 4) * (k + 1))
+        u2[k] += 2 * eps * c[k]
+    v = [-s / (k - 1) if k != 1 else c_v for k, s in enumerate(u2)]
+    return (c, [(k - 1) * ck for k, ck in enumerate(c)], v,
+            [c_f] + [-vk / k for k, vk in enumerate(v[1:], 1)])
 
 
 @dataclass(frozen=True)
@@ -170,19 +143,18 @@ class PoleRecord:
 def _laurent_data(t_s, y_s, side: int) -> PoleRecord:
     """Laurent data of the pole in front of the real stop point t_s.
 
-    Solves ``laurent_u = u`` and ``laurent_u_prime = u'`` at t_s for the
-    location a and the cubic coefficient h by Newton iteration; the residue
-    sign comes from the sign of u on the approach side (``side`` = +1 when
-    t_s lies above the pole, -1 below it).  The constants of v and F follow
-    from their values at t_s.
+    Fits the location a and the cubic coefficient h of :func:`_pii_laurent`'s
+    series to u and u' at t_s by Newton iteration; the residue sign comes from
+    the sign of u on the approach side (``side`` = +1 when t_s lies above the
+    pole, -1 below it).  The constants of v and F follow from v and F at t_s.
     """
     u, up = y_s[0].real, y_s[1].real
     eps = 1 if u * side > 0 else -1
     a, h = t_s - eps / u, 0.0
 
     def residual(a, h):
-        x = t_s - a
-        return (laurent_u(x, a, eps, h) - u, laurent_u_prime(x, a, eps, h) - up)
+        u_fit, up_fit, _, _ = _laurent_state(PoleRecord(a, eps, h), t_s)
+        return u_fit - u, up_fit - up
 
     for _ in range(_NEWTON_ITERATIONS):
         r0, r1 = residual(a, h)
@@ -199,18 +171,19 @@ def _laurent_data(t_s, y_s, side: int) -> PoleRecord:
         a, h = a - step_a, h - step_h
     else:
         raise FitFailure(f"Laurent solve near t = {t_s:.6g} did not converge")
-    x = t_s - a
-    c_v = y_s[2].real - laurent_v(x, a, eps, h, 0.0)
-    c_f = y_s[3].real - laurent_F(x, a, eps, h, c_v, 0.0)
-    return PoleRecord(a, eps, h, c_v, c_f)
+    rec = PoleRecord(a, eps, h)
+    rec = replace(rec, c_v=y_s[2].real - _laurent_state(rec, t_s)[2])
+    return replace(rec, c_f=y_s[3].real - _laurent_state(rec, t_s)[3])
 
 
 def _laurent_state(rec: PoleRecord, t):
+    """(u, u', v, F) at real t from the Laurent series of ``rec``; F on the -log|t - a| branch."""
     x = t - rec.location
-    return (laurent_u(x, rec.location, rec.sign, rec.cubic),
-            laurent_u_prime(x, rec.location, rec.sign, rec.cubic),
-            laurent_v(x, rec.location, rec.sign, rec.cubic, rec.c_v),
-            laurent_F(x, rec.location, rec.sign, rec.cubic, rec.c_v, rec.c_f))
+    u, p, v, F = _pii_laurent(rec.location, rec.sign, rec.cubic, rec.c_v, rec.c_f)
+    # pole terms first, c_1 = 0: u = eps/x + x (c_2 + ...), u' = -eps/x^2 + c_2 + x (2 c_3 + ...);
+    # the h fitted to these sums moves by ~1e-10 with their order of summation
+    return (u[0] / x + x * _horner(u[2:], x), p[0] / (x * x) + p[2] + x * _horner(p[3:], x),
+            v[0] / x + _horner(v[1:], x), _horner(F, x) - math.log(abs(x)))
 
 
 def _cross_pole(t_s, y_s, side: int, tol: float):
@@ -222,7 +195,7 @@ def _cross_pole(t_s, y_s, side: int, tol: float):
     continuations above and below the pole, which are mirror images.  u, u'
     and v are meromorphic at the pole; F has a logarithm and picks up -i pi,
     which is added back.  The end state must agree with the Laurent
-    prediction, F on the principal-value branch of :func:`laurent_F`.
+    prediction, F on the principal-value branch of :func:`_laurent_state`.
     """
     if any(c.imag for c in y_s):
         raise ValueError(f"detour from a complex state at t = {t_s:.6g}: no mirror symmetry")
@@ -370,6 +343,8 @@ def solve_as(kappa, t_min: float, tol: float = 1e-12, *, t_start=None,
     if traverse is None:
         traverse = kappa.imag == 0 and abs(kappa.real) > 1
     t0 = _pick_t_start(abs(kappa) ** 2, tol) if t_start is None else float(t_start)
+    if t_min >= t0:
+        raise ValueError(f"t_min = {t_min} is not below the start point {t0}; runs go down")
     y0 = _airy_initial_state(kappa.real if kappa.imag == 0 else kappa, t0)
     segments, poles = _integrate_with_poles(y0, t0, t_min, tol, traverse=traverse)
     return ASolution(kappa, beta, tol, t0, t_min, segments, poles)

@@ -327,11 +327,10 @@ def check_edge_hankel(beta=0.4j, ts=(0.0, 2.0), ns=(20, 40, 80)) -> Report:
 def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(256, 512, 1024)) -> Report:
     """R_n and Q_n against the Painleve predictions: bounded error terms.
 
-    ``ns`` doubles from rung to rung.  The R gap and the Q gap scaled by
-    sqrt(n) must not grow: every consecutive ratio stays at or below
-    ``_GROWTH_CAP``.  The R gap must also decay at the fitted order
-    ``_GAP_ORDER +- _GAP_ORDER_TOL``.  Norm rows are informational, with the
-    confirmed sign and the printed one.
+    The R gap and the Q gap scaled by sqrt(n) must not grow: every
+    consecutive ratio stays at or below ``_GROWTH_CAP``.  The R gap must also
+    decay at the fitted order ``_GAP_ORDER +- _GAP_ORDER_TOL``.  Norm rows are
+    informational, with the confirmed sign and the printed one.
     """
     rep = Report("recurrence-asymptotics")
     kap = kappa_from_beta(beta)
@@ -363,7 +362,7 @@ def check_recurrence_asymptotics(beta=0.4j, ts=(-2.0, 0.0, 2.0), ns=(256, 512, 1
             if max(ratios) > _GROWTH_CAP:
                 whys.append(f"t={t}: {name} gap ratios {['%.3g' % r for r in ratios]} "
                             f"exceed {_GROWTH_CAP}")
-        order = asympt.fit_order(gaps_R)
+        order = asympt.fit_order(ns, gaps_R)
         for row in rep.rows[-4 * len(ns):]:
             if row.label == "recurrence-R":
                 row.order_est = order
@@ -388,7 +387,7 @@ def check_polynomial_asymptote(beta=0.4j, t: float = 0.5, ns=(64, 128, 256)) -> 
         errs.append(rel)
         rep.add(ReportRow(label="polynomial-at-cut", n=n, t=t, beta=complex(beta),
                           kappa=kap, finite=ratio, asym=1.0, rel_res=rel))
-    est = asympt.fit_order(errs)
+    est = asympt.fit_order(ns, errs)
     for row in rep.rows:
         row.order_est = est
     rep.judge(abs(est - _GAP_ORDER) <= _GAP_ORDER_TOL,

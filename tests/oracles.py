@@ -393,12 +393,11 @@ def bulk_hankel_product(n: int, lam: float, beta, bits: int = 200):
 def norm_expansion_products(n: int, beta, u, v, bits: int = 200) -> tuple:
     """Predicted h_n, with the -v and the +v first-order sign, as products.
 
-    pi sqrt(2n) n^n / (2^n e^n) e^(i pi beta) (1 -+ n^(-1/3) v + n^(-2/3) (v^2 - u^2)/2).
+    sqrt(pi) n! / 2^n e^(i pi beta) (1 -+ n^(-1/3) v + n^(-2/3) (v^2 - u^2)/2).
     """
     with mp.workprec(bits):
         nn = mp.mpf(n)
-        pref = (mp.pi * mp.sqrt(2 * nn) * nn ** nn / (2 ** nn * mp.exp(nn))
-                * mp.exp(1j * mp.pi * mp.mpc(beta)))
+        pref = mp.sqrt(mp.pi) * mp.factorial(n) / 2 ** nn * mp.exp(1j * mp.pi * mp.mpc(beta))
         third = nn ** mp.mpf("-1/3")
         un, vn = mp.mpc(u), mp.mpc(v)
         second = third ** 2 * (vn * vn - un * un) / 2

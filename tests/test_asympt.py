@@ -43,12 +43,26 @@ class TestMomentLimit:
 
 class TestFitOrder:
     def test_exact_power_law(self):
-        errs = [10.0 * n ** -0.5 for n in (16, 32, 64)]
-        assert fit_order(errs) == pytest.approx(0.5, abs=1e-12)
+        ns = (16, 32, 64)
+        errs = [10.0 * n ** -0.5 for n in ns]
+        assert fit_order(ns, errs) == pytest.approx(0.5, abs=1e-12)
 
     def test_requires_two(self):
         with pytest.raises(ValueError):
-            fit_order([1.0])
+            fit_order((16,), [1.0])
+        with pytest.raises(ValueError, match="one size per error"):
+            fit_order((16, 32, 64), [1.0, 0.5])
+
+    def test_reads_the_ladder(self):
+        # a ladder that grows by 1.5 once read 0.2 where the order is 1/3,
+        # as every rung was taken to double n
+        def err(n):
+            return n ** (-1.0 / 3.0) * (1 + 0.5 * n ** (-1.0 / 3.0))
+
+        orders = [fit_order(ns, [err(n) for n in ns])
+                  for ns in ((64, 96, 144, 216), (64, 128, 256, 512))]
+        assert orders[0] == pytest.approx(orders[1], abs=0.02)
+        assert orders[0] == pytest.approx(1.0 / 3.0, abs=0.1)
 
 
 class TestDegenerateLimits:

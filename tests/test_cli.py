@@ -142,6 +142,24 @@ def test_trend_check_with_one_rung_exits_2(name, capsys):
     assert "need at least 2 values in --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["painleve", "--kappa", "0.5", "--t-min", "-70"], "outside the validated window"),
+    (["verify", "tw-identity", "--t-min", "-70"], "outside the validated window"),
+    (["verify", "thm1.2", "--n", "20,40", "--t", "40"], "not below the start point"),
+    (["fredholm", "--kappa", "0.5", "--t-min", "5", "--t", "4"], "need at least one t"),
+])
+def test_value_outside_the_library_domain_exits_2(argv, why, capsys):
+    # these once exited 1, the status of a failed check, with a traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and why in err and "Traceback" not in err
+
+
+def test_order_fit_reads_a_non_doubling_ladder():
+    # fitted as if n doubled per rung, this ladder read 0.686 and failed
+    assert main(["verify", "thm1.5", "--n", "64,256,1024"]) == 0
+
+
 def test_negative_node_count_exits_2():
     assert main(["fredholm", "--kappa", "0.5", "--nodes", "-3"]) == 2
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from edgejump import painleve
+from edgejump.ode import _horner, _horner_derivative
 from edgejump.painleve import (FitFailure, PoleEncountered, TooCloseToPole,
                                as_asymptote_minus, kappa_for_gamma,
                                oscillation_envelope, p34_singular_asymptote,
                                phase_singular, pii_residual, pole_free_scan,
                                pole_roundtrip_error, solve_as, _cross_pole,
-                               _pii_taylor)
+                               _laurent_state, _pii_laurent, _pii_taylor)
 from edgejump.util import beta_from_kappa, kappa_from_beta
 
 from oracles import (cross_pole_two_detours, p34_residual, pii_taylor_index_sum,
@@ -86,6 +88,13 @@ class TestSolveBasics:
     def test_t_min_guard(self):
         with pytest.raises(ValueError):
             solve_as(0.5, -80.0, TOL)
+
+    @pytest.mark.parametrize("t_min, t_start", [(20.0, None), (30.0, 5.0), (5.0, 5.0)])
+    def test_upward_run_refused(self, t_min, t_start):
+        # toward +inf the Airy-decaying solution is unstable: solve_as(0.5, 20.0)
+        # once returned u(16) = -1.8e-14 against 0.5 Ai(16) = 2.1e-20
+        with pytest.raises(ValueError, match="not below the start point"):
+            solve_as(0.5, t_min, TOL, t_start=t_start)
 
 
 class TestOscillatoryAsymptote:
@@ -220,6 +229,58 @@ class TestPoles:
         x = 0.5 * (rec.gap_hi - rec.location)
         u = complex(sol_cut.u(rec.location + x))
         assert abs(u) > 1 / (2 * abs(x))  # pole-dominated magnitude
+
+
+class TestLaurentSeries:
+    # (a, eps, h): the first and the deepest pole of solve_as(sqrt 2, -14), the
+    # third with its residue sign flipped, and a point t > 0 with h = 0
+    POLES = [(-1.822, 1, 0.058), (-13.479, 1, 3.532), (-5.185, -1, 0.520), (3.0, -1, 0.0)]
+
+    def test_low_coefficients(self):
+        for a, eps, h in self.POLES:
+            c = _pii_laurent(a, eps, h, 0.0, 0.0)[0]
+            assert c[:5] == [eps, 0, -a * eps / 6, -eps / 4, h]
+
+    @staticmethod
+    def _residuals(a, eps, h, x):
+        """Relative residuals of u' = du/dx, u'' = t u + 2 u^3, v' = -u^2 and
+        F' = -v, every derivative taken from the series itself."""
+        U, P, V, F = _pii_laurent(a, eps, h, 0.3, -0.1)
+        u, up, v = _horner(U, x) / x, _horner(P, x) / x ** 2, _horner(V, x) / x
+        du = (_horner_derivative(U, x) * x - _horner(U, x)) / x ** 2
+        upp = (_horner_derivative(P, x) * x - 2 * _horner(P, x)) / x ** 3
+        dv = (_horner_derivative(V, x) * x - _horner(V, x)) / x ** 2
+        dF = _horner_derivative(F, x) - 1 / x
+        return (abs(du - up) / abs(up), abs(upp - (a + x) * u - 2 * u ** 3) / abs(upp),
+                abs(dv + u * u) / (u * u), abs(dF + v) / abs(v))
+
+    @pytest.mark.parametrize("a, eps, h", POLES)
+    def test_series_solves_the_system(self, a, eps, h, monkeypatch):
+        # through x^15 the truncation sits below round-off for |x| <= 0.06
+        monkeypatch.setattr(painleve, "_LAURENT_ORDER", 16)
+        for x in np.linspace(-0.06, 0.06, 24):
+            assert max(self._residuals(a, eps, h, float(x))) <= 4e-15
+
+    def test_kept_order_in_the_first_window(self, sol_cut, monkeypatch):
+        # u through x^7 keeps u' and F' exact; u'' = t u + 2 u^3 and v' = -u^2
+        # keep the truncation, 8.8e-13 and 2.0e-13 relative at |x| = 0.06 here
+        rec = sol_cut.poles[0]
+        for x in np.linspace(-0.06, 0.06, 24):
+            du, ode, dv, dF = self._residuals(rec.location, rec.sign, rec.cubic, float(x))
+            assert max(du, dF) <= 1e-15 and max(ode, dv) <= 2e-12
+        states = []
+        for order in (painleve._LAURENT_ORDER, 12):
+            monkeypatch.setattr(painleve, "_LAURENT_ORDER", order)
+            states.append([_laurent_state(rec, rec.location + x) for x in (-0.05, 0.05)])
+        for kept, ref in zip(*states):
+            assert abs(kept[2] - ref[2]) <= 1e-12 and abs(kept[3] - ref[3]) <= 1e-12
+
+    def test_fit_reproduces_the_stop_state(self):
+        sol = solve_as(math.sqrt(2), -14.0, TOL)
+        for seg, rec in zip(sol.segments, sol.poles):
+            y = _laurent_state(rec, seg.event_t)
+            for got, want in zip(y, seg.y_end):
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestVAsymptote:

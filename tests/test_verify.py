@@ -31,6 +31,13 @@ def test_bulk_hankel_passes_at_defaults():
     assert [r.label for r in rep.rows] == ["bulk-hankel"] * 3 + ["bulk-hankel-edge-degradation"]
 
 
+def test_polynomial_order_reads_any_ladder():
+    # a ladder that grows by 1.5 once read 0.202, as if every rung doubled n
+    orders = [verify.check_polynomial_asymptote(ns=ns).rows[0].order_est
+              for ns in ((64, 96, 144, 216), (64, 128, 256, 512))]
+    assert orders[0] == pytest.approx(orders[1], abs=0.02)
+
+
 def test_given_rel_res_survives_finish():
     row = ReportRow(label="x", finite=2.0, asym=1.0, rel_res=0.123).finish()
     assert row.rel_res == 0.123
