@@ -14,9 +14,9 @@ Integration is downward only; the decaying direction t -> +inf is unstable
 and is never integrated toward +infinity.
 
 For real |kappa| > 1 the solution has real poles.  A run stops in front of
-one once |u| reaches 20, solves the local Laurent data (location a, residue
-sign eps, free cubic coefficient) from u and u' at the stop point, and goes
-around the pole through complex t to the mirror point (Fornberg & Weideman,
+one once |u| reaches 20, reads the pole's location off u's Taylor series
+there, which the pole dominates, solves the free cubic coefficient from u, and
+goes around the pole through complex t to the mirror point (Fornberg & Weideman,
 J. Comput. Phys. 230, 2011); each crossing is recorded, and the Laurent
 expansion, its coefficients from a Cauchy-product recurrence as the Taylor
 ones are, answers real t inside the small window the detour skips.  The
@@ -43,7 +43,7 @@ from operator import mul
 import mpmath as mp
 import numpy as np
 
-from .ode import StepUnderflow, _horner, adaptive_rk, along_path
+from .ode import _ORDER, StepUnderflow, _horner, adaptive_rk, along_path
 from .specfun import airy
 from .util import beta_from_kappa
 
@@ -80,10 +80,12 @@ class TooCloseToPole(ValueError):
 # accuracy.
 _POLE_THRESHOLD = 20.0
 _DETOUR_CHORDS = 16
-_LAURENT_MATCH = 1e-6
-_NEWTON_ITERATIONS = 30
-#: Highest index k of the Laurent coefficients c_k of x^(k-1) in u: u through x^7.
-_LAURENT_ORDER = 8
+_LAURENT_MATCH = 1e-10
+#: Most relative gap between the last two ratios of u's Taylor coefficients at a stop.
+_RATIO_MATCH = 1e-12
+_SECANT_STEPS = 8
+#: Highest index k of the Laurent coefficients c_k of x^(k-1) in u: u through x^11.
+_LAURENT_ORDER = 12
 #: Most poles one real-axis run crosses.
 _MAX_POLES = 500
 
@@ -143,32 +145,29 @@ class PoleRecord:
 def _laurent_data(t_s, y_s, side: int) -> PoleRecord:
     """Laurent data of the pole in front of the real stop point t_s.
 
-    Fits the location a and the cubic coefficient h of :func:`_pii_laurent`'s
-    series to u and u' at t_s by Newton iteration; the residue sign comes from
-    the sign of u on the approach side (``side`` = +1 when t_s lies above the
-    pole, -1 below it).  The constants of v and F follow from v and F at t_s.
+    The pole dominates u's Taylor series at t_s (Darboux's principle; Chang &
+    Corliss, IMA J. Appl. Math. 25, 1980), so the ratio c_(k+1)/c_k of its
+    last two coefficients is -1/(t_s - a), and the ratio before must agree.
+    The residue sign is that of u on the approach side (``side`` = +1 when t_s
+    lies above the pole, -1 below it); a secant on u(t_s), affine in the cubic
+    coefficient h through x^6, solves h, and v and F at t_s give their constants.
     """
-    u, up = y_s[0].real, y_s[1].real
+    c0, c1, c2 = (c.real for c in _pii_taylor(t_s, y_s, _ORDER)[0][-3:])
+    if not (c1 and c2 and abs(c0 * c2 - c1 * c1) <= _RATIO_MATCH * c1 * c1):
+        raise FitFailure(f"no pole dominates the Taylor series at t = {t_s:.6g}")
+    a, u = t_s + c1 / c2, y_s[0].real
     eps = 1 if u * side > 0 else -1
-    a, h = t_s - eps / u, 0.0
 
-    def residual(a, h):
-        u_fit, up_fit, _, _ = _laurent_state(PoleRecord(a, eps, h), t_s)
-        return u_fit - u, up_fit - up
+    def miss(h):
+        return _laurent_state(PoleRecord(a, eps, h), t_s)[0] - u
 
-    for _ in range(_NEWTON_ITERATIONS):
-        r0, r1 = residual(a, h)
-        if abs(r0) <= 1e-12 * abs(u) and abs(r1) <= 1e-12 * abs(up):
+    (h0, m0), (h, m) = (0.0, miss(0.0)), (1.0, miss(1.0))
+    for _ in range(_SECANT_STEPS):
+        h_new = h - m * (h - h0) / (m - m0)
+        m_new = miss(h_new)
+        if not abs(m_new) < abs(m):  # round-off reached: keep h
             break
-        da, dh = 1e-7 * abs(t_s - a), 1e-3
-        ra = residual(a + da, h)
-        rh = residual(a, h + dh)
-        j00, j10 = (ra[0] - r0) / da, (ra[1] - r1) / da
-        j01, j11 = (rh[0] - r0) / dh, (rh[1] - r1) / dh
-        det = j00 * j11 - j01 * j10
-        step_a = (r0 * j11 - r1 * j01) / det
-        step_h = (j00 * r1 - j10 * r0) / det
-        a, h = a - step_a, h - step_h
+        h0, m0, h, m = h, m, h_new, m_new
     else:
         raise FitFailure(f"Laurent solve near t = {t_s:.6g} did not converge")
     rec = PoleRecord(a, eps, h)
@@ -180,10 +179,8 @@ def _laurent_state(rec: PoleRecord, t):
     """(u, u', v, F) at real t from the Laurent series of ``rec``; F on the -log|t - a| branch."""
     x = t - rec.location
     u, p, v, F = _pii_laurent(rec.location, rec.sign, rec.cubic, rec.c_v, rec.c_f)
-    # pole terms first, c_1 = 0: u = eps/x + x (c_2 + ...), u' = -eps/x^2 + c_2 + x (2 c_3 + ...);
-    # the h fitted to these sums moves by ~1e-10 with their order of summation
-    return (u[0] / x + x * _horner(u[2:], x), p[0] / (x * x) + p[2] + x * _horner(p[3:], x),
-            v[0] / x + _horner(v[1:], x), _horner(F, x) - math.log(abs(x)))
+    return (_horner(u, x) / x, _horner(p, x) / (x * x), _horner(v, x) / x,
+            _horner(F, x) - math.log(abs(x)))
 
 
 def _cross_pole(t_s, y_s, side: int, tol: float):

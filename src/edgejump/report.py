@@ -125,8 +125,8 @@ class Report:
 def _fmt(v):
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # a numpy.float64 too, which reprs as np.float64(...)
+        return repr(float(v))
     return str(v)
 
 
@@ -146,7 +146,8 @@ def write_report(reports, path, fmt: str = "csv", timestamp: bool = False) -> No
     """Serialize reports: rows in the chosen format plus a JSON summary.
 
     ``path`` is the row file; the machine-readable PASS/FAIL summary goes to
-    ``path`` with a ``.summary.json`` suffix appended.
+    ``path`` with a ``.summary.json`` suffix appended, each check's with the
+    sha256 ``digest`` of its entry and the repr of its row records.
     """
     reports = list(reports)
     all_rows = [r for rep in reports for r in rep.sorted_rows()]
@@ -158,10 +159,11 @@ def write_report(reports, path, fmt: str = "csv", timestamp: bool = False) -> No
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w") as fh:
         fh.write(payload)
-    summary = {
-        "checks": [{"name": rep.name, "passed": rep.passed, "detail": rep.detail}
-                   for rep in reports],
-        "all_passed": all(rep.passed for rep in reports),
-    }
+    import hashlib  # here, so that importing the package loads no module for it
+    checks = [{"name": rep.name, "passed": rep.passed, "detail": rep.detail} for rep in reports]
+    for check, rep in zip(checks, reports):
+        records = repr([r.as_record() for r in rep.sorted_rows()])
+        check["digest"] = hashlib.sha256((repr(check) + records).encode()).hexdigest()
+    summary = {"checks": checks, "all_passed": all(rep.passed for rep in reports)}
     with open(str(path) + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=1)

@@ -237,8 +237,8 @@ def check_pii_solution() -> Report:
     kap = 1e-6
     lin = painleve.solve_as(kap, -10.5, 1e-13, t_start=5.0)
     ts = np.arange(-10, 5.01, 0.25)
-    worst_l = max(abs(complex(lin.u(float(t))) / kap - ai) / abs(ai)
-                  for t, ai in zip(ts, specfun.airy(ts)[0]))
+    worst_l = max(abs(complex(lin.u(t)) / kap - ai) / abs(ai)
+                  for t, ai in zip(ts.tolist(), specfun.airy(ts)[0].tolist()))
     rep.add(ReportRow(label="airy-linearization", kappa=kap, abs_res=worst_l),
             worst_l <= _LINEARIZATION_BOUND,
             f"linearization err {worst_l:.2e} > {_LINEARIZATION_BOUND:.0e}")

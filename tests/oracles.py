@@ -554,6 +554,37 @@ def cross_pole_two_detours(t_s, y_s, side: int, tol: float):
     return rec, t_e, tuple((p + q) / 2 for p, q in zip(*ends))
 
 
+def laurent_data_newton(t_s, y_s, side: int):
+    """Pole location and cubic coefficient fitted to u and u' at t_s, as the library once did.
+
+    A two-variable Newton iteration on (a, h), its Jacobian from finite
+    differences with steps 1e-7 |t_s - a| and 1e-3, stopped at a residual of
+    1e-12 relative in both u and u'.  It shares the Laurent series with the
+    library, so a comparison isolates how the location is found.
+    """
+    from edgejump.painleve import FitFailure, PoleRecord, _laurent_state
+
+    u, up = y_s[0].real, y_s[1].real
+    eps = 1 if u * side > 0 else -1
+    a, h = t_s - eps / u, 0.0
+
+    def residual(a, h):
+        u_fit, up_fit, _, _ = _laurent_state(PoleRecord(a, eps, h), t_s)
+        return u_fit - u, up_fit - up
+
+    for _ in range(30):
+        r0, r1 = residual(a, h)
+        if abs(r0) <= 1e-12 * abs(u) and abs(r1) <= 1e-12 * abs(up):
+            return a, h
+        da, dh = 1e-7 * abs(t_s - a), 1e-3
+        ra, rh = residual(a + da, h), residual(a, h + dh)
+        j00, j10 = (ra[0] - r0) / da, (ra[1] - r1) / da
+        j01, j11 = (rh[0] - r0) / dh, (rh[1] - r1) / dh
+        det = j00 * j11 - j01 * j10
+        a, h = a - (r0 * j11 - r1 * j01) / det, h - (j00 * r1 - j10 * r0) / det
+    raise FitFailure(f"Newton fit near t = {t_s:.6g} did not converge")
+
+
 def step_size_all_roots(coeffs, tol):
     """The Taylor step-size rule with every root computed on every call.
 

@@ -11,7 +11,7 @@ import pytest
 
 from edgejump import cli, verify
 from edgejump.cli import main
-from edgejump.report import CSV_HEADER, Report
+from edgejump.report import CSV_HEADER, Report, ReportRow, rows_to_csv, write_report
 from edgejump.util import beta_from_kappa, kappa_from_beta
 
 
@@ -48,6 +48,59 @@ def test_hankel_dump_has_no_inf(tmp_path):
                                           "opsystem-Q", "opsystem-R"}
     values = [float(v) for r in rows for v in (r["finite_re"], r["finite_im"])]
     assert len(values) == 2 * len(rows) and all(map(math.isfinite, values))
+
+
+def test_hankel_dump_judges_its_checked_build():
+    # at beta = 1/2 and lambda0 = 0 the weight is odd: mu_0 = H_1 = 0, and
+    # rounding leaves mu_0 ~ 1e-65, so the doubled build agrees to 0 digits
+    assert main(["hankel", "--n", "4", "--beta", "0.5", "--lambda0", "0"]) == 1
+    assert main(["hankel", "--n", "4", "--beta", "0.3", "--lambda0", "0"]) == 0
+
+
+def test_verify_pii_csv_parses(tmp_path):
+    # criterion 4's linearization residual was a numpy scalar, written as np.float64(...)
+    out = tmp_path / "pii.csv"
+    assert main(["verify", "pii", "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert len(rows) == 2
+    for row in rows:
+        for key, value in row.items():
+            if key not in ("label", "verdict") and value:
+                float(value)
+
+
+def test_csv_writes_a_numpy_scalar_as_a_float():
+    import numpy as np
+    text = rows_to_csv([ReportRow(label="x", abs_res=np.float64(0.25))])
+    assert text.splitlines()[1].split(",")[CSV_HEADER.index("abs_res")] == "0.25"
+
+
+def _summary(tmp_path, reports):
+    out = tmp_path / "r.csv"
+    write_report(reports, out)
+    return json.loads(open(str(out) + ".summary.json").read())
+
+
+def test_summary_schema(tmp_path):
+    rep = Report("a-check")
+    rep.add(ReportRow(label="x", n=1, finite=1.0, asym=1.0), True)
+    summary = _summary(tmp_path, [rep])
+    assert list(summary) == ["checks", "all_passed"] and summary["all_passed"] is True
+    [check] = summary["checks"]
+    assert list(check) == ["name", "passed", "detail", "digest"]
+    assert check["name"] == "a-check" and check["passed"] is True and check["detail"] == ""
+    assert re.fullmatch("[0-9a-f]{64}", check["digest"])
+
+
+def test_digest_follows_one_row(tmp_path):
+    def report(last):
+        rep = Report("a-check")
+        for value in (1.0, 2.0, last):
+            rep.add(ReportRow(label="x", n=int(value), finite=value, asym=1.0), True)
+        return rep
+
+    digests = [_summary(tmp_path, [report(v)])["checks"][0]["digest"] for v in (3.0, 3.0, 3.5)]
+    assert digests[0] == digests[1] != digests[2]
 
 
 def test_verify_finite_n_identity_documented_invocation(tmp_path):

@@ -12,11 +12,11 @@ from edgejump.painleve import (FitFailure, PoleEncountered, TooCloseToPole,
                                oscillation_envelope, p34_singular_asymptote,
                                phase_singular, pii_residual, pole_free_scan,
                                pole_roundtrip_error, solve_as, _cross_pole,
-                               _laurent_state, _pii_laurent, _pii_taylor)
+                               _laurent_data, _laurent_state, _pii_laurent, _pii_taylor)
 from edgejump.util import beta_from_kappa, kappa_from_beta
 
-from oracles import (cross_pole_two_detours, p34_residual, pii_taylor_index_sum,
-                     v_asymptote_minus)
+from oracles import (cross_pole_two_detours, laurent_data_newton, p34_residual,
+                     pii_taylor_index_sum, v_asymptote_minus)
 
 TOL = 1e-12
 
@@ -262,25 +262,62 @@ class TestLaurentSeries:
             assert max(self._residuals(a, eps, h, float(x))) <= 4e-15
 
     def test_kept_order_in_the_first_window(self, sol_cut, monkeypatch):
-        # u through x^7 keeps u' and F' exact; u'' = t u + 2 u^3 and v' = -u^2
-        # keep the truncation, 8.8e-13 and 2.0e-13 relative at |x| = 0.06 here
+        # u through x^11: u' and F' stay exact, and u'' = t u + 2 u^3 and
+        # v' = -u^2 keep their truncation below round-off, 4.4e-16 and 4.2e-16
+        # relative at |x| <= 0.06 here
         rec = sol_cut.poles[0]
         for x in np.linspace(-0.06, 0.06, 24):
-            du, ode, dv, dF = self._residuals(rec.location, rec.sign, rec.cubic, float(x))
-            assert max(du, dF) <= 1e-15 and max(ode, dv) <= 2e-12
+            assert max(self._residuals(rec.location, rec.sign, rec.cubic, float(x))) <= 1e-15
         states = []
-        for order in (painleve._LAURENT_ORDER, 12):
+        for order in (painleve._LAURENT_ORDER, 20):
             monkeypatch.setattr(painleve, "_LAURENT_ORDER", order)
             states.append([_laurent_state(rec, rec.location + x) for x in (-0.05, 0.05)])
         for kept, ref in zip(*states):
-            assert abs(kept[2] - ref[2]) <= 1e-12 and abs(kept[3] - ref[3]) <= 1e-12
+            assert abs(kept[2] - ref[2]) <= 1e-14 and abs(kept[3] - ref[3]) <= 1e-14
 
     def test_fit_reproduces_the_stop_state(self):
+        # u' and v are not fitted: the location comes from the Taylor series, h from u
         sol = solve_as(math.sqrt(2), -14.0, TOL)
         for seg, rec in zip(sol.segments, sol.poles):
             y = _laurent_state(rec, seg.event_t)
             for got, want in zip(y, seg.y_end):
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kappa, t_min", [(math.sqrt(2), -14.0), (1.5, -40.0)])
+    def test_location_matches_the_two_variable_fit(self, kappa, t_min):
+        # the ratio of u's last two Taylor coefficients at each stop point
+        # against the Newton fit of a and h to u and u' there: 1.0e-14 apart
+        sol = solve_as(kappa, t_min, TOL)
+        for seg, rec in zip(sol.segments, sol.poles):
+            a, _ = laurent_data_newton(seg.event_t, seg.y_end, 1)
+            assert abs(rec.location - a) <= 1e-13
+
+    @pytest.mark.parametrize("order", [16, 20])
+    def test_fit_does_not_depend_on_the_kept_order(self, order, monkeypatch):
+        # the location does not read the Laurent series at all; h, solved from
+        # u(t_s) to round-off, agrees bit for bit at these poles
+        sol = solve_as(math.sqrt(2), -14.0, TOL)
+        monkeypatch.setattr(painleve, "_LAURENT_ORDER", order)
+        for seg, rec in zip(sol.segments, sol.poles):
+            deep = _laurent_data(seg.event_t, seg.y_end, 1)
+            assert deep.location == rec.location and abs(deep.cubic - rec.cubic) <= 1e-10
+
+    def test_windows_hold_the_series_at_the_kept_order(self, monkeypatch):
+        # |x| = 0.05 at every pole: order 20 adds at most 5.7e-16 relative
+        sol = solve_as(math.sqrt(2), -14.0, TOL)
+        points = [(rec, rec.location + x) for rec in sol.poles for x in (-0.05, 0.05)]
+        kept = [_laurent_state(rec, t) for rec, t in points]
+        monkeypatch.setattr(painleve, "_LAURENT_ORDER", 20)
+        for y, (rec, t) in zip(kept, points):
+            for got, want in zip(y, _laurent_state(rec, t)):
+                assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_no_dominant_pole_refused(self, sol_half):
+        # the kappa = 0.5 solution has no real pole; at t = -5 its nearest
+        # singularities are a complex-conjugate pair, and the ratios of u's
+        # Taylor coefficients there do not settle on any one location
+        with pytest.raises(FitFailure, match="no pole dominates"):
+            _laurent_data(-5.0, sol_half.state(-5.0), 1)
 
 
 class TestVAsymptote:

@@ -127,3 +127,9 @@ def test_zero_standard_error_fails(monkeypatch):
     assert not rep.passed
     assert rep.rows[0].rel_res == math.inf
     assert rep.detail == f"t=0.0: |cdf - det| = {rep.rows[0].abs_res:.4f} > band 0.0000"
+
+
+def test_pii_residuals_are_python_floats():
+    # the Airy linearization's worst error was a numpy scalar, which the CSV
+    # once wrote as np.float64(...)
+    assert {type(row.abs_res) for row in verify.check_pii_solution().rows} == {float}
