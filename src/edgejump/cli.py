@@ -14,9 +14,10 @@ criterion's sweep, trials and seeds.
 
 Reports are written as CSV or JSON (complex values split re/im) together
 with a machine-readable PASS/FAIL summary; exit status is 0 when every
-criterion passed, 1 on any FAIL, 2 on invalid configuration.  Given the same
-configuration and seed, reruns are byte-identical (pass --timestamp to embed
-a generation time header).
+criterion passed, 1 on any FAIL, 2 on invalid configuration: a flag the
+command line refuses, or a value a library guard refuses (``DomainError``).
+Given the same configuration and seed, reruns are byte-identical (pass
+--timestamp to embed a generation time header).
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import fredholm, painleve, verify, weightlab
 from .precision import MIN_BITS, PrecisionCtx, hankel_ctx
 from .report import Report, ReportRow, write_report
-from .util import beta_from_kappa, kappa_from_beta
+from .util import DomainError, beta_from_kappa, kappa_from_beta
 
 
 class ConfigError(ValueError):
@@ -55,7 +56,8 @@ _FLAGS = {
     "t": (float, "edge coordinate t (fredholm: upper end of its grid)"),
     "t_min": (float, "lower end of a t range"),
     "lambda0": (float, "cut point (direct form)"),
-    "bits": (int, "mantissa bits for exact computations (0: the default)"),
+    "bits": (int, "mantissa bits for exact computations (0: the default, "
+                  "max(192, 64 + 12 n) bits at size n)"),
     "tol": (float, "ODE tolerance"),
     "nodes": (int, "Gauss nodes per unit length of the Airy grid (a shorter panel "
                    "gets proportionally fewer, at least half; 0: the default)"),
@@ -329,7 +331,7 @@ def main(argv=None) -> int:
     try:
         given = _given(args)
         return _emit(args.run(given), **_keywords(_emit, given))
-    except ValueError as exc:  # a ConfigError, or a value outside the library's domain
+    except (ConfigError, DomainError) as exc:  # any other error is a defect: its traceback stands
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,6 +60,7 @@ from .linalg import ldlt
 from .precision import PrecisionCtx, agreed_digits
 from .quadrature import gauss_legendre
 from .specfun import airy, hermite_functions, hermite_functions_mp
+from .util import DomainError
 
 __all__ = [
     "airy_fredholm_det", "airy_fredholm_logdet", "hermite_gram", "finite_n_det",
@@ -100,11 +101,11 @@ def _airy_nystrom(ts: np.ndarray, nodes: int) -> tuple:
     short panel.
     """
     if nodes < 1:
-        raise ValueError("need at least one node per unit length")
+        raise DomainError("need at least one node per unit length")
     if not ts.size:
-        raise ValueError("need at least one t")
+        raise DomainError("need at least one t")
     if not np.isfinite(ts).all():
-        raise ValueError("need finite t")
+        raise DomainError("need finite t")
     edges = np.unique(np.append(ts, max(ts.max(), 0.0) + 14.0))[::-1]
     gaps = edges[:-1] - edges[1:]
     panels = np.ceil(gaps).astype(int)

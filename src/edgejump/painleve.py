@@ -45,7 +45,7 @@ import numpy as np
 
 from .ode import _ORDER, StepUnderflow, _horner, adaptive_rk, along_path
 from .specfun import airy
-from .util import beta_from_kappa
+from .util import DomainError, beta_from_kappa
 
 __all__ = [
     "ASolution", "PoleRecord", "solve_as", "PoleEncountered", "FitFailure",
@@ -106,15 +106,14 @@ def _pii_taylor(t, y, K):
     return u, p, v, F
 
 
-def _pii_laurent(a, eps, h, c_v, c_f):
-    """Laurent coefficients of (u, u', v, F) at a pole t = a, in x = t - a.
+def _laurent_u(a, eps, h):
+    """Laurent coefficients c_k of x u, and those of x^2 u^2, at a pole t = a, in x = t - a.
 
     With u = sum_k c_k x^(k-1) and c_0 = eps = +-1, u'' = t u + 2 u^3 reads
     (k - 4)(k + 1) c_k = a c_(k-2) + c_(k-3) + 2 (u^3)_k, where the Cauchy
     product (u^3)_k leaves out its c_k terms, 3 c_k.  The resonance k = 4
-    leaves the cubic coefficient c_4 = h free.  v' = -u^2 and F' = -v
-    integrate term by term from the constants c_v and c_f.  Returns the
-    coefficients of x u, x^2 u', x v and F + log|x| through index _LAURENT_ORDER.
+    leaves the cubic coefficient c_4 = h free.  Both lists run through
+    index _LAURENT_ORDER.
     """
     c, u2 = [eps, 0], [1, 0]  # c_1 = 0: the k = 1 equation has nothing on its right
     for k in range(2, _LAURENT_ORDER + 1):
@@ -124,6 +123,17 @@ def _pii_laurent(a, eps, h, c_v, c_f):
         tu = a * c[k - 2] + (c[k - 3] if k > 2 else 0)
         c[k] = h if k == 4 else (tu + 2 * sum(map(mul, u2, reversed(c)))) / ((k - 4) * (k + 1))
         u2[k] += 2 * eps * c[k]
+    return c, u2
+
+
+def _pii_laurent(a, eps, h, c_v, c_f):
+    """Laurent coefficients of (u, u', v, F) at a pole t = a, in x = t - a.
+
+    u's come from :func:`_laurent_u`; v' = -u^2 and F' = -v integrate term
+    by term from the constants c_v and c_f.  Returns the coefficients of
+    x u, x^2 u', x v and F + log|x| through index _LAURENT_ORDER.
+    """
+    c, u2 = _laurent_u(a, eps, h)
     v = [-s / (k - 1) if k != 1 else c_v for k, s in enumerate(u2)]
     return (c, [(k - 1) * ck for k, ck in enumerate(c)], v,
             [c_f] + [-vk / k for k, vk in enumerate(v[1:], 1)])
@@ -156,10 +166,10 @@ def _laurent_data(t_s, y_s, side: int) -> PoleRecord:
     if not (c1 and c2 and abs(c0 * c2 - c1 * c1) <= _RATIO_MATCH * c1 * c1):
         raise FitFailure(f"no pole dominates the Taylor series at t = {t_s:.6g}")
     a, u = t_s + c1 / c2, y_s[0].real
-    eps = 1 if u * side > 0 else -1
+    eps, x = (1 if u * side > 0 else -1), t_s - a
 
-    def miss(h):
-        return _laurent_state(PoleRecord(a, eps, h), t_s)[0] - u
+    def miss(h):  # u alone: v and F enter only through their constants
+        return _horner(_laurent_u(a, eps, h)[0], x) / x - u
 
     (h0, m0), (h, m) = (0.0, miss(0.0)), (1.0, miss(1.0))
     for _ in range(_SECANT_STEPS):
@@ -333,15 +343,15 @@ def solve_as(kappa, t_min: float, tol: float = 1e-12, *, t_start=None,
     """
     kappa = complex(kappa)
     if kappa in (1 + 0j, -1 + 0j):
-        raise ValueError("kappa = +-1 is the Hastings-McLeod point, out of scope")
+        raise DomainError("kappa = +-1 is the Hastings-McLeod point, out of scope")
     if t_min < -60:
-        raise ValueError("t_min below -60 is outside the validated window")
+        raise DomainError("t_min below -60 is outside the validated window")
     beta = beta_from_kappa(kappa) if kappa != 0 else 0j
     if traverse is None:
         traverse = kappa.imag == 0 and abs(kappa.real) > 1
     t0 = _pick_t_start(abs(kappa) ** 2, tol) if t_start is None else float(t_start)
     if t_min >= t0:
-        raise ValueError(f"t_min = {t_min} is not below the start point {t0}; runs go down")
+        raise DomainError(f"t_min = {t_min} is not below the start point {t0}; runs go down")
     y0 = _airy_initial_state(kappa.real if kappa.imag == 0 else kappa, t0)
     segments, poles = _integrate_with_poles(y0, t0, t_min, tol, traverse=traverse)
     return ASolution(kappa, beta, tol, t0, t_min, segments, poles)

@@ -36,6 +36,8 @@ from bisect import bisect_left
 
 import numpy as np
 
+from .util import DomainError
+
 __all__ = [
     "stream_rng", "sample_gue_eigs", "gap_probability_mc", "thinning_check",
     "plancherel_sample", "rsk_shape", "thinned_max_cdf",
@@ -153,7 +155,7 @@ def sample_gue_eigs(n: int, trials: int, master: int, stream: int = 0) -> np.nda
 def _need_trials(trials: int) -> None:
     """Refuse fewer than two trials: every estimator reports a ddof = 1 standard error."""
     if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
+        raise DomainError(f"need trials >= 2, got {trials}")
 
 
 def gap_probability_mc(n: int, lambda0: float, trials: int, master: int,

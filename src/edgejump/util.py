@@ -1,4 +1,5 @@
-"""Parameter conversions between the jump exponent beta and kappa."""
+"""Parameter conversions between the jump exponent beta and kappa, and the
+error the library's domain guards raise."""
 from __future__ import annotations
 
 import cmath
@@ -6,6 +7,14 @@ import cmath
 import mpmath as mp
 
 from .precision import PrecisionCtx
+
+
+class DomainError(ValueError):
+    """A value outside the domain a routine serves, such as a t range a run does not cover.
+
+    The command line reports it as a configuration error (exit 2); any other
+    ValueError is a defect and keeps its traceback.
+    """
 
 
 def kappa_sq_from_beta(beta, ctx: PrecisionCtx | None = None):

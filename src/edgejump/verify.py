@@ -118,9 +118,12 @@ def solution_cached(kappa, t_min: float, tol: float = _ODE_TOL) -> painleve.ASol
 # ---------------------------------------------------------------------------
 
 def check_gaussian_closed_form(ns=tuple(range(1, 31))) -> Report:
-    """H_n at beta = 0 against the factorial closed form (the cut is immaterial there)."""
+    """H_n at beta = 0 against the factorial closed form (the cut is immaterial there).
+
+    One moment-route build at ``hankel_ctx(max(ns))`` serves every n.
+    """
     rep = Report("gaussian-closed-form")
-    ctx, lambda0 = PrecisionCtx(512), 0.3
+    ctx, lambda0 = hankel_ctx(max(ns)), 0.3
     params = weightlab.WeightParams(0.0, lambda0)
     sys = weightlab.build_op_system(params, max(ns), ctx, check=False)
     with ctx.workprec():
@@ -135,22 +138,26 @@ def check_gaussian_closed_form(ns=tuple(range(1, 31))) -> Report:
 
 
 def check_finite_n_identity(ns=(4, 10, 20), betas=(0.4j, 0.3, 0.2 + 0.1j),
-                            lambda0s=(-1.0, 0.5, "edge"), bits: int = 768) -> Report:
-    """e^(-i pi n beta) H_n(beta)/H_n(0) against det(1 - kappa^2 G)."""
+                            lambda0s=(-1.0, 0.5, "edge"), bits: int = 0) -> Report:
+    """e^(-i pi n beta) H_n(beta)/H_n(0) against det(1 - kappa^2 G).
+
+    Both sides of rung n build at ``hankel_ctx(n)``, or at ``bits`` when it
+    is not 0; H_n(0) is the closed form, taken once per n.
+    """
     rep = Report("finite-n-fredholm-identity")
-    ctx = PrecisionCtx(bits)
     for n in ns:
+        ctx = PrecisionCtx(bits) if bits else hankel_ctx(n)
+        k2s = [kappa_sq_from_beta(b, ctx) for b in betas]
+        closed = weightlab.gaussian_hankel(n, ctx)
         for lam_spec in lambda0s:
             with ctx.workprec():
                 lam0 = mp.sqrt(2 * mp.mpf(n)) if lam_spec == "edge" else mp.mpf(lam_spec)
-            rhss = fredholm.finite_n_det(n, lam0, [kappa_sq_from_beta(b, ctx) for b in betas],
-                                         ctx=ctx)
+            rhss = fredholm.finite_n_det(n, lam0, k2s, ctx=ctx)
             for beta, rhs in zip(betas, rhss):
                 params = weightlab.WeightParams(beta, lam0)
                 sys = weightlab.build_op_system(params, n, ctx, check=False)
                 with ctx.workprec():
-                    lhs = (mp.exp(-1j * mp.pi * n * mp.mpc(beta)) * sys.H[n]
-                           / weightlab.gaussian_hankel(n, ctx))
+                    lhs = mp.exp(-1j * mp.pi * n * mp.mpc(beta)) * sys.H[n] / closed
                     err = float(abs(lhs - rhs))
                 rep.add(ReportRow(label="hankel-gram-identity", n=n,
                                   lambda0=float(lam0), beta=complex(beta),

@@ -323,13 +323,12 @@ def gaussian_hankel(n: int, ctx: PrecisionCtx):
     """Closed form of the pure-Gaussian Hankel determinant.
 
     (2 pi)^(n/2) 2^(-n^2/2) prod_{k=1}^{n-1} k!; independent of the cut
-    point, and the exact reference for every beta = 0 comparison.
+    point, and the exact reference for every beta = 0 comparison.  The
+    factorial product is one exact integer, rounded once.
     """
     with ctx.workprec(10):
         v = (2 * mp.pi) ** (mp.mpf(n) / 2) * mp.mpf(2) ** (-mp.mpf(n) ** 2 / 2)
-        for k in range(1, n):
-            v *= mp.factorial(k)
-        return +v
+        return v * math.prod(map(math.factorial, range(1, n)))
 
 
 def eval_pn_prime(sys: OPSystem, k: int, x):

@@ -585,6 +585,44 @@ def laurent_data_newton(t_s, y_s, side: int):
     raise FitFailure(f"Newton fit near t = {t_s:.6g} did not converge")
 
 
+def laurent_data_four_series(t_s, y_s, side: int):
+    """The Laurent data of the pole in front of t_s, its secant on all four series.
+
+    As the library once did it: every probe of the cubic coefficient h
+    builds the Laurent coefficients of u, u', v and F and sums all four,
+    though the secant compares only u.  Location, sign and the constants of
+    v and F are found as the library finds them, so a comparison isolates
+    the secant's probes.
+    """
+    from dataclasses import replace
+
+    from edgejump.painleve import (_RATIO_MATCH, _SECANT_STEPS, FitFailure, PoleRecord,
+                                   _laurent_state, _pii_taylor)
+    from edgejump.ode import _ORDER
+
+    c0, c1, c2 = (c.real for c in _pii_taylor(t_s, y_s, _ORDER)[0][-3:])
+    if not (c1 and c2 and abs(c0 * c2 - c1 * c1) <= _RATIO_MATCH * c1 * c1):
+        raise FitFailure(f"no pole dominates the Taylor series at t = {t_s:.6g}")
+    a, u = t_s + c1 / c2, y_s[0].real
+    eps = 1 if u * side > 0 else -1
+
+    def miss(h):
+        return _laurent_state(PoleRecord(a, eps, h), t_s)[0] - u
+
+    (h0, m0), (h, m) = (0.0, miss(0.0)), (1.0, miss(1.0))
+    for _ in range(_SECANT_STEPS):
+        h_new = h - m * (h - h0) / (m - m0)
+        m_new = miss(h_new)
+        if not abs(m_new) < abs(m):
+            break
+        h0, m0, h, m = h, m, h_new, m_new
+    else:
+        raise FitFailure(f"Laurent solve near t = {t_s:.6g} did not converge")
+    rec = PoleRecord(a, eps, h)
+    rec = replace(rec, c_v=y_s[2].real - _laurent_state(rec, t_s)[2])
+    return replace(rec, c_f=y_s[3].real - _laurent_state(rec, t_s)[3])
+
+
 def step_size_all_roots(coeffs, tol):
     """The Taylor step-size rule with every root computed on every call.
 

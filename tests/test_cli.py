@@ -202,10 +202,23 @@ def test_trend_check_with_one_rung_exits_2(name, capsys):
     (["fredholm", "--kappa", "0.5", "--t-min", "5", "--t", "4"], "need at least one t"),
 ])
 def test_value_outside_the_library_domain_exits_2(argv, why, capsys):
-    # these once exited 1, the status of a failed check, with a traceback
+    # these once exited 1, the status of a failed check, with a traceback;
+    # each reaches a library guard that raises DomainError
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and why in err and "Traceback" not in err
+
+
+def test_a_plain_value_error_from_a_driver_is_no_exit_2(monkeypatch):
+    # a ValueError that is no DomainError is a defect inside the library: it
+    # surfaces with its traceback, not as a configuration error
+    @functools.wraps(verify.check_tw_identity)  # a command's flags come from its signature
+    def driver(**kwargs):
+        raise ValueError("raised inside the driver")
+
+    monkeypatch.setattr(verify, "check_tw_identity", driver)
+    with pytest.raises(ValueError, match="raised inside the driver"):
+        main(["verify", "tw-identity"])
 
 
 def test_order_fit_reads_a_non_doubling_ladder():

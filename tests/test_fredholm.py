@@ -284,9 +284,11 @@ class TestFiniteN:
                           for i in range(n)], ctx)
             assert abs(got / ref - 1) < mp.mpf(10) ** -60
 
-    def test_big_float_det_against_lu_at_the_edge(self):
-        # criterion 2's 768-bit case at n = 20, lambda0 = sqrt(2n), its three betas
-        n, ctx = 20, PrecisionCtx(768)
+    @pytest.mark.parametrize("bits", [304, 768])
+    def test_big_float_det_against_lu_at_the_edge(self, bits):
+        # criterion 2's edge case at n = 20, lambda0 = sqrt(2n), its three betas: at
+        # hankel_ctx(20) = 304 bits, as the criterion builds it, and at 768
+        n, ctx = 20, PrecisionCtx(bits)
         with ctx.workprec(10):
             lam0 = mp.sqrt(2 * mp.mpf(n))
         gram = hermite_gram(n, lam0, ctx=ctx)

@@ -13,10 +13,10 @@ from edgejump.painleve import (FitFailure, PoleEncountered, TooCloseToPole,
                                phase_singular, pii_residual, pole_free_scan,
                                pole_roundtrip_error, solve_as, _cross_pole,
                                _laurent_data, _laurent_state, _pii_laurent, _pii_taylor)
-from edgejump.util import beta_from_kappa, kappa_from_beta
+from edgejump.util import DomainError, beta_from_kappa, kappa_from_beta
 
-from oracles import (cross_pole_two_detours, laurent_data_newton, p34_residual,
-                     pii_taylor_index_sum, v_asymptote_minus)
+from oracles import (cross_pole_two_detours, laurent_data_four_series, laurent_data_newton,
+                     p34_residual, pii_taylor_index_sum, v_asymptote_minus)
 
 TOL = 1e-12
 
@@ -86,14 +86,14 @@ class TestSolveBasics:
             assert abs(complex(sol_half.u(float(t)))) <= 2 * 0.5 * sps.airy(float(t))[0]
 
     def test_t_min_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="outside the validated window"):
             solve_as(0.5, -80.0, TOL)
 
     @pytest.mark.parametrize("t_min, t_start", [(20.0, None), (30.0, 5.0), (5.0, 5.0)])
     def test_upward_run_refused(self, t_min, t_start):
         # toward +inf the Airy-decaying solution is unstable: solve_as(0.5, 20.0)
         # once returned u(16) = -1.8e-14 against 0.5 Ai(16) = 2.1e-20
-        with pytest.raises(ValueError, match="not below the start point"):
+        with pytest.raises(DomainError, match="not below the start point"):
             solve_as(0.5, t_min, TOL, t_start=t_start)
 
 
@@ -291,6 +291,15 @@ class TestLaurentSeries:
         for seg, rec in zip(sol.segments, sol.poles):
             a, _ = laurent_data_newton(seg.event_t, seg.y_end, 1)
             assert abs(rec.location - a) <= 1e-13
+
+    def test_secant_on_u_alone_equals_the_four_series_secant(self):
+        # each probe of h sums u's series only; v and F enter through their constants
+        sol = solve_as(math.sqrt(2), -14.0, TOL)
+        assert sol.poles
+        for seg, rec in zip(sol.segments, sol.poles):
+            ref = laurent_data_four_series(seg.event_t, seg.y_end, 1)
+            assert (rec.location, rec.sign, rec.cubic, rec.c_v, rec.c_f) == (
+                ref.location, ref.sign, ref.cubic, ref.c_v, ref.c_f)
 
     @pytest.mark.parametrize("order", [16, 20])
     def test_fit_does_not_depend_on_the_kept_order(self, order, monkeypatch):

@@ -9,6 +9,7 @@ from edgejump.fredholm import finite_n_det, hermite_gram
 from edgejump.rmtsim import (_count_above, _gue_counts, gap_probability_mc,
                              plancherel_sample, rsk_shape, sample_gue_eigs,
                              stream_rng, thinned_max_cdf, thinning_check)
+from edgejump.util import DomainError
 
 from oracles import (gap_probability_from_spectra, hook_length_dimension, lis_length,
                      partitions_of, plancherel_probability, thinned_max_cdf_per_trial,
@@ -274,7 +275,7 @@ def test_thinned_max_cdf_holds_one_batch():
 ], ids=["gap_probability_mc", "thinning_check", "thinned_max_cdf"])
 def test_estimators_refuse_fewer_than_two_trials(estimate, trials):
     # each reports a ddof = 1 standard error
-    with pytest.raises(ValueError, match=f"need trials >= 2, got {trials}"):
+    with pytest.raises(DomainError, match=f"need trials >= 2, got {trials}"):
         estimate(trials)
 
 

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from edgejump import verify
+from edgejump import fredholm, verify, weightlab
+from edgejump.precision import hankel_ctx
 from edgejump.report import ReportRow
 from edgejump.weightlab import edge_cut
 
@@ -23,6 +24,25 @@ def test_every_criterion_resolves_to_driver_calls():
 def test_op_system_cached_builds_at_the_edge_cut():
     for n, t in ((20, 0.0), (64, 0.5), (256, -2.0)):
         assert verify.op_system_cached(0.4j, n, t).lambda0 == edge_cut(n, t)
+
+
+@pytest.mark.parametrize("bits, ns", [(0, (4, 10, 20)), (384, (4, 20))])
+def test_finite_n_identity_builds_at_the_rung_precision(bits, ns, monkeypatch):
+    # both sides of rung n build at hankel_ctx(n), unless bits is given
+    built = []
+    for module, name in ((weightlab, "build_op_system"), (weightlab, "gaussian_hankel"),
+                         (fredholm, "finite_n_det")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            given = inspect.signature(_real).bind(*args, **kwargs).arguments
+            built.append((_name, given.get("n", given.get("N")), given["ctx"].bits))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    rep = verify.check_finite_n_identity(ns=ns, bits=bits)
+    assert rep.passed, rep.detail
+    assert {name for name, _, _ in built} == {"build_op_system", "gaussian_hankel",
+                                              "finite_n_det"}
+    assert [n for name, n, _ in built if name == "gaussian_hankel"] == list(ns)  # once per n
+    assert all(got == (bits or hankel_ctx(n).bits) for _, n, got in built), built
 
 
 def test_bulk_hankel_passes_at_defaults():

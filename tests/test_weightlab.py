@@ -16,8 +16,8 @@ from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev, _round,
                                 hankel_matrix, moments, qn_jump_identity_residual)
 
 from oracles import (CRITERIA_5_TO_7_CUTS, chebyshev_fdot, eval_pn_from_coeffs,
-                     gram_schmidt_monic, jump_weight_integral, monic_coefficients,
-                     op_system_mpc_phases)
+                     gaussian_hankel_closed_form, gram_schmidt_monic, jump_weight_integral,
+                     monic_coefficients, op_system_mpc_phases)
 
 
 def eval_pn(sys, k, x):
@@ -144,6 +144,16 @@ class TestBuild:
             for n in range(1, 13):
                 closed = gaussian_hankel(n, ctx)
                 assert abs(sys.H[n] - closed) / closed < mp.mpf(10) ** -100
+
+    @pytest.mark.parametrize("bits", [192, 424, 768])
+    def test_gaussian_hankel_against_barnes_g(self, bits):
+        # the factorial product, rounded once, against (2 pi)^(n/2) 2^(-n^2/2)
+        # G(n + 1) at 64 more bits; 192 and 424 are hankel_ctx(4) and hankel_ctx(30)
+        ctx = PrecisionCtx(bits)
+        for n in range(1, 65):
+            want = gaussian_hankel_closed_form(n, bits + 64)
+            with mp.workprec(bits + 64):
+                assert abs(gaussian_hankel(n, ctx) / want - 1) <= mp.mpf(2) ** (8 - bits), n
 
     def test_hermite_recurrence_coefficients(self):
         sys = build_op_system(WeightParams(0.0, -0.4), 12, CTX, check=False)
