@@ -57,7 +57,7 @@ _FLAGS = {
     "t_min": (float, "lower end of a t range"),
     "lambda0": (float, "cut point (direct form)"),
     "bits": (int, "mantissa bits for exact computations (0: the default, "
-                  "max(192, 64 + 12 n) bits at size n)"),
+                  "max(192, 64 + 4 n) bits at size n)"),
     "tol": (float, "ODE tolerance"),
     "nodes": (int, "Gauss nodes per unit length of the Airy grid (a shorter panel "
                    "gets proportionally fewer, at least half; 0: the default)"),
@@ -327,12 +327,14 @@ def main(argv=None) -> int:
                              [getattr(verify, driver) for driver, _ in check.calls],
                              lambda given, name=name: _run_check(name, given))
 
-    args = ap.parse_args(argv)
+    args, given = ap.parse_args(argv), {}
     try:
         given = _given(args)
         return _emit(args.run(given), **_keywords(_emit, given))
     except (ConfigError, DomainError) as exc:  # any other error is a defect: its traceback stands
-        print(f"configuration error: {exc}", file=sys.stderr)
+        flag = _flag(getattr(exc, "keyword", None) or "")  # the flag a refused value came from
+        where = f"{_dashed(flag)} {given[flag]}: " if flag in given else ""
+        print(f"configuration error: {where}{exc}", file=sys.stderr)
         return 2
 
 

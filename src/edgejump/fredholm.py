@@ -3,8 +3,8 @@
 * ``airy_fredholm_logdet`` / ``airy_fredholm_det``: the Airy-kernel Fredholm
   determinant det(1 - kappa^2 K_Ai) on [t, inf), by Nystrom discretization,
   for a whole sweep of t at once.  One composite Gauss-Legendre grid covers
-  [min t, T] with T = max(t, 0) + 14, past which the kernel is negligible
-  (K_Ai(14, 14) = 1.3e-33): a breakpoint at every requested t and at T, and
+  [min t, T] with T = max(t, 9) + 1, past which the kernel is negligible
+  (trace 2.9e-22 on [10, inf)): a breakpoint at every requested t and at T, and
   between breakpoints panels of equal width w <= 1 with ``nodes`` per unit
   length (ceil(nodes w), at least ceil(nodes/2)), so the nodes above any
   requested t are exactly a composite rule on [t, T] (Bornemann, Math.
@@ -34,23 +34,23 @@
 
 * ``finite_n_det``: the exact finite-n determinant det(1 - kappa^2 K_n) on
   [lambda0, inf) through the rank-n Gram matrix G of orthonormal Hermite
-  functions, det(I - kappa^2 G).  The Gram matrix has a closed form in the
-  Hermite functions at lambda0 and erfc(lambda0), with no quadrature; one
-  body computes it in double precision by default, or in big floats under a
-  precision context for the high-precision Hankel identity checks.  G is
-  real, symmetric and the same for every kappa, so a sweep of kappa builds
-  once: in doubles one ``numpy.linalg.eigvalsh`` of G, in big floats one
-  Householder reduction ``Q^T G Q = T`` to a real tridiagonal T with
-  diagonal a and off-diagonal b (Golub & Van Loan, 8.3.1).  As 0 <= G <= I
-  keeps every entry in [-1, 1], it runs on ints scaled by 2^S (S = working
-  precision + 16 guard bits), one rounding per product: an absolute error
-  of 2^-S per step, normwise as in floating point.  Each kappa then costs
-  O(n): det(I - kappa^2 T) is the last term of the continuant
+  functions, det(I - kappa^2 G).  G has a closed form in the Hermite
+  functions at lambda0 and erfc(lambda0), with no quadrature, and is the
+  same for every kappa, so a sweep of kappa builds it once.  In doubles
+  that is one ``numpy.linalg.eigvalsh`` of G.  In big floats, for the exact
+  identity checks, 0 <= G <= I keeps every entry in [-1, 1], so G is built
+  straight in fixed point, as ints scaled by 2^S (S = working precision +
+  16 guard bits), and one Householder reduction ``Q^T G Q = T`` (Golub &
+  Van Loan, 8.3.1) runs on those ints to a real tridiagonal T with
+  diagonal a and off-diagonal b, one rounding per product: an absolute
+  error of 2^-S per step, normwise as in floating point.  Each kappa then
+  costs O(n): det(I - kappa^2 T) is the last term of the continuant
   D_j = (1 - kappa^2 a_j) D_(j-1) - kappa^4 b_(j-1)^2 D_(j-2).
 """
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from operator import mul
 
 import mpmath as mp
@@ -94,7 +94,7 @@ def _airy_nystrom(ts: np.ndarray, nodes: int) -> tuple:
 
     A is ``sqrt(w_i w_j) K_Ai(x_i, x_j)`` with the nodes x in decreasing
     order, so its leading ``above[i]`` rows and columns discretize
-    [ts[i], T], T = max(t, 0) + 14.  Every gap between consecutive
+    [ts[i], T], T = max(t, 9) + 1.  Every gap between consecutive
     breakpoints (the t's and T) is cut into ceil(width) panels of equal
     width w <= 1, each with max(ceil(nodes w), ceil(nodes/2)) Gauss-Legendre
     nodes: ``nodes`` per unit length, and never fewer than half of that on a
@@ -106,7 +106,7 @@ def _airy_nystrom(ts: np.ndarray, nodes: int) -> tuple:
         raise DomainError("need at least one t")
     if not np.isfinite(ts).all():
         raise DomainError("need finite t")
-    edges = np.unique(np.append(ts, max(ts.max(), 0.0) + 14.0))[::-1]
+    edges = np.unique(np.append(ts, max(ts.max(), 9.0) + 1.0))[::-1]
     gaps = edges[:-1] - edges[1:]
     panels = np.ceil(gaps).astype(int)
     sizes = np.maximum(np.ceil(nodes * gaps / panels), (nodes + 1) // 2).astype(int)
@@ -191,34 +191,45 @@ def airy_fredholm_det(kappa_sq, t, nodes: int = 12):
     return complex(np.exp(logdet)) if np.ndim(logdet) == 0 else np.exp(logdet)
 
 
-def _gram_closed_form(psi: np.ndarray, lambda0, lib) -> np.ndarray:
-    """The n x n Gram matrix on [lambda0, inf) from psi_0..psi_n at lambda0.
-
-    Runs unchanged on float64 arrays with ``lib = math`` and on object
-    arrays of mpf with ``lib = mpmath``, whose ``sqrt`` and ``erfc`` match.
-    """
+def _gram_closed_form(psi: np.ndarray, lambda0: float) -> np.ndarray:
+    """The n x n Gram matrix on [lambda0, inf) in doubles, from psi_0..psi_n at lambda0."""
     n = psi.size - 1
-    g00 = lib.erfc(lambda0) / 2
-    r = np.array([lib.sqrt(k / 2) for k in range(n + 1)])
+    r = np.sqrt(np.arange(n + 1) / 2)
     p = psi[:n]
     dp = r[:n] * np.roll(p, 1) - r[1:] * psi[1:]  # psi_k'; r[0] = 0 drops psi_(-1)
     k = np.arange(n)
     two_dk = 2 * (k[None, :] - k[:, None])
     np.fill_diagonal(two_dk, 1)
     G = (np.outer(p, dp) - np.outer(dp, p)) / two_dk
-    steps = np.concatenate(([g00], p[1:] * p[:-1] / (2 * r[1:n])))
+    steps = np.concatenate(([math.erfc(lambda0) / 2], p[1:] * p[:-1] / (2 * r[1:n])))
     G[k, k] = np.cumsum(steps)
     return G
+
+
+def _gram_fixed(n: int, lambda0, ctx: PrecisionCtx) -> tuple:
+    """(G, S): the closed-form Gram matrix as rows of ints G 2^S, S = ctx.bits + 26.
+
+    psi_k(lambda0) and erfc(lambda0)/2 are mpf at ``ctx`` precision + 10, sqrt(k/2)
+    an exact integer square root; each product is rounded once (``>> S`` or ``//``)."""
+    with ctx.workprec(10):
+        S = mp.mp.prec + 16
+        p = [mp.libmp.to_fixed(x._mpf_, S) for x in hermite_functions_mp(n + 1, lambda0, ctx)]
+        g00 = mp.libmp.to_fixed((mp.erfc(lambda0) / 2)._mpf_, S)
+    r = [math.isqrt(k << (2 * S - 1)) for k in range(n + 1)]  # sqrt(k/2) 2^S
+    dp = [(r[k] * p[k - 1] - r[k + 1] * p[k + 1]) >> S for k in range(n)]  # r[0] = 0 drops psi_(-1)
+    diag = list(accumulate([g00] + [p[k] * p[k - 1] // (2 * r[k]) for k in range(1, n)]))
+    return [[diag[j] if j == k else (p[j] * dp[k] - dp[j] * p[k]) // ((k - j) << (S + 1))
+             for k in range(n)] for j in range(n)], S
 
 
 def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> np.ndarray:
     """Gram matrix of the first n orthonormal Hermite functions on [lambda0, inf).
 
     G_jk = integral_{lambda0}^inf psi_j psi_k dx, symmetric with spectrum in
-    [0, 1]: float64, or an object array of mpf under ``ctx``.  Closed form,
-    from n + 1 Hermite function values at lambda0 and one erfc, with no
-    quadrature: in double precision by default, in big floats at ``ctx``
-    precision.  ``psi_k'' = (x^2 - 2k - 1) psi_k`` makes
+    [0, 1]: float64, or an object array of mpf under ``ctx`` (from the
+    fixed-point ``_gram_fixed``).  Closed form, from n + 1 Hermite function
+    values at lambda0 and one erfc, with no quadrature.
+    ``psi_k'' = (x^2 - 2k - 1) psi_k`` makes
     ``W = psi_j psi_k' - psi_j' psi_k`` an antiderivative of
     ``2(j - k) psi_j psi_k``, and
     ``psi_k' = sqrt(k/2) psi_(k-1) - sqrt((k+1)/2) psi_(k+1)``, so
@@ -231,10 +242,10 @@ def hermite_gram(n: int, lambda0: float, ctx: PrecisionCtx | None = None) -> np.
         raise ValueError("need n >= 1")
     if ctx is None:
         lam = float(lambda0)
-        return _gram_closed_form(np.array(hermite_functions(n + 1, lam)), lam, math)
+        return _gram_closed_form(np.array(hermite_functions(n + 1, lam)), lam)
+    G, S = _gram_fixed(n, lambda0, ctx)
     with ctx.workprec(10):
-        psi = np.array(hermite_functions_mp(n + 1, lambda0, ctx), dtype=object)
-        return _gram_closed_form(psi, mp.mpf(lambda0), mp)
+        return np.array([[mp.mpf((x, -S)) for x in row] for row in G], dtype=object)
 
 
 def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None):
@@ -259,13 +270,12 @@ def finite_n_det(n: int, lambda0, kappa_sq, ctx: PrecisionCtx | None = None):
     determinant in big floats at that precision for the exact identity
     tests: one Householder reduction of G, then one continuant per kappa^2.
     """
-    gram = hermite_gram(n, lambda0, ctx=ctx)
     sweep = np.ndim(kappa_sq) > 0
     k2s = list(kappa_sq) if sweep else [kappa_sq]
     if ctx is not None:
-        dets = _big_float_det(gram, k2s, ctx)
+        dets = _big_float_det(*_gram_fixed(n, lambda0, ctx), k2s, ctx)
         return dets if sweep else dets[0]
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(hermite_gram(n, lambda0))
     dets = [_double_det(n, lambda0, complex(k2), eigs) for k2 in k2s]
     return np.array(dets) if sweep else dets[0]
 
@@ -295,20 +305,18 @@ def _double_det(n: int, lambda0, k2: complex, eigs: np.ndarray) -> complex:
     return complex(np.exp(log_det))
 
 
-def _householder_tridiagonal(G) -> tuple:
+def _householder_tridiagonal(A: list, S: int) -> tuple:
     """(a, b2): diagonal and squared off-diagonal of a tridiagonal Q^T G Q, as mpf.
 
-    Fixed point: G is real symmetric with 0 <= G <= I (rows of mpf), so every
-    entry stays in [-1, 1] and is held as an int times 2^-S, S the working
-    precision + 16 guard bits.  Dot products are exact and each product is
+    Fixed point: G is real symmetric with 0 <= G <= I, so every entry stays
+    in [-1, 1]; it comes as rows of ints ``A`` = G 2^S (``_gram_fixed``),
+    and the reduction overwrites them.  Dot products are exact and each product is
     rounded once (``>> S`` or ``// den``), an absolute error of 2^-S per
     step: the normwise backward error of floating-point Householder.  Each
     step reflects the column below the diagonal onto its first entry (Golub
     & Van Loan 8.3.1), scaled by the exact v.v, and updates the lower
     triangle of the trailing block.
     """
-    S = mp.mp.prec + 16
-    A = [[mp.libmp.to_fixed(x._mpf_, S) for x in row] for row in G]
     n = len(A)
     b2 = []
     for k in range(n - 2):
@@ -336,13 +344,13 @@ def _householder_tridiagonal(G) -> tuple:
     return a, [mp.mpf((s, -2 * S)) for s in b2]
 
 
-def _big_float_det(gram: np.ndarray, kappa_sqs, ctx: PrecisionCtx) -> list:
+def _big_float_det(G: list, S: int, kappa_sqs, ctx: PrecisionCtx) -> list:
     """det(I - kappa^2 G) for each kappa^2, in big floats at ``ctx`` precision.
 
-    One Householder reduction of G, then one continuant per kappa^2.
+    One Householder reduction of the ints G 2^S, then one continuant per kappa^2.
     """
     with ctx.workprec(10):
-        a, b2 = _householder_tridiagonal(gram)
+        a, b2 = _householder_tridiagonal(G, S)
         dets = []
         for k2 in kappa_sqs:
             k2 = mp.mpc(k2)

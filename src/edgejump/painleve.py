@@ -345,13 +345,14 @@ def solve_as(kappa, t_min: float, tol: float = 1e-12, *, t_start=None,
     if kappa in (1 + 0j, -1 + 0j):
         raise DomainError("kappa = +-1 is the Hastings-McLeod point, out of scope")
     if t_min < -60:
-        raise DomainError("t_min below -60 is outside the validated window")
+        raise DomainError("t_min below -60 is outside the validated window", "t_min")
     beta = beta_from_kappa(kappa) if kappa != 0 else 0j
     if traverse is None:
         traverse = kappa.imag == 0 and abs(kappa.real) > 1
     t0 = _pick_t_start(abs(kappa) ** 2, tol) if t_start is None else float(t_start)
     if t_min >= t0:
-        raise DomainError(f"t_min = {t_min} is not below the start point {t0}; runs go down")
+        raise DomainError(f"t_min = {t_min} is not below the start point {t0}; runs go down",
+                          "t_min")
     y0 = _airy_initial_state(kappa.real if kappa.imag == 0 else kappa, t0)
     segments, poles = _integrate_with_poles(y0, t0, t_min, tol, traverse=traverse)
     return ASolution(kappa, beta, tol, t0, t_min, segments, poles)

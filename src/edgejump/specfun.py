@@ -154,22 +154,22 @@ def half_gauss_moments(lambda0, K: int, ctx: PrecisionCtx) -> tuple:
         lam = mp.mpf(lambda0)
         if not mp.isfinite(lam):
             raise ValueError(f"lambda0 must be finite, got {lambda0}")
-        if lam < 0:
-            pos = _half_moments_nonneg(-lam, K)
-            full = [_full_gauss_moment(j) for j in range(K + 1)]
-            vals = [full[j] - pos[j] if j % 2 == 0 else full[j] + pos[j]
-                    for j in range(K + 1)]
-        else:
-            vals = _half_moments_nonneg(lam, K)
+        vals = _half_moments_nonneg(abs(lam), K)
+        if lam < 0:  # parity: J_j(lam) = M_j - J_j(-lam) at even j, J_j(-lam) at odd j
+            vals = [v if j % 2 else m - v
+                    for j, (m, v) in enumerate(zip(_full_gauss_moments(K), vals))]
     with ctx.workprec():
         return tuple(+v for v in vals)
 
 
-def _full_gauss_moment(j: int):
-    """integral_R x^j e^(-x^2) dx: Gamma((j+1)/2) for even j, 0 for odd."""
-    if j % 2 == 1:
-        return mp.mpf(0)
-    return mp.gamma(mp.mpf(j + 1) / 2)
+def _full_gauss_moments(K: int) -> list:
+    """M_j = integral_R x^j e^(-x^2) dx, j = 0..K: 0 at odd j, and at even j
+    Gamma((j+1)/2) from M_0 = sqrt(pi), M_(j+2) = M_j (j+1)/2, rounded once."""
+    root, odd, out = mp.sqrt(mp.pi), 1, []  # odd = (j-1)!!
+    for j in range(0, K + 1, 2):
+        out += [mp.ldexp(root * odd, -(j // 2)), mp.mpf(0)]
+        odd *= j + 1
+    return out[:K + 1]
 
 
 def _half_moments_nonneg(lam, K: int):

@@ -12,9 +12,13 @@ from .precision import PrecisionCtx
 class DomainError(ValueError):
     """A value outside the domain a routine serves, such as a t range a run does not cover.
 
-    The command line reports it as a configuration error (exit 2); any other
-    ValueError is a defect and keeps its traceback.
+    The command line reports it as a configuration error (exit 2), naming the flag
+    that set ``keyword``; any other ValueError is a defect and keeps its traceback.
     """
+
+    def __init__(self, message: str, keyword: str | None = None):
+        super().__init__(message)
+        self.keyword = keyword
 
 
 def kappa_sq_from_beta(beta, ctx: PrecisionCtx | None = None):

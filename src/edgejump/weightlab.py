@@ -50,7 +50,7 @@ import numpy as np
 from .fredholm import _gram_closed_form
 from .linalg import PIVOT_FLOOR, SingularMinor, ldlt
 from .precision import PrecisionCtx, agreed_digits
-from .specfun import _full_gauss_moment, half_gauss_moments, hermite_functions
+from .specfun import _full_gauss_moments, half_gauss_moments, hermite_functions
 from .util import kappa_sq_from_beta
 
 __all__ = [
@@ -99,12 +99,13 @@ def moments(params: WeightParams, kmax: int, ctx: PrecisionCtx):
     """Weight moments mu_0..mu_kmax.
 
     mu_j = e^(i pi beta) (M_j - J_j) + e^(-i pi beta) J_j with M_j the full
-    Gaussian moment and J_j the half-range table from the cut point up.
+    Gaussian moment (0 at odd j) and J_j the half-range table from the cut point up.
     """
     J = half_gauss_moments(params.lambda0, kmax, ctx)
     with ctx.workprec(20):
         eplus, eminus = params.jump_phases()
-        out = [eplus * (_full_gauss_moment(j) - J[j]) + eminus * J[j] for j in range(kmax + 1)]
+        out = [eplus * (m - J[j]) + eminus * J[j] if j % 2 == 0 else (eminus - eplus) * J[j]
+               for j, m in enumerate(_full_gauss_moments(kmax))]
     with ctx.workprec():
         return tuple(+m for m in out)
 
@@ -294,7 +295,7 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
     k2 = kappa_sq_from_beta(beta)
     N = n + 2
     psi = hermite_functions(N + 1, lam)
-    G = _gram_closed_form(np.array(psi), lam, math)
+    G = _gram_closed_form(np.array(psi), lam)
     small = abs(k2) * np.abs(G).max(axis=1) <= _HALF_ULP
     m = N if small.all() else int(np.argmin(small))
     try:
@@ -322,13 +323,13 @@ def gram_system(beta, n: int, lambda0) -> GramSystem:
 def gaussian_hankel(n: int, ctx: PrecisionCtx):
     """Closed form of the pure-Gaussian Hankel determinant.
 
-    (2 pi)^(n/2) 2^(-n^2/2) prod_{k=1}^{n-1} k!; independent of the cut
+    sqrt(pi)^n 2^(-(n^2 - n)/2) prod_{k=1}^{n-1} k!; independent of the cut
     point, and the exact reference for every beta = 0 comparison.  The
-    factorial product is one exact integer, rounded once.
+    factorial product is one exact integer, rounded once; the power of 2 is exact.
     """
     with ctx.workprec(10):
-        v = (2 * mp.pi) ** (mp.mpf(n) / 2) * mp.mpf(2) ** (-mp.mpf(n) ** 2 / 2)
-        return v * math.prod(map(math.factorial, range(1, n)))
+        v = mp.sqrt(mp.pi) ** n * math.prod(map(math.factorial, range(1, n)))
+        return mp.ldexp(v, -(n * (n - 1) // 2))
 
 
 def eval_pn_prime(sys: OPSystem, k: int, x):

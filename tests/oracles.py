@@ -642,6 +642,31 @@ def step_size_all_roots(coeffs, tol):
     return h
 
 
+def hermite_gram_mpf(n: int, lambda0, bits: int) -> np.ndarray:
+    """The n x n Hermite Gram matrix on [lambda0, inf) as an object array of mpf.
+
+    The closed form of ``fredholm.hermite_gram`` in floating point at
+    ``bits`` + 10: psi_k(lambda0) from mpmath's Hermite polynomials,
+    G_jk = (psi_j psi_k' - psi_j' psi_k) / (2(k - j)) off the diagonal and
+    G_kk = erfc(lambda0)/2 + sum_(i<=k) psi_i psi_(i-1) / sqrt(2i).
+    """
+    with mp.workprec(bits + 10):
+        x = mp.mpf(lambda0)
+        psi = np.array([mp.hermite(k, x) * mp.exp(-x * x / 2)
+                        / mp.sqrt(2 ** k * mp.factorial(k) * mp.sqrt(mp.pi))
+                        for k in range(n + 1)], dtype=object)
+        r = np.array([mp.sqrt(mp.mpf(k) / 2) for k in range(n + 1)], dtype=object)
+        p = psi[:n]
+        dp = r[:n] * np.roll(p, 1) - r[1:] * psi[1:]
+        k = np.arange(n)
+        two_dk = 2 * (k[None, :] - k[:, None])
+        np.fill_diagonal(two_dk, 1)
+        G = (np.outer(p, dp) - np.outer(dp, p)) / two_dk
+        steps = np.concatenate(([mp.erfc(x) / 2], p[1:] * p[:-1] / (2 * r[1:n])))
+        G[k, k] = np.cumsum(steps)
+        return G
+
+
 def householder_tridiagonal_mpf(G) -> tuple:
     """(a, b2) of a tridiagonal Q^T G Q by Householder reflections in mpf.
 

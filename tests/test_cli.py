@@ -209,6 +209,17 @@ def test_value_outside_the_library_domain_exits_2(argv, why, capsys):
     assert err.startswith("configuration error: ") and why in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "thm1.2", "--n", "20,40", "--t", "40"], "--t 40.0: t_min = 39.0"),
+    (["painleve", "--kappa", "0.5", "--t-min", "-70"], "--t-min -70.0: t_min below -60"),
+])
+def test_a_refused_value_names_its_flag(argv, named, capsys):
+    # thm1.2 runs its Painleve solution down to min t - 1: the message names
+    # --t, the flag the refused t_min came from, not the library's keyword alone
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {named}")
+
+
 def test_a_plain_value_error_from_a_driver_is_no_exit_2(monkeypatch):
     # a ValueError that is no DomainError is a defect inside the library: it
     # surfaces with its traceback, not as a configuration error

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
+from mpmath.libmp import to_fixed
 
 from edgejump import fredholm
 from edgejump.fredholm import (_airy_nystrom, airy_fredholm_det,
@@ -17,7 +18,8 @@ from edgejump.specfun import hermite_functions_mp
 from edgejump.util import kappa_sq_from_beta
 from edgejump.weightlab import WeightParams, build_op_system, edge_cut, gaussian_hankel
 
-from oracles import gauss_legendre_mp, hermite_gram_quadrature, householder_tridiagonal_mpf
+from oracles import (gauss_legendre_mp, hermite_gram_mpf, hermite_gram_quadrature,
+                     householder_tridiagonal_mpf)
 
 
 class TestAiryDeterminant:
@@ -45,9 +47,20 @@ class TestAiryDeterminant:
         assert abs(a - b) < 1e-10
 
     def test_kernel_negligible_past_truncation(self):
-        # the grid stops at T = max(t, 0) + 14, where the kernel's diagonal
-        # (its largest entry beyond T) is far below double resolution
-        assert airy_kernel_diagonal(14.0) < 1e-32
+        # the grid stops at T = max(t, 9) + 1 >= 10, where the kernel's
+        # diagonal (its largest entry beyond T) is far below double resolution
+        assert airy_kernel_diagonal(10.0) < 2e-21
+
+    @pytest.mark.parametrize("k2s, ts", [
+        ((0.09, 0.49, 0.9025), np.arange(-8.0, 4.25, 0.5)),  # criterion 3
+        ((kappa_sq_from_beta(0.15j),), None)])  # criterion 8's tail probes
+    def test_grid_end_against_the_longer_grid(self, k2s, ts):
+        # one more breakpoint at max(t, 0) + 13 puts the end at max(t, 0) + 14,
+        # the older end, over the same unit panels: the log-determinants at
+        # the checks' t move by at most 1e-15
+        ts = np.array(self._tail_probes() if ts is None else ts)
+        longer = airy_fredholm_logdet(k2s, np.append(ts, max(ts.max(), 0.0) + 13.0))
+        assert np.abs(airy_fredholm_logdet(k2s, ts) - longer[:, :-1]).max() <= 1e-15
 
     def test_logdet_consistent_with_det(self):
         ld = airy_fredholm_logdet(0.49, -3.0)
@@ -199,6 +212,23 @@ class TestGram:
             for j in range(5):
                 assert float(Gm[i][j]) == pytest.approx(Gd[i, j], abs=1e-12)
 
+    @pytest.mark.parametrize("bits", [192, 304, 768])
+    @pytest.mark.parametrize("n", [1, 4, 20, 64])
+    @pytest.mark.parametrize("lam_spec", [-1.0, 0.5, "edge"])
+    def test_fixed_point_gram_against_mpf_closed_form(self, lam_spec, n, bits):
+        # the fixed-point build (ints scaled by 2^(bits + 26)) against the same
+        # closed form in mpf at bits + 10, psi_k from mpmath's Hermite
+        # polynomials: within 2^-(bits + 4) absolutely (the worst reads
+        # 0.0054 2^-bits, at n = 64, lambda0 = -1, 304 bits)
+        ctx = PrecisionCtx(bits)
+        with ctx.workprec(10):
+            lam0 = mp.sqrt(2 * mp.mpf(n)) if lam_spec == "edge" else mp.mpf(lam_spec)
+        G, want = hermite_gram(n, lam0, ctx=ctx), hermite_gram_mpf(n, lam0, bits)
+        assert G.shape == (n, n) and all(type(x) is mp.mpf for x in G.flat)
+        with mp.workprec(bits + 40):
+            worst = max(abs(x - y) for x, y in zip(G.flat, want.flat))
+            assert worst <= mp.mpf(2) ** -(bits + 4)
+
     @pytest.mark.parametrize("lam_spec", [-1.0, 0.5, "edge"])
     def test_bigfloat_closed_form_matches_bigfloat_quadrature(self, lam_spec):
         # the closed form against a 160-node 256-bit Gauss-Legendre rule on
@@ -284,10 +314,10 @@ class TestFiniteN:
                           for i in range(n)], ctx)
             assert abs(got / ref - 1) < mp.mpf(10) ** -60
 
-    @pytest.mark.parametrize("bits", [304, 768])
+    @pytest.mark.parametrize("bits", [192, 304, 768])
     def test_big_float_det_against_lu_at_the_edge(self, bits):
         # criterion 2's edge case at n = 20, lambda0 = sqrt(2n), its three betas: at
-        # hankel_ctx(20) = 304 bits, as the criterion builds it, and at 768
+        # hankel_ctx(20) = 192 bits, as the criterion builds it, at 304 and at 768
         n, ctx = 20, PrecisionCtx(bits)
         with ctx.workprec(10):
             lam0 = mp.sqrt(2 * mp.mpf(n))
@@ -336,6 +366,11 @@ class TestFiniteN:
         assert airy_fredholm_det(k2s, ts).tolist() == np.exp(sweep).tolist()
 
 
+def _fixed(G, S: int) -> list:
+    """Rows of mpf as the ints G 2^S (floored) that the reduction takes."""
+    return [[to_fixed(x._mpf_, S) for x in row] for row in G]
+
+
 def _charpoly(a, b2, z):
     """det(z I - T) of the symmetric tridiagonal T with diagonal a and squared off-diagonal b2."""
     prev, cur = 1, z - a[0]
@@ -362,7 +397,8 @@ class TestHouseholder:
             lam0 = mp.sqrt(2 * mp.mpf(n)) if lam_spec == "edge" else mp.mpf(lam_spec)
         G = hermite_gram(n, lam0, ctx=ctx)
         with ctx.workprec(10):
-            a, b2 = fredholm._householder_tridiagonal(G)
+            S = mp.mp.prec + 16
+            a, b2 = fredholm._householder_tridiagonal(_fixed(G, S), S)
             ref_a, ref_b2 = householder_tridiagonal_mpf(G)
             assert len(a) == n and len(b2) == max(n - 1, 0)
             assert all(type(x) is mp.mpf for x in a + b2) and min(b2, default=0) >= 0
@@ -379,5 +415,5 @@ class TestHouseholder:
             G = [[a[i] if i == j else b[min(i, j)] if abs(i - j) == 1 else mp.mpf(0)
                   for j in range(7)] for i in range(7)]
             want = (a, [x * x for x in b])
-            assert fredholm._householder_tridiagonal(G) == want
+            assert fredholm._householder_tridiagonal(_fixed(G, 282), 282) == want
             assert householder_tridiagonal_mpf(G) == want

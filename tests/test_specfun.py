@@ -6,8 +6,8 @@ import pytest
 
 from edgejump.precision import PrecisionCtx
 from edgejump.quadrature import gauss_legendre
-from edgejump.specfun import (airy, half_gauss_moments, hermite_functions,
-                              hermite_functions_mp)
+from edgejump.specfun import (_full_gauss_moments, airy, half_gauss_moments,
+                              hermite_functions, hermite_functions_mp)
 
 from oracles import (airy_maclaurin, barnes_g_via_loggamma_integral, gauss_legendre_mp,
                      hermite_orthonormal)
@@ -228,6 +228,29 @@ class TestHalfMoments:
             nodes, weights = gauss_legendre_mp(200, 8.0, 20.0, CTX.bits)
             quad = sum(w * mp.exp(-x * x) for x, w in zip(nodes, weights))
             assert abs(J[0] - quad) < 1e-25
+
+    @pytest.mark.parametrize("bits", [192, 304, 1024])
+    def test_full_moments_against_gamma(self, bits):
+        # the double-factorial recursion, rounded once, against mpmath's Gamma
+        # at j <= 200: within two ulps (sqrt(pi) and the product each round)
+        with mp.workprec(bits):
+            M = _full_gauss_moments(200)
+            assert len(M) == 201 and all(M[j] == 0 for j in range(1, 201, 2))
+            for j in range(0, 201, 2):
+                want = mp.gamma(mp.mpf(j + 1) / 2)
+                assert abs(M[j] / want - 1) <= mp.mpf(2) ** (2 - bits), j
+        with mp.workprec(bits):
+            assert _full_gauss_moments(0) == [mp.sqrt(mp.pi)]
+
+    @pytest.mark.parametrize("lam", [-2.0, -0.5])
+    def test_negative_cut_parity_against_gamma(self, lam):
+        # the parity map J(lam) = M - J(-lam) (even), J(-lam) (odd), with M from
+        # mpmath's Gamma, an independent route to the full moments
+        J, pos = half_gauss_moments(lam, 40, CTX), half_gauss_moments(-lam, 40, CTX)
+        with CTX.workprec():
+            for j in range(41):
+                want = pos[j] if j % 2 else mp.gamma(mp.mpf(j + 1) / 2) - pos[j]
+                assert abs(J[j] - want) <= mp.mpf(2) ** (4 - CTX.bits) * abs(want), j
 
     def test_positive_for_nonnegative_cut(self):
         J = half_gauss_moments(0.7, 9, CTX)

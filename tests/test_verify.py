@@ -45,6 +45,21 @@ def test_finite_n_identity_builds_at_the_rung_precision(bits, ns, monkeypatch):
     assert all(got == (bits or hankel_ctx(n).bits) for _, n, got in built), built
 
 
+def test_qn_identity_at_the_edge_builds_at_304_bits(monkeypatch):
+    # criterion 11's bound 2^(32 - bits) |Q_n| scales with bits, so its n = 20
+    # edge case keeps 304 bits whatever hankel_ctx(20) reads
+    built = []
+
+    def spy(params, N, ctx, *, check=True, _real=weightlab.build_op_system):
+        built.append((N, ctx.bits))
+        return _real(params, N, ctx, check=check)
+
+    monkeypatch.setattr(weightlab, "build_op_system", spy)
+    rep = verify.check_exact_identities()
+    assert rep.passed, rep.detail
+    assert (20, 304) in built and all(bits != hankel_ctx(20).bits for n, bits in built if n == 20)
+
+
 def test_bulk_hankel_passes_at_defaults():
     rep = verify.check_bulk_hankel()
     assert rep.passed, rep.detail

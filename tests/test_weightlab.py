@@ -8,7 +8,8 @@ from mpmath.libmp import from_man_exp
 
 from edgejump.fredholm import finite_n_det
 from edgejump.linalg import ldlt, lu_det
-from edgejump.precision import PrecisionCtx, hankel_ctx
+from edgejump.precision import MIN_HANKEL_BITS, PrecisionCtx, hankel_ctx
+from edgejump.specfun import half_gauss_moments
 from edgejump.util import kappa_sq_from_beta
 from edgejump.weightlab import (SingularMinor, WeightParams, _chebyshev, _round,
                                 build_op_system, diff_identity_residual, edge_cut,
@@ -47,6 +48,20 @@ class TestMoments:
             for j, m in enumerate(mu):
                 want = phase * (mp.gamma(mp.mpf(j + 1) / 2) if j % 2 == 0 else 0)
                 assert abs(m - want) < mp.exp(mp.mpf(-850))  # e^{-lambda0^2} scale
+
+    @pytest.mark.parametrize("beta, lam0", [(0.3, "edge"), (0.2 + 0.1j, -1.0), (0.4j, 0.5)])
+    def test_against_gamma_moments(self, beta, lam0):
+        # mu_j with M_j from mpmath's Gamma and both products at every j, an
+        # independent route to the same table: below one ulp apart at 304 bits
+        ctx, K = PrecisionCtx(304), 129
+        params = WeightParams(beta, edge_cut(64, 0.0) if lam0 == "edge" else lam0)
+        mu, J = moments(params, K, ctx), half_gauss_moments(params.lambda0, K, ctx)
+        with ctx.workprec(20):
+            eplus, eminus = params.jump_phases()
+            for j in range(K + 1):
+                full = mp.gamma(mp.mpf(j + 1) / 2) if j % 2 == 0 else 0
+                want = eplus * (full - J[j]) + eminus * J[j]
+                assert abs(mu[j] - want) <= mp.mpf(2) ** -ctx.bits * abs(want), j
 
     def test_against_quadrature_oracle(self):
         params = WeightParams(0.3j, 0.7)
@@ -148,7 +163,7 @@ class TestBuild:
     @pytest.mark.parametrize("bits", [192, 424, 768])
     def test_gaussian_hankel_against_barnes_g(self, bits):
         # the factorial product, rounded once, against (2 pi)^(n/2) 2^(-n^2/2)
-        # G(n + 1) at 64 more bits; 192 and 424 are hankel_ctx(4) and hankel_ctx(30)
+        # G(n + 1) at 64 more bits; 192 is hankel_ctx(n) for n <= 32
         ctx = PrecisionCtx(bits)
         for n in range(1, 65):
             want = gaussian_hankel_closed_form(n, bits + 64)
@@ -206,6 +221,19 @@ class TestBuild:
                 assert abs(x - mp.conj(y)) <= mp.mpf(2) ** (40 - CTX.bits) * (1 + abs(x))
             for x, y in zip(a.Q, b.Q):
                 assert abs(x - mp.conj(y)) <= mp.mpf(2) ** (40 - CTX.bits) * (1 + abs(x))
+
+    def test_hankel_ctx_follows_the_measured_loss(self):
+        # max(192, 64 + 4n): the floor holds through n = 32
+        assert [hankel_ctx(n).bits for n in (1, 20, 31, 32, 33, 64, 128, 256)] == [
+            192, 192, 192, 192, 196, 320, 576, 1088]
+        assert hankel_ctx(0).bits == MIN_HANKEL_BITS
+
+    def test_checked_edge_build_at_hankel_ctx(self):
+        # the moment route loses ~1.6 bits per n: at n = 64 (320 bits) the
+        # two precisions of a checked edge-cut build share >= 60 digits
+        n = 64
+        sys = build_op_system(WeightParams(0.3, edge_cut(n, 0.0)), n, hankel_ctx(n))
+        assert sys.bits == 320 and min(sys.agreed.values()) >= 60, sys.agreed
 
     def test_agreement_digits_attached(self):
         sys = build_op_system(WeightParams(0.4j, 1.1), 6, PrecisionCtx(256))
@@ -283,7 +311,8 @@ class TestJumpIdentity:
             assert res <= mp.mpf(2) ** (32 - 512) * abs(sys.Q[8])
 
     def test_edge_cut(self):
-        ctx = hankel_ctx(20)
+        # 304 bits, as criterion 11 builds this case: the bound scales with bits
+        ctx = PrecisionCtx(304)
         params = WeightParams(0.3, edge_cut(20, 0.0))
         sys = build_op_system(params, 20, ctx, check=False)
         res = qn_jump_identity_residual(sys, 20)
@@ -319,7 +348,7 @@ class TestGramRoute:
     def test_against_moment_route(self, beta, n):
         # logs are compared through exp(difference) - 1, so modulo 2 pi i.
         # 64 + 4n bits: at n = 128 (576 bits) the reference's Q_n, R_n, h_n
-        # and p_n(lambda0) agree to 114 digits with those at hankel_ctx(n)'s 1600
+        # and p_n(lambda0) agree to 114 digits with those at 64 + 12n = 1600 bits
         ctx = PrecisionCtx(64 + 4 * n)
         for t in (-2.0, 0.0, 0.5, 2.0):
             params = WeightParams(beta, edge_cut(n, t))
